@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import CalibrationScale, apply_scale, fit_scale
+from .calibrate import CalibrationScale, fit_scale
 from .datagen import (
     Dataset,
     GenConfig,
@@ -154,9 +154,12 @@ def _fval(cfg: dict, key: str) -> float:
     if isinstance(v, bool) or v is None:
         raise ConfigError(f"{key} must be a number, got {v!r}")
     try:
-        return float(v)
+        number = float(v)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {v!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {v!r}")
+    return number
 
 
 def _bval(cfg: dict, key: str) -> bool:
@@ -195,9 +198,12 @@ def _float_list(value, key: str) -> list[float]:
     if isinstance(value, str):
         value = [p for p in value.split(",") if p.strip() != ""]
     try:
-        return [float(v) for v in value]
+        numbers = [float(v) for v in value]
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a comma list of numbers, got {value!r}") from None
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"{key} must hold finite numbers, got {value!r}")
+    return numbers
 
 
 def _mc_triple(value) -> tuple[int, float, int] | None:

@@ -40,6 +40,9 @@ def canonical_json(doc) -> str:
     """Sorted keys, two-space indent, trailing newline, floats via repr.
 
     The same document always serializes to the same bytes, which is what
-    makes checkpoint and report files safely comparable across runs.
+    makes checkpoint and report files safely comparable across runs. The
+    output is strict JSON: a nan or infinity raises ValueError instead of
+    being written as a bare token.
     """
-    return json.dumps(doc, sort_keys=True, indent=2, cls=_CanonicalEncoder) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, cls=_CanonicalEncoder)
+    return text + "\n"

@@ -10,7 +10,6 @@ selective_sweep) are provided, plus a one-call report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import InputError, InvariantError
+from .ioutils import canonical_json
 
 __all__ = [
     "EvalRecord",
@@ -73,9 +73,10 @@ class MetricsReport:
     auc: float | None
 
     def to_dict(self) -> dict:
+        """Plain-JSON form; an undefined srcc_system (nan) becomes None."""
         return {
             "mse": self.mse,
-            "srcc_system": self.srcc_system,
+            "srcc_system": self.srcc_system if math.isfinite(self.srcc_system) else None,
             "nll": self.nll,
             "uce": self.uce,
             "sharpness": self.sharpness,
@@ -83,7 +84,7 @@ class MetricsReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_dict())
 
 
 def _require_records(records: Sequence[EvalRecord]) -> None:

@@ -13,6 +13,15 @@ from mosuq.net import ArchConfig, init_params, param_arrays
 from mosuq.trainer import save_checkpoint
 
 
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A small generated-trained-calibrated pipeline shared by the tests."""
@@ -81,6 +90,21 @@ class TestGenData:
             "--split", "0.5,0.5",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--shift", "nan"],
+        ["--feature-noise", "inf"],
+        ["--split", "0.5,nan,0.5"],
+    ])
+    def test_non_finite_numbers_are_a_usage_error(self, tmp_path, capsys, flags):
+        """Rejected up front, so no artifact or config record gets a NaN."""
+        code = main([
+            "gen-data", "--num-systems", "2", "--samples-per-system", "10",
+            "--feature-dim", "2", "--out", str(tmp_path / "x.csv"), *flags,
+        ])
+        assert code == 2
+        assert "must" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_noise_preset_rejected(self, tmp_path, capsys):
         code = main([
@@ -272,6 +296,37 @@ class TestEvaluate:
         assert sorted(doc) == ["auc", "mse", "nll", "sharpness", "srcc_system", "uce"]
         assert doc["auc"] is None
         assert all(isinstance(doc[k], float) for k in doc if k != "auc")
+
+    def test_report_is_strict_json(self, workspace, tmp_path):
+        report = tmp_path / "report.json"
+        assert self.run_eval(workspace, report, ["--mc", "5", "0.5", "1"]) == 0
+        doc = strict_json(report.read_text())
+        assert all(isinstance(doc[k], float) for k in doc if k != "auc")
+
+    def test_tied_system_means_give_a_null_srcc(self, tmp_path):
+        """A zeroed network predicts the same score for every system, so the
+        system rank correlation is undefined and is written as null."""
+        arch = ArchConfig(input_dim=2, trunk_dims=(4,), head_hidden_dim=4)
+        params = init_params(arch, seed=0)
+        for a in param_arrays(params):
+            a[:] = 0.0
+        ck = tmp_path / "zero.json"
+        save_checkpoint(params, ck)
+        rng = np.random.default_rng(1)
+        samples = tuple(
+            Sample(id=f"r{i}", system_id=f"sys{i % 2}", features=rng.normal(size=2), y=float(i))
+            for i in range(6)
+        )
+        data = tmp_path / "tied.csv"
+        save_dataset_csv(Dataset(samples), data)
+        report = tmp_path / "report.json"
+        code = main([
+            "evaluate", "--checkpoint", str(ck), "--data", str(data), "--report", str(report),
+        ])
+        assert code == 0
+        doc = strict_json(report.read_text())
+        assert doc["srcc_system"] is None
+        assert doc["mse"] == float(np.mean(np.arange(6.0) ** 2))
 
     def test_auc_populated_on_a_mixed_domain_pool(self, workspace, tmp_path):
         pool = Dataset(

@@ -10,11 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mosuq import mcdropout
 from mosuq.calibrate import CalibrationScale
 from mosuq.datagen import gen_ood_shift, split_dataset
-from mosuq.errors import ConfigError, InputError
-from mosuq.mcdropout import MCConfig, mc_forward, mc_forward_dataset, row_seed, variance_of
-from mosuq.net import ArchConfig, init_params
+from mosuq.errors import ConfigError, InputError, ShapeError
+from mosuq.mcdropout import (
+    _BLOCK_UNITS,
+    MCConfig,
+    _keep_mask,
+    _variances,
+    mc_forward,
+    mc_forward_dataset,
+    row_seed,
+    variance_of,
+)
+from mosuq.net import S_CLAMP, ArchConfig, forward_batch, init_params
 
 from conftest import FIXTURE_MC, fixture_gen_config
 
@@ -165,6 +175,177 @@ class TestMcForwardDataset:
     def test_row_seeds_differ(self):
         seeds = {row_seed(0, i) for i in range(100)}
         assert len(seeds) == 100
+
+
+def paper_shape_params(seed=0):
+    """Trunk width 16, as in the paper preset."""
+    arch = ArchConfig(input_dim=2, trunk_dims=(16,), head_hidden_dim=16, dropout_p=0.5)
+    return init_params(arch, seed=seed)
+
+
+def splitmix_uniform(key, counter):
+    """Scalar SplitMix64 of key + counter * golden gamma, as a uniform in [0, 1)."""
+    z = (key + counter * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
+
+
+def one_row(params, features, cfg, i):
+    return mc_forward(params, features[i], replace(cfg, seed=row_seed(cfg.seed, i)))
+
+
+class TestKernelInvariants:
+    """Properties of the one kernel behind mc_forward and mc_forward_dataset."""
+
+    def test_rows_match_one_row_calls_across_a_block_boundary(self):
+        params = paper_shape_params(seed=3)
+        cfg = MCConfig(num_passes=25, dropout_p=0.5, seed=8)
+        # Rows 127 and 128 fall in different blocks.
+        assert 128 % (_BLOCK_UNITS // (cfg.num_passes * 16)) == 0
+        features = np.random.default_rng(5).normal(size=(300, 2))
+        full = mc_forward_dataset(params, features, cfg)
+        for i in (0, 127, 128, 129, len(features) - 1):
+            assert full[i] == one_row(params, features, cfg, i)
+
+    def test_dataset_pass_prefix_is_stable(self):
+        params = paper_shape_params(seed=1)
+        features = np.random.default_rng(6).normal(size=(140, 2))
+        short = mc_forward_dataset(params, features, MCConfig(num_passes=5, dropout_p=0.5, seed=2))
+        long = mc_forward_dataset(params, features, MCConfig(num_passes=25, dropout_p=0.5, seed=2))
+        for a, b in zip(short, long):
+            assert b.y_samples[:5] == a.y_samples
+            assert b.s_samples[:5] == a.s_samples
+
+    @pytest.mark.parametrize("passes, p", [(10, 0.0), (1, 0.5)])
+    def test_dataset_path_gives_exact_zero_epistemic_variance(self, passes, p):
+        params = paper_shape_params(seed=2)
+        features = np.random.default_rng(7).normal(size=(200, 2))
+        results = mc_forward_dataset(params, features, MCConfig(passes, p, seed=4))
+        assert all(r.epi_pred_var == 0.0 and r.epi_dist_var == 0.0 for r in results)
+
+    def test_zero_dropout_draws_no_bits_and_matches_the_deterministic_pass(self, monkeypatch):
+        def no_bits(*args):
+            raise AssertionError("mask bits drawn at p = 0")
+
+        monkeypatch.setattr(mcdropout, "_keep_mask", no_bits)
+        params = paper_shape_params(seed=2)
+        features = np.random.default_rng(8).normal(size=(30, 2))
+        results = mc_forward_dataset(params, features, MCConfig(4, 0.0, seed=1))
+        y_det, s_det, _ = forward_batch(params, features)
+        np.testing.assert_allclose([r.y_mean for r in results], y_det, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose([r.s_mean for r in results], s_det, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.7])
+    def test_keep_rate_is_one_minus_p(self, p):
+        keep = _keep_mask(np.arange(100, dtype=np.uint64), 25, 20, p)
+        assert keep.size == 100_000
+        sigma = math.sqrt(p * (1.0 - p) / keep.size)
+        assert abs(float(keep.mean()) - (1.0 - p)) < 4.0 * sigma
+
+    def test_keep_bits_follow_the_documented_hash(self):
+        # First output of the reference SplitMix64 generator seeded with 0.
+        assert splitmix_uniform(0, 1) == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+        key, passes, width, p = 2**64 - 3, 3, 5, 0.37
+        keep = _keep_mask(np.array([key], dtype=np.uint64), passes, width, p)
+        for t in range(passes):
+            for head in (0, 1):
+                for unit in range(width):
+                    counter = (t * 2 + head) * width + unit + 1
+                    assert keep[0, t, head, unit] == (splitmix_uniform(key, counter) >= p)
+
+    def test_score_and_log_variance_heads_draw_different_masks(self):
+        keep = _keep_mask(np.array([7, 2**64 - 1], dtype=np.uint64), 25, 16, 0.5)
+        differ = keep[:, :, 0] != keep[:, :, 1]
+        assert 0.3 < float(differ.mean()) < 0.7
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_variance_of_equals_the_vectorised_summary(self, rows, passes, seed, constant):
+        samples = np.random.default_rng(seed).normal(size=(rows, passes))
+        if constant:
+            samples[::2] = samples[::2, :1]
+        assert _variances(samples).tolist() == [variance_of(tuple(row)) for row in samples]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_width_is_a_shape_error_on_both_paths(self, width):
+        params = paper_shape_params()
+        with pytest.raises(ShapeError):
+            mc_forward(params, np.zeros(width), MCConfig())
+        with pytest.raises(ShapeError):
+            mc_forward_dataset(params, np.zeros((4, width)), MCConfig())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_features_are_an_input_error_on_both_paths(self, bad):
+        params = paper_shape_params()
+        features = np.zeros((4, 2))
+        features[3, 1] = bad
+        with pytest.raises(InputError):
+            mc_forward(params, features[3], MCConfig())
+        with pytest.raises(InputError):
+            mc_forward_dataset(params, features, MCConfig())
+
+    def test_features_are_validated_once_per_call(self, monkeypatch):
+        checked = []
+        real = mcdropout._check_features
+        monkeypatch.setattr(
+            mcdropout, "_check_features", lambda arch, x: (checked.append(x.shape), real(arch, x))
+        )
+        params = paper_shape_params()
+        features = np.zeros((300, 2))
+        mc_forward_dataset(params, features, MCConfig(num_passes=25))
+        mc_forward(params, features[0], MCConfig(num_passes=25))
+        assert checked == [(300, 2), (1, 2)]
+
+    def test_seeds_beyond_64_bits_fold_the_same_way_on_both_paths(self):
+        params = tiny_params(seed=3)
+        features = np.random.default_rng(9).normal(size=(3, 3))
+        small = MCConfig(num_passes=6, dropout_p=0.5, seed=12345)
+        big = replace(small, seed=2**64 + 12345)
+        huge = replace(small, seed=2**200 + 12345)
+        for cfg in (big, huge):
+            assert mc_forward(params, features[0], cfg) == mc_forward(params, features[0], small)
+            assert mc_forward_dataset(params, features, cfg) == mc_forward_dataset(
+                params, features, small
+            )
+        full = mc_forward_dataset(params, features, big)
+        assert full[2] == one_row(params, features, small, 2)
+
+    @pytest.mark.parametrize(
+        "trunk_dims, activation",
+        [((5,), "relu"), ((), "tanh"), ((), "relu"), ((6, 4), "tanh")],
+    )
+    def test_samples_match_a_plain_forward_with_the_same_masks(self, trunk_dims, activation):
+        arch = ArchConfig(
+            input_dim=3, trunk_dims=trunk_dims, head_hidden_dim=4, activation=activation
+        )
+        params = init_params(arch, seed=2)
+        features = np.random.default_rng(10).normal(size=(6, 3))
+        cfg = MCConfig(num_passes=7, dropout_p=0.4, seed=11)
+        results = mc_forward_dataset(params, features, cfg)
+
+        keys = np.array([row_seed(cfg.seed, i) for i in range(6)], dtype=np.uint64)
+        keep = _keep_mask(keys, cfg.num_passes, arch.trunk_output_dim, cfg.dropout_p)
+        keep = keep / (1.0 - cfg.dropout_p)
+        act = np.tanh if activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+        a = features
+        for w, b in zip(params.trunk_w, params.trunk_b):
+            a = act(a @ w.T + b)
+
+        def head(mask, w, b):
+            return (act((a[:, None, :] * mask) @ w[0].T + b[0]) @ w[1].T + b[1])[..., 0]
+
+        y = head(keep[:, :, 0], params.score_w, params.score_b)
+        s = np.clip(head(keep[:, :, 1], params.logvar_w, params.logvar_b), -S_CLAMP, S_CLAMP)
+        np.testing.assert_allclose([r.y_samples for r in results], y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose([r.s_samples for r in results], s, rtol=1e-12, atol=1e-12)
+        assert results[4] == one_row(params, features, cfg, 4)
 
 
 class TestTrainedModelSensitivity:

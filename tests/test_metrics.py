@@ -355,6 +355,24 @@ class TestComputeReport:
         assert sorted(payload) == ["auc", "mse", "nll", "sharpness", "srcc_system", "uce"]
         assert payload["auc"] is None
 
+    def test_tied_system_means_serialize_as_null(self):
+        records = [rec(i, 1.0, system=f"sys{i % 2}") for i in range(6)]
+        report = compute_report(records)
+        assert math.isnan(report.srcc_system)
+        assert report.to_dict()["srcc_system"] is None
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(report.to_json(), parse_constant=reject)
+        assert payload["srcc_system"] is None
+        assert payload["mse"] == report.mse
+
+    def test_finite_report_bytes_are_the_plain_sorted_dump(self):
+        report = compute_report(self.make_records(with_domains=True))
+        expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == expected
+
     def test_report_is_a_plain_value_object(self):
         report = MetricsReport(
             mse=1.0, srcc_system=0.5, nll=0.9, uce=0.1, sharpness=2.0, auc=None
