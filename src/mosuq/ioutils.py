@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -14,17 +15,43 @@ __all__ = ["atomic_write_text", "canonical_json"]
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the target directory plus rename, so readers
-    never observe a half-written file."""
+    never observe a half-written file.
+
+    The temp file is flushed and fsynced before the rename, and the
+    directory after it, so a crash leaves either the old file or the whole
+    new one on disk.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    directory = path.parent or Path(".")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    _fsync_directory(directory)
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make a rename in the directory durable. Where a directory cannot be
+    opened (Windows) or fsynced (EINVAL on some file systems), the rename
+    stands without it."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError as exc:
+        if exc.errno != errno.EINVAL:
+            raise
+    finally:
+        os.close(fd)
 
 
 class _CanonicalEncoder(json.JSONEncoder):

@@ -6,18 +6,32 @@ predicted variance. Each head is a dropout layer followed by two linear
 layers with one activation in between, so test-time MC sampling only ever
 perturbs the heads.
 
-Everything here is pure and explicit: parameters are plain numpy arrays,
-randomness enters only through generators passed by the caller, and
-gradients are computed by replaying the cached forward pass rather than by
-any autodiff machinery. Batched variants (``forward_batch`` and
-``backward_batch``) share the exact code path used by the single-sample
-operations; the trainer calls them directly for speed.
+All learnable arrays live in one contiguous float64 vector,
+``ModelParams.flat``. One layout table, ``param_layout(arch)``, gives each
+array's group, shape and span in that vector, and ``trunk_w`` ...
+``logvar_b`` are views into it. ``backward_batch`` writes its gradients into
+one fresh flat vector of the same layout (returned as a ModelParams), so an
+optimizer updates every parameter with a few whole-vector operations.
+
+Everything else is plain and explicit: randomness enters only through
+generators passed by the caller, and gradients are computed by replaying the
+forward pass, whose intermediates ``forward_batch`` hands to
+``backward_batch`` as a plain tuple. In dropout mode both heads' masks come
+from one ``rng.random((2, B, H))`` draw, score head first: the same stream
+as one draw per head.
+
+``forward_batch`` checks only the shape of its features. Their finiteness
+is checked once per dataset by its callers (``trainer.train`` for the train
+and validation splits, ``trainer.predict_batch``) and on every call of the
+one-row ``forward``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,20 +39,20 @@ from .errors import ConfigError, InputError, ShapeError
 
 __all__ = [
     "ACTIVATIONS",
+    "GROUPS",
     "S_CLAMP",
     "ArchConfig",
     "ModelParams",
-    "Gradients",
     "HeteroPrediction",
-    "ForwardCache",
+    "Slot",
     "dropout_mask",
+    "param_layout",
     "init_params",
     "forward",
     "forward_batch",
     "backward",
     "backward_batch",
     "param_arrays",
-    "grad_arrays",
 ]
 
 ACTIVATIONS = ("tanh", "relu")
@@ -49,6 +63,9 @@ ACTIVATIONS = ("tanh", "relu")
 S_CLAMP = 10.0
 
 MODES = ("deterministic", "dropout")
+
+# Parameter groups in flat-vector order; within a group, layers in order.
+GROUPS = ("trunk_w", "trunk_b", "score_w", "score_b", "logvar_w", "logvar_b")
 
 
 @dataclass(frozen=True)
@@ -84,36 +101,72 @@ class ArchConfig:
         return self.trunk_dims[-1] if self.trunk_dims else self.input_dim
 
 
+class Slot(NamedTuple):
+    """One learnable array: flat[start:stop] viewed with this shape."""
+
+    group: str
+    shape: tuple[int, ...]
+    start: int
+    stop: int
+
+
+@functools.lru_cache(maxsize=64)
+def param_layout(arch: ArchConfig) -> tuple[Slot, ...]:
+    """Every learnable array of the architecture, in flat-vector order.
+
+    Weight matrices are (fan_out, fan_in). The order is GROUPS: trunk
+    weights, trunk biases, then score head and log-variance head weights and
+    biases, layers in order within each group.
+    """
+    widths = (arch.input_dim, *arch.trunk_dims)
+    head_w = [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]
+    head_b = [(arch.head_hidden_dim,), (1,)]
+    trunk_w = list(zip(widths[1:], widths[:-1]))
+    trunk_b = [(w,) for w in arch.trunk_dims]
+    slots, start = [], 0
+    for group, shapes in zip(GROUPS, (trunk_w, trunk_b, head_w, head_b, head_w, head_b)):
+        for shape in shapes:
+            slots.append(Slot(group, shape, start, start + math.prod(shape)))
+            start = slots[-1].stop
+    return tuple(slots)
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """All learnable arrays. Treat instances as immutable once published.
+    """All learnable arrays, as views into one flat float64 vector.
 
-    Weight matrices are stored as (fan_out, fan_in); layer l computes
-    a_out = act(W @ a_in + b). Each head holds exactly two layers:
-    index 0 maps the (dropped-out) trunk output to the head hidden layer,
-    index 1 maps the head hidden layer to the scalar output.
+    Treat instances as immutable once published. Layer l computes
+    a_out = act(W @ a_in + b). Each head holds exactly two layers: index 0
+    maps the (dropped-out) trunk output to the head hidden layer, index 1
+    maps the head hidden layer to the scalar output. Gradients from
+    backward_batch use the same class and layout.
     """
 
     arch: ArchConfig
-    trunk_w: list[np.ndarray]
-    trunk_b: list[np.ndarray]
-    score_w: list[np.ndarray]
-    score_b: list[np.ndarray]
-    logvar_w: list[np.ndarray]
-    logvar_b: list[np.ndarray]
+    flat: np.ndarray
     rng_seed_used: int
+    trunk_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    trunk_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    score_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    score_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    logvar_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    logvar_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        layout = param_layout(self.arch)
+        size, flat = layout[-1].stop, self.flat
+        if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
+            raise ShapeError(
+                f"expected a contiguous float64 vector of {size} parameters, "
+                f"got {flat.dtype} array of shape {flat.shape}"
+            )
+        for group in GROUPS:
+            object.__setattr__(self, group, [])
+        for slot in layout:
+            getattr(self, slot.group).append(flat[slot.start : slot.stop].reshape(slot.shape))
 
-@dataclass
-class Gradients:
-    """Same array layout as ModelParams, one entry per learnable array."""
-
-    trunk_w: list[np.ndarray]
-    trunk_b: list[np.ndarray]
-    score_w: list[np.ndarray]
-    score_b: list[np.ndarray]
-    logvar_w: list[np.ndarray]
-    logvar_b: list[np.ndarray]
+    def __deepcopy__(self, memo) -> ModelParams:
+        return ModelParams(self.arch, self.flat.copy(), self.rng_seed_used)
 
 
 @dataclass(frozen=True)
@@ -131,30 +184,9 @@ class HeteroPrediction:
         return math.exp(self.s)
 
 
-@dataclass
-class _HeadCache:
-    mask: np.ndarray | None     # (B, trunk_out) inverted-dropout mask, None in deterministic mode
-    h_in: np.ndarray            # (B, trunk_out) head input after dropout
-    hidden_pre: np.ndarray      # (B, head_hidden)
-    hidden_post: np.ndarray     # (B, head_hidden)
-
-
-@dataclass
-class ForwardCache:
-    """Intermediate values of one forward pass, replayed by backward()."""
-
-    mode: str
-    dropout_p: float
-    x: np.ndarray               # (B, input_dim)
-    trunk_pre: list[np.ndarray]
-    trunk_post: list[np.ndarray]
-    score: _HeadCache = field(repr=False)
-    logvar: _HeadCache = field(repr=False)
-    s_raw: np.ndarray          # (B,) log-variance before clamping
-
-    @property
-    def batch_size(self) -> int:
-        return self.x.shape[0]
+def param_arrays(params: ModelParams) -> list[np.ndarray]:
+    """All learnable arrays, as views in flat-vector order."""
+    return [params.flat[s.start : s.stop].reshape(s.shape) for s in param_layout(params.arch)]
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -163,11 +195,12 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
-    # tanh' from the cached output avoids recomputing tanh; relu' is 0 at 0.
+def _activate_grad(post: np.ndarray, kind: str) -> np.ndarray:
+    # tanh' from the cached output avoids recomputing tanh; relu' is 0 at 0,
+    # and relu's output is positive exactly where its input is.
     if kind == "tanh":
         return 1.0 - post * post
-    return (pre > 0.0).astype(float)
+    return post > 0.0
 
 
 def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], p: float) -> np.ndarray:
@@ -192,44 +225,22 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
     log-variance head.
     """
     rng = np.random.default_rng(seed)
-
-    def layer(fan_out: int, fan_in: int) -> tuple[np.ndarray, np.ndarray]:
-        bound = 1.0 / math.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        return w, np.zeros(fan_out)
-
-    trunk_w, trunk_b = [], []
-    fan_in = arch.input_dim
-    for width in arch.trunk_dims:
-        w, b = layer(width, fan_in)
-        trunk_w.append(w)
-        trunk_b.append(b)
-        fan_in = width
-
-    heads = []
-    for _ in range(2):
-        w1, b1 = layer(arch.head_hidden_dim, arch.trunk_output_dim)
-        w2, b2 = layer(1, arch.head_hidden_dim)
-        heads.append(([w1, w2], [b1, b2]))
-    (score_w, score_b), (logvar_w, logvar_b) = heads
-
-    return ModelParams(
-        arch=arch,
-        trunk_w=trunk_w,
-        trunk_b=trunk_b,
-        score_w=score_w,
-        score_b=score_b,
-        logvar_w=logvar_w,
-        logvar_b=logvar_b,
-        rng_seed_used=int(seed),
-    )
+    params = ModelParams(arch, np.zeros(param_layout(arch)[-1].stop), int(seed))
+    for w in params.trunk_w + params.score_w + params.logvar_w:
+        bound = 1.0 / math.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
-def _check_features(arch: ArchConfig, x: np.ndarray) -> None:
+def _check_shape(arch: ArchConfig, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ShapeError(
             f"expected features of width {arch.input_dim}, got array of shape {x.shape}"
         )
+
+
+def _check_features(arch: ArchConfig, x: np.ndarray) -> None:
+    _check_shape(arch, x)
     if not np.all(np.isfinite(x)):
         raise InputError("features contain non-finite values")
 
@@ -240,12 +251,11 @@ def _head_forward(
     b: list[np.ndarray],
     kind: str,
     mask: np.ndarray | None,
-) -> tuple[np.ndarray, _HeadCache]:
+) -> tuple[np.ndarray, tuple]:
+    """(head output, (mask, head input, hidden activations)) for a batch."""
     h_in = h if mask is None else h * mask
-    hidden_pre = h_in @ w[0].T + b[0]
-    hidden_post = _activate(hidden_pre, kind)
-    out = hidden_post @ w[1].T + b[1]
-    return out[:, 0], _HeadCache(mask, h_in, hidden_pre, hidden_post)
+    hidden = _activate(h_in @ w[0].T + b[0], kind)
+    return (hidden @ w[1].T + b[1])[:, 0], (mask, h_in, hidden)
 
 
 def forward_batch(
@@ -254,16 +264,19 @@ def forward_batch(
     mode: str = "deterministic",
     rng: np.random.Generator | None = None,
     dropout_p: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Run the network on a (batch, input_dim) array.
 
-    Returns (y_hat, s, cache) where y_hat and s are (batch,) arrays and s
-    is already clamped to [-S_CLAMP, +S_CLAMP]. In dropout mode one mask is
-    drawn per head, score head first, from the supplied generator.
+    Returns (y_hat, s, cache) where y_hat and s are (batch,) arrays, s is
+    already clamped to [-S_CLAMP, +S_CLAMP], and cache holds the
+    intermediates that backward_batch replays. In dropout mode the masks of
+    both heads, score head first, come from one draw on the supplied
+    generator. Features are not checked for finiteness here (see the module
+    docstring).
     """
     arch = params.arch
     x = np.asarray(x, dtype=float)
-    _check_features(arch, x)
+    _check_shape(arch, x)
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     p = arch.dropout_p if dropout_p is None else float(dropout_p)
@@ -273,38 +286,18 @@ def forward_batch(
         raise ConfigError("dropout mode requires an rng")
 
     a = x
-    trunk_pre, trunk_post = [], []
+    trunk_post = []
     for w, b in zip(params.trunk_w, params.trunk_b):
-        z = a @ w.T + b
-        a = _activate(z, arch.activation)
-        trunk_pre.append(z)
+        a = _activate(a @ w.T + b, arch.activation)
         trunk_post.append(a)
 
-    if mode == "dropout":
-        score_mask = dropout_mask(rng, a.shape, p)
-        logvar_mask = dropout_mask(rng, a.shape, p)
-    else:
-        score_mask = logvar_mask = None
-
-    y_hat, score_cache = _head_forward(
-        a, params.score_w, params.score_b, arch.activation, score_mask
+    # At p = 0 a mask would be all ones, and multiplying by one is exact.
+    masks = (
+        dropout_mask(rng, (2, *a.shape), p) if mode == "dropout" and p > 0.0 else (None, None)
     )
-    s_raw, logvar_cache = _head_forward(
-        a, params.logvar_w, params.logvar_b, arch.activation, logvar_mask
-    )
-    s = np.clip(s_raw, -S_CLAMP, S_CLAMP)
-
-    cache = ForwardCache(
-        mode=mode,
-        dropout_p=p,
-        x=x,
-        trunk_pre=trunk_pre,
-        trunk_post=trunk_post,
-        score=score_cache,
-        logvar=logvar_cache,
-        s_raw=s_raw,
-    )
-    return y_hat, s, cache
+    y_hat, score = _head_forward(a, params.score_w, params.score_b, arch.activation, masks[0])
+    s_raw, logvar = _head_forward(a, params.logvar_w, params.logvar_b, arch.activation, masks[1])
+    return y_hat, np.clip(s_raw, -S_CLAMP, S_CLAMP), (x, trunk_post, score, logvar, s_raw)
 
 
 def forward(
@@ -313,115 +306,82 @@ def forward(
     mode: str = "deterministic",
     rng: np.random.Generator | None = None,
     dropout_p: float | None = None,
-) -> tuple[HeteroPrediction, ForwardCache]:
+) -> tuple[HeteroPrediction, tuple]:
     """Run the network on one feature vector."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-d feature vector, got array of shape {x.shape}")
+    _check_features(params.arch, x[None, :])
     y_hat, s, cache = forward_batch(params, x[None, :], mode, rng, dropout_p)
     return HeteroPrediction(float(y_hat[0]), float(s[0])), cache
 
 
 def _head_backward(
-    cache: _HeadCache,
+    head: tuple,
     w: list[np.ndarray],
+    d_w: list[np.ndarray],
+    d_b: list[np.ndarray],
     d_out: np.ndarray,
     kind: str,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+) -> np.ndarray:
     """Backprop a head given d(loss)/d(head output) of shape (B,).
 
-    Returns ([dW1, dW2], [db1, db2], d_trunk_output).
+    Writes the head's weight and bias gradients into d_w and d_b and
+    returns d(loss)/d(trunk output).
     """
+    mask, h_in, hidden = head
     do = d_out[:, None]
-    d_w2 = do.T @ cache.hidden_post
-    d_b2 = do.sum(axis=0)
-    d_hidden = (do @ w[1]) * _activate_grad(cache.hidden_pre, cache.hidden_post, kind)
-    d_w1 = d_hidden.T @ cache.h_in
-    d_b1 = d_hidden.sum(axis=0)
-    d_h_in = d_hidden @ w[0]
-    d_h = d_h_in if cache.mask is None else d_h_in * cache.mask
-    return [d_w1, d_w2], [d_b1, d_b2], d_h
+    np.matmul(do.T, hidden, out=d_w[1])
+    np.add.reduce(do, axis=0, out=d_b[1])
+    d_hidden = (do @ w[1]) * _activate_grad(hidden, kind)
+    np.matmul(d_hidden.T, h_in, out=d_w[0])
+    np.add.reduce(d_hidden, axis=0, out=d_b[0])
+    d_h = d_hidden @ w[0]
+    return d_h if mask is None else d_h * mask
 
 
 def backward_batch(
-    cache: ForwardCache,
+    cache: tuple,
     params: ModelParams,
     d_y_hat: np.ndarray,
     d_s: np.ndarray,
-) -> Gradients:
-    """Accumulate parameter gradients for a cached batch forward pass.
+) -> ModelParams:
+    """Parameter gradients for a cached batch forward pass.
 
     d_y_hat and d_s are (batch,) upstream derivatives of a scalar loss with
     respect to the two outputs. Where the log-variance clamp was active the
-    incoming d_s is zeroed, matching the piecewise-constant clamp.
+    incoming d_s is zeroed, matching the piecewise-constant clamp. The
+    gradients come back as a ModelParams over one new flat vector.
     """
+    x, trunk_post, score, logvar, s_raw = cache
     arch = params.arch
-    if cache.x.shape[1] != arch.input_dim or cache.score.h_in.shape[1] != arch.trunk_output_dim:
+    if x.shape[1] != arch.input_dim or score[1].shape[1] != arch.trunk_output_dim:
         raise ShapeError("forward cache does not match the supplied parameters")
     d_y_hat = np.asarray(d_y_hat, dtype=float)
     d_s = np.asarray(d_s, dtype=float)
-    if d_y_hat.shape != (cache.batch_size,) or d_s.shape != (cache.batch_size,):
+    if d_y_hat.shape != (len(x),) or d_s.shape != (len(x),):
         raise ShapeError(
-            f"upstream gradients must have shape ({cache.batch_size},), "
+            f"upstream gradients must have shape ({len(x)},), "
             f"got {d_y_hat.shape} and {d_s.shape}"
         )
 
-    d_s_eff = d_s * (np.abs(cache.s_raw) < S_CLAMP)
-
-    score_w, score_b, d_h_score = _head_backward(
-        cache.score, params.score_w, d_y_hat, arch.activation
-    )
-    logvar_w, logvar_b, d_h_logvar = _head_backward(
-        cache.logvar, params.logvar_w, d_s_eff, arch.activation
-    )
-    d_a = d_h_score + d_h_logvar
-
-    n_trunk = len(params.trunk_w)
-    trunk_w = [None] * n_trunk
-    trunk_b = [None] * n_trunk
-    for l in range(n_trunk - 1, -1, -1):
-        d_z = d_a * _activate_grad(cache.trunk_pre[l], cache.trunk_post[l], arch.activation)
-        a_prev = cache.trunk_post[l - 1] if l > 0 else cache.x
-        trunk_w[l] = d_z.T @ a_prev
-        trunk_b[l] = d_z.sum(axis=0)
-        d_a = d_z @ params.trunk_w[l]
-
-    return Gradients(trunk_w, trunk_b, score_w, score_b, logvar_w, logvar_b)
+    grads = ModelParams(arch, np.empty_like(params.flat), params.rng_seed_used)
+    kind = arch.activation
+    d_s_eff = d_s * (np.abs(s_raw) < S_CLAMP)
+    d_a = _head_backward(score, params.score_w, grads.score_w, grads.score_b, d_y_hat, kind)
+    d_a += _head_backward(logvar, params.logvar_w, grads.logvar_w, grads.logvar_b, d_s_eff, kind)
+    for l in range(len(trunk_post) - 1, -1, -1):
+        d_z = d_a * _activate_grad(trunk_post[l], kind)
+        np.matmul(d_z.T, trunk_post[l - 1] if l > 0 else x, out=grads.trunk_w[l])
+        np.add.reduce(d_z, axis=0, out=grads.trunk_b[l])
+        if l > 0:
+            d_a = d_z @ params.trunk_w[l]
+    return grads
 
 
-def backward(
-    cache: ForwardCache,
-    params: ModelParams,
-    d_y_hat: float,
-    d_s: float,
-) -> Gradients:
+def backward(cache: tuple, params: ModelParams, d_y_hat: float, d_s: float) -> ModelParams:
     """Single-sample gradient: cache must come from a one-row forward pass."""
-    if cache.batch_size != 1:
-        raise ShapeError(
-            f"backward() expects a single-sample cache, got batch size {cache.batch_size}"
-        )
+    batch = len(cache[0])
+    if batch != 1:
+        raise ShapeError(f"backward() expects a single-sample cache, got batch size {batch}")
     return backward_batch(cache, params, np.array([d_y_hat]), np.array([d_s]))
-
-
-def param_arrays(params: ModelParams) -> list[np.ndarray]:
-    """All learnable arrays in a fixed, documented order."""
-    return (
-        list(params.trunk_w)
-        + list(params.trunk_b)
-        + list(params.score_w)
-        + list(params.score_b)
-        + list(params.logvar_w)
-        + list(params.logvar_b)
-    )
-
-
-def grad_arrays(grads: Gradients) -> list[np.ndarray]:
-    """Gradient arrays in the same order as param_arrays()."""
-    return (
-        list(grads.trunk_w)
-        + list(grads.trunk_b)
-        + list(grads.score_w)
-        + list(grads.score_b)
-        + list(grads.logvar_w)
-        + list(grads.logvar_b)
-    )

@@ -2,10 +2,15 @@
 
 The loop is deliberately plain: shuffle, slice into batches, run the
 batched forward pass with dropout active, push the analytic loss gradients
-through the batched backward pass, and apply either Adam or plain SGD.
-Every source of randomness (init, per-epoch shuffling, dropout masks) is
-derived from the single seed in TrainConfig, so a (dataset, arch, config)
-triple always reproduces the same parameters bit for bit.
+through the batched backward pass, and apply either Adam or plain SGD to
+the whole flat parameter vector (``ModelParams.flat``) at once. Every
+source of randomness (init, per-epoch shuffling, dropout masks) is derived
+from the single seed in TrainConfig, so a (dataset, arch, config) triple
+always reproduces the same parameters bit for bit.
+
+Features are checked for non-finite values once per dataset, before the
+first step (training and validation splits), and once per predict_batch
+call; the per-batch forward pass checks only their shape.
 
 Checkpoints are canonical JSON: keys sorted, two-space indent, trailing
 newline, floats via repr. Saving a loaded checkpoint therefore reproduces
@@ -33,13 +38,14 @@ from .errors import (
 from .ioutils import atomic_write_text, canonical_json
 from .loss import LOSSES, mse_loss_batch, nll_loss_batch
 from .net import (
+    GROUPS,
     ArchConfig,
     ModelParams,
+    _check_features,
     backward_batch,
     forward_batch,
-    grad_arrays,
     init_params,
-    param_arrays,
+    param_layout,
 )
 
 __all__ = [
@@ -98,44 +104,33 @@ class TrainHistory:
 
 
 class _Adam:
-    def __init__(self, arrays: list[np.ndarray], lr: float):
+    """Adam (Kingma & Ba 2015) over the whole flat parameter vector."""
+
+    def __init__(self, flat: np.ndarray, lr: float):
+        self.flat = flat
         self.lr = lr
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, g: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * (g * g)
+        self.flat -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 class _SGD:
-    def __init__(self, arrays: list[np.ndarray], lr: float):
+    def __init__(self, flat: np.ndarray, lr: float):
+        self.flat = flat
         self.lr = lr
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for a, g in zip(arrays, grads):
-            a -= self.lr * g
-
-
-def _copy_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        arch=params.arch,
-        trunk_w=[w.copy() for w in params.trunk_w],
-        trunk_b=[b.copy() for b in params.trunk_b],
-        score_w=[w.copy() for w in params.score_w],
-        score_b=[b.copy() for b in params.score_b],
-        logvar_w=[w.copy() for w in params.logvar_w],
-        logvar_b=[b.copy() for b in params.logvar_b],
-        rng_seed_used=params.rng_seed_used,
-    )
+    def step(self, g: np.ndarray) -> None:
+        self.flat -= self.lr * g
 
 
 def train(
@@ -148,8 +143,10 @@ def train(
 
     Weights start from init_params(arch, cfg.seed); dropout is active in
     every training forward pass (a no-op when arch.dropout_p is 0).
-    Per-epoch losses are means over samples. A non-finite batch loss aborts
-    with TrainingDivergedError naming the offending epoch.
+    Per-epoch losses are means over samples. The training labels and the
+    features of both splits are checked once, before the first step: a
+    non-finite value raises InputError. A non-finite batch loss aborts with
+    TrainingDivergedError naming the offending epoch.
     """
     n = len(dataset)
     if n == 0:
@@ -163,6 +160,7 @@ def train(
 
     x_all = dataset.features()
     y_all = dataset.labels()
+    _check_features(arch, x_all)
     if not np.all(np.isfinite(y_all)):
         raise InputError("training labels contain non-finite values")
     if val_dataset is not None:
@@ -175,10 +173,10 @@ def train(
             )
         x_val = val_dataset.features()
         y_val = val_dataset.labels()
+        _check_features(arch, x_val)
 
-    params = _copy_params(init_params(arch, cfg.seed))
-    arrays = param_arrays(params)
-    optimizer = (_Adam if cfg.optimizer == "adam" else _SGD)(arrays, cfg.learning_rate)
+    params = init_params(arch, cfg.seed)
+    optimizer = (_Adam if cfg.optimizer == "adam" else _SGD)(params.flat, cfg.learning_rate)
     loss_batch = nll_loss_batch if cfg.loss == "nll" else mse_loss_batch
 
     shuffle_stream, dropout_stream = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -189,19 +187,21 @@ def train(
     val_curve = [] if val_dataset is not None else None
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
+        x_epoch, y_epoch = x_all[order], y_all[order]
         epoch_loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb, yb = x_all[idx], y_all[idx]
+            xb = x_epoch[start : start + cfg.batch_size]
+            yb = y_epoch[start : start + cfg.batch_size]
             y_hat, s, cache = forward_batch(params, xb, mode="dropout", rng=dropout_rng)
             values, d_y_hat, d_s = loss_batch(y_hat, s, yb)
-            batch_loss = float(values.mean())
-            if not math.isfinite(batch_loss):
+            # The batch loss is finite exactly when its sum is.
+            batch_sum = float(values.sum())
+            if not math.isfinite(batch_sum):
                 raise TrainingDivergedError(epoch)
-            epoch_loss_sum += float(values.sum())
+            epoch_loss_sum += batch_sum
             # Batch loss is a mean, so upstream derivatives carry the 1/B.
-            grads = backward_batch(cache, params, d_y_hat / len(idx), d_s / len(idx))
-            optimizer.step(arrays, grad_arrays(grads))
+            grads = backward_batch(cache, params, d_y_hat / len(xb), d_s / len(xb))
+            optimizer.step(grads.flat)
         train_curve.append(epoch_loss_sum / n)
 
         if val_dataset is not None:
@@ -216,13 +216,29 @@ def train(
         train_loss=tuple(train_curve),
         val_loss=tuple(val_curve) if val_curve is not None else None,
     )
-    return _copy_params(params), history
+    return params, history
 
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (y_hat, s) arrays for a feature matrix."""
+    """Deterministic (y_hat, s) arrays for a feature matrix.
+
+    Raises InputError if a feature is not finite.
+    """
+    features = np.asarray(features, dtype=float)
+    _check_features(params.arch, features)
     y_hat, s, _ = forward_batch(params, features, mode="deterministic")
     return y_hat, s
+
+
+# Where each parameter group sits in a checkpoint document.
+_CHECKPOINT_KEYS = {
+    "trunk_w": ("weights", "trunk"),
+    "trunk_b": ("biases", "trunk"),
+    "score_w": ("weights", "score_head"),
+    "score_b": ("biases", "score_head"),
+    "logvar_w": ("weights", "logvar_head"),
+    "logvar_b": ("biases", "logvar_head"),
+}
 
 
 def checkpoint_document(params: ModelParams, calibration_r: float | None = None) -> dict:
@@ -237,18 +253,12 @@ def checkpoint_document(params: ModelParams, calibration_r: float | None = None)
             "dropout_p": arch.dropout_p,
             "activation": arch.activation,
         },
-        "weights": {
-            "trunk": [w.tolist() for w in params.trunk_w],
-            "score_head": [w.tolist() for w in params.score_w],
-            "logvar_head": [w.tolist() for w in params.logvar_w],
-        },
-        "biases": {
-            "trunk": [b.tolist() for b in params.trunk_b],
-            "score_head": [b.tolist() for b in params.score_b],
-            "logvar_head": [b.tolist() for b in params.logvar_b],
-        },
+        "weights": {},
+        "biases": {},
         "rng_seed_used": params.rng_seed_used,
     }
+    for group, (section, key) in _CHECKPOINT_KEYS.items():
+        doc[section][key] = [a.tolist() for a in getattr(params, group)]
     if calibration_r is not None:
         doc["calibration_r"] = float(calibration_r)
     return doc
@@ -261,12 +271,15 @@ def save_checkpoint(
     atomic_write_text(path, canonical_json(checkpoint_document(params, calibration_r)))
 
 
-def _as_matrix_list(node, what: str) -> list[np.ndarray]:
+def _group_arrays(doc: dict, group: str) -> list[np.ndarray]:
+    section, key = _CHECKPOINT_KEYS[group]
+    node = doc[section][key]
     try:
-        arrays = [np.array(m, dtype=float) for m in node]
+        return [np.array(m, dtype=float) for m in node]
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {what} are not numeric arrays: {exc}") from None
-    return arrays
+        raise CheckpointError(
+            f"checkpoint {key} {section} are not numeric arrays: {exc}"
+        ) from None
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
@@ -306,28 +319,19 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
         raise CheckpointError(f"{path}: invalid arch section: {exc}") from None
 
     try:
-        weights = doc["weights"]
-        biases = doc["biases"]
-        params = ModelParams(
-            arch=arch,
-            trunk_w=_as_matrix_list(weights["trunk"], "trunk weights"),
-            trunk_b=_as_matrix_list(biases["trunk"], "trunk biases"),
-            score_w=_as_matrix_list(weights["score_head"], "score head weights"),
-            score_b=_as_matrix_list(biases["score_head"], "score head biases"),
-            logvar_w=_as_matrix_list(weights["logvar_head"], "logvar head weights"),
-            logvar_b=_as_matrix_list(biases["logvar_head"], "logvar head biases"),
-            rng_seed_used=int(doc["rng_seed_used"]),
-        )
+        arrays = [a for group in GROUPS for a in _group_arrays(doc, group)]
+        rng_seed_used = int(doc["rng_seed_used"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed weights/biases: {exc}") from None
 
-    expected = _expected_shapes(arch)
-    actual = [a.shape for a in param_arrays(params)]
+    expected = [slot.shape for slot in param_layout(arch)]
+    actual = [a.shape for a in arrays]
     if actual != expected:
         raise CheckpointError(
             f"{path}: weight shapes {actual} do not match arch (expected {expected})"
         )
-    if not all(np.all(np.isfinite(a)) for a in param_arrays(params)):
+    flat = np.concatenate([a.ravel() for a in arrays])
+    if not np.all(np.isfinite(flat)):
         raise CheckpointError(f"{path}: checkpoint contains non-finite values")
 
     calibration_r = doc.get("calibration_r")
@@ -337,19 +341,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
             raise CheckpointError(
                 f"{path}: calibration_r must be positive and finite, got {calibration_r}"
             )
-    return params, calibration_r
-
-
-def _expected_shapes(arch: ArchConfig) -> list[tuple[int, ...]]:
-    shapes = []
-    fan_in = arch.input_dim
-    for width in arch.trunk_dims:
-        shapes.append((width, fan_in))
-        fan_in = width
-    trunk_b = [(w,) for w in arch.trunk_dims]
-    head_w = [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]
-    head_b = [(arch.head_hidden_dim,), (1,)]
-    return shapes + trunk_b + head_w + head_b + head_w + head_b
+    return ModelParams(arch, flat, rng_seed_used), calibration_r
 
 
 def save_history_csv(history: TrainHistory, path: str | Path) -> None:

@@ -41,7 +41,6 @@ from mosuq.net import (
     HeteroPrediction,
     backward,
     forward,
-    grad_arrays,
     init_params,
     param_arrays,
 )
@@ -111,7 +110,7 @@ def test_criterion_01_gradients_match_finite_differences():
 
     pred, cache = forward(params, x)
     lv = nll_loss(pred, y)
-    analytic = grad_arrays(backward(cache, params, lv.d_y_hat, lv.d_s))
+    analytic = param_arrays(backward(cache, params, lv.d_y_hat, lv.d_s))
 
     worst = 0.0
     for arr, grad in zip(param_arrays(params), analytic):

@@ -126,7 +126,8 @@ class TestMcForward:
         assert mc_forward(params, x, cfg) == mc_forward(params, x, cfg)
 
     def test_pass_results_do_not_depend_on_total_pass_count(self):
-        """Each pass draws from its own (seed, index) substream."""
+        """A pass's mask bits are hashed from (row key, pass, head, unit)
+        counters, so they do not depend on how many passes follow it."""
         params = tiny_params(seed=4)
         x = np.array([0.2, -0.7, 1.1])
         short = mc_forward(params, x, MCConfig(num_passes=3, dropout_p=0.5, seed=9))

@@ -15,15 +15,17 @@ from mosuq.errors import ConfigError, InputError, ShapeError
 from mosuq.loss import nll_loss
 from mosuq.net import (
     S_CLAMP,
+    GROUPS,
     ArchConfig,
+    ModelParams,
     backward,
     backward_batch,
     dropout_mask,
     forward,
     forward_batch,
-    grad_arrays,
     init_params,
     param_arrays,
+    param_layout,
 )
 
 
@@ -105,6 +107,94 @@ class TestInitParams:
         assert params.logvar_w[1].shape == (1, 2)
 
 
+def address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+class TestFlatLayout:
+    ARCHS = [
+        small_arch(trunk_dims=()),
+        small_arch(trunk_dims=(5,), head_hidden_dim=2),
+        small_arch(trunk_dims=(6, 4)),
+    ]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_param_arrays_are_consecutive_views_of_one_buffer_in_documented_order(self, arch):
+        params = init_params(arch, seed=0)
+        flat = params.flat
+        assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+        widths = (arch.input_dim, *arch.trunk_dims)
+        head_w = [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]
+        head_b = [(arch.head_hidden_dim,), (1,)]
+        documented = (
+            [(w, f) for w, f in zip(widths[1:], widths[:-1])]
+            + [(w,) for w in arch.trunk_dims]
+            + head_w + head_b + head_w + head_b
+        )
+        arrays = param_arrays(params)
+        assert [a.shape for a in arrays] == documented
+        offset = 0
+        for a in arrays:
+            assert a.base is flat
+            assert a.flags.c_contiguous
+            assert address(a) == address(flat) + 8 * offset
+            offset += a.size
+        assert offset == flat.size
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_named_groups_are_the_same_views(self, arch):
+        params = init_params(arch, seed=0)
+        by_group = [a for group in GROUPS for a in getattr(params, group)]
+        assert [address(a) for a in by_group] == [address(a) for a in param_arrays(params)]
+        assert [s.group for s in param_layout(arch)] == [
+            group for group in GROUPS for _ in getattr(params, group)
+        ]
+
+    def test_writes_through_a_view_reach_the_flat_vector(self):
+        params = init_params(small_arch(), seed=0)
+        params.score_b[1][0] = 123.0
+        slot = [s for s in param_layout(params.arch) if s.group == "score_b"][1]
+        assert params.flat[slot.start] == 123.0
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_init_draws_in_the_documented_order(self, arch):
+        """Trunk layers, then score head, then log-variance head, each a
+        uniform weight draw per layer; biases draw nothing."""
+        rng = np.random.default_rng(3)
+        widths = (arch.input_dim, *arch.trunk_dims)
+        head = [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]
+        want = [
+            rng.uniform(-1.0 / math.sqrt(f), 1.0 / math.sqrt(f), size=(w, f))
+            for w, f in list(zip(widths[1:], widths[:-1])) + head + head
+        ]
+        params = init_params(arch, seed=3)
+        got = params.trunk_w + params.score_w + params.logvar_w
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+
+    def test_wrong_buffer_size_rejected(self):
+        arch = small_arch()
+        with pytest.raises(ShapeError):
+            ModelParams(arch, np.zeros(param_layout(arch)[-1].stop + 1), 0)
+
+    def test_deepcopy_owns_a_new_buffer_and_keeps_its_views(self):
+        params = init_params(small_arch(), seed=0)
+        clone = copy.deepcopy(params)
+        clone.trunk_w[0][0, 0] = 99.0
+        assert clone.flat[0] == 99.0
+        assert params.flat[0] != 99.0
+
+    def test_gradients_share_the_layout(self):
+        params = init_params(small_arch(trunk_dims=(6, 4)), seed=0)
+        _, _, cache = forward_batch(params, np.ones((2, 3)))
+        grads = backward_batch(cache, params, np.ones(2), np.ones(2))
+        assert grads.arch == params.arch
+        assert [a.shape for a in param_arrays(grads)] == [
+            a.shape for a in param_arrays(params)
+        ]
+        assert not np.shares_memory(grads.flat, params.flat)
+
+
 class TestForward:
     def test_zero_network_outputs_unit_variance(self):
         params = init_params(small_arch(), seed=0)
@@ -158,6 +248,29 @@ class TestForward:
             pred, _ = forward(params, row)
             assert pred.y_hat == pytest.approx(y_hat[i], abs=1e-12)
             assert pred.s == pytest.approx(s[i], abs=1e-12)
+
+    def test_one_mask_draw_matches_one_draw_per_head(self):
+        """Both heads' masks come from one (2, B, H) draw: the score mask is
+        the first half of it, exactly as two (B, H) draws would give."""
+        params = init_params(small_arch(trunk_dims=(6,)), seed=2)
+        xs = np.random.default_rng(0).normal(size=(5, 3))
+        rng = np.random.default_rng(8)
+        y_hat, s, _ = forward_batch(params, xs, mode="dropout", rng=rng, dropout_p=0.4)
+
+        ref_rng = np.random.default_rng(8)
+        score_mask = dropout_mask(ref_rng, (5, 6), 0.4)
+        logvar_mask = dropout_mask(ref_rng, (5, 6), 0.4)
+        h = np.tanh(xs @ params.trunk_w[0].T + params.trunk_b[0])
+
+        def head(mask, w, b):
+            hidden = np.tanh((h * mask) @ w[0].T + b[0])
+            return (hidden @ w[1].T + b[1])[:, 0]
+
+        assert np.array_equal(y_hat, head(score_mask, params.score_w, params.score_b))
+        assert np.array_equal(
+            s, np.clip(head(logvar_mask, params.logvar_w, params.logvar_b), -S_CLAMP, S_CLAMP)
+        )
+        assert rng.random() == ref_rng.random()
 
     def test_log_variance_clamped(self):
         params = init_params(small_arch(), seed=3)
@@ -223,7 +336,7 @@ def finite_difference_grads(params, x, y, step=1e-5):
 def analytic_grads(params, x, y):
     pred, cache = forward(params, x)
     loss = nll_loss(pred, y)
-    return grad_arrays(backward(cache, params, loss.d_y_hat, loss.d_s))
+    return param_arrays(backward(cache, params, loss.d_y_hat, loss.d_s))
 
 
 class TestBackward:
@@ -231,14 +344,14 @@ class TestBackward:
         params = init_params(small_arch(), seed=4)
         _, cache = forward(params, np.ones(3))
         grads = backward(cache, params, 0.0, 0.0)
-        for g in grad_arrays(grads):
+        for g in param_arrays(grads):
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_linearity_in_upstream_gradient(self):
         params = init_params(small_arch(), seed=4)
         _, cache = forward(params, np.array([0.5, -0.25, 1.5]))
-        once = grad_arrays(backward(cache, params, 0.7, 0.0))
-        twice = grad_arrays(backward(cache, params, 1.4, 0.0))
+        once = param_arrays(backward(cache, params, 0.7, 0.0))
+        twice = param_arrays(backward(cache, params, 1.4, 0.0))
         for g1, g2 in zip(once, twice):
             np.testing.assert_array_equal(2.0 * g1, g2)
 
@@ -267,7 +380,7 @@ class TestBackward:
         x = np.array([0.4, -1.1, 0.9])
         pred, cache = forward(params, x, mode="dropout", rng=np.random.default_rng(3))
         loss = nll_loss(pred, 2.3)
-        analytic = grad_arrays(backward(cache, params, loss.d_y_hat, loss.d_s))
+        analytic = param_arrays(backward(cache, params, loss.d_y_hat, loss.d_s))
         assert any(np.any(g != 0.0) for g in analytic)
 
     def test_batch_gradient_is_sum_of_per_sample_gradients(self):
@@ -277,11 +390,11 @@ class TestBackward:
         y_hat, s, cache = forward_batch(params, xs)
         d_y = y_hat - ys
         d_s = np.full(3, 0.25)
-        batch = grad_arrays(backward_batch(cache, params, d_y, d_s))
+        batch = param_arrays(backward_batch(cache, params, d_y, d_s))
         summed = None
         for i in range(3):
             _, c = forward(params, xs[i])
-            g = grad_arrays(backward(c, params, float(d_y[i]), float(d_s[i])))
+            g = param_arrays(backward(c, params, float(d_y[i]), float(d_s[i])))
             summed = g if summed is None else [a + b for a, b in zip(summed, g)]
         for got, want in zip(batch, summed):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)

@@ -24,7 +24,8 @@ from mosuq.errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from mosuq.net import ArchConfig, init_params, param_arrays
+from mosuq import trainer as trainer_module
+from mosuq.net import ArchConfig, init_params, param_arrays, param_layout
 from mosuq.trainer import (
     CHECKPOINT_FORMAT_VERSION,
     TrainConfig,
@@ -110,6 +111,36 @@ class TestTrainValidation:
         )
         with pytest.raises(InputError):
             train(bad, small_arch(), quick_cfg(batch_size=2))
+
+    @staticmethod
+    def with_nan_feature(dataset):
+        first = dataset.samples[0]
+        bad = Sample(
+            id=first.id, system_id=first.system_id,
+            features=np.array([0.0, np.nan, 1.0]), y=first.y,
+        )
+        return Dataset((bad,) + tuple(dataset.samples[1:]))
+
+    @staticmethod
+    def forbid_steps(monkeypatch):
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran before the features were checked")
+
+        monkeypatch.setattr(trainer_module, "forward_batch", step)
+        monkeypatch.setattr(trainer_module, "backward_batch", step)
+
+    def test_non_finite_train_feature_rejected_before_the_first_step(self, monkeypatch):
+        self.forbid_steps(monkeypatch)
+        with pytest.raises(InputError, match="features"):
+            train(self.with_nan_feature(small_dataset()), small_arch(), quick_cfg())
+
+    def test_non_finite_val_feature_rejected_before_the_first_step(self, monkeypatch):
+        self.forbid_steps(monkeypatch)
+        with pytest.raises(InputError, match="features"):
+            train(
+                small_dataset(), small_arch(), quick_cfg(),
+                val_dataset=self.with_nan_feature(small_dataset(seed=9)),
+            )
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -331,3 +362,67 @@ class TestPredictBatch:
         y_hat, s = predict_batch(params, np.zeros((5, 3)))
         assert y_hat.shape == (5,)
         assert s.shape == (5,)
+
+    def test_non_finite_row_rejected(self):
+        params = init_params(small_arch(), seed=0)
+        x = np.zeros((5, 3))
+        x[3, 2] = np.inf
+        with pytest.raises(InputError, match="features"):
+            predict_batch(params, x)
+
+
+class _PerArrayAdam:
+    """Adam as it ran before the flat parameter vector: one update per array."""
+
+    def __init__(self, arrays, lr):
+        self.lr = lr
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.t = 0
+
+    def step(self, arrays, grads):
+        self.t += 1
+        bc1 = 1.0 - trainer_module.ADAM_BETA1**self.t
+        bc2 = 1.0 - trainer_module.ADAM_BETA2**self.t
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= trainer_module.ADAM_BETA1
+            m += (1.0 - trainer_module.ADAM_BETA1) * g
+            v *= trainer_module.ADAM_BETA2
+            v += (1.0 - trainer_module.ADAM_BETA2) * (g * g)
+            a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + trainer_module.ADAM_EPS)
+
+
+class _PerArraySGD:
+    def __init__(self, arrays, lr):
+        self.lr = lr
+
+    def step(self, arrays, grads):
+        for a, g in zip(arrays, grads):
+            a -= self.lr * g
+
+
+class TestFlatOptimizers:
+    @pytest.mark.parametrize("flat_cls, reference_cls", [
+        (trainer_module._Adam, _PerArrayAdam),
+        (trainer_module._SGD, _PerArraySGD),
+    ])
+    @pytest.mark.parametrize("trunk_dims", [(), (8,), (6, 4)])
+    def test_flat_step_matches_the_per_array_step_bit_for_bit(
+        self, flat_cls, reference_cls, trunk_dims
+    ):
+        arch = ArchConfig(input_dim=3, trunk_dims=trunk_dims, head_hidden_dim=5)
+        params = init_params(arch, seed=1)
+        reference = [a.copy() for a in param_arrays(params)]
+        flat_opt = flat_cls(params.flat, 3e-3)
+        reference_opt = reference_cls(reference, 3e-3)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            grads = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=params.flat.size)
+            flat_opt.step(grads)
+            per_array = [
+                grads[slot.start : slot.stop].reshape(slot.shape).copy()
+                for slot in param_layout(arch)
+            ]
+            reference_opt.step(reference, per_array)
+            for got, want in zip(param_arrays(params), reference):
+                assert np.array_equal(got, want)
