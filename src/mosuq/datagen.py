@@ -29,7 +29,6 @@ yields the noiseless twin of any dataset.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -38,7 +37,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .ioutils import atomic_write_text
+from .ioutils import write_csv
 
 __all__ = [
     "DOMAIN_IN",
@@ -349,11 +348,6 @@ def split_dataset(
     return tuple(parts)
 
 
-def _format_float(value: float) -> str:
-    # repr round-trips float64 exactly and is stable across runs.
-    return repr(float(value))
-
-
 def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """Write `id,system_id,domain_tag,y,true_noise_var,f0,...` rows.
 
@@ -362,23 +356,20 @@ def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """
     if len(dataset) == 0:
         raise InputError("refusing to write an empty dataset")
-    d = dataset.feature_dim
     header = ["id", "system_id", "domain_tag", "y", "true_noise_var"]
-    header += [f"f{j}" for j in range(d)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for s in dataset:
-        row = [
+    header += [f"f{j}" for j in range(dataset.feature_dim)]
+    rows = (
+        [
             s.id,
             s.system_id,
             s.domain_tag,
-            _format_float(s.y),
-            "" if s.true_noise_var is None else _format_float(s.true_noise_var),
+            float(s.y),
+            None if s.true_noise_var is None else float(s.true_noise_var),
+            *s.features.tolist(),
         ]
-        row += [_format_float(x) for x in s.features]
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+        for s in dataset
+    )
+    write_csv(path, header, rows)
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import csv
 import errno
+import io
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["atomic_write_text", "canonical_json"]
+__all__ = ["atomic_write_text", "canonical_json", "write_csv"]
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -35,6 +38,21 @@ def atomic_write_text(path: str | Path, text: str) -> None:
             os.unlink(tmp)
         raise
     _fsync_directory(directory)
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write a header and rows atomically through `csv.writer`, so a cell
+    holding a comma, quote or newline is quoted and reads back intact.
+
+    Floats are written with repr (csv stringifies Python and numpy float64
+    values alike that way), so they round-trip exactly; None becomes an
+    empty field.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def _fsync_directory(directory: Path) -> None:

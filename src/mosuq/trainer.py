@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .ioutils import atomic_write_text, canonical_json
+from .ioutils import atomic_write_text, canonical_json, write_csv
 from .loss import LOSSES, mse_loss_batch, nll_loss_batch
 from .net import (
     GROUPS,
@@ -347,8 +347,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
 def save_history_csv(history: TrainHistory, path: str | Path) -> None:
     """Write `epoch,train_loss,val_loss` rows; val cells are empty when no
     validation split was supplied."""
-    lines = ["epoch,train_loss,val_loss"]
-    for i, tl in enumerate(history.train_loss, start=1):
-        vl = "" if history.val_loss is None else repr(float(history.val_loss[i - 1]))
-        lines.append(f"{i},{repr(float(tl))},{vl}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (
+        [i, float(tl), None if history.val_loss is None else float(history.val_loss[i - 1])]
+        for i, tl in enumerate(history.train_loss, start=1)
+    )
+    write_csv(path, ["epoch", "train_loss", "val_loss"], rows)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from mosuq.cli import main
+from mosuq.cli import build_parser, main
 from mosuq.datagen import Dataset, Sample, load_dataset_csv, save_dataset_csv
 from mosuq.net import ArchConfig, init_params, param_arrays
 from mosuq.trainer import save_checkpoint
@@ -495,3 +497,348 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+def subcommand_options(command):
+    """(option strings, dest) of every option a subcommand accepts."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(tuple(a.option_strings), a.dest) for a in sub.choices[command]._actions]
+
+
+class TestFlagSurface:
+    """The options, their spelling and the setting each one fills are part of
+    the interface: recorded configs and scripts depend on them."""
+
+    HELP = (("-h", "--help"), "help")
+    CONFIG = (("--config",), "config")
+    PRESET = (("--preset",), "preset")
+
+    def expected(self, *options):
+        return [self.HELP] + [((f,), f[2:].replace("-", "_")) for f in options]
+
+    def test_gen_data(self):
+        expected = self.expected(
+            "--out", "--seed", "--num-systems", "--samples-per-system", "--feature-dim",
+            "--preset", "--sigma", "--raters", "--rater-sd", "--shift", "--feature-noise",
+            "--feature-noise-seed",
+        ) + [
+            (("--clip-labels", "--no-clip-labels"), "clip_labels"),
+            (("--split",), "split"),
+            self.CONFIG,
+        ]
+        assert subcommand_options("gen-data") == expected
+
+    def test_train(self):
+        expected = self.expected("--data", "--val", "--out", "--history", "--epochs",
+                                 "--batch-size")
+        expected += [(("--lr",), "learning_rate")]
+        expected += self.expected(
+            "--loss", "--optimizer", "--seed", "--trunk-dims", "--head-hidden-dim",
+            "--dropout-p", "--activation",
+        )[1:]
+        assert subcommand_options("train") == expected + [self.CONFIG, self.PRESET]
+
+    def test_calibrate(self):
+        expected = self.expected("--checkpoint", "--data", "--out") + [self.CONFIG]
+        assert subcommand_options("calibrate") == expected
+
+    def test_evaluate(self):
+        expected = self.expected(
+            "--checkpoint", "--data", "--report", "--mc", "--uncertainty", "--point", "--bins",
+        ) + [(("--nll-const", "--no-nll-const"), "nll_const")]
+        expected += self.expected("--curve", "--sweep", "--sweep-points", "--mc-out")[1:]
+        assert subcommand_options("evaluate") == expected + [self.CONFIG, self.PRESET]
+
+    def test_ood_detect(self):
+        expected = self.expected(
+            "--checkpoint", "--in-data", "--ood-data", "--report", "--scores", "--mc",
+            "--uncertainty",
+        )
+        assert subcommand_options("ood-detect") == expected + [self.CONFIG, self.PRESET]
+
+    def test_choices_and_presets(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {
+            (name, a.dest): tuple(a.choices)
+            for name, p in sub.choices.items() for a in p._actions if a.choices
+        }
+        assert choices == {
+            ("gen-data", "preset"): ("heteroscedastic", "homoscedastic", "rater-panel"),
+            ("train", "loss"): ("nll", "mse"),
+            ("train", "optimizer"): ("adam", "sgd"),
+            ("train", "activation"): ("tanh", "relu"),
+            ("train", "preset"): ("paper",),
+            ("evaluate", "uncertainty"): ("aleatoric", "epi-pred", "epi-dist"),
+            ("evaluate", "point"): ("det", "mc-mean"),
+            ("evaluate", "preset"): ("paper",),
+            ("ood-detect", "uncertainty"): ("aleatoric", "epi-pred", "epi-dist"),
+            ("ood-detect", "preset"): ("paper",),
+        }
+
+
+def write_config(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+class TestRecordedConfigRoundTrip:
+    """A run's recorded `<command>-config.json` passed back with --config, with
+    only the output paths overridden, reproduces the primary outputs byte for
+    byte and records the same settings."""
+
+    def rerun(self, command, first, second, outputs, extra=()):
+        recorded = first / f"{command}-config.json"
+        flags = []
+        for key, name in outputs.items():
+            flags += [f"--{key.replace('_', '-')}", str(second / name)]
+        assert main([command, "--config", str(recorded), *flags, *extra]) == 0
+        for name in outputs.values():
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+        before = json.loads(recorded.read_text())
+        after = json.loads((second / f"{command}-config.json").read_text())
+        for key in outputs:
+            assert after.pop(key) != before.pop(key)
+        assert after == before
+
+    @pytest.fixture
+    def dirs(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        return first, second
+
+    def test_gen_data(self, dirs):
+        first, second = dirs
+        assert main([
+            "gen-data", "--out", str(first / "d.csv"), "--seed", "5",
+            "--num-systems", "3", "--samples-per-system", "10", "--feature-dim", "2",
+            "--preset", "rater-panel", "--raters", "3", "--feature-noise", "0.3",
+            "--feature-noise-seed", "2", "--clip-labels", "--split", "0.6,0.2,0.2",
+        ]) == 0
+        doc = json.loads((first / "gen-data-config.json").read_text())
+        assert doc["command"] == "gen-data"
+        assert doc["split"] == [0.6, 0.2, 0.2]
+        assert doc["feature_noise_seed"] == 2
+        recorded = first / "gen-data-config.json"
+        assert main(["gen-data", "--config", str(recorded), "--out", str(second / "d.csv")]) == 0
+        for part in ("train", "val", "test"):
+            name = f"d.{part}.csv"
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+        after = json.loads((second / "gen-data-config.json").read_text())
+        assert after.pop("out") == str(second / "d.csv")
+        doc.pop("out")
+        assert after == doc
+
+    def test_train(self, workspace, dirs):
+        first, second = dirs
+        assert main([
+            "train", "--data", str(workspace / "base.train.csv"),
+            "--val", str(workspace / "base.val.csv"), "--out", str(first / "ck.json"),
+            "--history", str(first / "history.csv"), "--epochs", "2",
+            "--trunk-dims", "8,4", "--head-hidden-dim", "4", "--lr", "0.001", "--seed", "3",
+        ]) == 0
+        doc = json.loads((first / "train-config.json").read_text())
+        assert doc["trunk_dims"] == [8, 4]
+        assert doc["learning_rate"] == 0.001
+        self.rerun("train", first, second, {"out": "ck.json", "history": "history.csv"})
+
+    def test_calibrate(self, workspace, dirs):
+        first, second = dirs
+        assert main([
+            "calibrate", "--checkpoint", str(workspace / "ck.json"),
+            "--data", str(workspace / "base.val.csv"), "--out", str(first / "cal.json"),
+        ]) == 0
+        self.rerun("calibrate", first, second, {"out": "cal.json"})
+
+    def test_evaluate(self, workspace, dirs):
+        first, second = dirs
+        assert main([
+            "evaluate", "--checkpoint", str(workspace / "cal.json"),
+            "--data", str(workspace / "base.test.csv"), "--report", str(first / "r.json"),
+            "--mc", "6", "0.4", "2", "--uncertainty", "epi-pred", "--point", "mc-mean",
+            "--bins", "4", "--no-nll-const", "--curve", str(first / "curve.csv"),
+            "--sweep", str(first / "sweep.csv"), "--sweep-points", "5",
+            "--mc-out", str(first / "mc.csv"),
+        ]) == 0
+        doc = json.loads((first / "evaluate-config.json").read_text())
+        assert doc["mc"] == [6, 0.4, 2]
+        assert doc["nll_const"] is False
+        outputs = {"report": "r.json", "curve": "curve.csv", "sweep": "sweep.csv",
+                   "mc_out": "mc.csv"}
+        self.rerun("evaluate", first, second, outputs)
+
+    def test_ood_detect(self, workspace, dirs):
+        first, second = dirs
+        assert main([
+            "ood-detect", "--checkpoint", str(workspace / "cal.json"),
+            "--in-data", str(workspace / "base.test.csv"),
+            "--ood-data", str(workspace / "pool_ood.csv"),
+            "--report", str(first / "ood.json"), "--scores", str(first / "scores.csv"),
+            "--mc", "4", "0.5", "1", "--uncertainty", "epi-pred",
+        ]) == 0
+        self.rerun("ood-detect", first, second, {"report": "ood.json", "scores": "scores.csv"})
+
+    def test_preset_values_are_recorded(self, workspace, dirs):
+        first, second = dirs
+        assert main([
+            "ood-detect", "--preset", "paper", "--checkpoint", str(workspace / "cal.json"),
+            "--in-data", str(workspace / "base.test.csv"),
+            "--ood-data", str(workspace / "pool_ood.csv"), "--report", str(first / "ood.json"),
+        ]) == 0
+        assert json.loads((first / "ood-detect-config.json").read_text())["mc"] == [25, 0.5, 0]
+        self.rerun("ood-detect", first, second, {"report": "ood.json"})
+
+    def test_config_recorded_for_another_command_is_rejected(self, workspace, tmp_path, capsys):
+        code = main([
+            "calibrate", "--config", str(workspace / "train-config.json"),
+            "--out", str(tmp_path / "cal.json"),
+        ])
+        assert code == 2
+        assert "recorded for command 'train'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_matching_command_entry_is_accepted(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json", '{"command": "gen-data", "num_systems": 2}')
+        assert main([
+            "gen-data", "--config", config, "--out", str(tmp_path / "d.csv"),
+            "--samples-per-system", "3", "--feature-dim", "2",
+        ]) == 0
+        assert len({s.system_id for s in load_dataset_csv(tmp_path / "d.csv")}) == 2
+
+
+class TestFailBeforeWork:
+    """A bad setting from any layer exits 2 with an error line, before any
+    output file is written."""
+
+    def assert_usage_error(self, argv, out_dir, capsys, config_name="cfg.json"):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in out_dir.iterdir()) in ([], [config_name])
+
+    def gen_argv(self, tmp_path, *extra):
+        return [
+            "gen-data", "--out", str(tmp_path / "d.csv"), "--num-systems", "2",
+            "--samples-per-system", "5", "--feature-dim", "2", *extra,
+        ]
+
+    def test_negative_feature_noise_seed_flag(self, tmp_path, capsys):
+        argv = self.gen_argv(tmp_path, "--feature-noise", "0.5", "--feature-noise-seed", "-1")
+        self.assert_usage_error(argv, tmp_path, capsys)
+
+    def test_non_integer_feature_noise_seed_in_config(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "cfg.json", '{"feature_noise": 0.5, "feature_noise_seed": "abc"}'
+        )
+        self.assert_usage_error(self.gen_argv(tmp_path, "--config", config), tmp_path, capsys)
+
+    def test_nan_in_an_unused_setting(self, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", '{"sigma": NaN}')
+        self.assert_usage_error(self.gen_argv(tmp_path, "--config", config), tmp_path, capsys)
+
+    @pytest.mark.parametrize("text", [
+        '{"history": 5}',
+        '{"epochs": 2.9}',
+        '{"trunk_dims": [8.7]}',
+        '{"epochs": true}',
+        '{"seed": null}',
+        '{"loss": "huber"}',
+        '{"val": ""}',
+    ])
+    def test_bad_train_config_values(self, workspace, tmp_path, capsys, text):
+        config = write_config(tmp_path / "cfg.json", text)
+        argv = [
+            "train", "--data", str(workspace / "base.train.csv"), "--config", config,
+            "--out", str(tmp_path / "ck.json"), "--epochs", "1",
+        ]
+        if "epochs" in text:
+            argv = argv[:-2]
+        self.assert_usage_error(argv, tmp_path, capsys)
+
+    def test_integral_json_numbers_are_accepted(self, workspace, tmp_path):
+        config = write_config(tmp_path / "cfg.json", '{"epochs": 1.0, "trunk_dims": [4.0]}')
+        assert main([
+            "train", "--data", str(workspace / "base.train.csv"), "--config", config,
+            "--out", str(tmp_path / "ck.json"), "--head-hidden-dim", "4",
+        ]) == 0
+        doc = json.loads((tmp_path / "train-config.json").read_text())
+        assert doc["epochs"] == 1
+        assert doc["trunk_dims"] == [4]
+
+    def test_sweep_points_checked_before_the_report(self, workspace, tmp_path, capsys):
+        argv = [
+            "evaluate", "--checkpoint", str(workspace / "cal.json"),
+            "--data", str(workspace / "base.test.csv"), "--report", str(tmp_path / "r.json"),
+            "--sweep", str(tmp_path / "sweep.csv"), "--sweep-points", "0",
+        ]
+        self.assert_usage_error(argv, tmp_path, capsys)
+
+    def test_mc_out_without_mc(self, workspace, tmp_path, capsys):
+        argv = [
+            "evaluate", "--checkpoint", str(workspace / "cal.json"),
+            "--data", str(workspace / "base.test.csv"), "--report", str(tmp_path / "r.json"),
+            "--mc-out", str(tmp_path / "mc.csv"),
+        ]
+        self.assert_usage_error(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("text", ['{"mc": null}', '{"mc": [25, 0.5]}', '{"mc": [0, 0.5, 0]}'])
+    def test_bad_ood_mc_settings(self, workspace, tmp_path, capsys, text):
+        config = write_config(tmp_path / "cfg.json", text)
+        argv = [
+            "ood-detect", "--checkpoint", str(workspace / "cal.json"),
+            "--in-data", str(workspace / "base.test.csv"),
+            "--ood-data", str(workspace / "pool_ood.csv"), "--config", config,
+            "--report", str(tmp_path / "ood.json"), "--scores", str(tmp_path / "s.csv"),
+        ]
+        self.assert_usage_error(argv, tmp_path, capsys)
+
+
+class TestCsvQuoting:
+    """An id holding a comma or a quote survives every per-row CSV output."""
+
+    IDS = ['weird,id"x', 'plain', 'quote"only', 'comma,only']
+
+    @pytest.fixture
+    def odd_ids(self, tmp_path):
+        rng = np.random.default_rng(4)
+        samples = tuple(
+            Sample(id=self.IDS[i % 4] + str(i), system_id=f"s{i % 2}",
+                   features=rng.normal(size=3), y=float(i))
+            for i in range(8)
+        )
+        path = tmp_path / "odd.csv"
+        save_dataset_csv(Dataset(samples), path)
+        return path, [s.id for s in samples]
+
+    def read_rows(self, path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_scores_csv(self, workspace, tmp_path, odd_ids):
+        data, ids = odd_ids
+        scores = tmp_path / "scores.csv"
+        assert main([
+            "ood-detect", "--checkpoint", str(workspace / "cal.json"),
+            "--in-data", str(data), "--ood-data", str(data),
+            "--report", str(tmp_path / "ood.json"), "--scores", str(scores),
+            "--mc", "3", "0.5", "0",
+        ]) == 0
+        rows = self.read_rows(scores)
+        assert rows[0] == ["id", "domain_label", "score"]
+        assert all(len(row) == 3 for row in rows)
+        assert [row[0] for row in rows[1:]] == ids + ids
+
+    def test_mc_out_csv(self, workspace, tmp_path, odd_ids):
+        data, ids = odd_ids
+        mc_out = tmp_path / "mc.csv"
+        assert main([
+            "evaluate", "--checkpoint", str(workspace / "cal.json"), "--data", str(data),
+            "--report", str(tmp_path / "r.json"), "--mc", "3", "0.5", "0",
+            "--mc-out", str(mc_out),
+        ]) == 0
+        rows = self.read_rows(mc_out)
+        assert all(len(row) == 6 for row in rows)
+        assert [row[0] for row in rows[1:]] == ids

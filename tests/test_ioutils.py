@@ -1,14 +1,18 @@
-"""Atomic, durable text writes."""
+"""Atomic, durable text writes and the shared CSV writer."""
 
 from __future__ import annotations
 
+import csv
 import errno
 import os
 import stat
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mosuq.ioutils import atomic_write_text
+from mosuq.ioutils import atomic_write_text, write_csv
 
 
 @pytest.fixture
@@ -97,3 +101,29 @@ class TestAtomicWriteText:
         else:
             atomic_write_text(path, "data")
         assert path.read_text() == "data"
+
+
+class TestWriteCsv:
+    def test_floats_use_repr_and_none_is_empty(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], [[1, 0.1, None], ["x", 1e-05, 2.5e16]])
+        assert path.read_text() == "a,b,c\n1,0.1,\nx,1e-05,2.5e+16\n"
+
+    def test_cells_with_delimiters_are_quoted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cells = ['weird,id"x', 'say "hi"', "two\nlines", "plain"]
+        write_csv(path, ["id"], [[c] for c in cells])
+        assert path.read_text().startswith('id\n"weird,id""x"\n"say ""hi"""\n')
+        with open(path, newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["id", *cells]
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["epoch", "loss"], [])
+        assert path.read_text() == "epoch,loss\n"
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_numpy_and_python_floats_write_the_same_text(self, tmp_path_factory, x):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, ["v", "w"], [[x, np.float64(x)]])
+        assert path.read_text() == f"v,w\n{x!r},{x!r}\n"
