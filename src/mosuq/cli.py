@@ -127,6 +127,13 @@ def _fixed(*parsers: Callable) -> Callable:
     return parse
 
 
+def _non_negative(value) -> float:
+    number = _float(value)
+    if number < 0.0:
+        raise ValueError(value)
+    return number
+
+
 def _at_least(low: int) -> Kind:
     def parse(value) -> int:
         number = _int(value)
@@ -152,6 +159,7 @@ def _optional(kind: Kind) -> Kind:
 
 INT = Kind("an integer", _int)
 FLOAT = Kind("a finite number", _float)
+NON_NEGATIVE = Kind("a finite number >= 0", _non_negative)
 BOOL = Kind("true or false", _bool, {"action": argparse.BooleanOptionalAction})
 PATH = Kind("a path", _path)
 INT_LIST = Kind(
@@ -192,9 +200,9 @@ GEN_DATA_SETTINGS = (
     S("sigma", FLOAT, 0.1, "homoscedastic noise std"),
     S("raters", INT, 4, "rater panel size"),
     S("rater_sd", FLOAT, 0.8, "per-rater noise std"),
-    S("shift", FLOAT, 0.0,
+    S("shift", NON_NEGATIVE, 0.0,
       "translate all cluster centers this far along a seed-derived direction"),
-    S("feature_noise", FLOAT, 0.0,
+    S("feature_noise", NON_NEGATIVE, 0.0,
       "additive feature noise level in units of the global feature std"),
     S("feature_noise_seed", _optional(_at_least(0))),
     S("clip_labels", BOOL, False, "clip labels into the clean score range"),

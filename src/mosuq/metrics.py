@@ -6,6 +6,12 @@ grouping/domain labels. Accuracy metrics (mse, srcc_system), proper-score
 and calibration metrics (nll_metric, uce, sharpness), a separability
 metric (roc_auc), and two diagnostic curves (error_uncertainty_curve,
 selective_sweep) are provided, plus a one-call report.
+
+The two rank-based metrics (srcc_system, roc_auc) share one numpy helper
+that gives 1-based average ranks: a tie group takes the mean of the ranks
+it spans. These are half-integers, exact in float64, and equal to
+scipy.stats.rankdata(method="average") bit for bit; the package needs only
+numpy at run time.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import InputError, InvariantError
 from .ioutils import canonical_json
@@ -99,6 +104,18 @@ def _arrays(records: Sequence[EvalRecord]) -> tuple[np.ndarray, np.ndarray, np.n
     return y_true, y_pred, var
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, each tie group given its mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    dense = np.cumsum(starts)[inverse]
+    bounds = np.r_[np.flatnonzero(starts), order.size]
+    return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+
+
 def mse(records: Sequence[EvalRecord]) -> float:
     """Mean squared error of the point predictions."""
     _require_records(records)
@@ -122,8 +139,8 @@ def srcc_system(records: Sequence[EvalRecord]) -> float:
         raise InputError(f"system correlation needs >= 2 systems, got {len(systems)}")
     true_means = np.array([true_sums[k] / counts[k] for k in systems])
     pred_means = np.array([pred_sums[k] / counts[k] for k in systems])
-    rank_true = rankdata(true_means)
-    rank_pred = rankdata(pred_means)
+    rank_true = _average_ranks(true_means)
+    rank_pred = _average_ranks(pred_means)
     # Constant means give zero rank variance; the correlation is then
     # undefined and reported as nan rather than raising mid-report.
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -197,7 +214,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise InputError("roc_auc needs at least one positive and one negative label")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     rank_sum_pos = float(ranks[labels == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

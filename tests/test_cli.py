@@ -5,10 +5,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mosuq
 from mosuq.cli import build_parser, main
 from mosuq.datagen import Dataset, Sample, load_dataset_csv, save_dataset_csv
 from mosuq.net import ArchConfig, init_params, param_arrays
@@ -485,6 +490,20 @@ class TestOodDetect:
         assert code == 2
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    """The CLI runs on numpy alone: a fresh interpreter importing it loads no scipy."""
+    src = str(Path(mosuq.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import mosuq.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_no_command_is_a_usage_error(self, capsys):
         assert main([]) == 2
@@ -737,6 +756,15 @@ class TestFailBeforeWork:
 
     def test_nan_in_an_unused_setting(self, tmp_path, capsys):
         config = write_config(tmp_path / "cfg.json", '{"sigma": NaN}')
+        self.assert_usage_error(self.gen_argv(tmp_path, "--config", config), tmp_path, capsys)
+
+    @pytest.mark.parametrize("flag", ["--shift", "--feature-noise"])
+    def test_negative_shift_or_noise_flag(self, tmp_path, capsys, flag):
+        self.assert_usage_error(self.gen_argv(tmp_path, flag, "-1"), tmp_path, capsys)
+
+    @pytest.mark.parametrize("key", ["shift", "feature_noise"])
+    def test_negative_shift_or_noise_in_config(self, tmp_path, capsys, key):
+        config = write_config(tmp_path / "cfg.json", f'{{"{key}": -0.5}}')
         self.assert_usage_error(self.gen_argv(tmp_path, "--config", config), tmp_path, capsys)
 
     @pytest.mark.parametrize("text", [

@@ -16,6 +16,7 @@ from mosuq.metrics import (
     HALF_LOG_2PI,
     EvalRecord,
     MetricsReport,
+    _average_ranks,
     compute_report,
     error_uncertainty_curve,
     mse,
@@ -46,6 +47,45 @@ def from_residuals(residuals, variances=None):
     if variances is None:
         variances = [1.0] * len(residuals)
     return [rec(r, 0.0, v) for r, v in zip(residuals, variances)]
+
+
+# Float arrays with ties forced by drawing every entry from a small pool.
+TIED_FLOATS = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+class TestAverageRanks:
+    """The numpy rank helper against scipy.stats.rankdata (method "average"),
+    imported here only as the reference; the ranks must match bit for bit."""
+
+    def assert_matches(self, values):
+        from scipy.stats import rankdata
+
+        values = np.asarray(values, dtype=float)
+        ranks = _average_ranks(values)
+        assert ranks.dtype == np.float64
+        assert ranks.tobytes() == rankdata(values).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(TIED_FLOATS)
+    def test_tied_arrays(self, values):
+        self.assert_matches(values)
+
+    @pytest.mark.parametrize("values", [
+        [3.5],
+        [2.0] * 7,
+        [0.0, -0.0, 1.0, -0.0, 0.0],
+        [1e308, -1e308, 1e308, 5e-324, -5e-324, 0.0],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623157e308],
+    ])
+    def test_edge_cases(self, values):
+        self.assert_matches(values)
+
+    def test_tie_groups_share_their_mean_rank(self):
+        assert _average_ranks(np.array([0.3, 0.1, 0.3, 0.2, 0.3])).tolist() == [
+            4.0, 1.0, 4.0, 2.0, 4.0
+        ]
 
 
 class TestEvalRecord:
