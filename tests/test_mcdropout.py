@@ -18,6 +18,8 @@ from mosuq.mcdropout import (
     _BLOCK_UNITS,
     MCConfig,
     _keep_mask,
+    _mask_workspace,
+    _row_keys,
     _variances,
     mc_forward,
     mc_forward_dataset,
@@ -347,6 +349,99 @@ class TestKernelInvariants:
         np.testing.assert_allclose([r.y_samples for r in results], y, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose([r.s_samples for r in results], s, rtol=1e-12, atol=1e-12)
         assert results[4] == one_row(params, features, cfg, 4)
+
+
+def seed_sequence_key(base, i):
+    return int(np.random.SeedSequence([base, i]).generate_state(1)[0])
+
+
+EDGE_INDICES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestRowKeys:
+    """Vectorised row keys against numpy's SeedSequence, the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.integers(2**32, 2**64 - 1),
+            st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+        ),
+        st.lists(st.integers(0, 2**64 - 1), max_size=8),
+    )
+    def test_keys_equal_seed_sequence(self, base, drawn):
+        rows = EDGE_INDICES + drawn
+        want = [seed_sequence_key(base, i) for i in rows]
+        keys = _row_keys(base, np.array(rows, dtype=np.uint64))
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == want
+        assert [row_seed(base, i) for i in rows] == want
+
+    @pytest.mark.parametrize("k", [0, 5, 2**32 + 7, 2**64 - 1])
+    def test_bases_beyond_64_bits_are_folded(self, k):
+        for base in (2**64 + k, 2**200 + k):
+            assert [row_seed(base, i) for i in EDGE_INDICES] == [
+                seed_sequence_key(k, i) for i in EDGE_INDICES
+            ]
+
+    @pytest.mark.parametrize("base, i", [(-1, 0), (0, -1), (0, 2**64)])
+    def test_out_of_range_arguments_are_an_input_error(self, base, i):
+        with pytest.raises(InputError):
+            row_seed(base, i)
+
+    def test_row_seed_reproduces_dataset_rows_for_seeds_beyond_64_bits(self):
+        params = tiny_params(seed=3)
+        features = np.random.default_rng(9).normal(size=(3, 3))
+        cfg = MCConfig(num_passes=6, dropout_p=0.5, seed=2**64 + 5)
+        full = mc_forward_dataset(params, features, cfg)
+        assert full == [one_row(params, features, cfg, i) for i in range(3)]
+
+
+class TestBufferReuse:
+    """Mask buffers are made once per call and reused by its blocks."""
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 2 * 64 + 3])
+    def test_rows_match_one_row_calls_for_every_block_fill(self, rows):
+        params = paper_shape_params(seed=3)
+        cfg = MCConfig(num_passes=25, dropout_p=0.5, seed=8)
+        assert _BLOCK_UNITS // (cfg.num_passes * 16) == 64
+        features = np.random.default_rng(rows).normal(size=(rows, 2))
+        full = mc_forward_dataset(params, features, cfg)
+        assert full == [one_row(params, features, cfg, i) for i in range(rows)]
+
+    def test_back_to_back_calls_match_calls_in_reverse_order(self):
+        params = paper_shape_params(seed=5)
+        features = np.random.default_rng(11).normal(size=(150, 2))
+        calls = [
+            (150, MCConfig(25, 0.5, seed=1)),
+            (7, MCConfig(3, 0.5, seed=2)),
+            (70, MCConfig(40, 0.3, seed=3)),
+            (150, MCConfig(5, 0.0, seed=4)),
+            (65, MCConfig(25, 0.5, seed=1)),
+        ]
+        forward = [mc_forward_dataset(params, features[:n], cfg) for n, cfg in calls]
+        backward = [mc_forward_dataset(params, features[:n], cfg) for n, cfg in calls[::-1]]
+        assert forward == backward[::-1]
+        assert forward[4] == forward[0][:65]
+        for (n, cfg), results in zip(calls, forward):
+            assert results[n - 1] == one_row(params, features, cfg, n - 1)
+
+    @pytest.mark.parametrize("p", [2.0**-53, 0.37, 1.0 - 2.0**-53])
+    def test_keep_mask_in_a_workspace_equals_fresh_buffers_and_the_hash(self, p):
+        passes, width = 3, 4
+        work = _mask_workspace(10, passes, width)
+        for rows in (10, 3, 1, 10):
+            keys = np.array([(977 * r + rows) * 0x9E3779B97F4A7C15 % 2**64 for r in range(rows)],
+                            dtype=np.uint64)
+            keep = _keep_mask(keys, passes, width, p, work)
+            assert np.array_equal(keep, _keep_mask(keys, passes, width, p))
+            want = [
+                splitmix_uniform(int(key), c + 1) >= p
+                for key in keys
+                for c in range(passes * 2 * width)
+            ]
+            assert keep.ravel().tolist() == want
 
 
 class TestTrainedModelSensitivity:
