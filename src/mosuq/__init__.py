@@ -8,17 +8,17 @@ known ground truth.
 
 Submodules:
 
-* net       - two-head MLP: init, forward, hand-derived backward
-* loss      - Gaussian NLL and MSE training losses with analytic gradients
+* net       - two-head MLP: init, batched forward, hand-derived batched backward
+* loss      - batched Gaussian NLL and MSE training losses with analytic gradients
 * trainer   - mini-batch Adam/SGD loop, checkpoints, loss history
 * calibrate - closed-form variance scaling
 * mcdropout - stochastic forward passes and epistemic variances
 * metrics   - MSE, system Spearman, NLL, UCE, sharpness, AUC, curves
-* datagen   - synthetic datasets with known noise, OOD shifts, CSV I/O
+* datagen   - columnar synthetic datasets with known noise, OOD shifts, CSV I/O
 * cli       - gen-data / train / calibrate / evaluate / ood-detect
 """
 
-from .calibrate import CalibrationScale, apply_scale, fit_scale
+from .calibrate import CalibrationScale, fit_scale
 from .datagen import (
     Dataset,
     GenConfig,
@@ -33,7 +33,7 @@ from .datagen import (
     save_dataset_csv,
     split_dataset,
 )
-from .loss import LossValue, mse_loss, nll_loss
+from .loss import mse_loss_batch, nll_loss_batch
 from .mcdropout import MCConfig, MCResult, mc_forward, mc_forward_dataset, variance_of
 from .metrics import (
     EvalRecord,
@@ -52,8 +52,8 @@ from .net import (
     ArchConfig,
     HeteroPrediction,
     ModelParams,
-    backward,
-    forward,
+    backward_batch,
+    forward_batch,
     init_params,
 )
 from .trainer import (

@@ -3,9 +3,11 @@
 A single multiplier r is fitted on held-out data so that r^2 * sigma_hat^2
 matches the observed squared residuals on average: r^2 is the mean of
 (y - y_hat)^2 / sigma_hat^2, which is exactly the minimiser of the Gaussian
-NLL over the family {(y_hat, r^2 sigma_hat^2)}. Applying the scale leaves
-point predictions untouched, so rank-based and squared-error metrics are
-bit-identical before and after calibration.
+NLL over the family {(y_hat, r^2 sigma_hat^2)}. Callers apply the scale to
+whole arrays, adding 2 log r to the log-variances or multiplying variances
+by variance_multiplier. Either way point predictions are untouched, so
+rank-based and squared-error metrics are bit-identical before and after
+calibration.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "CalibrationScale",
     "DegenerateCalibrationWarning",
     "fit_scale",
-    "apply_scale",
 ]
 
 # Residual mass below this total is treated as a degenerate fit.
@@ -101,8 +102,3 @@ def fit_scale(
         )
         return CalibrationScale(DEGENERATE_FLOOR, len(preds), mean, degenerate=True)
     return CalibrationScale(math.sqrt(mean), len(preds), mean)
-
-
-def apply_scale(pred: HeteroPrediction, scale: CalibrationScale) -> HeteroPrediction:
-    """Rescale one prediction: y_hat unchanged, variance multiplied by r^2."""
-    return HeteroPrediction(pred.y_hat, pred.s + 2.0 * math.log(scale.r))

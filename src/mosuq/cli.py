@@ -28,6 +28,7 @@ import numpy as np
 
 from .calibrate import CalibrationScale, fit_scale
 from .datagen import (
+    DOMAIN_OOD,
     GenConfig,
     Heteroscedastic,
     Homoscedastic,
@@ -242,7 +243,7 @@ EVALUATE_SETTINGS = (
     S("uncertainty", _choice(*UNCERTAINTY_FIELDS), "aleatoric"),
     S("point", _choice("det", "mc-mean"), "det",
       "point prediction: deterministic pass or MC mean"),
-    S("bins", INT, 10, "calibration/curve bins"),
+    S("bins", _at_least(1), 10, "calibration/curve bins"),
     S("nll_const", BOOL, True,
       "include the Gaussian 1/2 log(2 pi) constant in the NLL metric"),
     S("curve", _optional(PATH), None, "error-uncertainty curve CSV path"),
@@ -349,6 +350,8 @@ def _cmd_gen_data(cfg: SimpleNamespace) -> int:
 
     if cfg.split is not None:
         parts = split_dataset(dataset, list(cfg.split), gen_cfg.seed)
+        if min(len(part) for part in parts) == 0:
+            raise ConfigError(f"split {cfg.split} of {len(dataset)} samples leaves a part empty")
         base = str(cfg.out)
         if base.endswith(".csv"):
             base = base[: -len(".csv")]
@@ -442,40 +445,36 @@ def _cmd_evaluate(cfg: SimpleNamespace) -> int:
         var_pred = np.array([getattr(res, field) for res in results])
         y_pred = np.array([res.y_mean for res in results]) if cfg.point == "mc-mean" else y_det
 
-    records = [
-        EvalRecord(
-            id=sample.id,
-            system_id=sample.system_id,
-            y_true=sample.y,
-            y_pred=float(y_pred[i]),
-            var_pred=float(var_pred[i]),
-            domain_label=int(sample.domain_tag == "ood"),
-        )
-        for i, sample in enumerate(dataset)
-    ]
+    ids = dataset.ids.tolist()
+    # EvalRecord fields: id, system_id, y_true, y_pred, var_pred, domain_label.
+    columns = (
+        ids, dataset.system_ids.tolist(), dataset.labels().tolist(), y_pred.tolist(),
+        var_pred.tolist(), (dataset.domain_tags == DOMAIN_OOD).astype(int).tolist(),
+    )
+    records = [EvalRecord(*row) for row in zip(*columns)]
+    # Every output is computed before the first file is written, so a
+    # failure (such as more curve bins than rows) leaves no partial output.
     report = compute_report(records, num_bins=cfg.bins, include_const=cfg.nll_const)
-    atomic_write_text(cfg.report, report.to_json())
-
+    tables = []  # (path, header, rows)
     if cfg.curve is not None:
         points = error_uncertainty_curve(records, num_bins=cfg.bins)
-        write_csv(cfg.curve, ["mean_uncert", "mean_sq_err"], points)
-
+        tables.append((cfg.curve, ["mean_uncert", "mean_sq_err"], points))
     if cfg.sweep is not None:
         k = cfg.sweep_points
         thresholds = np.quantile(var_pred, np.linspace(1.0 / k, 1.0, k))
         rows = selective_sweep(records, [float(t) for t in thresholds])
-        write_csv(cfg.sweep, ["threshold", "retained_fraction", "subset_mse"], rows)
-
+        tables.append((cfg.sweep, ["threshold", "retained_fraction", "subset_mse"], rows))
     if cfg.mc_out is not None:
         rows = (
-            [s.id, r.y_mean, float(y), r.aleatoric_var, r.epi_pred_var, r.epi_dist_var]
-            for s, r, y in zip(dataset, results, y_det)
+            [i, r.y_mean, y, r.aleatoric_var, r.epi_pred_var, r.epi_dist_var]
+            for i, r, y in zip(ids, results, y_det.tolist())
         )
-        write_csv(
-            cfg.mc_out,
-            ["id", "y_mean", "y_det", "aleatoric_var", "epi_pred_var", "epi_dist_var"],
-            rows,
-        )
+        header = ["id", "y_mean", "y_det", "aleatoric_var", "epi_pred_var", "epi_dist_var"]
+        tables.append((cfg.mc_out, header, rows))
+
+    atomic_write_text(cfg.report, report.to_json())
+    for path, header, rows in tables:
+        write_csv(path, header, rows)
 
     _record_config("evaluate", cfg.report, cfg)
     auc_text = "n/a" if report.auc is None else f"{report.auc:.4f}"
@@ -514,8 +513,8 @@ def _cmd_ood_detect(cfg: SimpleNamespace) -> int:
     atomic_write_text(cfg.report, canonical_json(report))
 
     if cfg.scores is not None:
-        ids = [s.id for s in ds_in] + [s.id for s in ds_ood]
-        rows = ([ids[i], labels[i], float(scores[i])] for i in range(len(ids)))
+        ids = ds_in.ids.tolist() + ds_ood.ids.tolist()
+        rows = zip(ids, labels, scores)
         write_csv(cfg.scores, ["id", "domain_label", "score"], rows)
 
     _record_config("ood-detect", cfg.report, cfg)

@@ -24,6 +24,11 @@ Feature draws and noise draws come from separate substreams of the seed, so
 two configs that differ only in their noise model produce identical feature
 matrices and clean scores. Generating with Homoscedastic(0) therefore
 yields the noiseless twin of any dataset.
+
+A Dataset is a table of read-only columns (ids, system ids, domain tags,
+labels, true noise variances and the feature matrix), not a list of row
+objects. Generation, corruption, splitting and CSV I/O each work on whole
+columns; a Sample is built only when one row is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +69,9 @@ DOMAIN_IN = "in_domain"
 DOMAIN_OOD = "ood"
 DOMAIN_TAGS = (DOMAIN_IN, DOMAIN_OOD)
 
+# The CSV columns before the features f0, f1, ...
+_FIXED_HEADER = ["id", "system_id", "domain_tag", "y", "true_noise_var"]
+
 SCORE_MID = 3.0
 SCORE_SPAN = 2.0
 HET_SIGMA_MIN = 0.05
@@ -89,6 +97,8 @@ _SHIFT_DIRECTION_STREAM = 4
 
 @dataclass(frozen=True)
 class Sample:
+    """One row of a Dataset, built on demand by indexing or iteration."""
+
     id: str
     system_id: str
     features: np.ndarray
@@ -97,38 +107,91 @@ class Sample:
     true_noise_var: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered, immutable collection of samples with uniform feature width."""
+    """An ordered, immutable table of samples, held as one column per field.
 
-    samples: tuple[Sample, ...]
+    ids, system_ids and domain_tags are numpy string vectors, y and
+    true_noise_var float vectors (nan marks a missing true_noise_var), and
+    x is the (n, feature_dim) feature matrix. Every column is read-only, so
+    features() and labels() hand them out without a copy. Indexing and
+    iteration build Sample rows on demand.
+    """
+
+    ids: np.ndarray
+    system_ids: np.ndarray
+    domain_tags: np.ndarray
+    y: np.ndarray
+    true_noise_var: np.ndarray
+    x: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        widths = {s.features.shape for s in self.samples}
+        for name, dtype in _COLUMN_DTYPES.items():
+            column = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.x.ndim != 2:
+            raise InputError(f"features must form an (n, d) matrix, got shape {self.x.shape}")
+        lengths = {name: len(getattr(self, name)) for name in _COLUMN_DTYPES}
+        if len(set(lengths.values())) > 1:
+            raise InputError(f"dataset columns differ in length: {lengths}")
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[Sample]) -> Dataset:
+        """Stack Sample rows into columns; their feature vectors must agree in shape."""
+        samples = tuple(samples)
+        widths = {s.features.shape for s in samples}
         if len(widths) > 1:
             raise InputError(f"inconsistent feature shapes in dataset: {sorted(widths)}")
+        x = np.array([s.features for s in samples], dtype=float)
+        return cls(
+            ids=[s.id for s in samples],
+            system_ids=[s.system_id for s in samples],
+            domain_tags=[s.domain_tag for s in samples],
+            y=[s.y for s in samples],
+            true_noise_var=[math.nan if s.true_noise_var is None else s.true_noise_var
+                            for s in samples],
+            x=x.reshape(len(samples), -1) if samples else np.empty((0, 0)),
+        )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.y)
 
     def __iter__(self) -> Iterator[Sample]:
-        return iter(self.samples)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i: int) -> Sample:
-        return self.samples[i]
+        var = float(self.true_noise_var[i])
+        return Sample(
+            id=str(self.ids[i]),
+            system_id=str(self.system_ids[i]),
+            features=self.x[i],
+            y=float(self.y[i]),
+            domain_tag=str(self.domain_tags[i]),
+            true_noise_var=None if math.isnan(var) else var,
+        )
+
+    def _take(self, rows: np.ndarray) -> Dataset:
+        """The rows at the given indices, taken from every column alike."""
+        return Dataset(*(getattr(self, name)[rows] for name in _COLUMN_DTYPES))
 
     @property
     def feature_dim(self) -> int:
-        if not self.samples:
+        if len(self) == 0:
             raise InputError("empty dataset has no feature dimension")
-        return self.samples[0].features.shape[0]
+        return self.x.shape[1]
 
     def features(self) -> np.ndarray:
-        return np.array([s.features for s in self.samples], dtype=float)
+        return self.x
 
     def labels(self) -> np.ndarray:
-        return np.array([s.y for s in self.samples], dtype=float)
+        return self.y
+
+
+# Dataset columns in constructor order, with the dtype each is stored as.
+_COLUMN_DTYPES = dict(
+    ids=str, system_ids=str, domain_tags=str, y=float, true_noise_var=float, x=float
+)
 
 
 @dataclass(frozen=True)
@@ -228,43 +291,38 @@ def _generate(cfg: GenConfig, center_offset: np.ndarray | None, tag: str) -> Dat
     if center_offset is not None:
         centers = centers + center_offset
 
+    k, n_k = cfg.num_systems, cfg.samples_per_system
+    x = np.repeat(centers, n_k, axis=0) + rng_features.standard_normal((k * n_k, d))
+
+    def project(direction, offset):
+        # One system's rows at a time: the bits of a matrix-vector product
+        # can depend on how many rows share the call.
+        return np.concatenate([rows @ direction for rows in np.split(x, k)]) + offset
+
+    clean = SCORE_MID + SCORE_SPAN * np.tanh(project(w, b))
     noise = cfg.noise_model
-    samples = []
-    for k in range(cfg.num_systems):
-        n_k = cfg.samples_per_system
-        x = centers[k] + rng_features.standard_normal((n_k, d))
-        clean = SCORE_MID + SCORE_SPAN * np.tanh(x @ w + b)
+    if isinstance(noise, Homoscedastic):
+        y = clean + rng_noise.normal(size=k * n_k) * noise.sigma
+        true_var = np.full(k * n_k, noise.sigma**2)
+    elif isinstance(noise, Heteroscedastic):
+        sigma = HET_SIGMA_MIN + HET_SIGMA_SPAN * _sigmoid(project(v, c))
+        y = clean + rng_noise.normal(size=k * n_k) * sigma
+        true_var = sigma**2
+    elif isinstance(noise, RaterPanel):
+        rater_noise = rng_noise.normal(size=(k * n_k, noise.num_raters)) * noise.rater_sd
+        y = clean + rater_noise.mean(axis=1)
+        true_var = np.full(k * n_k, noise.rater_sd**2 / noise.num_raters)
+    else:
+        raise ConfigError(f"unknown noise model: {noise!r}")
 
-        if isinstance(noise, Homoscedastic):
-            y = clean + rng_noise.normal(size=n_k) * noise.sigma
-            true_var = np.full(n_k, noise.sigma**2)
-        elif isinstance(noise, Heteroscedastic):
-            sigma = HET_SIGMA_MIN + HET_SIGMA_SPAN * _sigmoid(x @ v + c)
-            y = clean + rng_noise.normal(size=n_k) * sigma
-            true_var = sigma**2
-        elif isinstance(noise, RaterPanel):
-            rater_noise = rng_noise.normal(size=(n_k, noise.num_raters)) * noise.rater_sd
-            y = clean + rater_noise.mean(axis=1)
-            true_var = np.full(n_k, noise.rater_sd**2 / noise.num_raters)
-        else:
-            raise ConfigError(f"unknown noise model: {noise!r}")
+    if cfg.clip_labels:
+        y = np.clip(y, SCORE_MID - SCORE_SPAN, SCORE_MID + SCORE_SPAN)
 
-        if cfg.clip_labels:
-            y = np.clip(y, SCORE_MID - SCORE_SPAN, SCORE_MID + SCORE_SPAN)
-
-        system_id = f"sys{k:03d}"
-        for i in range(n_k):
-            samples.append(
-                Sample(
-                    id=f"{system_id}-{i:05d}",
-                    system_id=system_id,
-                    features=x[i],
-                    y=float(y[i]),
-                    domain_tag=tag,
-                    true_noise_var=float(true_var[i]),
-                )
-            )
-    return Dataset(tuple(samples))
+    system_ids = np.repeat(np.char.mod("sys%03d", np.arange(k)), n_k)
+    row_numbers = np.char.mod("-%05d", np.tile(np.arange(n_k), k))
+    return Dataset(
+        np.char.add(system_ids, row_numbers), system_ids, np.full(k * n_k, tag), y, true_var, x
+    )
 
 
 def gen_synthetic(cfg: GenConfig) -> Dataset:
@@ -305,14 +363,10 @@ def add_feature_noise(dataset: Dataset, level: float, seed: int) -> Dataset:
         raise InputError("cannot perturb an empty dataset")
     if level == 0.0:
         return dataset
-    global_std = float(np.std(dataset.features()))
+    global_std = float(np.std(dataset.x))
     rng = np.random.default_rng(seed)
-    noise = rng.normal(size=(len(dataset), dataset.feature_dim)) * (level * global_std)
-    samples = tuple(
-        replace(s, features=s.features + noise[i], domain_tag=DOMAIN_OOD)
-        for i, s in enumerate(dataset)
-    )
-    return Dataset(samples)
+    noise = rng.normal(size=dataset.x.shape) * (level * global_std)
+    return replace(dataset, x=dataset.x + noise, domain_tags=np.full(len(dataset), DOMAIN_OOD))
 
 
 def feature_noise_analogue(amplitude: float) -> float:
@@ -339,13 +393,8 @@ def split_dataset(
     if sizes[0] < 0:
         raise ConfigError(f"fractions {fractions} over-allocate {n} samples")
     order = np.random.default_rng(seed).permutation(n)
-    parts = []
-    start = 0
-    for size in sizes:
-        part = tuple(dataset[int(i)] for i in order[start : start + size])
-        parts.append(Dataset(part))
-        start += size
-    return tuple(parts)
+    ends = np.cumsum(sizes)
+    return tuple(dataset._take(order[end - size : end]) for size, end in zip(sizes, ends))
 
 
 def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
@@ -356,64 +405,79 @@ def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """
     if len(dataset) == 0:
         raise InputError("refusing to write an empty dataset")
-    header = ["id", "system_id", "domain_tag", "y", "true_noise_var"]
-    header += [f"f{j}" for j in range(dataset.feature_dim)]
-    rows = (
-        [
-            s.id,
-            s.system_id,
-            s.domain_tag,
-            float(s.y),
-            None if s.true_noise_var is None else float(s.true_noise_var),
-            *s.features.tolist(),
-        ]
-        for s in dataset
+    header = [*_FIXED_HEADER, *(f"f{j}" for j in range(dataset.feature_dim))]
+    # Rows are formed one at a time, so no column is copied out whole as
+    # Python objects; numpy strings are str and write as themselves.
+    var = (None if math.isnan(v) else float(v) for v in dataset.true_noise_var)
+    columns = zip(
+        dataset.ids, dataset.system_ids, dataset.domain_tags, map(float, dataset.y), var, dataset.x
     )
-    write_csv(path, header, rows)
+    write_csv(path, header, ([*fixed, *features.tolist()] for *fixed, features in columns))
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
     """Read a dataset written by save_dataset_csv (or any file matching its
-    header contract)."""
+    header contract).
+
+    One csv pass reads and checks every column but the features, which
+    np.loadtxt parses in one call. An empty true_noise_var is a missing
+    value; a literal nan there is rejected, as nan marks a missing value in
+    the loaded column. A malformed file raises InputError naming the path
+    and, where one row is at fault, its row number.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty dataset file") from None
-        fixed = ["id", "system_id", "domain_tag", "y", "true_noise_var"]
-        if header[: len(fixed)] != fixed or any(
-            col != f"f{j}" for j, col in enumerate(header[len(fixed) :])
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: empty dataset file")
+        width = len(_FIXED_HEADER)
+        if header[:width] != _FIXED_HEADER or any(
+            col != f"f{j}" for j, col in enumerate(header[width:])
         ):
             raise InputError(f"{path}: unexpected header {header!r}")
-        d = len(header) - len(fixed)
-        if d < 1:
+        if len(header) == width:
             raise InputError(f"{path}: no feature columns")
-        samples = []
+        ids, system_ids, tags, y, var = [], [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise InputError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            sid, system_id, tag, y_text, var_text = row[:5]
-            if tag not in DOMAIN_TAGS:
-                raise InputError(f"{path}:{lineno}: unknown domain_tag {tag!r}")
+            if row[2] not in DOMAIN_TAGS:
+                raise InputError(f"{path}:{lineno}: unknown domain_tag {row[2]!r}")
             try:
-                y = float(y_text)
-                true_var = None if var_text == "" else float(var_text)
-                features = np.array([float(x) for x in row[5:]], dtype=float)
+                y.append(float(row[3]))
+                var.append(math.nan if row[4] == "" else float(row[4]))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
-            samples.append(
-                Sample(
-                    id=sid,
-                    system_id=system_id,
-                    features=features,
-                    y=y,
-                    domain_tag=tag,
-                    true_noise_var=true_var,
-                )
-            )
-    if not samples:
+            if row[4] != "" and math.isnan(var[-1]):
+                raise InputError(f"{path}:{lineno}: true_noise_var is nan; leave it empty")
+            ids.append(row[0])
+            system_ids.append(row[1])
+            tags.append(row[2])
+    if not ids:
         raise InputError(f"{path}: dataset file has a header but no rows")
-    return Dataset(tuple(samples))
+    try:
+        x = np.loadtxt(
+            path, delimiter=",", quotechar='"', comments=None, skiprows=1,
+            usecols=range(width, len(header)), ndmin=2, encoding=fh.encoding,
+        )
+    except ValueError as exc:
+        raise InputError(f"{path}:{_bad_feature_row(path, width)}: {exc}") from None
+    return Dataset(
+        np.array(ids, dtype=str), np.array(system_ids, dtype=str), np.array(tags, dtype=str),
+        y, var, x,
+    )
+
+
+def _bad_feature_row(path: str | Path, width: int) -> int | str:
+    """Row number of the first row whose features float() rejects, or "?"."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for lineno, row in enumerate(rows, start=2):
+            try:
+                list(map(float, row[width:]))
+            except ValueError:
+                return lineno
+    return "?"

@@ -1,8 +1,11 @@
-"""Per-sample training losses with analytic gradients.
+"""Training losses over a batch, with analytic gradients.
 
-Both losses return the loss value together with its derivatives with
-respect to the two network outputs, so the trainer never differentiates
-anything numerically. The Gaussian NLL drops the additive 1/2*log(2*pi)
+Each loss takes (B,) arrays of predicted scores y_hat, log-variances s and
+labels y, and returns the per-sample values together with their
+derivatives with respect to the two network outputs, so the trainer never
+differentiates anything numerically. Inputs are not checked for
+finiteness here: the trainer checks its data once per split and stops on a
+non-finite batch loss. The Gaussian NLL drops the additive 1/2*log(2*pi)
 constant: it shifts every value equally and has zero gradient, so it is
 irrelevant for optimisation. The evaluation-time NLL metric (see
 ``mosuq.metrics.nll_metric``) can include it.
@@ -10,59 +13,22 @@ irrelevant for optimisation. The evaluation-time NLL metric (see
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InputError
-from .net import HeteroPrediction
-
-__all__ = ["LOSSES", "LossValue", "nll_loss", "mse_loss", "nll_loss_batch", "mse_loss_batch"]
+__all__ = ["LOSSES", "nll_loss_batch", "mse_loss_batch"]
 
 LOSSES = ("nll", "mse")
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """Loss at one sample plus its gradient w.r.t. (y_hat, s)."""
-
-    value: float
-    d_y_hat: float
-    d_s: float
-
-
-def nll_loss(pred: HeteroPrediction, y: float) -> LossValue:
-    """Gaussian negative log-likelihood of label y under the prediction.
-
-    value  = s/2 + (y - y_hat)^2 / (2 exp(s))
-    d_y_hat = (y_hat - y) / exp(s)
-    d_s     = 1/2 - (y - y_hat)^2 / (2 exp(s))
-    """
-    if not (math.isfinite(y) and math.isfinite(pred.y_hat) and math.isfinite(pred.s)):
-        raise InputError("nll_loss requires finite prediction and label")
-    resid = y - pred.y_hat
-    inv_var = math.exp(-pred.s)
-    half_norm_sq = 0.5 * resid * resid * inv_var
-    return LossValue(
-        value=0.5 * pred.s + half_norm_sq,
-        d_y_hat=-resid * inv_var,
-        d_s=0.5 - half_norm_sq,
-    )
-
-
-def mse_loss(pred: HeteroPrediction, y: float) -> LossValue:
-    """Squared error baseline; the log-variance output receives no gradient."""
-    if not (math.isfinite(y) and math.isfinite(pred.y_hat) and math.isfinite(pred.s)):
-        raise InputError("mse_loss requires finite prediction and label")
-    resid = y - pred.y_hat
-    return LossValue(value=resid * resid, d_y_hat=-2.0 * resid, d_s=0.0)
 
 
 def nll_loss_batch(
     y_hat: np.ndarray, s: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised nll_loss over (B,) arrays: returns (values, d_y_hat, d_s)."""
+    """Gaussian negative log-likelihood of labels y: returns (values, d_y_hat, d_s).
+
+    value   = s/2 + (y - y_hat)^2 / (2 exp(s))
+    d_y_hat = (y_hat - y) / exp(s)
+    d_s     = 1/2 - (y - y_hat)^2 / (2 exp(s))
+    """
     resid = y - y_hat
     inv_var = np.exp(-s)
     half_norm_sq = 0.5 * resid * resid * inv_var
@@ -72,6 +38,7 @@ def nll_loss_batch(
 def mse_loss_batch(
     y_hat: np.ndarray, s: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised mse_loss over (B,) arrays: returns (values, d_y_hat, d_s)."""
+    """Squared error baseline: returns (values, d_y_hat, d_s), where d_s is
+    all zeros, so the log-variance output receives no gradient."""
     resid = y - y_hat
     return resid * resid, -2.0 * resid, np.zeros_like(resid)

@@ -7,10 +7,12 @@ which units happen to be dropped. Two epistemic signals are reported:
 * epi_pred_var - population variance of the sampled score outputs,
 * epi_dist_var - population variance of the sampled log-variance outputs.
 
-Population variance (divisor = number of passes) is used throughout. The
-aleatoric variance is the mean of exp(s_t) across passes, multiplied by
-r^2 when a calibration scale is supplied; calibration never touches the
-epistemic quantities.
+Population variance (divisor = number of passes) is used throughout, from
+the one routine variance_of: it works along the last axis, so it serves a
+(rows, passes) block and a single sample list alike. The aleatoric
+variance is the mean of exp(s_t) across passes, multiplied by r^2 when a
+calibration scale is supplied; calibration never touches the epistemic
+quantities.
 
 Masks come from a counter-based hash (SplitMix64, in the style of Salmon
 et al. 2011): the keep bit of each unit is a pure function of (row key,
@@ -80,26 +82,21 @@ class MCResult:
     aleatoric_var: float
 
 
-def variance_of(samples: Sequence[float]) -> float:
-    """Population variance (divisor = n), computed in two passes.
+def variance_of(samples) -> np.ndarray | float:
+    """Population variance (divisor = number of samples) along the last axis,
+    computed in two passes.
 
-    Identical samples short-circuit to exactly 0.0, so degenerate sampling
-    setups (single pass, zero dropout) report zero epistemic variance
-    without floating-point residue.
+    A (rows, passes) array gives one variance per row; a flat sequence gives
+    one float. A row of identical samples gives exactly 0.0, so degenerate
+    sampling setups (single pass, zero dropout) report zero epistemic
+    variance without floating-point residue.
     """
     a = np.asarray(samples, dtype=float)
-    if a.size == 0:
+    if a.ndim == 0 or a.shape[-1] == 0:
         raise InputError("variance of an empty sample list is undefined")
-    return float(_variances(a.reshape(1, -1))[0])
-
-
-def _variances(samples: np.ndarray) -> np.ndarray:
-    """Row-wise population variance of a (rows, passes) array; the batch
-    form of variance_of, with the same exact zero for constant rows."""
-    mean = samples.mean(axis=1, keepdims=True)
-    var = np.mean((samples - mean) ** 2, axis=1)
-    var[np.all(samples == samples[:, :1], axis=1)] = 0.0
-    return var
+    mean = a.mean(axis=-1, keepdims=True)
+    var = np.mean((a - mean) ** 2, axis=-1)
+    return np.where(np.all(a == a[..., :1], axis=-1), 0.0, var)[()]
 
 
 def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float, work: tuple = ()) -> np.ndarray:
@@ -192,7 +189,7 @@ def _mc_rows(
         rows = slice(start, start + block)
         y, s = _sample_block(params, x[rows], keys[rows], cfg, work)
         y_mean, s_mean = y.mean(axis=1), s.mean(axis=1)
-        epi_pred, epi_dist = _variances(y), _variances(s)
+        epi_pred, epi_dist = variance_of(y), variance_of(s)
         aleatoric = np.mean(np.exp(s), axis=1) * multiplier
         results.extend(
             MCResult(tuple(ys), tuple(ss), ym, sm, ep, ed, al)

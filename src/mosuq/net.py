@@ -20,10 +20,11 @@ forward pass, whose intermediates ``forward_batch`` hands to
 from one ``rng.random((2, B, H))`` draw, score head first: the same stream
 as one draw per head.
 
+There is one code path per operation, over a batch of rows:
+``forward_batch`` and ``backward_batch``. A single row is a batch of one.
 ``forward_batch`` checks only the shape of its features. Their finiteness
 is checked once per dataset by its callers (``trainer.train`` for the train
-and validation splits, ``trainer.predict_batch``) and on every call of the
-one-row ``forward``.
+and validation splits, ``trainer.predict_batch``, and the MC kernel).
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ __all__ = [
     "dropout_mask",
     "param_layout",
     "init_params",
-    "forward",
     "forward_batch",
-    "backward",
     "backward_batch",
     "param_arrays",
 ]
@@ -300,22 +299,6 @@ def forward_batch(
     return y_hat, np.clip(s_raw, -S_CLAMP, S_CLAMP), (x, trunk_post, score, logvar, s_raw)
 
 
-def forward(
-    params: ModelParams,
-    x: np.ndarray,
-    mode: str = "deterministic",
-    rng: np.random.Generator | None = None,
-    dropout_p: float | None = None,
-) -> tuple[HeteroPrediction, tuple]:
-    """Run the network on one feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-d feature vector, got array of shape {x.shape}")
-    _check_features(params.arch, x[None, :])
-    y_hat, s, cache = forward_batch(params, x[None, :], mode, rng, dropout_p)
-    return HeteroPrediction(float(y_hat[0]), float(s[0])), cache
-
-
 def _head_backward(
     head: tuple,
     w: list[np.ndarray],
@@ -377,11 +360,3 @@ def backward_batch(
         if l > 0:
             d_a = d_z @ params.trunk_w[l]
     return grads
-
-
-def backward(cache: tuple, params: ModelParams, d_y_hat: float, d_s: float) -> ModelParams:
-    """Single-sample gradient: cache must come from a one-row forward pass."""
-    batch = len(cache[0])
-    if batch != 1:
-        raise ShapeError(f"backward() expects a single-sample cache, got batch size {batch}")
-    return backward_batch(cache, params, np.array([d_y_hat]), np.array([d_s]))

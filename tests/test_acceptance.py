@@ -24,7 +24,7 @@ from mosuq.datagen import (
     gen_ood_shift,
     split_dataset,
 )
-from mosuq.loss import nll_loss
+from mosuq.loss import nll_loss_batch
 from mosuq.mcdropout import MCConfig, mc_forward, mc_forward_dataset, variance_of
 from mosuq.metrics import (
     HALF_LOG_2PI,
@@ -39,8 +39,8 @@ from mosuq.metrics import (
 from mosuq.net import (
     ArchConfig,
     HeteroPrediction,
-    backward,
-    forward,
+    backward_batch,
+    forward_batch,
     init_params,
     param_arrays,
 )
@@ -81,10 +81,10 @@ def mc_pools(hetero_runs):
     pools = []
     for run in hetero_runs:
         cfg = fixture_gen_config(run.seed)
-        in_pool = Dataset(run.test_split.samples[:POOL_SIZE])
+        in_pool = Dataset.from_samples(list(run.test_split)[:POOL_SIZE])
         ood_full = gen_ood_shift(cfg, OOD_SHIFT)
         _, _, ood_test = split_dataset(ood_full, FIXTURE_SPLIT, seed=run.seed)
-        shift_pool = Dataset(ood_test.samples[:POOL_SIZE])
+        shift_pool = Dataset.from_samples(list(ood_test)[:POOL_SIZE])
 
         def epi_dist(ds):
             results = mc_forward_dataset(run.params, ds.features(), FIXTURE_MC)
@@ -104,13 +104,17 @@ def test_criterion_01_gradients_match_finite_differences():
     start = perf_counter()
     arch = ArchConfig(input_dim=3, trunk_dims=(4,), head_hidden_dim=4, dropout_p=0.0)
     params = init_params(arch, seed=5)
-    x = np.random.default_rng(7).normal(size=3)
-    y = 3.1
+    x = np.random.default_rng(7).normal(size=(1, 3))
+    y = np.array([3.1])
     step = 1e-5
 
-    pred, cache = forward(params, x)
-    lv = nll_loss(pred, y)
-    analytic = param_arrays(backward(cache, params, lv.d_y_hat, lv.d_s))
+    def nll() -> float:
+        y_hat, s, _ = forward_batch(params, x)
+        return float(nll_loss_batch(y_hat, s, y)[0][0])
+
+    y_hat, s, cache = forward_batch(params, x)
+    _, d_y_hat, d_s = nll_loss_batch(y_hat, s, y)
+    analytic = param_arrays(backward_batch(cache, params, d_y_hat, d_s))
 
     worst = 0.0
     for arr, grad in zip(param_arrays(params), analytic):
@@ -119,9 +123,9 @@ def test_criterion_01_gradients_match_finite_differences():
             idx = it.multi_index
             saved = arr[idx]
             arr[idx] = saved + step
-            up = nll_loss(forward(params, x)[0], y).value
+            up = nll()
             arr[idx] = saved - step
-            down = nll_loss(forward(params, x)[0], y).value
+            down = nll()
             arr[idx] = saved
             fd = (up - down) / (2.0 * step)
             denom = max(abs(fd), abs(float(grad[idx])), 1e-8)

@@ -11,12 +11,12 @@ from mosuq.calibrate import (
     DEGENERATE_FLOOR,
     CalibrationScale,
     DegenerateCalibrationWarning,
-    apply_scale,
     fit_scale,
 )
 from mosuq.errors import InputError, InvariantError
+from mosuq.mcdropout import MCConfig, mc_forward_dataset
 from mosuq.metrics import EvalRecord, nll_metric
-from mosuq.net import HeteroPrediction
+from mosuq.net import ArchConfig, HeteroPrediction, init_params
 
 
 def preds_with_normalized_residuals(norm_sq):
@@ -86,28 +86,34 @@ class TestCalibrationScaleType:
         assert scale.variance_multiplier == pytest.approx(6.25)
 
 
-class TestApplyScale:
+class TestApplyingTheScale:
+    """mc_forward_dataset applies a scale to a whole batch: it multiplies each
+    row's aleatoric variance by r^2 and leaves everything else alone."""
+
+    @staticmethod
+    def run(r=None):
+        arch = ArchConfig(input_dim=3, trunk_dims=(4,), head_hidden_dim=4)
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        scale = None if r is None else CalibrationScale.from_r(r)
+        cfg = MCConfig(num_passes=6, dropout_p=0.5, seed=3)
+        return mc_forward_dataset(init_params(arch, seed=1), x, cfg, scale)
+
     def test_identity_scale_is_a_no_op(self):
-        pred = HeteroPrediction(1.2, -0.4)
-        out = apply_scale(pred, CalibrationScale.from_r(1.0))
-        assert out == pred
+        assert self.run(1.0) == self.run()
 
     def test_variance_multiplied_by_r_squared(self):
-        pred = HeteroPrediction(0.0, math.log(2.0))
-        out = apply_scale(pred, CalibrationScale.from_r(3.0))
-        assert out.sigma2 == pytest.approx(18.0, rel=1e-12)
+        for plain, scaled in zip(self.run(), self.run(3.0)):
+            assert scaled.aleatoric_var == pytest.approx(9.0 * plain.aleatoric_var, rel=1e-12)
 
     def test_point_prediction_untouched(self):
-        pred = HeteroPrediction(4.321, 0.9)
+        plain = [(res.y_samples, res.y_mean) for res in self.run()]
         for r in (0.01, 0.5, 1.0, 7.0):
-            assert apply_scale(pred, CalibrationScale.from_r(r)).y_hat == 4.321
+            assert [(res.y_samples, res.y_mean) for res in self.run(r)] == plain
 
     def test_applying_twice_composes_multiplicatively(self):
-        pred = HeteroPrediction(0.5, 0.2)
-        once = apply_scale(apply_scale(pred, CalibrationScale.from_r(2.0)),
-                           CalibrationScale.from_r(3.0))
-        composite = apply_scale(pred, CalibrationScale.from_r(6.0))
-        assert once.s == pytest.approx(composite.s, abs=1e-12)
+        twice = (CalibrationScale.from_r(2.0).variance_multiplier
+                 * CalibrationScale.from_r(3.0).variance_multiplier)
+        assert twice == pytest.approx(CalibrationScale.from_r(6.0).variance_multiplier, abs=1e-12)
 
 
 def nll_at_scale(preds, labels, r):
@@ -137,6 +143,7 @@ class TestOptimality:
         labels = y_hat + rng.normal(size=5000) * 0.6 * np.exp(0.5 * s)
         preds = [HeteroPrediction(float(m), float(v)) for m, v in zip(y_hat, s)]
         scale = fit_scale(preds, list(labels))
-        rescaled = [apply_scale(p, scale) for p in preds]
+        # As the CLI applies the scale: every log-variance shifts by 2 log r.
+        rescaled = [HeteroPrediction(m, v + 2.0 * math.log(scale.r)) for m, v in zip(y_hat, s)]
         again = fit_scale(rescaled, list(labels))
         assert again.r == pytest.approx(1.0, rel=0.02)

@@ -325,7 +325,7 @@ class TestEvaluate:
             for i in range(6)
         )
         data = tmp_path / "tied.csv"
-        save_dataset_csv(Dataset(samples), data)
+        save_dataset_csv(Dataset.from_samples(samples), data)
         report = tmp_path / "report.json"
         code = main([
             "evaluate", "--checkpoint", str(ck), "--data", str(data), "--report", str(report),
@@ -336,9 +336,9 @@ class TestEvaluate:
         assert doc["mse"] == float(np.mean(np.arange(6.0) ** 2))
 
     def test_auc_populated_on_a_mixed_domain_pool(self, workspace, tmp_path):
-        pool = Dataset(
-            load_dataset_csv(workspace / "pool_in.csv").samples
-            + load_dataset_csv(workspace / "pool_ood.csv").samples
+        pool = Dataset.from_samples(
+            [*load_dataset_csv(workspace / "pool_in.csv"),
+             *load_dataset_csv(workspace / "pool_ood.csv")]
         )
         pool_path = tmp_path / "pool.csv"
         save_dataset_csv(pool, pool_path)
@@ -425,7 +425,7 @@ class TestEvaluate:
             for i in range(24)
         )
         data = tmp_path / "oracle.csv"
-        save_dataset_csv(Dataset(samples), data)
+        save_dataset_csv(Dataset.from_samples(samples), data)
         report = tmp_path / "report.json"
         curve = tmp_path / "curve.csv"
         code = main([
@@ -804,6 +804,34 @@ class TestFailBeforeWork:
         ]
         self.assert_usage_error(argv, tmp_path, capsys)
 
+    def test_split_with_an_empty_part_writes_nothing(self, tmp_path, capsys):
+        argv = self.gen_argv(tmp_path, "--split", "1,0,0")
+        self.assert_usage_error(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_checked_before_the_data_is_read(
+        self, workspace, tmp_path, capsys, monkeypatch, bins
+    ):
+        def load(path):
+            raise AssertionError("the data was read before --bins was checked")
+
+        monkeypatch.setattr(mosuq.cli, "load_dataset_csv", load)
+        argv = [
+            "evaluate", "--checkpoint", str(workspace / "cal.json"),
+            "--data", str(workspace / "base.test.csv"), "--report", str(tmp_path / "r.json"),
+            "--bins", bins,
+        ]
+        self.assert_usage_error(argv, tmp_path, capsys)
+
+    def test_curve_with_more_bins_than_rows_writes_nothing(self, workspace, tmp_path, capsys):
+        rows = len(load_dataset_csv(workspace / "base.test.csv"))
+        argv = [
+            "evaluate", "--checkpoint", str(workspace / "cal.json"),
+            "--data", str(workspace / "base.test.csv"), "--report", str(tmp_path / "r.json"),
+            "--curve", str(tmp_path / "curve.csv"), "--bins", str(rows + 1),
+        ]
+        self.assert_usage_error(argv, tmp_path, capsys)
+
     def test_mc_out_without_mc(self, workspace, tmp_path, capsys):
         argv = [
             "evaluate", "--checkpoint", str(workspace / "cal.json"),
@@ -838,7 +866,7 @@ class TestCsvQuoting:
             for i in range(8)
         )
         path = tmp_path / "odd.csv"
-        save_dataset_csv(Dataset(samples), path)
+        save_dataset_csv(Dataset.from_samples(samples), path)
         return path, [s.id for s in samples]
 
     def read_rows(self, path):

@@ -161,7 +161,7 @@ class TestGenOodShift:
 
     def test_mixed_pool_keeps_consistent_tags(self):
         cfg = small_cfg(Heteroscedastic())
-        pool = Dataset(gen_synthetic(cfg).samples + gen_ood_shift(cfg, 3.0).samples)
+        pool = Dataset.from_samples([*gen_synthetic(cfg), *gen_ood_shift(cfg, 3.0)])
         tags = [s.domain_tag for s in pool]
         assert tags == [DOMAIN_IN] * 100 + [DOMAIN_OOD] * 100
 
@@ -268,7 +268,7 @@ class TestCsvRoundTrip:
             id="a", system_id="sys0", features=np.array([1.0, 2.0]), y=3.0
         )
         path = tmp_path / "bare.csv"
-        save_dataset_csv(Dataset((sample,)), path)
+        save_dataset_csv(Dataset.from_samples((sample,)), path)
         assert ",3.0,," in path.read_text()
         assert load_dataset_csv(path)[0].true_noise_var is None
 
@@ -309,6 +309,43 @@ class TestCsvRoundTrip:
         with pytest.raises(InputError, match=":2:"):
             load_dataset_csv(path)
 
+    def test_bad_feature_reported_with_line_number(self, tmp_path):
+        path = tmp_path / "badfeature.csv"
+        path.write_text(
+            "id,system_id,domain_tag,y,true_noise_var,f0,f1\n"
+            "a,sys0,in_domain,3.0,0.1,0.5,0.25\n"
+            "b,sys0,in_domain,3.0,0.1,0.5,oops\n"
+        )
+        with pytest.raises(InputError, match=r"badfeature\.csv:3:"):
+            load_dataset_csv(path)
+
+    def test_nan_oracle_variance_rejected(self, tmp_path):
+        """nan marks a missing true_noise_var in a loaded dataset, so a
+        literal nan in the file would read back as missing: it is refused."""
+        path = tmp_path / "nanvar.csv"
+        path.write_text(
+            "id,system_id,domain_tag,y,true_noise_var,f0\n"
+            "a,sys0,in_domain,3.0,0.1,0.5\n"
+            "b,sys0,in_domain,3.0,nan,0.5\n"
+        )
+        with pytest.raises(InputError, match=r"nanvar\.csv:3: true_noise_var is nan"):
+            load_dataset_csv(path)
+
+    def test_quoted_ids_round_trip(self, tmp_path):
+        ids = ["comma,id", 'quote"id', "new\nline", "plain"]
+        rng = np.random.default_rng(3)
+        samples = [
+            Sample(id=i, system_id="s,0", features=rng.normal(size=2), y=float(k))
+            for k, i in enumerate(ids)
+        ]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_dataset_csv(Dataset.from_samples(samples), first)
+        loaded = load_dataset_csv(first)
+        assert [s.id for s in loaded] == ids
+        assert np.array_equal(loaded.features(), np.array([s.features for s in samples]))
+        save_dataset_csv(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_unknown_domain_tag_rejected(self, tmp_path):
         path = tmp_path / "tag.csv"
         path.write_text(
@@ -320,15 +357,52 @@ class TestCsvRoundTrip:
 
 
 class TestDatasetContainer:
+    def test_columns_are_read_only_arrays_handed_out_without_a_copy(self):
+        dataset = gen_synthetic(small_cfg(Heteroscedastic()))
+        assert dataset.features() is dataset.x
+        assert dataset.labels() is dataset.y
+        columns = (dataset.ids, dataset.system_ids, dataset.domain_tags,
+                   dataset.y, dataset.true_noise_var, dataset.x)
+        for column in columns:
+            assert isinstance(column, np.ndarray)
+            assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            dataset.features()[0, 0] = 1.0
+
+    def test_rows_are_built_from_the_columns(self):
+        dataset = gen_synthetic(small_cfg(Heteroscedastic()))
+        sample = dataset[27]
+        assert sample.id == "sys001-00002"
+        assert sample.system_id == "sys001"
+        assert sample.y == dataset.y[27]
+        assert sample.true_noise_var == dataset.true_noise_var[27]
+        assert np.array_equal(sample.features, dataset.x[27])
+        assert [s.id for s in dataset] == dataset.ids.tolist()
+
+    def test_split_moves_every_column_with_its_row(self):
+        dataset = gen_synthetic(small_cfg(Heteroscedastic()))
+        by_id = {s.id: s for s in dataset}
+        for part in split_dataset(dataset, (0.5, 0.3, 0.2), seed=4):
+            for s in part:
+                whole = by_id[s.id]
+                assert (s.system_id, s.y, s.true_noise_var) == (
+                    whole.system_id, whole.y, whole.true_noise_var
+                )
+                assert np.array_equal(s.features, whole.features)
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(InputError):
+            Dataset(["a", "b"], ["s", "s"], ["in_domain"] * 2, [1.0], [0.1, 0.1], np.zeros((2, 3)))
+
     def test_inconsistent_widths_rejected(self):
         a = Sample(id="a", system_id="s", features=np.zeros(2), y=3.0)
         b = Sample(id="b", system_id="s", features=np.zeros(3), y=3.0)
         with pytest.raises(InputError):
-            Dataset((a, b))
+            Dataset.from_samples((a, b))
 
     def test_empty_dataset_has_no_feature_dim(self):
         with pytest.raises(InputError):
-            Dataset(()).feature_dim
+            Dataset.from_samples(()).feature_dim
 
 
 class TestOracleNllLowerBound:

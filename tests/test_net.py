@@ -11,22 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosuq.errors import ConfigError, InputError, ShapeError
-from mosuq.loss import nll_loss
+from mosuq.errors import ConfigError, ShapeError
+from mosuq.loss import nll_loss_batch
 from mosuq.net import (
     S_CLAMP,
     GROUPS,
     ArchConfig,
+    HeteroPrediction,
     ModelParams,
-    backward,
     backward_batch,
     dropout_mask,
-    forward,
     forward_batch,
     init_params,
     param_arrays,
     param_layout,
 )
+
+
+def one_row(params, x, **kwargs):
+    """forward_batch on one feature vector: (prediction, cache)."""
+    y_hat, s, cache = forward_batch(params, np.asarray(x, dtype=float)[None, :], **kwargs)
+    return HeteroPrediction(float(y_hat[0]), float(s[0])), cache
 
 
 def small_arch(**overrides) -> ArchConfig:
@@ -200,7 +205,7 @@ class TestForward:
         params = init_params(small_arch(), seed=0)
         for arr in param_arrays(params):
             arr[...] = 0.0
-        pred, _ = forward(params, np.ones(3))
+        pred, _ = one_row(params, np.ones(3))
         assert pred.y_hat == 0.0
         assert pred.s == 0.0
         assert pred.sigma2 == 1.0
@@ -208,44 +213,39 @@ class TestForward:
     def test_dropout_p_zero_matches_deterministic(self):
         params = init_params(small_arch(dropout_p=0.0), seed=5)
         x = np.array([0.3, -1.2, 0.8])
-        det, _ = forward(params, x, mode="deterministic")
-        drop, _ = forward(params, x, mode="dropout", rng=np.random.default_rng(0))
+        det, _ = one_row(params, x, mode="deterministic")
+        drop, _ = one_row(params, x, mode="dropout", rng=np.random.default_rng(0))
         assert det.y_hat == drop.y_hat
         assert det.s == drop.s
 
     def test_dropout_deterministic_given_seed(self):
         params = init_params(small_arch(), seed=5)
         x = np.array([0.3, -1.2, 0.8])
-        a, _ = forward(params, x, mode="dropout", rng=np.random.default_rng(99))
-        b, _ = forward(params, x, mode="dropout", rng=np.random.default_rng(99))
+        a, _ = one_row(params, x, mode="dropout", rng=np.random.default_rng(99))
+        b, _ = one_row(params, x, mode="dropout", rng=np.random.default_rng(99))
         assert a == b
 
     def test_dimension_mismatch_raises(self):
         params = init_params(small_arch(), seed=1)
         with pytest.raises(ShapeError):
-            forward(params, np.zeros(4))
-
-    def test_non_finite_input_raises(self):
-        params = init_params(small_arch(), seed=1)
-        with pytest.raises(InputError):
-            forward(params, np.array([0.0, np.nan, 1.0]))
+            forward_batch(params, np.zeros((1, 4)))
 
     def test_dropout_mode_requires_rng(self):
         params = init_params(small_arch(), seed=1)
         with pytest.raises(ConfigError):
-            forward(params, np.zeros(3), mode="dropout")
+            forward_batch(params, np.zeros((1, 3)), mode="dropout")
 
     def test_unknown_mode_rejected(self):
         params = init_params(small_arch(), seed=1)
         with pytest.raises(ConfigError):
-            forward(params, np.zeros(3), mode="sample")
+            forward_batch(params, np.zeros((1, 3)), mode="sample")
 
     def test_batch_agrees_with_single_rows(self):
         params = init_params(small_arch(), seed=2)
         xs = np.random.default_rng(0).normal(size=(6, 3))
         y_hat, s, _ = forward_batch(params, xs)
         for i, row in enumerate(xs):
-            pred, _ = forward(params, row)
+            pred, _ = one_row(params, row)
             assert pred.y_hat == pytest.approx(y_hat[i], abs=1e-12)
             assert pred.s == pytest.approx(s[i], abs=1e-12)
 
@@ -276,7 +276,7 @@ class TestForward:
         params = init_params(small_arch(), seed=3)
         for arr in params.logvar_w + params.logvar_b:
             arr[...] = 50.0
-        pred, _ = forward(params, np.ones(3) * 100.0)
+        pred, _ = one_row(params, np.ones(3) * 100.0)
         assert abs(pred.s) == S_CLAMP
         assert pred.sigma2 == math.exp(pred.s)
 
@@ -284,7 +284,7 @@ class TestForward:
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=3), st.integers(0, 10))
     def test_clamp_holds_for_any_input(self, values, seed):
         params = init_params(small_arch(), seed=seed)
-        pred, _ = forward(params, np.array(values))
+        pred, _ = one_row(params, np.array(values))
         assert -S_CLAMP <= pred.s <= S_CLAMP
         assert math.exp(-S_CLAMP) <= pred.sigma2 <= math.exp(S_CLAMP)
 
@@ -309,13 +309,19 @@ class TestDropoutMask:
         assert rng_a.random() == rng_b.random()
 
 
+def nll_one_row(pred, y):
+    """nll_loss_batch on one prediction: (value, d_y_hat, d_s) as floats."""
+    out = nll_loss_batch(np.array([pred.y_hat]), np.array([pred.s]), np.array([y]))
+    return tuple(float(a[0]) for a in out)
+
+
 def loss_through_network(params, x, y):
-    pred, _ = forward(params, x)
-    return nll_loss(pred, y).value
+    pred, _ = one_row(params, x)
+    return nll_one_row(pred, y)[0]
 
 
 def finite_difference_grads(params, x, y, step=1e-5):
-    """Central differences of nll_loss(forward(x)) for every parameter."""
+    """Central differences of the NLL of a one-row forward pass for every parameter."""
     grads = []
     for arr in param_arrays(params):
         g = np.zeros_like(arr)
@@ -333,25 +339,29 @@ def finite_difference_grads(params, x, y, step=1e-5):
     return grads
 
 
+def one_row_grads(cache, params, d_y_hat, d_s):
+    """backward_batch for a one-row cache, as a list of parameter arrays."""
+    return param_arrays(backward_batch(cache, params, np.array([d_y_hat]), np.array([d_s])))
+
+
 def analytic_grads(params, x, y):
-    pred, cache = forward(params, x)
-    loss = nll_loss(pred, y)
-    return param_arrays(backward(cache, params, loss.d_y_hat, loss.d_s))
+    pred, cache = one_row(params, x)
+    _, d_y_hat, d_s = nll_one_row(pred, y)
+    return one_row_grads(cache, params, d_y_hat, d_s)
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         params = init_params(small_arch(), seed=4)
-        _, cache = forward(params, np.ones(3))
-        grads = backward(cache, params, 0.0, 0.0)
-        for g in param_arrays(grads):
+        _, cache = one_row(params, np.ones(3))
+        for g in one_row_grads(cache, params, 0.0, 0.0):
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_linearity_in_upstream_gradient(self):
         params = init_params(small_arch(), seed=4)
-        _, cache = forward(params, np.array([0.5, -0.25, 1.5]))
-        once = param_arrays(backward(cache, params, 0.7, 0.0))
-        twice = param_arrays(backward(cache, params, 1.4, 0.0))
+        _, cache = one_row(params, np.array([0.5, -0.25, 1.5]))
+        once = one_row_grads(cache, params, 0.7, 0.0)
+        twice = one_row_grads(cache, params, 1.4, 0.0)
         for g1, g2 in zip(once, twice):
             np.testing.assert_array_equal(2.0 * g1, g2)
 
@@ -378,9 +388,9 @@ class TestBackward:
     def test_gradients_with_dropout_masks_replayed(self):
         params = init_params(small_arch(), seed=12)
         x = np.array([0.4, -1.1, 0.9])
-        pred, cache = forward(params, x, mode="dropout", rng=np.random.default_rng(3))
-        loss = nll_loss(pred, 2.3)
-        analytic = param_arrays(backward(cache, params, loss.d_y_hat, loss.d_s))
+        pred, cache = one_row(params, x, mode="dropout", rng=np.random.default_rng(3))
+        _, d_y_hat, d_s = nll_one_row(pred, 2.3)
+        analytic = one_row_grads(cache, params, d_y_hat, d_s)
         assert any(np.any(g != 0.0) for g in analytic)
 
     def test_batch_gradient_is_sum_of_per_sample_gradients(self):
@@ -393,8 +403,8 @@ class TestBackward:
         batch = param_arrays(backward_batch(cache, params, d_y, d_s))
         summed = None
         for i in range(3):
-            _, c = forward(params, xs[i])
-            g = param_arrays(backward(c, params, float(d_y[i]), float(d_s[i])))
+            _, c = one_row(params, xs[i])
+            g = one_row_grads(c, params, float(d_y[i]), float(d_s[i]))
             summed = g if summed is None else [a + b for a, b in zip(summed, g)]
         for got, want in zip(batch, summed):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
@@ -409,7 +419,7 @@ class TestBackward:
         params = init_params(small_arch(), seed=3)
         for arr in params.logvar_w + params.logvar_b:
             arr[...] = 50.0
-        _, cache = forward(params, np.ones(3) * 100.0)
-        grads = backward(cache, params, 0.0, 1.0)
+        _, _, cache = forward_batch(params, np.ones((1, 3)) * 100.0)
+        grads = backward_batch(cache, params, np.zeros(1), np.ones(1))
         for g in grads.logvar_w + grads.logvar_b:
             np.testing.assert_array_equal(g, np.zeros_like(g))

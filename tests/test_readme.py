@@ -1,4 +1,4 @@
-"""The README's CLI walkthrough runs as written."""
+"""The README's CLI walkthrough and its library example run as written."""
 
 from __future__ import annotations
 
@@ -13,11 +13,16 @@ import mosuq
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def code_blocks(heading: str, language: str) -> list[str]:
+    """The code blocks of one language in a "## " section, in order."""
+    text = README.read_text()
+    section = text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", section, flags=re.S)
+
+
 def walkthrough_blocks() -> list[str]:
     """The bash blocks of the "CLI walkthrough" section, in order."""
-    text = README.read_text()
-    section = text.split("## CLI walkthrough", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"```bash\n(.*?)```", section, flags=re.S)
+    return code_blocks("CLI walkthrough", "bash")
 
 
 def test_walkthrough_has_every_command():
@@ -48,3 +53,13 @@ def test_walkthrough_runs_verbatim(tmp_path):
             capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, f"{block}\n{proc.stderr}"
+
+
+def test_library_example_runs_verbatim(capsys):
+    """The "Library use" block runs as one script and prints the MC mean and
+    the epistemic variance of its first test row."""
+    (block,) = code_blocks("Library use", "python")
+    exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})
+    y_mean, epi_dist_var = (float(v) for v in capsys.readouterr().out.split())
+    assert 1.0 < y_mean < 5.0
+    assert epi_dist_var > 0.0

@@ -84,7 +84,7 @@ class TestTrainConfig:
 class TestTrainValidation:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
-            train(Dataset(()), small_arch(), quick_cfg())
+            train(Dataset.from_samples(()), small_arch(), quick_cfg())
 
     def test_batch_size_larger_than_dataset_rejected(self):
         with pytest.raises(ConfigError):
@@ -103,7 +103,7 @@ class TestTrainValidation:
             train(small_dataset(), small_arch(), quick_cfg(), val_dataset=wide)
 
     def test_non_finite_labels_rejected(self):
-        bad = Dataset(
+        bad = Dataset.from_samples(
             (
                 Sample(id="a", system_id="s", features=np.zeros(3), y=float("nan")),
                 Sample(id="b", system_id="s", features=np.ones(3), y=3.0),
@@ -114,12 +114,12 @@ class TestTrainValidation:
 
     @staticmethod
     def with_nan_feature(dataset):
-        first = dataset.samples[0]
+        first = dataset[0]
         bad = Sample(
             id=first.id, system_id=first.system_id,
             features=np.array([0.0, np.nan, 1.0]), y=first.y,
         )
-        return Dataset((bad,) + tuple(dataset.samples[1:]))
+        return Dataset.from_samples([bad, *list(dataset)[1:]])
 
     @staticmethod
     def forbid_steps(monkeypatch):
