@@ -2,34 +2,38 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import errno
-import io
 import json
 import os
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
 __all__ = ["atomic_write_text", "canonical_json", "write_csv"]
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory plus rename, so readers
-    never observe a half-written file.
+@contextlib.contextmanager
+def _atomic_file(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write path through, so readers never observe a
+    half-written file.
 
-    The temp file is flushed and fsynced before the rename, and the
-    directory after it, so a crash leaves either the old file or the whole
-    new one on disk.
+    The block writes a temp file in the target directory. When it exits
+    cleanly the file is flushed and fsynced, renamed onto path, and the
+    directory fsynced after the rename, so a crash leaves either the old
+    file or the whole new one on disk. When it raises, the temp file is
+    removed and path is left as it was.
     """
     path = Path(path)
     directory = path.parent or Path(".")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -40,19 +44,25 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     _fsync_directory(directory)
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to path atomically and durably (see _atomic_file)."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
     """Write a header and rows atomically through `csv.writer`, so a cell
     holding a comma, quote or newline is quoted and reads back intact.
 
-    Floats are written with repr (csv stringifies Python and numpy float64
-    values alike that way), so they round-trip exactly; None becomes an
-    empty field.
+    Rows stream into the temp file one at a time, so the whole text is never
+    held in memory. Floats are written with repr (csv stringifies Python and
+    numpy float64 values alike that way), so they round-trip exactly; None
+    becomes an empty field.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fsync_directory(directory: Path) -> None:

@@ -9,9 +9,12 @@ perturbs the heads.
 All learnable arrays live in one contiguous float64 vector,
 ``ModelParams.flat``. One layout table, ``param_layout(arch)``, gives each
 array's group, shape and span in that vector, and ``trunk_w`` ...
-``logvar_b`` are views into it. ``backward_batch`` writes its gradients into
-one fresh flat vector of the same layout (returned as a ModelParams), so an
-optimizer updates every parameter with a few whole-vector operations.
+``logvar_b`` are views into it. Each head layer keeps its score and
+log-variance arrays side by side, so ``head_w`` and ``head_b`` view both
+heads as one ``(2, ...)`` stack and each head layer is one ``np.matmul``.
+``backward_batch`` writes its gradients into a flat vector of the same
+layout (a ModelParams, fresh or reused), so an optimizer updates every
+parameter with a few whole-vector operations.
 
 Everything else is plain and explicit: randomness enters only through
 generators passed by the caller, and gradients are computed by replaying the
@@ -63,7 +66,7 @@ S_CLAMP = 10.0
 
 MODES = ("deterministic", "dropout")
 
-# Parameter groups in flat-vector order; within a group, layers in order.
+# Parameter groups; within a group, layers in order.
 GROUPS = ("trunk_w", "trunk_b", "score_w", "score_b", "logvar_w", "logvar_b")
 
 
@@ -113,20 +116,21 @@ class Slot(NamedTuple):
 def param_layout(arch: ArchConfig) -> tuple[Slot, ...]:
     """Every learnable array of the architecture, in flat-vector order.
 
-    Weight matrices are (fan_out, fan_in). The order is GROUPS: trunk
-    weights, trunk biases, then score head and log-variance head weights and
-    biases, layers in order within each group.
+    Weight matrices are (fan_out, fan_in). The order is trunk weights, then
+    trunk biases, layers in order; then, for each head layer in turn, the
+    score head weight, the log-variance head weight, the score head bias and
+    the log-variance head bias. Each head layer's two weights, and its two
+    biases, are therefore one contiguous block.
     """
     widths = (arch.input_dim, *arch.trunk_dims)
-    head_w = [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]
-    head_b = [(arch.head_hidden_dim,), (1,)]
-    trunk_w = list(zip(widths[1:], widths[:-1]))
-    trunk_b = [(w,) for w in arch.trunk_dims]
+    entries = [("trunk_w", shape) for shape in zip(widths[1:], widths[:-1])]
+    entries += [("trunk_b", (w,)) for w in arch.trunk_dims]
+    for w in ((arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)):
+        entries += [("score_w", w), ("logvar_w", w), ("score_b", w[:1]), ("logvar_b", w[:1])]
     slots, start = [], 0
-    for group, shapes in zip(GROUPS, (trunk_w, trunk_b, head_w, head_b, head_w, head_b)):
-        for shape in shapes:
-            slots.append(Slot(group, shape, start, start + math.prod(shape)))
-            start = slots[-1].stop
+    for group, shape in entries:
+        slots.append(Slot(group, shape, start, start + math.prod(shape)))
+        start = slots[-1].stop
     return tuple(slots)
 
 
@@ -137,7 +141,9 @@ class ModelParams:
     Treat instances as immutable once published. Layer l computes
     a_out = act(W @ a_in + b). Each head holds exactly two layers: index 0
     maps the (dropped-out) trunk output to the head hidden layer, index 1
-    maps the head hidden layer to the scalar output. Gradients from
+    maps the head hidden layer to the scalar output. head_w[l] and head_b[l]
+    view layer l of both heads at once, score head first: weights as
+    (2, fan_out, fan_in), biases as (2, 1, fan_out). Gradients from
     backward_batch use the same class and layout.
     """
 
@@ -150,6 +156,8 @@ class ModelParams:
     score_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
     logvar_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
     logvar_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    head_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    head_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layout = param_layout(self.arch)
@@ -159,10 +167,16 @@ class ModelParams:
                 f"expected a contiguous float64 vector of {size} parameters, "
                 f"got {flat.dtype} array of shape {flat.shape}"
             )
-        for group in GROUPS:
+        for group in (*GROUPS, "head_w", "head_b"):
             object.__setattr__(self, group, [])
         for slot in layout:
             getattr(self, slot.group).append(flat[slot.start : slot.stop].reshape(slot.shape))
+            # The log-variance twin of a score head array follows it at once.
+            pair = flat[slot.start : 2 * slot.stop - slot.start]
+            if slot.group == "score_w":
+                self.head_w.append(pair.reshape(2, *slot.shape))
+            elif slot.group == "score_b":
+                self.head_b.append(pair.reshape(2, 1, -1))
 
     def __deepcopy__(self, memo) -> ModelParams:
         return ModelParams(self.arch, self.flat.copy(), self.rng_seed_used)
@@ -244,19 +258,6 @@ def _check_features(arch: ArchConfig, x: np.ndarray) -> None:
         raise InputError("features contain non-finite values")
 
 
-def _head_forward(
-    h: np.ndarray,
-    w: list[np.ndarray],
-    b: list[np.ndarray],
-    kind: str,
-    mask: np.ndarray | None,
-) -> tuple[np.ndarray, tuple]:
-    """(head output, (mask, head input, hidden activations)) for a batch."""
-    h_in = h if mask is None else h * mask
-    hidden = _activate(h_in @ w[0].T + b[0], kind)
-    return (hidden @ w[1].T + b[1])[:, 0], (mask, h_in, hidden)
-
-
 def forward_batch(
     params: ModelParams,
     x: np.ndarray,
@@ -290,37 +291,20 @@ def forward_batch(
         a = _activate(a @ w.T + b, arch.activation)
         trunk_post.append(a)
 
-    # At p = 0 a mask would be all ones, and multiplying by one is exact.
-    masks = (
-        dropout_mask(rng, (2, *a.shape), p) if mode == "dropout" and p > 0.0 else (None, None)
-    )
-    y_hat, score = _head_forward(a, params.score_w, params.score_b, arch.activation, masks[0])
-    s_raw, logvar = _head_forward(a, params.logvar_w, params.logvar_b, arch.activation, masks[1])
-    return y_hat, np.clip(s_raw, -S_CLAMP, S_CLAMP), (x, trunk_post, score, logvar, s_raw)
-
-
-def _head_backward(
-    head: tuple,
-    w: list[np.ndarray],
-    d_w: list[np.ndarray],
-    d_b: list[np.ndarray],
-    d_out: np.ndarray,
-    kind: str,
-) -> np.ndarray:
-    """Backprop a head given d(loss)/d(head output) of shape (B,).
-
-    Writes the head's weight and bias gradients into d_w and d_b and
-    returns d(loss)/d(trunk output).
-    """
-    mask, h_in, hidden = head
-    do = d_out[:, None]
-    np.matmul(do.T, hidden, out=d_w[1])
-    np.add.reduce(do, axis=0, out=d_b[1])
-    d_hidden = (do @ w[1]) * _activate_grad(hidden, kind)
-    np.matmul(d_hidden.T, h_in, out=d_w[0])
-    np.add.reduce(d_hidden, axis=0, out=d_b[0])
-    d_h = d_hidden @ w[0]
-    return d_h if mask is None else d_h * mask
+    # Both heads at once, as (2, B, .) stacks. At p = 0 a mask would be all
+    # ones, and multiplying by one is exact, so the heads share the trunk
+    # output without a copy.
+    if mode == "dropout" and p > 0.0:
+        mask = dropout_mask(rng, (2, *a.shape), p)
+        h_in = a * mask
+    else:
+        mask, h_in = None, np.broadcast_to(a, (2, *a.shape))
+    w, b = params.head_w, params.head_b
+    hidden = _activate(np.matmul(h_in, w[0].transpose(0, 2, 1)) + b[0], arch.activation)
+    out = np.matmul(hidden, w[1].transpose(0, 2, 1)) + b[1]
+    s_raw = out[1, :, 0]
+    s = np.minimum(np.maximum(s_raw, -S_CLAMP), S_CLAMP)
+    return out[0, :, 0], s, (x, trunk_post, mask, h_in, hidden, s_raw)
 
 
 def backward_batch(
@@ -328,17 +312,19 @@ def backward_batch(
     params: ModelParams,
     d_y_hat: np.ndarray,
     d_s: np.ndarray,
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """Parameter gradients for a cached batch forward pass.
 
     d_y_hat and d_s are (batch,) upstream derivatives of a scalar loss with
     respect to the two outputs. Where the log-variance clamp was active the
     incoming d_s is zeroed, matching the piecewise-constant clamp. The
-    gradients come back as a ModelParams over one new flat vector.
+    gradients are written into out, which every call overwrites entirely,
+    or into a new ModelParams when out is None; either is returned.
     """
-    x, trunk_post, score, logvar, s_raw = cache
+    x, trunk_post, mask, h_in, hidden, s_raw = cache
     arch = params.arch
-    if x.shape[1] != arch.input_dim or score[1].shape[1] != arch.trunk_output_dim:
+    if x.shape[1] != arch.input_dim or h_in.shape[2] != arch.trunk_output_dim:
         raise ShapeError("forward cache does not match the supplied parameters")
     d_y_hat = np.asarray(d_y_hat, dtype=float)
     d_s = np.asarray(d_s, dtype=float)
@@ -347,16 +333,29 @@ def backward_batch(
             f"upstream gradients must have shape ({len(x)},), "
             f"got {d_y_hat.shape} and {d_s.shape}"
         )
+    if out is None:
+        out = ModelParams(arch, np.empty_like(params.flat), params.rng_seed_used)
+    elif out.arch != arch:
+        raise ShapeError("gradient buffer does not match the supplied parameters")
 
-    grads = ModelParams(arch, np.empty_like(params.flat), params.rng_seed_used)
     kind = arch.activation
-    d_s_eff = d_s * (np.abs(s_raw) < S_CLAMP)
-    d_a = _head_backward(score, params.score_w, grads.score_w, grads.score_b, d_y_hat, kind)
-    d_a += _head_backward(logvar, params.logvar_w, grads.logvar_w, grads.logvar_b, d_s_eff, kind)
+    w, d_w, d_b = params.head_w, out.head_w, out.head_b
+    d_out = np.empty((2, len(x), 1))
+    d_out[0, :, 0] = d_y_hat
+    np.multiply(d_s, np.abs(s_raw) < S_CLAMP, out=d_out[1, :, 0])
+    np.matmul(d_out.transpose(0, 2, 1), hidden, out=d_w[1])
+    np.add.reduce(d_out, axis=1, keepdims=True, out=d_b[1])
+    d_hidden = np.matmul(d_out, w[1]) * _activate_grad(hidden, kind)
+    np.matmul(d_hidden.transpose(0, 2, 1), h_in, out=d_w[0])
+    np.add.reduce(d_hidden, axis=1, keepdims=True, out=d_b[0])
+    d_h = np.matmul(d_hidden, w[0])
+    if mask is not None:
+        d_h *= mask
+    d_a = d_h[0] + d_h[1]
     for l in range(len(trunk_post) - 1, -1, -1):
         d_z = d_a * _activate_grad(trunk_post[l], kind)
-        np.matmul(d_z.T, trunk_post[l - 1] if l > 0 else x, out=grads.trunk_w[l])
-        np.add.reduce(d_z, axis=0, out=grads.trunk_b[l])
+        np.matmul(d_z.T, trunk_post[l - 1] if l > 0 else x, out=out.trunk_w[l])
+        np.add.reduce(d_z, axis=0, out=out.trunk_b[l])
         if l > 0:
             d_a = d_z @ params.trunk_w[l]
-    return grads
+    return out

@@ -176,6 +176,8 @@ def train(
         _check_features(arch, x_val)
 
     params = init_params(arch, cfg.seed)
+    # One gradient buffer for the whole run: every backward pass overwrites it.
+    grads = ModelParams(arch, np.empty_like(params.flat), params.rng_seed_used)
     optimizer = (_Adam if cfg.optimizer == "adam" else _SGD)(params.flat, cfg.learning_rate)
     loss_batch = nll_loss_batch if cfg.loss == "nll" else mse_loss_batch
 
@@ -200,7 +202,7 @@ def train(
                 raise TrainingDivergedError(epoch)
             epoch_loss_sum += batch_sum
             # Batch loss is a mean, so upstream derivatives carry the 1/B.
-            grads = backward_batch(cache, params, d_y_hat / len(xb), d_s / len(xb))
+            backward_batch(cache, params, d_y_hat / len(xb), d_s / len(xb), out=grads)
             optimizer.step(grads.flat)
         train_curve.append(epoch_loss_sum / n)
 
@@ -282,8 +284,26 @@ def _group_arrays(doc: dict, group: str) -> list[np.ndarray]:
         ) from None
 
 
+def _number(value, integral: bool = False) -> float | int:
+    """A JSON number as a float, or as an int when integral is set.
+
+    Raises ValueError for anything else, bools included, and for a number
+    with a fractional part where an integer is asked for.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
-    """Load a checkpoint, returning (params, calibration_r or None)."""
+    """Load a checkpoint, returning (params, calibration_r or None).
+
+    Any malformed field raises CheckpointError, naming the file.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -309,39 +329,49 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
 
     try:
         arch = ArchConfig(
-            input_dim=int(doc["arch"]["input_dim"]),
-            trunk_dims=tuple(int(w) for w in doc["arch"]["trunk_dims"]),
-            head_hidden_dim=int(doc["arch"]["head_hidden_dim"]),
-            dropout_p=float(doc["arch"]["dropout_p"]),
+            input_dim=_number(doc["arch"]["input_dim"], integral=True),
+            trunk_dims=tuple(_number(w, integral=True) for w in doc["arch"]["trunk_dims"]),
+            head_hidden_dim=_number(doc["arch"]["head_hidden_dim"], integral=True),
+            dropout_p=_number(doc["arch"]["dropout_p"]),
             activation=str(doc["arch"]["activation"]),
         )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid arch section: {exc}") from None
+    try:
+        rng_seed_used = _number(doc["rng_seed_used"], integral=True)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid rng_seed_used: {exc}") from None
 
     try:
-        arrays = [a for group in GROUPS for a in _group_arrays(doc, group)]
-        rng_seed_used = int(doc["rng_seed_used"])
+        arrays = {group: _group_arrays(doc, group) for group in GROUPS}
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed weights/biases: {exc}") from None
-
-    expected = [slot.shape for slot in param_layout(arch)]
-    actual = [a.shape for a in arrays]
+    layout = param_layout(arch)
+    expected = [s.shape for group in GROUPS for s in layout if s.group == group]
+    actual = [a.shape for group in GROUPS for a in arrays[group]]
     if actual != expected:
         raise CheckpointError(
             f"{path}: weight shapes {actual} do not match arch (expected {expected})"
         )
-    flat = np.concatenate([a.ravel() for a in arrays])
-    if not np.all(np.isfinite(flat)):
+    # The flat layout interleaves the groups, so each view takes its own array.
+    params = ModelParams(arch, np.empty(layout[-1].stop), rng_seed_used)
+    for group in GROUPS:
+        for view, a in zip(getattr(params, group), arrays[group]):
+            view[...] = a
+    if not np.all(np.isfinite(params.flat)):
         raise CheckpointError(f"{path}: checkpoint contains non-finite values")
 
     calibration_r = doc.get("calibration_r")
     if calibration_r is not None:
-        calibration_r = float(calibration_r)
+        try:
+            calibration_r = _number(calibration_r)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: invalid calibration_r: {exc}") from None
         if not (math.isfinite(calibration_r) and calibration_r > 0.0):
             raise CheckpointError(
                 f"{path}: calibration_r must be positive and finite, got {calibration_r}"
             )
-    return ModelParams(arch, flat, rng_seed_used), calibration_r
+    return params, calibration_r
 
 
 def save_history_csv(history: TrainHistory, path: str | Path) -> None:

@@ -287,6 +287,22 @@ class TestCalibrate:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [("rng_seed_used", "abc"), ("calibration_r", "x")])
+    def test_malformed_checkpoint_field_exits_2(self, workspace, tmp_path, capsys, key, value):
+        doc = json.loads((workspace / "cal.json").read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        code = main([
+            "evaluate", "--checkpoint", str(bad),
+            "--data", str(workspace / "base.test.csv"), "--report", str(report),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err and "Traceback" not in err
+        assert not report.exists()
+
 
 class TestEvaluate:
     def run_eval(self, workspace, report, extra=()):

@@ -127,3 +127,18 @@ class TestWriteCsv:
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         write_csv(path, ["v", "w"], [[x, np.float64(x)]])
         assert path.read_text() == f"v,w\n{x!r},{x!r}\n"
+
+    def test_a_failing_rows_iterator_leaves_neither_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        seen = []
+
+        def rows():
+            yield [1, 2.5]
+            # Rows are written while the temp file is open.
+            seen.extend(p for p in os.listdir(tmp_path) if p.startswith(".t.csv."))
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(path, ["a", "b"], rows())
+        assert len(seen) == 1
+        assert os.listdir(tmp_path) == []

@@ -129,15 +129,14 @@ class TestFlatLayout:
         flat = params.flat
         assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
         widths = (arch.input_dim, *arch.trunk_dims)
-        head_w = [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]
-        head_b = [(arch.head_hidden_dim,), (1,)]
-        documented = (
-            [(w, f) for w, f in zip(widths[1:], widths[:-1])]
-            + [(w,) for w in arch.trunk_dims]
-            + head_w + head_b + head_w + head_b
-        )
+        documented = [("trunk_w", (w, f)) for w, f in zip(widths[1:], widths[:-1])]
+        documented += [("trunk_b", (w,)) for w in arch.trunk_dims]
+        for w in [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]:
+            b = w[:1]
+            documented += [("score_w", w), ("logvar_w", w), ("score_b", b), ("logvar_b", b)]
+        assert [(s.group, s.shape) for s in param_layout(arch)] == documented
         arrays = param_arrays(params)
-        assert [a.shape for a in arrays] == documented
+        assert [a.shape for a in arrays] == [shape for _, shape in documented]
         offset = 0
         for a in arrays:
             assert a.base is flat
@@ -149,11 +148,29 @@ class TestFlatLayout:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_named_groups_are_the_same_views(self, arch):
         params = init_params(arch, seed=0)
-        by_group = [a for group in GROUPS for a in getattr(params, group)]
-        assert [address(a) for a in by_group] == [address(a) for a in param_arrays(params)]
-        assert [s.group for s in param_layout(arch)] == [
-            group for group in GROUPS for _ in getattr(params, group)
+        layout = param_layout(arch)
+        for group in GROUPS:
+            assert [address(a) for a in getattr(params, group)] == [
+                address(params.flat) + 8 * s.start for s in layout if s.group == group
+            ]
+        assert sorted(address(a) for group in GROUPS for a in getattr(params, group)) == [
+            address(a) for a in param_arrays(params)
         ]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_stacked_head_views_cover_both_heads_score_first(self, arch):
+        params = init_params(arch, seed=0)
+        assert len(params.head_w) == len(params.head_b) == 2
+        for l in range(2):
+            w, b = params.head_w[l], params.head_b[l]
+            assert w.base is params.flat and b.base is params.flat
+            assert w.shape == (2, *params.score_w[l].shape)
+            assert b.shape == (2, 1, params.score_b[l].size)
+            assert address(w) == address(params.score_w[l])
+            assert address(w[1]) == address(params.logvar_w[l])
+            assert address(b) == address(params.score_b[l])
+            assert address(b[1]) == address(params.logvar_b[l])
+            assert np.array_equal(w, np.stack([params.score_w[l], params.logvar_w[l]]))
 
     def test_writes_through_a_view_reach_the_flat_vector(self):
         params = init_params(small_arch(), seed=0)
@@ -423,3 +440,104 @@ class TestBackward:
         grads = backward_batch(cache, params, np.zeros(1), np.ones(1))
         for g in grads.logvar_w + grads.logvar_b:
             np.testing.assert_array_equal(g, np.zeros_like(g))
+
+
+def per_head_reference(params, x, mode, rng, d_y_hat, d_s):
+    """The network run one head at a time with 2-d matmuls, as a plain oracle
+    for the stacked heads: (y_hat, s, gradients by group)."""
+    arch = params.arch
+    if arch.activation == "tanh":
+        act, act_grad = np.tanh, lambda post: 1.0 - post * post
+    else:
+        act, act_grad = (lambda z: np.maximum(z, 0.0)), (lambda post: post > 0.0)
+    a, trunk_post = x, []
+    for w, b in zip(params.trunk_w, params.trunk_b):
+        a = act(a @ w.T + b)
+        trunk_post.append(a)
+    masks = (
+        dropout_mask(rng, (2, *a.shape), arch.dropout_p) if mode == "dropout" else (None, None)
+    )
+    heads = []
+    weights, biases = (params.score_w, params.logvar_w), (params.score_b, params.logvar_b)
+    for mask, w, b in zip(masks, weights, biases):
+        h_in = a if mask is None else a * mask
+        hidden = act(h_in @ w[0].T + b[0])
+        heads.append(((hidden @ w[1].T + b[1])[:, 0], mask, h_in, hidden, w))
+    y_hat, s_raw = heads[0][0], heads[1][0]
+
+    grads = {group: [] for group in GROUPS}
+    d_h = []
+    d_outs = (d_y_hat, d_s * (np.abs(s_raw) < S_CLAMP))
+    for (_, mask, h_in, hidden, w), d_out, name in zip(heads, d_outs, ("score", "logvar")):
+        do = d_out[:, None]
+        d_hidden = (do @ w[1]) * act_grad(hidden)
+        grads[f"{name}_w"] += [d_hidden.T @ h_in, do.T @ hidden]
+        grads[f"{name}_b"] += [d_hidden.sum(axis=0), do.sum(axis=0)]
+        d = d_hidden @ w[0]
+        d_h.append(d if mask is None else d * mask)
+    d_a = d_h[0] + d_h[1]
+    trunk_w, trunk_b = [], []
+    for l in range(len(trunk_post) - 1, -1, -1):
+        d_z = d_a * act_grad(trunk_post[l])
+        trunk_w.insert(0, d_z.T @ (trunk_post[l - 1] if l > 0 else x))
+        trunk_b.insert(0, d_z.sum(axis=0))
+        if l > 0:
+            d_a = d_z @ params.trunk_w[l]
+    grads["trunk_w"], grads["trunk_b"] = trunk_w, trunk_b
+    return y_hat, np.clip(s_raw, -S_CLAMP, S_CLAMP), grads
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedHeads:
+    """forward_batch and backward_batch run both heads as one (2, B, .) stack.
+    On the running BLAS that must give the per-head results bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 8, 300])
+    @pytest.mark.parametrize("trunk_dims", [(), (5,), (6, 4)])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("mode", ["deterministic", "dropout"])
+    def test_stacked_equals_per_head_bit_for_bit(self, mode, activation, trunk_dims, batch):
+        arch = small_arch(trunk_dims=trunk_dims, head_hidden_dim=6, activation=activation)
+        params = init_params(arch, seed=4)
+        data = np.random.default_rng(batch)
+        # Non-zero biases, and some outputs beyond the clamp.
+        params.flat[...] += data.normal(scale=0.5, size=params.flat.size)
+        params.logvar_b[1][...] = 9.0
+        x = data.normal(scale=2.0, size=(batch, 3))
+        d_y_hat, d_s = data.normal(size=batch), data.normal(size=batch)
+
+        y_hat, s, cache = forward_batch(params, x, mode=mode, rng=np.random.default_rng(7))
+        grads = backward_batch(cache, params, d_y_hat, d_s)
+        want_y, want_s, want = per_head_reference(
+            params, x, mode, np.random.default_rng(7), d_y_hat, d_s
+        )
+        assert same_bits(y_hat, want_y)
+        assert same_bits(s, want_s)
+        for group in GROUPS:
+            got = getattr(grads, group)
+            assert len(got) == len(want[group])
+            for g, w in zip(got, want[group]):
+                assert same_bits(g, w), group
+
+    @pytest.mark.parametrize("trunk_dims", [(), (6, 4)])
+    @pytest.mark.parametrize("mode", ["deterministic", "dropout"])
+    def test_reused_buffer_is_overwritten_entirely(self, mode, trunk_dims):
+        params = init_params(small_arch(trunk_dims=trunk_dims), seed=2)
+        data = np.random.default_rng(3)
+        x = data.normal(size=(9, 3))
+        _, _, cache = forward_batch(params, x, mode=mode, rng=np.random.default_rng(1))
+        d_y_hat, d_s = data.normal(size=9), data.normal(size=9)
+        buffer = ModelParams(params.arch, np.full(params.flat.size, np.nan), 0)
+        got = backward_batch(cache, params, d_y_hat, d_s, out=buffer)
+        assert got is buffer
+        assert same_bits(buffer.flat, backward_batch(cache, params, d_y_hat, d_s).flat)
+
+    def test_buffer_of_another_arch_rejected(self):
+        params = init_params(small_arch(), seed=2)
+        _, _, cache = forward_batch(params, np.ones((2, 3)))
+        other = init_params(small_arch(head_hidden_dim=5), seed=2)
+        with pytest.raises(ShapeError):
+            backward_batch(cache, params, np.ones(2), np.ones(2), out=other)

@@ -355,6 +355,54 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="object"):
             load_checkpoint(path)
 
+    def edited(self, tmp_path, section, key, value):
+        """A saved checkpoint with doc[section][key] (or doc[key] when
+        section is None) replaced by value."""
+        path = tmp_path / "ck.json"
+        save_checkpoint(self.make_params(), path, calibration_r=1.25)
+        doc = json.loads(path.read_text())
+        (doc if section is None else doc[section])[key] = value
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "rng_seed_used", "abc"),
+        (None, "rng_seed_used", 1.5),
+        (None, "rng_seed_used", True),
+        (None, "rng_seed_used", None),
+        (None, "calibration_r", "x"),
+        (None, "calibration_r", True),
+        ("arch", "input_dim", 2.7),
+        ("arch", "input_dim", "3"),
+        ("arch", "head_hidden_dim", True),
+        ("arch", "trunk_dims", [4.5]),
+        ("arch", "trunk_dims", "4"),
+        ("arch", "dropout_p", "0.4"),
+    ])
+    def test_malformed_field_raises_checkpoint_error_naming_it(
+        self, tmp_path, section, key, value
+    ):
+        path = self.edited(tmp_path, section, key, value)
+        what = "arch section" if section else key
+        with pytest.raises(CheckpointError, match=f"invalid {what}") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_integral_float_fields_load_as_integers(self, tmp_path):
+        path = self.edited(tmp_path, "arch", "input_dim", 3.0)
+        params, _ = load_checkpoint(path)
+        assert params.arch.input_dim == 3 and isinstance(params.arch.input_dim, int)
+
+    def test_every_group_lands_in_its_own_views(self, tmp_path):
+        """The flat layout interleaves the two heads, so loading must fill each
+        view from its own group rather than concatenate the groups."""
+        params = init_params(ArchConfig(input_dim=3, trunk_dims=(5, 4), head_hidden_dim=2), 3)
+        params.flat[...] = np.arange(params.flat.size, dtype=float)
+        path = tmp_path / "ck.json"
+        save_checkpoint(params, path)
+        loaded, _ = load_checkpoint(path)
+        assert np.array_equal(loaded.flat, params.flat)
+
 
 class TestPredictBatch:
     def test_shapes(self):
