@@ -4,10 +4,10 @@ A single multiplier r is fitted on held-out data so that r^2 * sigma_hat^2
 matches the observed squared residuals on average: r^2 is the mean of
 (y - y_hat)^2 / sigma_hat^2, which is exactly the minimiser of the Gaussian
 NLL over the family {(y_hat, r^2 sigma_hat^2)}. Callers apply the scale to
-whole arrays, adding 2 log r to the log-variances or multiplying variances
-by variance_multiplier. Either way point predictions are untouched, so
-rank-based and squared-error metrics are bit-identical before and after
-calibration.
+whole arrays, adding 2 log r to the log-variances (shift_log_variance) or
+multiplying variances by variance_multiplier. Either way point predictions
+are untouched, so rank-based and squared-error metrics are bit-identical
+before and after calibration.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ class CalibrationScale:
     @property
     def variance_multiplier(self) -> float:
         return self.r * self.r
+
+    def shift_log_variance(self, s):
+        """Log-variances under this scale, s + 2 log r, for a float or an array."""
+        return s + 2.0 * math.log(self.r)
 
 
 def fit_scale(

@@ -398,15 +398,20 @@ def _cmd_train(cfg: SimpleNamespace) -> int:
     return 0
 
 
+def _load_model(path: Path):
+    params, r = load_checkpoint(path)
+    return params, (CalibrationScale.from_r(r) if r is not None else None)
+
+
 def _cmd_calibrate(cfg: SimpleNamespace) -> int:
-    params, existing_r = load_checkpoint(cfg.checkpoint)
+    params, existing = _load_model(cfg.checkpoint)
     dataset = load_dataset_csv(cfg.data)
     y_hat, s = predict_batch(params, dataset.features())
-    if existing_r is not None:
-        s = s + 2.0 * math.log(existing_r)
+    if existing is not None:
+        s = existing.shift_log_variance(s)
     preds = [HeteroPrediction(float(y), float(si)) for y, si in zip(y_hat, s)]
     scale = fit_scale(preds, dataset.labels())
-    composite = (existing_r if existing_r is not None else 1.0) * scale.r
+    composite = (existing.r if existing is not None else 1.0) * scale.r
     save_checkpoint(params, cfg.out, calibration_r=composite)
     _record_config("calibrate", cfg.out, cfg)
     print(
@@ -414,11 +419,6 @@ def _cmd_calibrate(cfg: SimpleNamespace) -> int:
         f"stored calibration_r={composite:.6f} in {cfg.out}"
     )
     return 0
-
-
-def _load_model(path: Path):
-    params, r = load_checkpoint(path)
-    return params, (CalibrationScale.from_r(r) if r is not None else None)
 
 
 def _cmd_evaluate(cfg: SimpleNamespace) -> int:
@@ -435,7 +435,7 @@ def _cmd_evaluate(cfg: SimpleNamespace) -> int:
     dataset = load_dataset_csv(cfg.data)
     y_det, s_det = predict_batch(params, dataset.features())
     if scale is not None:
-        s_det = s_det + 2.0 * math.log(scale.r)
+        s_det = scale.shift_log_variance(s_det)
     if mc is None:
         var_pred = np.exp(s_det)
         y_pred = y_det

@@ -21,12 +21,19 @@ reproducible pass by pass, invariant to how many passes run before or
 after, and independent of which other rows are sampled in the same call.
 At p = 0 no bits are drawn. One kernel serves both entry points: it runs
 the deterministic trunk once per row and only the two dropout heads per
-pass, over blocks of rows that reuse one set of mask buffers. Dataset row
-keys (row_seed) are computed for all rows at once.
+pass, over blocks of rows. The heads run as one (2, rows, passes, .)
+stack, score head first, read from the stacked views head_w and head_b;
+mask scaling, bias adds, the activation, the log-variance clamp and the
+summaries each run once on the stack. Only the contractions run per head,
+as einsum without optimize, whose per-row bits do not depend on how many
+rows or passes share a call. Every block-sized buffer is made once per
+call, and each block works in leading slices of it. Dataset row keys
+(row_seed) are computed for all rows at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,9 +55,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
-# Rows per block x passes x trunk width: 64 rows at 25 passes and width 16,
-# about 0.8 MB of temporaries. Blocks of 32 to 128 rows run equally fast;
-# larger ones raise peak memory and run slower.
+# Rows per block x passes x trunk width: 64 rows at 25 passes and width 16.
+# The per-call workspace is then about 1.3 MB: two head-major uint64 hash
+# buffers (the second reused for the masked head inputs), the bool mask, the
+# two heads' hidden layers at head width 16 and the samples. Blocks of 32 to
+# 128 rows run equally fast; larger ones raise peak memory and run slower.
 _BLOCK_UNITS = 64 * 25 * 16
 
 
@@ -94,9 +103,14 @@ def variance_of(samples) -> np.ndarray | float:
     a = np.asarray(samples, dtype=float)
     if a.ndim == 0 or a.shape[-1] == 0:
         raise InputError("variance of an empty sample list is undefined")
-    mean = a.mean(axis=-1, keepdims=True)
-    var = np.mean((a - mean) ** 2, axis=-1)
-    return np.where(np.all(a == a[..., :1], axis=-1), 0.0, var)[()]
+    mean = _mean(a, keepdims=True)
+    var = _mean((a - mean) ** 2)
+    return np.where(np.logical_and.reduce(a == a[..., :1], axis=-1), 0.0, var)[()]
+
+
+def _mean(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """a.mean(axis=-1), bit for bit, without numpy's Python-level wrapper."""
+    return np.add.reduce(a, axis=-1, keepdims=keepdims) / a.shape[-1]
 
 
 def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float, work: tuple = ()) -> np.ndarray:
@@ -106,57 +120,37 @@ def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float, work: tuple 
     key k is kept when the SplitMix64 hash of k + c * 0x9E3779B97F4A7C15,
     with counter c = (2t + h) * width + u + 1, gives a uniform
     (hash >> 11) * 2^-53 >= p, tested exactly as hash >= ceil(p * 2^53) << 11
-    (the threshold is below 2^53). The mask is a view into work, from
-    _mask_workspace, when it is given, and into fresh buffers otherwise.
+    (the threshold is below 2^53). The mask is a transposed view of a
+    head-major (2, rows, passes, width) buffer: the one in work, from
+    _mask_workspace, when it is given, and a fresh one otherwise.
     """
     step, z, shifted, keep = work or _mask_workspace(len(keys), passes, width)
-    z, shifted, keep = (buf[: len(keys)] for buf in (z, shifted, keep))
-    np.add(keys[:, None, None, None], step, out=z)
+    z, shifted, keep = (buf[:, : len(keys)] for buf in (z, shifted, keep))
+    np.add(keys[:, None, None], step[:, None], out=z)
     for shift, multiplier in ((30, _MIX1), (27, _MIX2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=shifted)
         z ^= shifted
         if multiplier is not None:
             z *= multiplier
-    return np.greater_equal(z, np.uint64(math.ceil(p * 2.0**53) << 11), out=keep)
+    np.greater_equal(z, np.uint64(math.ceil(p * 2.0**53) << 11), out=keep)
+    return keep.transpose(1, 2, 0, 3)
+
+
+@functools.lru_cache(maxsize=16)
+def _counter_term(passes: int, width: int) -> np.ndarray:
+    """c * 0x9E3779B97F4A7C15 (mod 2^64) for the counters c of _keep_mask,
+    head-major as (2, passes, width); read-only, since calls share it."""
+    counter = np.arange(1, passes * 2 * width + 1, dtype=np.uint64).reshape(passes, 2, width)
+    step = np.ascontiguousarray(counter.transpose(1, 0, 2)) * _GOLDEN
+    step.flags.writeable = False
+    return step
 
 
 def _mask_workspace(rows: int, passes: int, width: int) -> tuple:
-    """The counter term of _keep_mask and its buffers for up to rows rows."""
-    counter = np.arange(1, passes * 2 * width + 1, dtype=np.uint64).reshape(passes, 2, width)
-    z, shifted = np.empty((2, rows, passes, 2, width), dtype=np.uint64)
-    return counter * _GOLDEN, z, shifted, np.empty(z.shape, dtype=bool)
-
-
-def _head(h_in: np.ndarray, w: list[np.ndarray], b: list[np.ndarray], kind: str) -> np.ndarray:
-    hidden = _activate(np.einsum("rtk,jk->rtj", h_in, w[0]) + b[0], kind)
-    return np.einsum("rtj,j->rt", hidden, w[1][0]) + b[1][0]
-
-
-def _sample_block(
-    params: ModelParams, x: np.ndarray, keys: np.ndarray, cfg: MCConfig, work: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, passes) score and clamped log-variance samples for a block.
-
-    The trunk runs once per row. Contractions are einsum without optimize:
-    unlike a BLAS matmul, their per-row bits do not depend on how many rows
-    or passes share the call.
-    """
-    kind = params.arch.activation
-    a = x
-    for w, b in zip(params.trunk_w, params.trunk_b):
-        a = _activate(np.einsum("rk,jk->rj", a, w) + b, kind)
-    h = a[:, None, :]
-    if cfg.dropout_p == 0.0:
-        # No bits are drawn: every pass is the deterministic pass, run once.
-        y = _head(h, params.score_w, params.score_b, kind)
-        s = _head(h, params.logvar_w, params.logvar_b, kind)
-        y, s = (np.repeat(v, cfg.num_passes, axis=1) for v in (y, s))
-    else:
-        keep = _keep_mask(keys, cfg.num_passes, a.shape[1], cfg.dropout_p, work)
-        scale = 1.0 / (1.0 - cfg.dropout_p)
-        y = _head(h * (keep[:, :, 0] * scale), params.score_w, params.score_b, kind)
-        s = _head(h * (keep[:, :, 1] * scale), params.logvar_w, params.logvar_b, kind)
-    return y, np.clip(s, -S_CLAMP, S_CLAMP)
+    """The counter term of _keep_mask and its head-major buffers for up to
+    rows rows."""
+    z, shifted = np.empty((2, 2, rows, passes, width), dtype=np.uint64)
+    return _counter_term(passes, width), z, shifted, np.empty(z.shape, dtype=bool)
 
 
 def _key(seed: int) -> int:
@@ -174,30 +168,56 @@ def _mc_rows(
     """The one MC kernel: row i of x is sampled with the 64-bit mask key keys[i].
 
     Rows are processed in blocks so that the working memory is bounded by
-    _BLOCK_UNITS, whatever the row count; the mask buffers are made once per
-    call and reused by every block.
+    _BLOCK_UNITS, whatever the row count: the workspace is made once per
+    call, and every block works in leading slices of it. At p = 0 the heads
+    run one deterministic pass, which every pass repeats.
     """
     x = np.ascontiguousarray(x)
     _check_features(params.arch, x)
     keys = np.asarray(keys, dtype=np.uint64)
-    width = params.arch.trunk_output_dim
-    block = max(1, _BLOCK_UNITS // (cfg.num_passes * width))
-    work = _mask_workspace(min(block, len(x)), cfg.num_passes, width) if cfg.dropout_p else ()
+    arch, passes, p = params.arch, cfg.num_passes, cfg.dropout_p
+    kind, width = arch.activation, arch.trunk_output_dim
+    block = max(1, _BLOCK_UNITS // (passes * width))
+    size, run = min(block, len(x)), passes if p else 1
+    # The workspace. The hash's shift buffer is dead once a mask is made, so
+    # it then holds the masked head inputs.
+    work = _mask_workspace(size, passes, width) if p else ()
+    head_in = work[2].view(np.float64) if p else None
+    hidden = np.empty((2, size, run, arch.head_hidden_dim))
+    samples = np.empty((2, size, passes))
+    w, b = params.head_w, params.head_b
     multiplier = 1.0 if scale is None else scale.variance_multiplier
     results = []
     for start in range(0, len(x), block):
         rows = slice(start, start + block)
-        y, s = _sample_block(params, x[rows], keys[rows], cfg, work)
-        y_mean, s_mean = y.mean(axis=1), s.mean(axis=1)
-        epi_pred, epi_dist = variance_of(y), variance_of(s)
-        aleatoric = np.mean(np.exp(s), axis=1) * multiplier
-        results.extend(
-            MCResult(tuple(ys), tuple(ss), ym, sm, ep, ed, al)
-            for ys, ss, ym, sm, ep, ed, al in zip(
-                y.tolist(), s.tolist(), y_mean.tolist(), s_mean.tolist(),
-                epi_pred.tolist(), epi_dist.tolist(), aleatoric.tolist(),
-            )
-        )
+        a = x[rows]
+        for trunk_w, trunk_b in zip(params.trunk_w, params.trunk_b):
+            a = _activate(np.einsum("rk,jk->rj", a, trunk_w) + trunk_b, kind)
+        n = len(a)
+        if p:
+            keep = _keep_mask(keys[rows], passes, width, p, work).transpose(2, 0, 1, 3)
+            # a * (keep * scale), in this order: a dropped unit of a huge
+            # input then gives a signed zero, where (a * scale) * 0 gives NaN.
+            h_in = np.multiply(keep, 1.0 / (1.0 - p), out=head_in[:, :n])
+            np.multiply(a[:, None, :], h_in, out=h_in)
+        else:
+            h_in = np.broadcast_to(a[:, None, :], (2, n, 1, width))
+        h, out, block_samples = hidden[:, :n], samples[:, :n, :run], samples[:, :n]
+        for head in range(2):
+            np.einsum("rtk,jk->rtj", h_in[head], w[0][head], out=h[head])
+        h += b[0][:, None]
+        _activate(h, kind, out=h)
+        for head in range(2):
+            np.einsum("rtj,j->rt", h[head], w[1][head, 0], out=out[head])
+        out += b[1]
+        if not p:
+            block_samples[:, :, 1:] = out
+        np.minimum(np.maximum(block_samples[1], -S_CLAMP), S_CLAMP, out=block_samples[1])
+        means = _mean(block_samples).tolist()
+        variances = variance_of(block_samples).tolist()
+        aleatoric = (_mean(np.exp(block_samples[1])) * multiplier).tolist()
+        y, s = block_samples.tolist()
+        results += map(MCResult, map(tuple, y), map(tuple, s), *means, *variances, aleatoric)
     return results
 
 

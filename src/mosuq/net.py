@@ -202,10 +202,10 @@ def param_arrays(params: ModelParams) -> list[np.ndarray]:
     return [params.flat[s.start : s.stop].reshape(s.shape) for s in param_layout(params.arch)]
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=out)
+    return np.maximum(z, 0.0, out=out)
 
 
 def _activate_grad(post: np.ndarray, kind: str) -> np.ndarray:

@@ -274,26 +274,37 @@ def save_checkpoint(
 
 
 def _group_arrays(doc: dict, group: str) -> list[np.ndarray]:
+    """One group's arrays from a checkpoint document, as float arrays.
+
+    Every element must be a JSON number: a bool or a numeric string, which
+    np.array(..., dtype=float) would convert, raises ValueError naming the
+    section, as does a ragged or non-numeric array.
+    """
     section, key = _CHECKPOINT_KEYS[group]
-    node = doc[section][key]
+    arrays = []
     try:
-        return [np.array(m, dtype=float) for m in node]
+        for node in doc[section][key]:
+            cells = np.array(node, dtype=object)
+            arrays.append(np.array([_number(v) for v in cells.flat]).reshape(cells.shape))
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"checkpoint {key} {section} are not numeric arrays: {exc}"
-        ) from None
+        raise ValueError(f"{section}.{key}: {exc}") from None
+    return arrays
 
 
 def _number(value, integral: bool = False) -> float | int:
     """A JSON number as a float, or as an int when integral is set.
 
-    Raises ValueError for anything else, bools included, and for a number
-    with a fractional part where an integer is asked for.
+    Raises ValueError for anything else, bools included, for an integer
+    beyond the float range, and for a number with a fractional part where an
+    integer is asked for.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
     if not integral:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError("integer too large for a float") from None
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
@@ -344,7 +355,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
 
     try:
         arrays = {group: _group_arrays(doc, group) for group in GROUPS}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed weights/biases: {exc}") from None
     layout = param_layout(arch)
     expected = [s.shape for group in GROUPS for s in layout if s.group == group]

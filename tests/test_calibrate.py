@@ -147,3 +147,13 @@ class TestOptimality:
         rescaled = [HeteroPrediction(m, v + 2.0 * math.log(scale.r)) for m, v in zip(y_hat, s)]
         again = fit_scale(rescaled, list(labels))
         assert again.r == pytest.approx(1.0, rel=0.02)
+
+
+class TestShiftLogVariance:
+    def test_adds_twice_the_log_of_r_to_floats_and_arrays(self):
+        scale = CalibrationScale.from_r(1.7)
+        s = np.array([-3.0, 0.0, 0.25, 9.5])
+        shifted = scale.shift_log_variance(s)
+        assert shifted.tolist() == [v + 2.0 * math.log(1.7) for v in s.tolist()]
+        assert scale.shift_log_variance(0.25) == shifted[2]
+        np.testing.assert_allclose(np.exp(shifted), scale.variance_multiplier * np.exp(s))

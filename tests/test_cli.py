@@ -304,6 +304,23 @@ class TestCalibrate:
         assert not report.exists()
 
 
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_non_number_weight_element_exits_2(self, workspace, tmp_path, capsys, value):
+        doc = json.loads((workspace / "cal.json").read_text())
+        doc["biases"]["trunk"][0][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        code = main([
+            "evaluate", "--checkpoint", str(bad),
+            "--data", str(workspace / "base.test.csv"), "--report", str(report),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "biases.trunk" in err and "Traceback" not in err
+        assert not report.exists()
+
+
 class TestEvaluate:
     def run_eval(self, workspace, report, extra=()):
         return main([

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -441,6 +441,88 @@ class TestBufferReuse:
                 for c in range(passes * 2 * width)
             ]
             assert keep.ravel().tolist() == want
+
+
+def per_head_reference(params, x, cfg, multiplier=1.0):
+    """MC results for every row of x with the two heads run one at a time,
+    as a plain oracle for the stacked kernel: all rows in one block, a fresh
+    mask, and summaries in numpy's own words."""
+    act = np.tanh if params.arch.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+    passes, p = cfg.num_passes, cfg.dropout_p
+
+    def head(h_in, w, b):
+        hidden = act(np.einsum("rtk,jk->rtj", h_in, w[0]) + b[0])
+        return np.einsum("rtj,j->rt", hidden, w[1][0]) + b[1][0]
+
+    a = x
+    for w, b in zip(params.trunk_w, params.trunk_b):
+        a = act(np.einsum("rk,jk->rj", a, w) + b)
+    h = a[:, None, :]
+    if p == 0.0:
+        y = np.repeat(head(h, params.score_w, params.score_b), passes, axis=1)
+        s = np.repeat(head(h, params.logvar_w, params.logvar_b), passes, axis=1)
+    else:
+        keys = np.array([row_seed(cfg.seed, i) for i in range(len(x))], dtype=np.uint64)
+        keep = _keep_mask(keys, passes, a.shape[1], p)
+        scale = 1.0 / (1.0 - p)
+        y = head(h * (keep[:, :, 0] * scale), params.score_w, params.score_b)
+        s = head(h * (keep[:, :, 1] * scale), params.logvar_w, params.logvar_b)
+    s = np.clip(s, -S_CLAMP, S_CLAMP)
+
+    def variance(v):
+        var = np.mean((v - v.mean(axis=1, keepdims=True)) ** 2, axis=1)
+        return np.where(np.all(v == v[:, :1], axis=1), 0.0, var)
+
+    columns = (
+        y.tolist(), s.tolist(), y.mean(axis=1), s.mean(axis=1), variance(y), variance(s),
+        np.mean(np.exp(s), axis=1) * multiplier,
+    )
+    return [mcdropout.MCResult(tuple(ys), tuple(ss), *rest) for ys, ss, *rest in zip(*columns)]
+
+
+def result_bits(result):
+    """Every field of an MCResult as raw float64 bytes, so NaNs compare too."""
+    return [np.asarray(getattr(result, f.name), dtype=float).tobytes() for f in fields(result)]
+
+
+class TestStackedKernel:
+    """The kernel runs both heads as one (2, rows, passes, .) stack in a
+    per-call workspace. On the running numpy that must give the per-head
+    results bit for bit, on both entry points."""
+
+    @pytest.mark.parametrize("passes", [1, 7, 25])
+    @pytest.mark.parametrize("p", [0.0, 0.37, 0.5])
+    @pytest.mark.parametrize("trunk_dims", [(), (5,), (6, 4)])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_stacked_equals_per_head_bit_for_bit(
+        self, monkeypatch, activation, trunk_dims, p, passes
+    ):
+        arch = ArchConfig(
+            input_dim=3, trunk_dims=trunk_dims, head_hidden_dim=6, activation=activation
+        )
+        # Blocks of 64 rows at every width and pass count, so that the row
+        # counts below fall on both sides of a block boundary.
+        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * arch.trunk_output_dim)
+        params = init_params(arch, seed=4)
+        data = np.random.default_rng(passes + len(trunk_dims))
+        # Non-zero biases, and some log-variances beyond the clamp.
+        params.flat[...] += data.normal(scale=0.5, size=params.flat.size)
+        params.logvar_b[1][...] = 9.0
+        features = data.normal(scale=2.0, size=(131, 3))
+        # Inputs near the float limit, where the order of the mask product
+        # decides between a signed zero and NaN for a dropped unit.
+        features[3] = [1e308, -1e308, 3e307]
+        cfg = MCConfig(num_passes=passes, dropout_p=p, seed=int(data.integers(2**63)))
+        scale = CalibrationScale.from_r(1.7)
+        with np.errstate(all="ignore"):
+            reference = per_head_reference(params, features, cfg, scale.variance_multiplier)
+            want = [result_bits(r) for r in reference]
+            for rows in (1, 63, 64, 65, 131):
+                got = mc_forward_dataset(params, features[:rows], cfg, scale)
+                assert [result_bits(r) for r in got] == want[:rows]
+            for i in (0, 3, 64, 130):
+                row_cfg = replace(cfg, seed=row_seed(cfg.seed, i))
+                assert result_bits(mc_forward(params, features[i], row_cfg, scale)) == want[i]
 
 
 class TestTrainedModelSensitivity:

@@ -388,6 +388,36 @@ class TestCheckpointRoundTrip:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("value", [True, "0.5", 10**400])
+    @pytest.mark.parametrize("section, key, index", [
+        ("biases", "trunk", (0, 1)),
+        ("weights", "score_head", (0, 2, 1)),
+        ("weights", "logvar_head", (1, 0, 3)),
+    ])
+    def test_non_number_array_element_raises_checkpoint_error_naming_the_file(
+        self, tmp_path, section, key, index, value
+    ):
+        """np.array(..., dtype=float) would turn true into 1.0 and "0.5" into
+        0.5; a checkpoint element must be a JSON number."""
+        path = tmp_path / "ck.json"
+        save_checkpoint(self.make_params(), path)
+        doc = json.loads(path.read_text())
+        node = doc[section][key]
+        for i in index[:-1]:
+            node = node[i]
+        node[index[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"{section}.{key}") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("key, section", [("calibration_r", None), ("dropout_p", "arch")])
+    def test_integer_beyond_float_range_raises_checkpoint_error(self, tmp_path, key, section):
+        path = self.edited(tmp_path, section, key, 10**400)
+        with pytest.raises(CheckpointError, match="too large") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_integral_float_fields_load_as_integers(self, tmp_path):
         path = self.edited(tmp_path, "arch", "input_dim", 3.0)
         params, _ = load_checkpoint(path)
