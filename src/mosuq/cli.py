@@ -455,26 +455,26 @@ def _cmd_evaluate(cfg: SimpleNamespace) -> int:
     # Every output is computed before the first file is written, so a
     # failure (such as more curve bins than rows) leaves no partial output.
     report = compute_report(records, num_bins=cfg.bins, include_const=cfg.nll_const)
-    tables = []  # (path, header, rows)
+    tables = []  # (path, header, columns)
     if cfg.curve is not None:
         points = error_uncertainty_curve(records, num_bins=cfg.bins)
-        tables.append((cfg.curve, ["mean_uncert", "mean_sq_err"], points))
+        tables.append((cfg.curve, ["mean_uncert", "mean_sq_err"], list(zip(*points))))
     if cfg.sweep is not None:
         k = cfg.sweep_points
         thresholds = np.quantile(var_pred, np.linspace(1.0 / k, 1.0, k))
         rows = selective_sweep(records, [float(t) for t in thresholds])
-        tables.append((cfg.sweep, ["threshold", "retained_fraction", "subset_mse"], rows))
-    if cfg.mc_out is not None:
-        rows = (
-            [i, r.y_mean, y, r.aleatoric_var, r.epi_pred_var, r.epi_dist_var]
-            for i, r, y in zip(ids, results, y_det.tolist())
+        tables.append(
+            (cfg.sweep, ["threshold", "retained_fraction", "subset_mse"], list(zip(*rows)))
         )
+    if cfg.mc_out is not None:
+        fields = ("y_mean", "aleatoric_var", "epi_pred_var", "epi_dist_var")
+        y_mean, *variances = ([getattr(r, f) for r in results] for f in fields)
         header = ["id", "y_mean", "y_det", "aleatoric_var", "epi_pred_var", "epi_dist_var"]
-        tables.append((cfg.mc_out, header, rows))
+        tables.append((cfg.mc_out, header, [dataset.ids, y_mean, y_det, *variances]))
 
     atomic_write_text(cfg.report, report.to_json())
-    for path, header, rows in tables:
-        write_csv(path, header, rows)
+    for path, header, columns in tables:
+        write_csv(path, header, columns)
 
     _record_config("evaluate", cfg.report, cfg)
     auc_text = "n/a" if report.auc is None else f"{report.auc:.4f}"
@@ -513,9 +513,8 @@ def _cmd_ood_detect(cfg: SimpleNamespace) -> int:
     atomic_write_text(cfg.report, canonical_json(report))
 
     if cfg.scores is not None:
-        ids = ds_in.ids.tolist() + ds_ood.ids.tolist()
-        rows = zip(ids, labels, scores)
-        write_csv(cfg.scores, ["id", "domain_label", "score"], rows)
+        ids = np.concatenate([ds_in.ids, ds_ood.ids])
+        write_csv(cfg.scores, ["id", "domain_label", "score"], [ids, labels, scores])
 
     _record_config("ood-detect", cfg.report, cfg)
     print(

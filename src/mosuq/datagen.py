@@ -406,13 +406,11 @@ def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     if len(dataset) == 0:
         raise InputError("refusing to write an empty dataset")
     header = [*_FIXED_HEADER, *(f"f{j}" for j in range(dataset.feature_dim))]
-    # Rows are formed one at a time, so no column is copied out whole as
-    # Python objects; numpy strings are str and write as themselves.
-    var = (None if math.isnan(v) else float(v) for v in dataset.true_noise_var)
-    columns = zip(
-        dataset.ids, dataset.system_ids, dataset.domain_tags, map(float, dataset.y), var, dataset.x
+    var = [None if math.isnan(v) else v for v in dataset.true_noise_var.tolist()]
+    write_csv(
+        path, header,
+        [dataset.ids, dataset.system_ids, dataset.domain_tags, dataset.y, var, *dataset.x.T],
     )
-    write_csv(path, header, ([*fixed, *features.tolist()] for *fixed, features in columns))
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:

@@ -1,14 +1,18 @@
-"""Small file-writing helpers shared by the library and the CLI."""
+"""Small file-writing helpers shared by the library and the CLI.
+
+Every file goes through one atomic, durable write. CSV tables are written
+by one columnar writer, `write_csv`: it takes whole columns, formats each
+chunk of rows one column at a time, and streams the chunks to disk.
+"""
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import errno
 import json
 import os
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import TextIO
 
@@ -50,19 +54,76 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write a header and rows atomically through `csv.writer`, so a cell
-    holding a comma, quote or newline is quoted and reads back intact.
+# Rows formatted and written per chunk. Larger chunks save little time and
+# raise peak memory: the chunk's cells are all held at once.
+_CSV_CHUNK_ROWS = 512
 
-    Rows stream into the temp file one at a time, so the whole text is never
-    held in memory. Floats are written with repr (csv stringifies Python and
-    numpy float64 values alike that way), so they round-trip exactly; None
-    becomes an empty field.
+
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write a header and equal-length columns atomically as CSV.
+
+    Each column is a 1-D numpy array or a sequence. Rows are formatted
+    _CSV_CHUNK_ROWS at a time, one column at a time with a rule chosen once
+    per column, and each chunk is one write to the temp file, so the whole
+    text is never held in memory:
+    - float64 arrays: repr, so values round-trip exactly (nan stays "nan");
+    - str arrays: the text, quoted if needed;
+    - int and bool arrays: str;
+    - anything else, cell by cell: None is an empty field, a str is quoted
+      if needed, any float (numpy float64 too) uses float.__repr__, and any
+      other value uses str.
+    A cell, header cells included, is quoted when it holds a comma, a
+    double quote, a carriage return or a newline; quotes inside are
+    doubled. A lone empty field is written as "" so the row reads back with
+    one field. Apart from quoting a lone carriage return, the bytes are
+    those of `csv.writer(fh, lineterminator="\\n")`.
     """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header cells but {len(columns)} columns")
+    width = len(columns)
+    formats = [_column_format(col) for col in columns]
+    num_rows = max(map(len, columns), default=0)
     with _atomic_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_text([tuple(map(_cell, header))], width))
+        for lo in range(0, num_rows, _CSV_CHUNK_ROWS):
+            hi = lo + _CSV_CHUNK_ROWS
+            cells = [fmt(col[lo:hi]) for fmt, col in zip(formats, columns)]
+            fh.write(_csv_text(zip(*cells, strict=True), width))
+
+
+def _csv_text(rows, width: int) -> str:
+    """Rows of formatted cells as CSV lines. A lone empty field is written
+    as "", since an empty line would read back as a row with no fields."""
+    lines = (cell or '""' for (cell,) in rows) if width == 1 else map(",".join, rows)
+    return "\n".join(lines) + "\n"
+
+
+def _quote(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return str(value)
+
+
+def _column_format(col):
+    """The formatting rule for a column, as a function of one chunk of it."""
+    dtype = col.dtype if isinstance(col, np.ndarray) else np.dtype(object)
+    if dtype == np.float64:
+        return lambda chunk: map(float.__repr__, chunk.tolist())
+    if dtype.kind == "U":
+        return lambda chunk: map(_quote, chunk.tolist())
+    if dtype.kind in "iub":
+        return lambda chunk: map(str, chunk.tolist())
+    return lambda chunk: map(_cell, chunk)
 
 
 def _fsync_directory(directory: Path) -> None:

@@ -55,11 +55,12 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
-# Rows per block x passes x trunk width: 64 rows at 25 passes and width 16.
-# The per-call workspace is then about 1.3 MB: two head-major uint64 hash
-# buffers (the second reused for the masked head inputs), the bool mask, the
-# two heads' hidden layers at head width 16 and the samples. Blocks of 32 to
-# 128 rows run equally fast; larger ones raise peak memory and run slower.
+# Rows per block x passes x the wider of the trunk output and the head
+# hidden layer: 64 rows at 25 passes and width 16. The per-call workspace is
+# then about 1.3 MB: two head-major uint64 hash buffers (the second reused
+# for the masked head inputs), the bool mask, the two heads' hidden layers
+# and the samples. Blocks of 32 to 128 rows run equally fast; larger ones
+# raise peak memory and run slower.
 _BLOCK_UNITS = 64 * 25 * 16
 
 
@@ -177,7 +178,7 @@ def _mc_rows(
     keys = np.asarray(keys, dtype=np.uint64)
     arch, passes, p = params.arch, cfg.num_passes, cfg.dropout_p
     kind, width = arch.activation, arch.trunk_output_dim
-    block = max(1, _BLOCK_UNITS // (passes * width))
+    block = max(1, _BLOCK_UNITS // (passes * max(width, arch.head_hidden_dim)))
     size, run = min(block, len(x)), passes if p else 1
     # The workspace. The hash's shift buffer is dead once a mask is made, so
     # it then holds the masked head inputs.

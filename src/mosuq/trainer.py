@@ -388,8 +388,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
 def save_history_csv(history: TrainHistory, path: str | Path) -> None:
     """Write `epoch,train_loss,val_loss` rows; val cells are empty when no
     validation split was supplied."""
-    rows = (
-        [i, float(tl), None if history.val_loss is None else float(history.val_loss[i - 1])]
-        for i, tl in enumerate(history.train_loss, start=1)
-    )
-    write_csv(path, ["epoch", "train_loss", "val_loss"], rows)
+    train_loss = np.asarray(history.train_loss, dtype=float)
+    epochs = len(train_loss)
+    val = [None] * epochs if history.val_loss is None else np.asarray(history.val_loss, dtype=float)
+    write_csv(path, ["epoch", "train_loss", "val_loss"], [range(1, epochs + 1), train_loss, val])

@@ -346,6 +346,24 @@ class TestCsvRoundTrip:
         save_dataset_csv(loaded, second)
         assert second.read_bytes() == first.read_bytes()
 
+    def test_carriage_returns_in_ids_round_trip(self, tmp_path):
+        """A lone carriage return ends a row for csv.reader unless its cell
+        is quoted, so ids and system ids holding one must be quoted."""
+        ids = ["a\rb", "c\r", "\rd", "e\r\nf", "plain"]
+        rng = np.random.default_rng(4)
+        samples = [
+            Sample(id=i, system_id=f"s\r{k}", features=rng.normal(size=2), y=float(k))
+            for k, i in enumerate(ids)
+        ]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_dataset_csv(Dataset.from_samples(samples), first)
+        loaded = load_dataset_csv(first)
+        assert [s.id for s in loaded] == ids
+        assert [s.system_id for s in loaded] == [f"s\r{k}" for k in range(len(ids))]
+        assert np.array_equal(loaded.features(), np.array([s.features for s in samples]))
+        save_dataset_csv(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_unknown_domain_tag_rejected(self, tmp_path):
         path = tmp_path / "tag.csv"
         path.write_text(

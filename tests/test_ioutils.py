@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosuq.ioutils import atomic_write_text, write_csv
+from mosuq.datagen import Dataset, save_dataset_csv
+from mosuq.ioutils import _CSV_CHUNK_ROWS, atomic_write_text, write_csv
 
 
 @pytest.fixture
@@ -103,42 +106,154 @@ class TestAtomicWriteText:
         assert path.read_text() == "data"
 
 
+def csv_writer_bytes(header, columns) -> bytes:
+    """The oracle: what `csv.writer` writes for the same header and rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buf.getvalue().encode()
+
+
+# Text cells without a lone carriage return, which csv.writer leaves
+# unquoted (see test_lone_carriage_return_is_quoted).
+_TEXT = st.lists(
+    st.sampled_from([",", '"', "\n", "\r\n", "", " ", "  lead", "é", "✓ ok", "x"])
+    | st.text(st.characters(codec="utf-8", exclude_characters="\r\x00"), max_size=3),
+    max_size=4,
+).map("".join)
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan, 0.1, 2.5e16]
+)
+_CELLS = st.one_of(
+    _TEXT, _FLOATS, _FLOATS.map(np.float64), st.integers(), st.booleans(), st.none()
+)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def tables(draw):
+    """A header and 1-4 equal-length columns: lists of mixed cells, or
+    float64, str, int64 or bool arrays."""
+    width, rows = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width))
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(["cells", "float64", "str", "int", "bool"]))
+        cells = st.lists(
+            {"cells": _CELLS, "float64": _FLOATS, "str": _TEXT, "int": _INT64,
+             "bool": st.booleans()}[kind],
+            min_size=rows, max_size=rows,
+        )
+        values = draw(cells)
+        dtype = {"float64": np.float64, "str": str, "int": np.int64, "bool": bool}.get(kind)
+        columns.append(values if dtype is None else np.array(values, dtype=dtype))
+    return header, columns
+
+
 class TestWriteCsv:
     def test_floats_use_repr_and_none_is_empty(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b", "c"], [[1, 0.1, None], ["x", 1e-05, 2.5e16]])
+        write_csv(path, ["a", "b", "c"], [[1, "x"], [0.1, 1e-05], [None, 2.5e16]])
         assert path.read_text() == "a,b,c\n1,0.1,\nx,1e-05,2.5e+16\n"
 
     def test_cells_with_delimiters_are_quoted(self, tmp_path):
         path = tmp_path / "t.csv"
         cells = ['weird,id"x', 'say "hi"', "two\nlines", "plain"]
-        write_csv(path, ["id"], [[c] for c in cells])
+        write_csv(path, ["id"], [cells])
         assert path.read_text().startswith('id\n"weird,id""x"\n"say ""hi"""\n')
         with open(path, newline="") as fh:
             assert [row[0] for row in csv.reader(fh)] == ["id", *cells]
 
+    def test_lone_carriage_return_is_quoted(self, tmp_path):
+        """csv.writer with a "\\n" terminator leaves a lone "\\r" unquoted,
+        and csv.reader then ends the row there."""
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b\rc"], [["c\rr", "\r"], np.array([1, 2])])
+        assert path.read_bytes() == b'a,"b\rc"\n"c\rr",1\n"\r",2\n'
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["a", "b\rc"], ["c\rr", "1"], ["\r", "2"]]
+
+    @pytest.mark.parametrize("column", [["", None, "x"], np.array(["", "", "x"])])
+    def test_a_lone_empty_field_is_quoted(self, tmp_path, column):
+        """An empty line would read back as a row with no fields."""
+        path = tmp_path / "t.csv"
+        write_csv(path, ["id"], [column])
+        assert path.read_text() == 'id\n""\n""\nx\n'
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["id"], [""], [""], ["x"]]
+
+    def test_nan_in_a_float_column_is_written_as_nan(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["v"], [np.array([math.nan, -math.inf, -0.0, 5e-324])])
+        assert path.read_text() == "v\nnan\n-inf\n-0.0\n5e-324\n"
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["epoch", "loss"], [])
+        write_csv(path, ["epoch", "loss"], [[], []])
         assert path.read_text() == "epoch,loss\n"
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_numpy_and_python_floats_write_the_same_text(self, tmp_path_factory, x):
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        write_csv(path, ["v", "w"], [[x, np.float64(x)]])
+        write_csv(path, ["v", "w"], [[x], [np.float64(x)]])
         assert path.read_text() == f"v,w\n{x!r},{x!r}\n"
 
-    def test_a_failing_rows_iterator_leaves_neither_file(self, tmp_path):
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_matches_csv_writer_byte_for_byte(self, tmp_path_factory, table):
+        header, columns = table
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == csv_writer_bytes(header, columns)
+
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1025])
+    def test_dataset_file_matches_the_row_by_row_writer(self, tmp_path, rows):
+        """The bytes `csv.writer` gives for one row list per sample (id,
+        system_id, domain_tag, y, true_noise_var or None, then the features),
+        on both sides of every chunk boundary."""
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 3))
+        x[0] = [-0.0, 5e-324, 1e16]
+        var = rng.uniform(0.01, 2.0, size=rows)
+        var[::7] = math.nan
+        ids = [f"r{i}" if i % 5 else f'r,"{i}"' for i in range(rows)]
+        tags = ["in_domain" if i % 3 else "ood" for i in range(rows)]
+        dataset = Dataset(ids, [f"sys{i % 4}" for i in range(rows)], tags, rng.normal(size=rows),
+                          var, x)
+        path = tmp_path / "d.csv"
+        save_dataset_csv(dataset, path)
+        header = ["id", "system_id", "domain_tag", "y", "true_noise_var", "f0", "f1", "f2"]
+        cells = [
+            dataset.ids.tolist(), dataset.system_ids.tolist(), dataset.domain_tags.tolist(),
+            dataset.y.tolist(),
+            [None if math.isnan(v) else v for v in dataset.true_noise_var.tolist()],
+            *dataset.x.T.tolist(),
+        ]
+        assert path.read_bytes() == csv_writer_bytes(header, cells)
+
+    def test_columns_of_different_lengths_are_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for columns in ([[1, 2], [3]], [[1], np.zeros(_CSV_CHUNK_ROWS + 1)]):
+            with pytest.raises(ValueError):
+                write_csv(path, ["a", "b"], columns)
+        with pytest.raises(ValueError, match="2 header cells but 1 columns"):
+            write_csv(path, ["a", "b"], [[1]])
+        assert os.listdir(tmp_path) == []
+
+    def test_a_column_failing_in_its_second_chunk_leaves_neither_file(self, tmp_path):
         path = tmp_path / "t.csv"
         seen = []
 
-        def rows():
-            yield [1, 2.5]
-            # Rows are written while the temp file is open.
-            seen.extend(p for p in os.listdir(tmp_path) if p.startswith(".t.csv."))
-            raise RuntimeError("row source failed")
+        class Broken:
+            def __str__(self):
+                # Chunks are written while the temp file is open.
+                seen.extend(p for p in os.listdir(tmp_path) if p.startswith(".t.csv."))
+                raise RuntimeError("cell formatting failed")
 
-        with pytest.raises(RuntimeError, match="row source failed"):
-            write_csv(path, ["a", "b"], rows())
+        cells = [1] * (_CSV_CHUNK_ROWS + 10)
+        cells[_CSV_CHUNK_ROWS + 3] = Broken()
+        with pytest.raises(RuntimeError, match="cell formatting failed"):
+            write_csv(path, ["a", "b"], [cells, np.full(len(cells), 2.5)])
         assert len(seen) == 1
         assert os.listdir(tmp_path) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -425,6 +426,23 @@ class TestBufferReuse:
         assert forward[4] == forward[0][:65]
         for (n, cfg), results in zip(calls, forward):
             assert results[n - 1] == one_row(params, features, cfg, n - 1)
+
+    @pytest.mark.parametrize("trunk_dims, head", [((16,), 16), ((1,), 64), ((), 256)])
+    def test_working_memory_is_bounded_by_the_head_width_too(self, trunk_dims, head):
+        """A block's hidden-layer buffer grows with the head width, so a
+        wide head over a narrow trunk must get smaller blocks."""
+        arch = ArchConfig(input_dim=2, trunk_dims=trunk_dims, head_hidden_dim=head)
+        params = init_params(arch, seed=0)
+        features = np.random.default_rng(0).normal(size=(1100, 2))
+        cfg = MCConfig(num_passes=25, dropout_p=0.5, seed=1)
+        mc_forward_dataset(params, features, cfg)
+        tracemalloc.start()
+        try:
+            mc_forward_dataset(params, features, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     @pytest.mark.parametrize("p", [2.0**-53, 0.37, 1.0 - 2.0**-53])
     def test_keep_mask_in_a_workspace_equals_fresh_buffers_and_the_hash(self, p):
