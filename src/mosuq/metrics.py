@@ -127,18 +127,17 @@ def srcc_system(records: Sequence[EvalRecord]) -> float:
     """Spearman rank correlation between per-system mean true and mean
     predicted scores. Ties receive average (fractional) ranks."""
     _require_records(records)
-    true_sums: dict[str, float] = {}
-    pred_sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for r in records:
-        true_sums[r.system_id] = true_sums.get(r.system_id, 0.0) + r.y_true
-        pred_sums[r.system_id] = pred_sums.get(r.system_id, 0.0) + r.y_pred
-        counts[r.system_id] = counts.get(r.system_id, 0) + 1
-    systems = sorted(counts)
+    y_true, y_pred, _ = _arrays(records)
+    # An object array keeps ids that a fixed-width "U" array would merge,
+    # such as "a" and "a\x00"; bincount sums each system in row order.
+    systems, system = np.unique(
+        np.array([r.system_id for r in records], dtype=object), return_inverse=True
+    )
     if len(systems) < 2:
         raise InputError(f"system correlation needs >= 2 systems, got {len(systems)}")
-    true_means = np.array([true_sums[k] / counts[k] for k in systems])
-    pred_means = np.array([pred_sums[k] / counts[k] for k in systems])
+    counts = np.bincount(system)
+    true_means = np.bincount(system, weights=y_true) / counts
+    pred_means = np.bincount(system, weights=y_pred) / counts
     rank_true = _average_ranks(true_means)
     rank_pred = _average_ranks(pred_means)
     # Constant means give zero rank variance; the correlation is then

@@ -8,10 +8,10 @@ perturbs the heads.
 
 All learnable arrays live in one contiguous float64 vector,
 ``ModelParams.flat``. One layout table, ``param_layout(arch)``, gives each
-array's group, shape and span in that vector, and ``trunk_w`` ...
-``logvar_b`` are views into it. Each head layer keeps its score and
-log-variance arrays side by side, so ``head_w`` and ``head_b`` view both
-heads as one ``(2, ...)`` stack and each head layer is one ``np.matmul``.
+array's group, shape and span in that vector, and ``trunk_w``, ``trunk_b``,
+``head_w`` and ``head_b`` are views into it. The two heads are stored side
+by side: ``head_w`` and ``head_b`` view each head layer as one ``(2, ...)``
+stack, score head first, and each head layer is one ``np.matmul``.
 ``backward_batch`` writes its gradients into a flat vector of the same
 layout (a ModelParams, fresh or reused), so an optimizer updates every
 parameter with a few whole-vector operations.
@@ -19,9 +19,9 @@ parameter with a few whole-vector operations.
 Everything else is plain and explicit: randomness enters only through
 generators passed by the caller, and gradients are computed by replaying the
 forward pass, whose intermediates ``forward_batch`` hands to
-``backward_batch`` as a plain tuple. In dropout mode both heads' masks come
-from one ``rng.random((2, B, H))`` draw, score head first: the same stream
-as one draw per head.
+``backward_batch`` as a plain tuple. Dropout runs only when a generator is
+passed, and both heads' masks then come from one ``rng.random((2, B, H))``
+draw, score head first: the same stream as one draw per head.
 
 There is one code path per operation, over a batch of rows:
 ``forward_batch`` and ``backward_batch``. A single row is a batch of one.
@@ -49,7 +49,6 @@ __all__ = [
     "ModelParams",
     "HeteroPrediction",
     "Slot",
-    "dropout_mask",
     "param_layout",
     "init_params",
     "forward_batch",
@@ -64,10 +63,8 @@ ACTIVATIONS = ("tanh", "relu")
 # or an out-of-distribution input pushes the raw head output.
 S_CLAMP = 10.0
 
-MODES = ("deterministic", "dropout")
-
 # Parameter groups; within a group, layers in order.
-GROUPS = ("trunk_w", "trunk_b", "score_w", "score_b", "logvar_w", "logvar_b")
+GROUPS = ("trunk_w", "trunk_b", "head_w", "head_b")
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,8 @@ class ArchConfig:
     """Network shape and regularisation settings.
 
     trunk_dims may be empty, in which case both heads read the raw input.
-    dropout_p is the drop probability used whenever a forward pass runs in
-    dropout mode (training and MC sampling may override it per call).
+    dropout_p is the drop probability of every forward pass given a
+    generator, as in training (MC sampling takes its own from MCConfig).
     """
 
     input_dim: int = 16
@@ -117,16 +114,15 @@ def param_layout(arch: ArchConfig) -> tuple[Slot, ...]:
     """Every learnable array of the architecture, in flat-vector order.
 
     Weight matrices are (fan_out, fan_in). The order is trunk weights, then
-    trunk biases, layers in order; then, for each head layer in turn, the
-    score head weight, the log-variance head weight, the score head bias and
-    the log-variance head bias. Each head layer's two weights, and its two
-    biases, are therefore one contiguous block.
+    trunk biases, layers in order; then, for each head layer in turn, both
+    heads' weights as one (2, fan_out, fan_in) stack and both heads' biases
+    as one (2, 1, fan_out) stack, score head first.
     """
     widths = (arch.input_dim, *arch.trunk_dims)
     entries = [("trunk_w", shape) for shape in zip(widths[1:], widths[:-1])]
     entries += [("trunk_b", (w,)) for w in arch.trunk_dims]
     for w in ((arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)):
-        entries += [("score_w", w), ("logvar_w", w), ("score_b", w[:1]), ("logvar_b", w[:1])]
+        entries += [("head_w", (2, *w)), ("head_b", (2, 1, w[0]))]
     slots, start = [], 0
     for group, shape in entries:
         slots.append(Slot(group, shape, start, start + math.prod(shape)))
@@ -143,8 +139,9 @@ class ModelParams:
     maps the (dropped-out) trunk output to the head hidden layer, index 1
     maps the head hidden layer to the scalar output. head_w[l] and head_b[l]
     view layer l of both heads at once, score head first: weights as
-    (2, fan_out, fan_in), biases as (2, 1, fan_out). Gradients from
-    backward_batch use the same class and layout.
+    (2, fan_out, fan_in), biases as (2, 1, fan_out), so head_w[l][1] is the
+    log-variance head's weight. Gradients from backward_batch use the same
+    class and layout.
     """
 
     arch: ArchConfig
@@ -152,10 +149,6 @@ class ModelParams:
     rng_seed_used: int
     trunk_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
     trunk_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    score_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    score_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    logvar_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    logvar_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
     head_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
     head_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -167,16 +160,10 @@ class ModelParams:
                 f"expected a contiguous float64 vector of {size} parameters, "
                 f"got {flat.dtype} array of shape {flat.shape}"
             )
-        for group in (*GROUPS, "head_w", "head_b"):
+        for group in GROUPS:
             object.__setattr__(self, group, [])
         for slot in layout:
             getattr(self, slot.group).append(flat[slot.start : slot.stop].reshape(slot.shape))
-            # The log-variance twin of a score head array follows it at once.
-            pair = flat[slot.start : 2 * slot.stop - slot.start]
-            if slot.group == "score_w":
-                self.head_w.append(pair.reshape(2, *slot.shape))
-            elif slot.group == "score_b":
-                self.head_b.append(pair.reshape(2, 1, -1))
 
     def __deepcopy__(self, memo) -> ModelParams:
         return ModelParams(self.arch, self.flat.copy(), self.rng_seed_used)
@@ -216,30 +203,16 @@ def _activate_grad(post: np.ndarray, kind: str) -> np.ndarray:
     return post > 0.0
 
 
-def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], p: float) -> np.ndarray:
-    """Inverted-dropout mask: entries are 0 with probability p, else 1/(1-p).
-
-    With p = 0 no random numbers are consumed and the mask is all ones, so
-    dropout mode with p = 0 is bit-identical to a deterministic pass.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must lie in [0, 1), got {p}")
-    if p == 0.0:
-        return np.ones(shape)
-    keep = rng.random(shape) >= p
-    return keep / (1.0 - p)
-
-
 def init_params(arch: ArchConfig, seed: int) -> ModelParams:
     """Deterministically initialise all layers from one integer seed.
 
     Weights are uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases are
-    zero. Draw order is fixed: trunk layers, then score head, then
-    log-variance head.
+    zero. Draw order is fixed: trunk layers, then both score head layers,
+    then both log-variance head layers.
     """
     rng = np.random.default_rng(seed)
     params = ModelParams(arch, np.zeros(param_layout(arch)[-1].stop), int(seed))
-    for w in params.trunk_w + params.score_w + params.logvar_w:
+    for w in params.trunk_w + [layer[h] for h in (0, 1) for layer in params.head_w]:
         bound = 1.0 / math.sqrt(w.shape[1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
     return params
@@ -259,31 +232,22 @@ def _check_features(arch: ArchConfig, x: np.ndarray) -> None:
 
 
 def forward_batch(
-    params: ModelParams,
-    x: np.ndarray,
-    mode: str = "deterministic",
-    rng: np.random.Generator | None = None,
-    dropout_p: float | None = None,
+    params: ModelParams, x: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Run the network on a (batch, input_dim) array.
 
     Returns (y_hat, s, cache) where y_hat and s are (batch,) arrays, s is
     already clamped to [-S_CLAMP, +S_CLAMP], and cache holds the
-    intermediates that backward_batch replays. In dropout mode the masks of
-    both heads, score head first, come from one draw on the supplied
-    generator. Features are not checked for finiteness here (see the module
-    docstring).
+    intermediates that backward_batch replays. Without rng the pass is
+    deterministic. With one, inverted dropout at arch.dropout_p perturbs
+    the heads' input: each mask entry is 0 with probability p, else
+    1/(1-p), and both heads' masks, score head first, come from one draw.
+    At p = 0 nothing is drawn. Features are not checked for finiteness
+    here (see the module docstring).
     """
     arch = params.arch
     x = np.asarray(x, dtype=float)
     _check_shape(arch, x)
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    p = arch.dropout_p if dropout_p is None else float(dropout_p)
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout_p must lie in [0, 1), got {p}")
-    if mode == "dropout" and rng is None:
-        raise ConfigError("dropout mode requires an rng")
 
     a = x
     trunk_post = []
@@ -294,8 +258,9 @@ def forward_batch(
     # Both heads at once, as (2, B, .) stacks. At p = 0 a mask would be all
     # ones, and multiplying by one is exact, so the heads share the trunk
     # output without a copy.
-    if mode == "dropout" and p > 0.0:
-        mask = dropout_mask(rng, (2, *a.shape), p)
+    p = arch.dropout_p
+    if rng is not None and p > 0.0:
+        mask = (rng.random((2, *a.shape)) >= p) / (1.0 - p)
         h_in = a * mask
     else:
         mask, h_in = None, np.broadcast_to(a, (2, *a.shape))

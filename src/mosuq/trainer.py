@@ -14,7 +14,10 @@ call; the per-batch forward pass checks only their shape.
 
 Checkpoints are canonical JSON: keys sorted, two-space indent, trailing
 newline, floats via repr. Saving a loaded checkpoint therefore reproduces
-the original file byte for byte.
+the original file byte for byte. A checkpoint keeps one section per head
+(``weights.score_head``, ``biases.logvar_head`` ...), and one table,
+``_checkpoint_views``, maps each section to its views into the stacked
+head arrays, for saving and loading alike.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .errors import (
 from .ioutils import atomic_write_text, canonical_json, write_csv
 from .loss import LOSSES, mse_loss_batch, nll_loss_batch
 from .net import (
-    GROUPS,
     ArchConfig,
     ModelParams,
     _check_features,
@@ -143,9 +145,9 @@ def train(
 
     Weights start from init_params(arch, cfg.seed); dropout is active in
     every training forward pass (a no-op when arch.dropout_p is 0).
-    Per-epoch losses are means over samples. The training labels and the
-    features of both splits are checked once, before the first step: a
-    non-finite value raises InputError. A non-finite batch loss aborts with
+    Per-epoch losses are means over samples. The features and labels of
+    both splits are checked once, before the first step: a non-finite value
+    raises InputError. A non-finite batch loss aborts with
     TrainingDivergedError naming the offending epoch.
     """
     n = len(dataset)
@@ -174,6 +176,8 @@ def train(
         x_val = val_dataset.features()
         y_val = val_dataset.labels()
         _check_features(arch, x_val)
+        if not np.all(np.isfinite(y_val)):
+            raise InputError("validation labels contain non-finite values")
 
     params = init_params(arch, cfg.seed)
     # One gradient buffer for the whole run: every backward pass overwrites it.
@@ -194,7 +198,7 @@ def train(
         for start in range(0, n, cfg.batch_size):
             xb = x_epoch[start : start + cfg.batch_size]
             yb = y_epoch[start : start + cfg.batch_size]
-            y_hat, s, cache = forward_batch(params, xb, mode="dropout", rng=dropout_rng)
+            y_hat, s, cache = forward_batch(params, xb, rng=dropout_rng)
             values, d_y_hat, d_s = loss_batch(y_hat, s, yb)
             # The batch loss is finite exactly when its sum is.
             batch_sum = float(values.sum())
@@ -207,7 +211,7 @@ def train(
         train_curve.append(epoch_loss_sum / n)
 
         if val_dataset is not None:
-            y_hat, s, _ = forward_batch(params, x_val, mode="deterministic")
+            y_hat, s, _ = forward_batch(params, x_val)
             val_values, _, _ = loss_batch(y_hat, s, y_val)
             val_loss = float(val_values.mean())
             if not math.isfinite(val_loss):
@@ -228,19 +232,21 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray
     """
     features = np.asarray(features, dtype=float)
     _check_features(params.arch, features)
-    y_hat, s, _ = forward_batch(params, features, mode="deterministic")
+    y_hat, s, _ = forward_batch(params, features)
     return y_hat, s
 
 
-# Where each parameter group sits in a checkpoint document.
-_CHECKPOINT_KEYS = {
-    "trunk_w": ("weights", "trunk"),
-    "trunk_b": ("biases", "trunk"),
-    "score_w": ("weights", "score_head"),
-    "score_b": ("biases", "score_head"),
-    "logvar_w": ("weights", "logvar_head"),
-    "logvar_b": ("biases", "logvar_head"),
-}
+def _checkpoint_views(params: ModelParams) -> dict[tuple[str, str], list[np.ndarray]]:
+    """Each (section, key) of a checkpoint document and its views into params."""
+    w, b = params.head_w, params.head_b
+    return {
+        ("weights", "trunk"): params.trunk_w,
+        ("biases", "trunk"): params.trunk_b,
+        ("weights", "score_head"): [layer[0] for layer in w],
+        ("biases", "score_head"): [layer[0, 0] for layer in b],
+        ("weights", "logvar_head"): [layer[1] for layer in w],
+        ("biases", "logvar_head"): [layer[1, 0] for layer in b],
+    }
 
 
 def checkpoint_document(params: ModelParams, calibration_r: float | None = None) -> dict:
@@ -259,8 +265,8 @@ def checkpoint_document(params: ModelParams, calibration_r: float | None = None)
         "biases": {},
         "rng_seed_used": params.rng_seed_used,
     }
-    for group, (section, key) in _CHECKPOINT_KEYS.items():
-        doc[section][key] = [a.tolist() for a in getattr(params, group)]
+    for (section, key), views in _checkpoint_views(params).items():
+        doc[section][key] = [a.tolist() for a in views]
     if calibration_r is not None:
         doc["calibration_r"] = float(calibration_r)
     return doc
@@ -273,14 +279,13 @@ def save_checkpoint(
     atomic_write_text(path, canonical_json(checkpoint_document(params, calibration_r)))
 
 
-def _group_arrays(doc: dict, group: str) -> list[np.ndarray]:
-    """One group's arrays from a checkpoint document, as float arrays.
+def _section_arrays(doc: dict, section: str, key: str) -> list[np.ndarray]:
+    """The arrays of doc[section][key], as float arrays.
 
     Every element must be a JSON number: a bool or a numeric string, which
     np.array(..., dtype=float) would convert, raises ValueError naming the
     section, as does a ragged or non-numeric array.
     """
-    section, key = _CHECKPOINT_KEYS[group]
     arrays = []
     try:
         for node in doc[section][key]:
@@ -353,21 +358,21 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid rng_seed_used: {exc}") from None
 
+    params = ModelParams(arch, np.empty(param_layout(arch)[-1].stop), rng_seed_used)
+    views = _checkpoint_views(params)
     try:
-        arrays = {group: _group_arrays(doc, group) for group in GROUPS}
+        arrays = {where: _section_arrays(doc, *where) for where in views}
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed weights/biases: {exc}") from None
-    layout = param_layout(arch)
-    expected = [s.shape for group in GROUPS for s in layout if s.group == group]
-    actual = [a.shape for group in GROUPS for a in arrays[group]]
+    expected = [v.shape for section in views.values() for v in section]
+    actual = [a.shape for section in arrays.values() for a in section]
     if actual != expected:
         raise CheckpointError(
             f"{path}: weight shapes {actual} do not match arch (expected {expected})"
         )
-    # The flat layout interleaves the groups, so each view takes its own array.
-    params = ModelParams(arch, np.empty(layout[-1].stop), rng_seed_used)
-    for group in GROUPS:
-        for view, a in zip(getattr(params, group), arrays[group]):
+    # The views cover the flat vector, so every parameter is written.
+    for where, section in views.items():
+        for view, a in zip(section, arrays[where]):
             view[...] = a
     if not np.all(np.isfinite(params.flat)):
         raise CheckpointError(f"{path}: checkpoint contains non-finite values")

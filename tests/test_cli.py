@@ -245,6 +245,25 @@ class TestTrain:
         assert doc["batch_size"] == 8  # from the preset
         assert doc["dropout_p"] == 0.0  # explicit flag wins
 
+    def test_non_finite_val_label_is_an_input_error(self, workspace, tmp_path, capsys):
+        """A nan label in the validation CSV exits 2 before training, rather
+        than 1 for a divergence after an epoch, and writes no checkpoint."""
+        lines = (workspace / "base.val.csv").read_text().splitlines(keepends=True)
+        header = lines[0].rstrip("\n").split(",")
+        cells = lines[1].split(",")
+        cells[header.index("y")] = "nan"
+        lines[1] = ",".join(cells)
+        (tmp_path / "val.csv").write_text("".join(lines))
+        code = main([
+            "train", "--data", str(workspace / "base.train.csv"),
+            "--val", str(tmp_path / "val.csv"), "--out", str(tmp_path / "ck.json"),
+            "--epochs", "1", "--trunk-dims", "8", "--head-hidden-dim", "8",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "validation labels" in err
+        assert not (tmp_path / "ck.json").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergent_run_exits_1(self, workspace, tmp_path, capsys):

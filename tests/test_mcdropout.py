@@ -341,11 +341,12 @@ class TestKernelInvariants:
         for w, b in zip(params.trunk_w, params.trunk_b):
             a = act(a @ w.T + b)
 
-        def head(mask, w, b):
-            return (act((a[:, None, :] * mask) @ w[0].T + b[0]) @ w[1].T + b[1])[..., 0]
+        def head(mask, k):
+            (w0, w1), (b0, b1) = (w[k] for w in params.head_w), (b[k] for b in params.head_b)
+            return (act((a[:, None, :] * mask) @ w0.T + b0) @ w1.T + b1)[..., 0]
 
-        y = head(keep[:, :, 0], params.score_w, params.score_b)
-        s = np.clip(head(keep[:, :, 1], params.logvar_w, params.logvar_b), -S_CLAMP, S_CLAMP)
+        y = head(keep[:, :, 0], 0)
+        s = np.clip(head(keep[:, :, 1], 1), -S_CLAMP, S_CLAMP)
         np.testing.assert_allclose([r.y_samples for r in results], y, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose([r.s_samples for r in results], s, rtol=1e-12, atol=1e-12)
         assert results[4] == one_row(params, features, cfg, 4)
@@ -468,23 +469,24 @@ def per_head_reference(params, x, cfg, multiplier=1.0):
     act = np.tanh if params.arch.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
     passes, p = cfg.num_passes, cfg.dropout_p
 
-    def head(h_in, w, b):
-        hidden = act(np.einsum("rtk,jk->rtj", h_in, w[0]) + b[0])
-        return np.einsum("rtj,j->rt", hidden, w[1][0]) + b[1][0]
+    def head(h_in, k):
+        (w0, w1), (b0, b1) = (w[k] for w in params.head_w), (b[k, 0] for b in params.head_b)
+        hidden = act(np.einsum("rtk,jk->rtj", h_in, w0) + b0)
+        return np.einsum("rtj,j->rt", hidden, w1[0]) + b1[0]
 
     a = x
     for w, b in zip(params.trunk_w, params.trunk_b):
         a = act(np.einsum("rk,jk->rj", a, w) + b)
     h = a[:, None, :]
     if p == 0.0:
-        y = np.repeat(head(h, params.score_w, params.score_b), passes, axis=1)
-        s = np.repeat(head(h, params.logvar_w, params.logvar_b), passes, axis=1)
+        y = np.repeat(head(h, 0), passes, axis=1)
+        s = np.repeat(head(h, 1), passes, axis=1)
     else:
         keys = np.array([row_seed(cfg.seed, i) for i in range(len(x))], dtype=np.uint64)
         keep = _keep_mask(keys, passes, a.shape[1], p)
         scale = 1.0 / (1.0 - p)
-        y = head(h * (keep[:, :, 0] * scale), params.score_w, params.score_b)
-        s = head(h * (keep[:, :, 1] * scale), params.logvar_w, params.logvar_b)
+        y = head(h * (keep[:, :, 0] * scale), 0)
+        s = head(h * (keep[:, :, 1] * scale), 1)
     s = np.clip(s, -S_CLAMP, S_CLAMP)
 
     def variance(v):
@@ -520,12 +522,21 @@ class TestStackedKernel:
         )
         # Blocks of 64 rows at every width and pass count, so that the row
         # counts below fall on both sides of a block boundary.
-        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * arch.trunk_output_dim)
+        widest = max(arch.trunk_output_dim, arch.head_hidden_dim)
+        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * widest)
+        blocks, activate = [], mcdropout._activate
+
+        def recording_activate(z, kind, out=None):
+            if z.ndim == 4:  # the heads' hidden layer, (2, rows, passes, width)
+                blocks.append(z.shape[1])
+            return activate(z, kind, out=out)
+
+        monkeypatch.setattr(mcdropout, "_activate", recording_activate)
         params = init_params(arch, seed=4)
         data = np.random.default_rng(passes + len(trunk_dims))
         # Non-zero biases, and some log-variances beyond the clamp.
         params.flat[...] += data.normal(scale=0.5, size=params.flat.size)
-        params.logvar_b[1][...] = 9.0
+        params.head_b[1][1] = 9.0
         features = data.normal(scale=2.0, size=(131, 3))
         # Inputs near the float limit, where the order of the mask product
         # decides between a signed zero and NaN for a dropped unit.
@@ -536,8 +547,10 @@ class TestStackedKernel:
             reference = per_head_reference(params, features, cfg, scale.variance_multiplier)
             want = [result_bits(r) for r in reference]
             for rows in (1, 63, 64, 65, 131):
+                blocks.clear()
                 got = mc_forward_dataset(params, features[:rows], cfg, scale)
                 assert [result_bits(r) for r in got] == want[:rows]
+                assert blocks == [64] * (rows // 64) + [rows % 64] * (rows % 64 > 0)
             for i in (0, 3, 64, 130):
                 row_cfg = replace(cfg, seed=row_seed(cfg.seed, i))
                 assert result_bits(mc_forward(params, features[i], row_cfg, scale)) == want[i]

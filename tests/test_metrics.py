@@ -157,6 +157,51 @@ class TestSrccSystem:
         assert srcc_system(warped) == pytest.approx(srcc_system(base), abs=1e-12)
 
 
+def srcc_system_oracle(records):
+    """srcc_system with the per-system sums kept in dicts and added in row
+    order, as a plain oracle; None where fewer than two systems appear."""
+    true_sums, pred_sums, counts = {}, {}, {}
+    for r in records:
+        true_sums[r.system_id] = true_sums.get(r.system_id, 0.0) + r.y_true
+        pred_sums[r.system_id] = pred_sums.get(r.system_id, 0.0) + r.y_pred
+        counts[r.system_id] = counts.get(r.system_id, 0) + 1
+    systems = sorted(counts)
+    if len(systems) < 2:
+        return None
+    true_means = np.array([true_sums[k] / counts[k] for k in systems])
+    pred_means = np.array([pred_sums[k] / counts[k] for k in systems])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(_average_ranks(true_means), _average_ranks(pred_means))[0, 1])
+
+
+SYSTEM_IDS = st.one_of(
+    st.sampled_from(["a", "a\x00", "\x00", "", "b", "é", "e\u0301", "日本"]),
+    st.text(max_size=3),
+)
+SCORES = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-1e6, 1e6))
+
+
+class TestSrccSystemMatchesTheDictLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(SYSTEM_IDS, SCORES, SCORES), min_size=1, max_size=30))
+    def test_bit_identical_to_the_dict_loop(self, rows):
+        """Grouping by np.unique over an object array and summing with
+        bincount gives the dict loop's bits: the same systems (ids with NULs
+        and non-ASCII text included), the same sorted order and the same
+        row-order sums, ties and nan correlations included."""
+        records = [rec(t, p, system=s) for s, t, p in rows]
+        want = srcc_system_oracle(records)
+        if want is None:
+            with pytest.raises(InputError):
+                srcc_system(records)
+        else:
+            assert np.float64(srcc_system(records)).tobytes() == np.float64(want).tobytes()
+
+    def test_ids_differing_by_a_trailing_nul_are_two_systems(self):
+        records = [rec(1, 1, system="a"), rec(2, 2, system="a\x00")]
+        assert srcc_system(records) == pytest.approx(1.0)
+
+
 class TestNllMetric:
     def test_standard_normal_mode(self):
         assert nll_metric([rec(0, 0, 1.0)]) == pytest.approx(HALF_LOG_2PI, abs=1e-12)

@@ -20,7 +20,6 @@ from mosuq.net import (
     HeteroPrediction,
     ModelParams,
     backward_batch,
-    dropout_mask,
     forward_batch,
     init_params,
     param_arrays,
@@ -90,13 +89,13 @@ class TestInitParams:
 
     def test_biases_start_at_zero(self):
         params = init_params(small_arch(), seed=3)
-        for bias in params.trunk_b + params.score_b + params.logvar_b:
+        for bias in params.trunk_b + params.head_b:
             np.testing.assert_array_equal(bias, np.zeros_like(bias))
 
     def test_weights_bounded_by_fan_in(self):
         params = init_params(small_arch(trunk_dims=(6, 4)), seed=11)
-        for w in params.trunk_w + params.score_w + params.logvar_w:
-            bound = 1.0 / math.sqrt(w.shape[1])
+        for w in params.trunk_w + params.head_w:
+            bound = 1.0 / math.sqrt(w.shape[-1])
             assert np.all(np.abs(w) <= bound)
 
     def test_records_seed(self):
@@ -106,10 +105,10 @@ class TestInitParams:
         arch = small_arch(trunk_dims=(5,), head_hidden_dim=2)
         params = init_params(arch, seed=0)
         assert params.trunk_w[0].shape == (5, 3)
-        assert params.score_w[0].shape == (2, 5)
-        assert params.score_w[1].shape == (1, 2)
-        assert params.logvar_w[0].shape == (2, 5)
-        assert params.logvar_w[1].shape == (1, 2)
+        assert params.head_w[0][0].shape == (2, 5)
+        assert params.head_w[1][0].shape == (1, 2)
+        assert params.head_w[0][1].shape == (2, 5)
+        assert params.head_w[1][1].shape == (1, 2)
 
 
 def address(a: np.ndarray) -> int:
@@ -132,8 +131,7 @@ class TestFlatLayout:
         documented = [("trunk_w", (w, f)) for w, f in zip(widths[1:], widths[:-1])]
         documented += [("trunk_b", (w,)) for w in arch.trunk_dims]
         for w in [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]:
-            b = w[:1]
-            documented += [("score_w", w), ("logvar_w", w), ("score_b", b), ("logvar_b", b)]
+            documented += [("head_w", (2, *w)), ("head_b", (2, 1, w[0]))]
         assert [(s.group, s.shape) for s in param_layout(arch)] == documented
         arrays = param_arrays(params)
         assert [a.shape for a in arrays] == [shape for _, shape in documented]
@@ -159,29 +157,44 @@ class TestFlatLayout:
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_stacked_head_views_cover_both_heads_score_first(self, arch):
+        """Each head layer's slots start where the score head's arrays start
+        and end where the log-variance head's end, in the layout that stored
+        the two heads as interleaved (fan_out, fan_in) and (fan_out,) arrays:
+        per head layer, score weight, log-variance weight, score bias,
+        log-variance bias."""
         params = init_params(arch, seed=0)
         assert len(params.head_w) == len(params.head_b) == 2
-        for l in range(2):
+        offset = sum(math.prod(s.shape) for s in param_layout(arch) if s.group.startswith("trunk"))
+        head_slots = [s for s in param_layout(arch) if s.group.startswith("head")]
+        for l, (fan_out, fan_in) in enumerate(
+            [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]
+        ):
             w, b = params.head_w[l], params.head_b[l]
             assert w.base is params.flat and b.base is params.flat
-            assert w.shape == (2, *params.score_w[l].shape)
-            assert b.shape == (2, 1, params.score_b[l].size)
-            assert address(w) == address(params.score_w[l])
-            assert address(w[1]) == address(params.logvar_w[l])
-            assert address(b) == address(params.score_b[l])
-            assert address(b[1]) == address(params.logvar_b[l])
-            assert np.array_equal(w, np.stack([params.score_w[l], params.logvar_w[l]]))
+            assert w.shape == (2, fan_out, fan_in)
+            assert b.shape == (2, 1, fan_out)
+            score_w, logvar_w = offset, offset + fan_out * fan_in
+            score_b, logvar_b = offset + 2 * fan_out * fan_in, offset + 2 * fan_out * fan_in + fan_out
+            assert address(w) == address(w[0]) == address(params.flat) + 8 * score_w
+            assert address(w[1]) == address(params.flat) + 8 * logvar_w
+            assert address(b) == address(b[0]) == address(params.flat) + 8 * score_b
+            assert address(b[1]) == address(params.flat) + 8 * logvar_b
+            assert head_slots[2 * l][2:] == (score_w, score_b)
+            assert head_slots[2 * l + 1][2:] == (score_b, logvar_b + fan_out)
+            offset = logvar_b + fan_out
+        assert offset == params.flat.size
 
     def test_writes_through_a_view_reach_the_flat_vector(self):
         params = init_params(small_arch(), seed=0)
-        params.score_b[1][0] = 123.0
-        slot = [s for s in param_layout(params.arch) if s.group == "score_b"][1]
+        params.head_b[1][0, 0, 0] = 123.0
+        slot = [s for s in param_layout(params.arch) if s.group == "head_b"][1]
         assert params.flat[slot.start] == 123.0
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_init_draws_in_the_documented_order(self, arch):
-        """Trunk layers, then score head, then log-variance head, each a
-        uniform weight draw per layer; biases draw nothing."""
+        """Trunk layers, then every score head layer, then every log-variance
+        head layer, each a uniform weight draw per layer; biases draw
+        nothing."""
         rng = np.random.default_rng(3)
         widths = (arch.input_dim, *arch.trunk_dims)
         head = [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]
@@ -190,7 +203,7 @@ class TestFlatLayout:
             for w, f in list(zip(widths[1:], widths[:-1])) + head + head
         ]
         params = init_params(arch, seed=3)
-        got = params.trunk_w + params.score_w + params.logvar_w
+        got = params.trunk_w + [w[0] for w in params.head_w] + [w[1] for w in params.head_w]
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
 
@@ -230,16 +243,16 @@ class TestForward:
     def test_dropout_p_zero_matches_deterministic(self):
         params = init_params(small_arch(dropout_p=0.0), seed=5)
         x = np.array([0.3, -1.2, 0.8])
-        det, _ = one_row(params, x, mode="deterministic")
-        drop, _ = one_row(params, x, mode="dropout", rng=np.random.default_rng(0))
+        det, _ = one_row(params, x)
+        drop, _ = one_row(params, x, rng=np.random.default_rng(0))
         assert det.y_hat == drop.y_hat
         assert det.s == drop.s
 
     def test_dropout_deterministic_given_seed(self):
         params = init_params(small_arch(), seed=5)
         x = np.array([0.3, -1.2, 0.8])
-        a, _ = one_row(params, x, mode="dropout", rng=np.random.default_rng(99))
-        b, _ = one_row(params, x, mode="dropout", rng=np.random.default_rng(99))
+        a, _ = one_row(params, x, rng=np.random.default_rng(99))
+        b, _ = one_row(params, x, rng=np.random.default_rng(99))
         assert a == b
 
     def test_dimension_mismatch_raises(self):
@@ -247,15 +260,16 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_batch(params, np.zeros((1, 4)))
 
-    def test_dropout_mode_requires_rng(self):
+    def test_no_dropout_without_an_rng(self):
+        """At p = 0.5 a pass without a generator still masks nothing: both
+        heads read the trunk output as it is."""
         params = init_params(small_arch(), seed=1)
-        with pytest.raises(ConfigError):
-            forward_batch(params, np.zeros((1, 3)), mode="dropout")
-
-    def test_unknown_mode_rejected(self):
-        params = init_params(small_arch(), seed=1)
-        with pytest.raises(ConfigError):
-            forward_batch(params, np.zeros((1, 3)), mode="sample")
+        xs = np.random.default_rng(0).normal(size=(4, 3))
+        y_hat, s, (_, trunk_post, mask, h_in, _, _) = forward_batch(params, xs)
+        assert mask is None
+        assert np.array_equal(h_in, np.stack([trunk_post[-1]] * 2))
+        again_y, again_s, _ = forward_batch(params, xs)
+        assert same_bits(y_hat, again_y) and same_bits(s, again_s)
 
     def test_batch_agrees_with_single_rows(self):
         params = init_params(small_arch(), seed=2)
@@ -267,32 +281,32 @@ class TestForward:
             assert pred.s == pytest.approx(s[i], abs=1e-12)
 
     def test_one_mask_draw_matches_one_draw_per_head(self):
-        """Both heads' masks come from one (2, B, H) draw: the score mask is
-        the first half of it, exactly as two (B, H) draws would give."""
-        params = init_params(small_arch(trunk_dims=(6,)), seed=2)
+        """Both heads' masks come from one (2, B, H) draw at arch.dropout_p:
+        the score mask is the first half of it, exactly as two (B, H) draws
+        would give."""
+        params = init_params(small_arch(trunk_dims=(6,), dropout_p=0.4), seed=2)
         xs = np.random.default_rng(0).normal(size=(5, 3))
         rng = np.random.default_rng(8)
-        y_hat, s, _ = forward_batch(params, xs, mode="dropout", rng=rng, dropout_p=0.4)
+        y_hat, s, _ = forward_batch(params, xs, rng=rng)
 
         ref_rng = np.random.default_rng(8)
-        score_mask = dropout_mask(ref_rng, (5, 6), 0.4)
-        logvar_mask = dropout_mask(ref_rng, (5, 6), 0.4)
+        score_mask = (ref_rng.random((5, 6)) >= 0.4) / (1.0 - 0.4)
+        logvar_mask = (ref_rng.random((5, 6)) >= 0.4) / (1.0 - 0.4)
         h = np.tanh(xs @ params.trunk_w[0].T + params.trunk_b[0])
 
-        def head(mask, w, b):
-            hidden = np.tanh((h * mask) @ w[0].T + b[0])
-            return (hidden @ w[1].T + b[1])[:, 0]
+        def head(mask, k):
+            (w0, w1), (b0, b1) = (w[k] for w in params.head_w), (b[k] for b in params.head_b)
+            hidden = np.tanh((h * mask) @ w0.T + b0)
+            return (hidden @ w1.T + b1)[:, 0]
 
-        assert np.array_equal(y_hat, head(score_mask, params.score_w, params.score_b))
-        assert np.array_equal(
-            s, np.clip(head(logvar_mask, params.logvar_w, params.logvar_b), -S_CLAMP, S_CLAMP)
-        )
+        assert np.array_equal(y_hat, head(score_mask, 0))
+        assert np.array_equal(s, np.clip(head(logvar_mask, 1), -S_CLAMP, S_CLAMP))
         assert rng.random() == ref_rng.random()
 
     def test_log_variance_clamped(self):
         params = init_params(small_arch(), seed=3)
-        for arr in params.logvar_w + params.logvar_b:
-            arr[...] = 50.0
+        for arr in params.head_w + params.head_b:
+            arr[1] = 50.0
         pred, _ = one_row(params, np.ones(3) * 100.0)
         assert abs(pred.s) == S_CLAMP
         assert pred.sigma2 == math.exp(pred.s)
@@ -307,22 +321,35 @@ class TestForward:
 
 
 class TestDropoutMask:
+    """The inverted-dropout mask forward_batch draws and caches for replay."""
+
+    @staticmethod
+    def mask(p, rows, seed):
+        """The (2, rows, 50) mask of one forward pass at dropout p."""
+        params = init_params(small_arch(trunk_dims=(50,), dropout_p=p), seed=0)
+        xs = np.random.default_rng(1).normal(size=(rows, 3))
+        return forward_batch(params, xs, rng=np.random.default_rng(seed))[2][2]
+
     def test_values_are_zero_or_inverse_keep(self):
-        rng = np.random.default_rng(0)
-        mask = dropout_mask(rng, (1000,), 0.25)
+        mask = self.mask(0.25, 10, seed=0)
+        assert mask.shape == (2, 10, 50)
         expected = 1.0 / 0.75
         assert set(np.unique(mask)) <= {0.0, expected}
 
     def test_expectation_close_to_one(self):
-        rng = np.random.default_rng(123)
-        draws = dropout_mask(rng, (10000,), 0.5)
+        draws = self.mask(0.5, 100, seed=123)
+        assert draws.size == 10000
         assert abs(draws.mean() - 1.0) < 0.03
 
     def test_p_zero_is_all_ones_and_consumes_no_randomness(self):
+        """At p = 0 no mask is drawn or applied: the heads read the trunk
+        output unchanged, as an all-ones mask would leave it."""
+        params = init_params(small_arch(trunk_dims=(16,), dropout_p=0.0), seed=0)
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        mask = dropout_mask(rng_a, (16,), 0.0)
-        np.testing.assert_array_equal(mask, np.ones(16))
+        _, _, (_, trunk_post, mask, h_in, _, _) = forward_batch(params, np.ones((1, 3)), rng=rng_a)
+        assert mask is None
+        np.testing.assert_array_equal(h_in, np.stack([trunk_post[-1]] * 2))
         assert rng_a.random() == rng_b.random()
 
 
@@ -405,7 +432,7 @@ class TestBackward:
     def test_gradients_with_dropout_masks_replayed(self):
         params = init_params(small_arch(), seed=12)
         x = np.array([0.4, -1.1, 0.9])
-        pred, cache = one_row(params, x, mode="dropout", rng=np.random.default_rng(3))
+        pred, cache = one_row(params, x, rng=np.random.default_rng(3))
         _, d_y_hat, d_s = nll_one_row(pred, 2.3)
         analytic = one_row_grads(cache, params, d_y_hat, d_s)
         assert any(np.any(g != 0.0) for g in analytic)
@@ -434,17 +461,18 @@ class TestBackward:
 
     def test_clamped_log_variance_blocks_its_gradient(self):
         params = init_params(small_arch(), seed=3)
-        for arr in params.logvar_w + params.logvar_b:
-            arr[...] = 50.0
+        for arr in params.head_w + params.head_b:
+            arr[1] = 50.0
         _, _, cache = forward_batch(params, np.ones((1, 3)) * 100.0)
         grads = backward_batch(cache, params, np.zeros(1), np.ones(1))
-        for g in grads.logvar_w + grads.logvar_b:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        for g in grads.head_w + grads.head_b:
+            np.testing.assert_array_equal(g[1], np.zeros_like(g[1]))
 
 
-def per_head_reference(params, x, mode, rng, d_y_hat, d_s):
+def per_head_reference(params, x, rng, d_y_hat, d_s):
     """The network run one head at a time with 2-d matmuls, as a plain oracle
-    for the stacked heads: (y_hat, s, gradients by group)."""
+    for the stacked heads: (y_hat, s, gradients by group). Head gradients
+    are listed by head, then layer: want["head_w"][k][l] is head k's."""
     arch = params.arch
     if arch.activation == "tanh":
         act, act_grad = np.tanh, lambda post: 1.0 - post * post
@@ -454,25 +482,24 @@ def per_head_reference(params, x, mode, rng, d_y_hat, d_s):
     for w, b in zip(params.trunk_w, params.trunk_b):
         a = act(a @ w.T + b)
         trunk_post.append(a)
-    masks = (
-        dropout_mask(rng, (2, *a.shape), arch.dropout_p) if mode == "dropout" else (None, None)
-    )
+    p = arch.dropout_p
+    masks = (rng.random((2, *a.shape)) >= p) / (1.0 - p) if rng is not None else (None, None)
     heads = []
-    weights, biases = (params.score_w, params.logvar_w), (params.score_b, params.logvar_b)
-    for mask, w, b in zip(masks, weights, biases):
+    for k, mask in enumerate(masks):
+        w, b = [layer[k] for layer in params.head_w], [layer[k, 0] for layer in params.head_b]
         h_in = a if mask is None else a * mask
         hidden = act(h_in @ w[0].T + b[0])
         heads.append(((hidden @ w[1].T + b[1])[:, 0], mask, h_in, hidden, w))
     y_hat, s_raw = heads[0][0], heads[1][0]
 
-    grads = {group: [] for group in GROUPS}
+    grads = {"head_w": [], "head_b": []}
     d_h = []
     d_outs = (d_y_hat, d_s * (np.abs(s_raw) < S_CLAMP))
-    for (_, mask, h_in, hidden, w), d_out, name in zip(heads, d_outs, ("score", "logvar")):
+    for (_, mask, h_in, hidden, w), d_out in zip(heads, d_outs):
         do = d_out[:, None]
         d_hidden = (do @ w[1]) * act_grad(hidden)
-        grads[f"{name}_w"] += [d_hidden.T @ h_in, do.T @ hidden]
-        grads[f"{name}_b"] += [d_hidden.sum(axis=0), do.sum(axis=0)]
+        grads["head_w"].append([d_hidden.T @ h_in, do.T @ hidden])
+        grads["head_b"].append([d_hidden.sum(axis=0), do.sum(axis=0)])
         d = d_hidden @ w[0]
         d_h.append(d if mask is None else d * mask)
     d_a = d_h[0] + d_h[1]
@@ -505,22 +532,28 @@ class TestStackedHeads:
         data = np.random.default_rng(batch)
         # Non-zero biases, and some outputs beyond the clamp.
         params.flat[...] += data.normal(scale=0.5, size=params.flat.size)
-        params.logvar_b[1][...] = 9.0
+        params.head_b[1][1] = 9.0
         x = data.normal(scale=2.0, size=(batch, 3))
         d_y_hat, d_s = data.normal(size=batch), data.normal(size=batch)
 
-        y_hat, s, cache = forward_batch(params, x, mode=mode, rng=np.random.default_rng(7))
+        rng = (lambda: np.random.default_rng(7)) if mode == "dropout" else (lambda: None)
+        y_hat, s, cache = forward_batch(params, x, rng=rng())
         grads = backward_batch(cache, params, d_y_hat, d_s)
-        want_y, want_s, want = per_head_reference(
-            params, x, mode, np.random.default_rng(7), d_y_hat, d_s
-        )
+        want_y, want_s, want = per_head_reference(params, x, rng(), d_y_hat, d_s)
         assert same_bits(y_hat, want_y)
         assert same_bits(s, want_s)
-        for group in GROUPS:
+        for group in ("trunk_w", "trunk_b"):
             got = getattr(grads, group)
             assert len(got) == len(want[group])
             for g, w in zip(got, want[group]):
                 assert same_bits(g, w), group
+        for group in ("head_w", "head_b"):
+            got = getattr(grads, group)
+            assert len(got) == 2
+            for k in range(2):
+                for l in range(2):
+                    g = got[l][k] if group == "head_w" else got[l][k, 0]
+                    assert same_bits(g, want[group][k][l]), (group, k, l)
 
     @pytest.mark.parametrize("trunk_dims", [(), (6, 4)])
     @pytest.mark.parametrize("mode", ["deterministic", "dropout"])
@@ -528,7 +561,8 @@ class TestStackedHeads:
         params = init_params(small_arch(trunk_dims=trunk_dims), seed=2)
         data = np.random.default_rng(3)
         x = data.normal(size=(9, 3))
-        _, _, cache = forward_batch(params, x, mode=mode, rng=np.random.default_rng(1))
+        rng = np.random.default_rng(1) if mode == "dropout" else None
+        _, _, cache = forward_batch(params, x, rng=rng)
         d_y_hat, d_s = data.normal(size=9), data.normal(size=9)
         buffer = ModelParams(params.arch, np.full(params.flat.size, np.nan), 0)
         got = backward_batch(cache, params, d_y_hat, d_s, out=buffer)

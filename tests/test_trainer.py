@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +144,17 @@ class TestTrainValidation:
                 val_dataset=self.with_nan_feature(small_dataset(seed=9)),
             )
 
+    def test_non_finite_val_label_rejected_before_the_first_step(self, monkeypatch):
+        """A bad validation label is bad input, not a divergence found after
+        a whole epoch of training."""
+        self.forbid_steps(monkeypatch)
+        val = small_dataset(seed=9)
+        y = val.labels().copy()
+        y[4] = np.nan
+        bad = dataclasses.replace(val, y=y)
+        with pytest.raises(InputError, match="validation labels"):
+            train(small_dataset(), small_arch(), quick_cfg(), val_dataset=bad)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_names_the_epoch(self):
@@ -211,14 +224,14 @@ class TestMseLossLeavesVarianceHeadAlone:
         cfg = quick_cfg(loss="mse", epochs=2, seed=3)
         params, _ = train(dataset, arch, cfg)
         init = init_params(arch, cfg.seed)
-        for trained, fresh in zip(params.logvar_w + params.logvar_b,
-                                  init.logvar_w + init.logvar_b):
-            assert np.array_equal(trained, fresh)
+        for trained, fresh in zip(params.head_w + params.head_b,
+                                  init.head_w + init.head_b):
+            assert np.array_equal(trained[1], fresh[1])
         # The score path must still have moved.
         assert any(
             not np.array_equal(t, f)
-            for t, f in zip(params.score_w + params.trunk_w,
-                            init.score_w + init.trunk_w)
+            for t, f in zip([w[0] for w in params.head_w] + params.trunk_w,
+                            [w[0] for w in init.head_w] + init.trunk_w)
         )
 
 
@@ -432,6 +445,28 @@ class TestCheckpointRoundTrip:
         save_checkpoint(params, path)
         loaded, _ = load_checkpoint(path)
         assert np.array_equal(loaded.flat, params.flat)
+
+
+GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1.json"
+
+
+class TestGoldenCheckpoint:
+    """A checkpoint saved by an earlier layout of the parameter vector: trunk
+    (5, 4) on 3 inputs, head width 2, flat = arange, r = 1.25. A save and a
+    load that both swapped the two heads would still round-trip; this file
+    pins where every parameter lands."""
+
+    def test_loads_to_arange_and_its_calibration(self):
+        params, r = load_checkpoint(GOLDEN_CHECKPOINT)
+        assert params.arch == ArchConfig(input_dim=3, trunk_dims=(5, 4), head_hidden_dim=2)
+        assert np.array_equal(params.flat, np.arange(params.flat.size, dtype=float))
+        assert params.rng_seed_used == 7
+        assert r == 1.25
+
+    def test_saving_it_again_is_byte_identical(self, tmp_path):
+        params, r = load_checkpoint(GOLDEN_CHECKPOINT)
+        save_checkpoint(params, tmp_path / "again.json", calibration_r=r)
+        assert (tmp_path / "again.json").read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
 
 
 class TestPredictBatch:
