@@ -13,7 +13,7 @@ Submodules:
 * trainer   - mini-batch Adam/SGD loop, checkpoints, loss history
 * calibrate - closed-form variance scaling
 * mcdropout - stochastic forward passes and epistemic variances
-* metrics   - MSE, system Spearman, NLL, UCE, sharpness, AUC, curves
+* metrics   - column metrics: MSE, system Spearman, NLL, UCE, sharpness, AUC, curves, report
 * datagen   - columnar synthetic datasets with known noise, OOD shifts, CSV I/O
 * cli       - gen-data / train / calibrate / evaluate / ood-detect
 """

@@ -43,13 +43,7 @@ from .datagen import (
 from .errors import CheckpointError, ConfigError, InputError, MosuqError, ShapeError
 from .ioutils import atomic_write_text, canonical_json, write_csv
 from .mcdropout import MCConfig, mc_forward_dataset
-from .metrics import (
-    EvalRecord,
-    compute_report,
-    error_uncertainty_curve,
-    roc_auc,
-    selective_sweep,
-)
+from .metrics import MetricsReport, error_uncertainty_curve, roc_auc, selective_sweep
 from .net import ArchConfig, HeteroPrediction
 from .trainer import (
     TrainConfig,
@@ -445,27 +439,22 @@ def _cmd_evaluate(cfg: SimpleNamespace) -> int:
         var_pred = np.array([getattr(res, field) for res in results])
         y_pred = np.array([res.y_mean for res in results]) if cfg.point == "mc-mean" else y_det
 
-    ids = dataset.ids.tolist()
-    # EvalRecord fields: id, system_id, y_true, y_pred, var_pred, domain_label.
-    columns = (
-        ids, dataset.system_ids.tolist(), dataset.labels().tolist(), y_pred.tolist(),
-        var_pred.tolist(), (dataset.domain_tags == DOMAIN_OOD).astype(int).tolist(),
-    )
-    records = [EvalRecord(*row) for row in zip(*columns)]
+    scored = (dataset.labels(), y_pred, var_pred)
     # Every output is computed before the first file is written, so a
     # failure (such as more curve bins than rows) leaves no partial output.
-    report = compute_report(records, num_bins=cfg.bins, include_const=cfg.nll_const)
+    report = MetricsReport.of(
+        dataset.system_ids, *scored, domain_labels=dataset.domain_tags == DOMAIN_OOD,
+        num_bins=cfg.bins, include_const=cfg.nll_const,
+    )
     tables = []  # (path, header, columns)
     if cfg.curve is not None:
-        points = error_uncertainty_curve(records, num_bins=cfg.bins)
+        points = error_uncertainty_curve(*scored, num_bins=cfg.bins)
         tables.append((cfg.curve, ["mean_uncert", "mean_sq_err"], list(zip(*points))))
     if cfg.sweep is not None:
         k = cfg.sweep_points
-        thresholds = np.quantile(var_pred, np.linspace(1.0 / k, 1.0, k))
-        rows = selective_sweep(records, [float(t) for t in thresholds])
-        tables.append(
-            (cfg.sweep, ["threshold", "retained_fraction", "subset_mse"], list(zip(*rows)))
-        )
+        rows = selective_sweep(*scored, np.quantile(var_pred, np.linspace(1.0 / k, 1.0, k)))
+        header = ["threshold", "retained_fraction", "subset_mse"]
+        tables.append((cfg.sweep, header, list(zip(*rows))))
     if cfg.mc_out is not None:
         fields = ("y_mean", "aleatoric_var", "epi_pred_var", "epi_dist_var")
         y_mean, *variances = ([getattr(r, f) for r in results] for f in fields)
@@ -479,7 +468,7 @@ def _cmd_evaluate(cfg: SimpleNamespace) -> int:
     _record_config("evaluate", cfg.report, cfg)
     auc_text = "n/a" if report.auc is None else f"{report.auc:.4f}"
     print(
-        f"evaluated {len(records)} samples: mse {report.mse:.4f}, "
+        f"evaluated {len(dataset)} samples: mse {report.mse:.4f}, "
         f"srcc_system {report.srcc_system:.4f}, nll {report.nll:.4f}, "
         f"uce {report.uce:.4f}, sharpness {report.sharpness:.6f}, auc {auc_text}"
     )

@@ -37,7 +37,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -126,33 +126,18 @@ class Dataset:
     x: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in _COLUMN_DTYPES.items():
-            column = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        try:
+            for name, dtype in _COLUMN_DTYPES.items():
+                column = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"dataset column {name} is not a regular array: {exc}") from None
         if self.x.ndim != 2:
             raise InputError(f"features must form an (n, d) matrix, got shape {self.x.shape}")
         lengths = {name: len(getattr(self, name)) for name in _COLUMN_DTYPES}
         if len(set(lengths.values())) > 1:
             raise InputError(f"dataset columns differ in length: {lengths}")
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[Sample]) -> Dataset:
-        """Stack Sample rows into columns; their feature vectors must agree in shape."""
-        samples = tuple(samples)
-        widths = {s.features.shape for s in samples}
-        if len(widths) > 1:
-            raise InputError(f"inconsistent feature shapes in dataset: {sorted(widths)}")
-        x = np.array([s.features for s in samples], dtype=float)
-        return cls(
-            ids=[s.id for s in samples],
-            system_ids=[s.system_id for s in samples],
-            domain_tags=[s.domain_tag for s in samples],
-            y=[s.y for s in samples],
-            true_noise_var=[math.nan if s.true_noise_var is None else s.true_noise_var
-                            for s in samples],
-            x=x.reshape(len(samples), -1) if samples else np.empty((0, 0)),
-        )
 
     def __len__(self) -> int:
         return len(self.y)

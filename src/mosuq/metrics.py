@@ -1,11 +1,14 @@
 """Evaluation metrics for probabilistic quality-score regression.
 
-All functions take flat lists of EvalRecord, one per rated item, carrying
-the true score, the predicted score, the predicted variance, and optional
-grouping/domain labels. Accuracy metrics (mse, srcc_system), proper-score
-and calibration metrics (nll_metric, uce, sharpness), a separability
-metric (roc_auc), and two diagnostic curves (error_uncertainty_curve,
-selective_sweep) are provided, plus a one-call report.
+Every function takes the 1-d columns it reads, one entry per rated item:
+system_ids, y_true, y_pred, var_pred, and for the report optional domain
+labels (1 = OOD, 0 = in domain). One helper checks them: equal lengths, at
+least one row, finite scores and finite non-negative variances. Accuracy
+metrics (mse, srcc_system), proper-score and calibration metrics
+(nll_metric, uce, sharpness), a separability metric (roc_auc), and two
+diagnostic curves (error_uncertainty_curve, selective_sweep) are provided,
+plus the one-call MetricsReport.of. compute_report and EvalRecord keep the
+older row form: it stacks the rows once and calls MetricsReport.of.
 
 The two rank-based metrics (srcc_system, roc_auc) share one numpy helper
 that gives 1-based average ranks: a tie group takes the mean of the ranks
@@ -26,17 +29,8 @@ from .errors import InputError, InvariantError
 from .ioutils import canonical_json
 
 __all__ = [
-    "EvalRecord",
-    "MetricsReport",
-    "mse",
-    "srcc_system",
-    "nll_metric",
-    "uce",
-    "sharpness",
-    "roc_auc",
-    "error_uncertainty_curve",
-    "selective_sweep",
-    "compute_report",
+    "EvalRecord", "MetricsReport", "mse", "srcc_system", "nll_metric", "uce", "sharpness",
+    "roc_auc", "error_uncertainty_curve", "selective_sweep", "compute_report",
 ]
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -77,6 +71,33 @@ class MetricsReport:
     sharpness: float
     auc: float | None
 
+    @classmethod
+    def of(
+        cls, system_ids: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray,
+        var_pred: np.ndarray, domain_labels: np.ndarray | None = None,
+        num_bins: int = 10, include_const: bool = True,
+    ) -> MetricsReport:
+        """All headline metrics of one prediction set, given as columns. auc separates OOD
+        rows (domain label 1) from in-domain rows (0) by var_pred, if both occur. A metric
+        with no JSON form, a non-finite one other than srcc_system, raises InvariantError."""
+        named = dict(system_ids=system_ids, y_true=y_true, y_pred=y_pred, var_pred=var_pred)
+        if domain_labels is not None:
+            named["domain_labels"] = domain_labels
+        system_ids, y_true, y_pred, var_pred, *labels = _columns(**named)
+        auc = roc_auc(var_pred, labels[0]) if labels and np.unique(labels[0]).size == 2 else None
+        report = cls(
+            mse=mse(y_true, y_pred),
+            srcc_system=srcc_system(system_ids, y_true, y_pred),
+            nll=nll_metric(y_true, y_pred, var_pred, include_const=include_const),
+            uce=uce(y_true, y_pred, var_pred, num_bins=num_bins),
+            sharpness=sharpness(var_pred),
+            auc=auc,
+        )
+        for name in ("mse", "nll", "uce", "sharpness", "auc"):
+            if not math.isfinite(getattr(report, name) or 0.0):
+                raise InvariantError(f"metric {name} is not finite: {getattr(report, name)}")
+        return report
+
     def to_dict(self) -> dict:
         """Plain-JSON form; an undefined srcc_system (nan) becomes None."""
         return {
@@ -92,16 +113,26 @@ class MetricsReport:
         return canonical_json(self.to_dict())
 
 
-def _require_records(records: Sequence[EvalRecord]) -> None:
-    if len(records) == 0:
+def _columns(**columns) -> tuple[np.ndarray, ...]:
+    """The named inputs as 1-d arrays of one length, at least one row: system_ids as objects,
+    the rest float64. As in EvalRecord, non-finite y_true, y_pred (or roc_auc scores) raise
+    InputError, and a var_pred that is not finite and non-negative raises InvariantError."""
+    try:
+        arrays = [np.asarray(v, dtype=object if k == "system_ids" else float)
+                  for k, v in columns.items()]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"metric columns must be 1-d numeric sequences: {exc}") from None
+    shapes = dict(zip(columns, (a.shape for a in arrays)))
+    if len(set(shapes.values())) > 1 or arrays[0].ndim != 1:
+        raise InputError(f"metric columns must be 1-d and of one length, got shapes {shapes}")
+    if arrays[0].size == 0:
         raise InputError("metric requires at least one record")
-
-
-def _arrays(records: Sequence[EvalRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    y_true = np.array([r.y_true for r in records], dtype=float)
-    y_pred = np.array([r.y_pred for r in records], dtype=float)
-    var = np.array([r.var_pred for r in records], dtype=float)
-    return y_true, y_pred, var
+    for name, a in zip(columns, arrays):
+        if name in ("y_true", "y_pred", "scores") and not np.isfinite(a).all():
+            raise InputError(f"{name} must be finite")
+        if name == "var_pred" and not (np.isfinite(a) & (a >= 0.0)).all():
+            raise InvariantError("var_pred needs finite non-negative values")
+    return tuple(arrays)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -116,23 +147,19 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
 
 
-def mse(records: Sequence[EvalRecord]) -> float:
+def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Mean squared error of the point predictions."""
-    _require_records(records)
-    y_true, y_pred, _ = _arrays(records)
+    y_true, y_pred = _columns(y_true=y_true, y_pred=y_pred)
     return float(np.mean((y_true - y_pred) ** 2))
 
 
-def srcc_system(records: Sequence[EvalRecord]) -> float:
+def srcc_system(system_ids: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Spearman rank correlation between per-system mean true and mean
     predicted scores. Ties receive average (fractional) ranks."""
-    _require_records(records)
-    y_true, y_pred, _ = _arrays(records)
     # An object array keeps ids that a fixed-width "U" array would merge,
     # such as "a" and "a\x00"; bincount sums each system in row order.
-    systems, system = np.unique(
-        np.array([r.system_id for r in records], dtype=object), return_inverse=True
-    )
+    system_ids, y_true, y_pred = _columns(system_ids=system_ids, y_true=y_true, y_pred=y_pred)
+    systems, system = np.unique(system_ids, return_inverse=True)
     if len(systems) < 2:
         raise InputError(f"system correlation needs >= 2 systems, got {len(systems)}")
     counts = np.bincount(system)
@@ -146,14 +173,15 @@ def srcc_system(records: Sequence[EvalRecord]) -> float:
         return float(np.corrcoef(rank_true, rank_pred)[0, 1])
 
 
-def nll_metric(records: Sequence[EvalRecord], include_const: bool = True) -> float:
+def nll_metric(
+    y_true: np.ndarray, y_pred: np.ndarray, var_pred: np.ndarray, include_const: bool = True
+) -> float:
     """Mean Gaussian negative log-likelihood under N(y_pred, var_pred).
 
     include_const adds the 1/2*log(2*pi) term so values are comparable with
     reported likelihoods; turning it off matches the training loss.
     """
-    _require_records(records)
-    y_true, y_pred, var = _arrays(records)
+    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
     if np.any(var <= 0.0):
         raise InputError("nll_metric requires strictly positive predicted variances")
     vals = 0.5 * np.log(var) + (y_true - y_pred) ** 2 / (2.0 * var)
@@ -162,23 +190,23 @@ def nll_metric(records: Sequence[EvalRecord], include_const: bool = True) -> flo
     return float(np.mean(vals))
 
 
-def uce(records: Sequence[EvalRecord], num_bins: int = 10) -> float:
+def uce(
+    y_true: np.ndarray, y_pred: np.ndarray, var_pred: np.ndarray, num_bins: int = 10
+) -> float:
     """Uncertainty calibration error over equal-width variance bins.
 
-    Records are binned by var_pred into num_bins equal-width bins spanning
+    Rows are binned by var_pred into num_bins equal-width bins spanning
     the observed [min, max]; each bin contributes its occupancy-weighted
     absolute gap between the mean squared error and the mean predicted
     variance inside the bin. Empty bins contribute nothing.
     """
-    _require_records(records)
+    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
     if num_bins < 1:
         raise InputError(f"num_bins must be >= 1, got {num_bins}")
-    y_true, y_pred, var = _arrays(records)
     sq_err = (y_true - y_pred) ** 2
     edges = np.linspace(var.min(), var.max(), num_bins + 1)
     # Right-closed bins; the first bin also includes its left edge.
     idx = np.digitize(var, edges[1:-1], right=True)
-    n = len(records)
     total = 0.0
     for m in range(num_bins):
         sel = idx == m
@@ -186,27 +214,20 @@ def uce(records: Sequence[EvalRecord], num_bins: int = 10) -> float:
         if count == 0:
             continue
         gap = abs(float(sq_err[sel].mean()) - float(var[sel].mean()))
-        total += (count / n) * gap
+        total += (count / var.size) * gap
     return total
 
 
-def sharpness(records: Sequence[EvalRecord]) -> float:
+def sharpness(var_pred: np.ndarray) -> float:
     """Mean predicted variance; lower is sharper."""
-    _require_records(records)
-    return float(np.mean([r.var_pred for r in records]))
+    (var,) = _columns(var_pred=var_pred)
+    return float(np.mean(var))
 
 
-def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
+def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability that a random positive outscores a random negative,
     counting ties as one half (the Mann-Whitney statistic)."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise InputError("scores and labels must be matching 1-d sequences")
-    if scores.size == 0:
-        raise InputError("roc_auc requires at least one score")
-    if not np.all(np.isfinite(scores)):
-        raise InputError("roc_auc scores must be finite")
+    scores, labels = _columns(scores=scores, labels=labels)
     if not np.all((labels == 0) | (labels == 1)):
         raise InputError("labels must be 0 or 1")
     n_pos = int((labels == 1).sum())
@@ -219,19 +240,18 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 
 def error_uncertainty_curve(
-    records: Sequence[EvalRecord], num_bins: int = 10
+    y_true: np.ndarray, y_pred: np.ndarray, var_pred: np.ndarray, num_bins: int = 10
 ) -> list[tuple[float, float]]:
     """Mean squared error inside equal-count bins of increasing uncertainty.
 
-    Records are sorted by var_pred and cut into num_bins contiguous bins of
-    floor(n/num_bins) records each; the last bin absorbs the remainder.
+    Rows are sorted by var_pred and cut into num_bins contiguous bins of
+    floor(n/num_bins) rows each; the last bin absorbs the remainder.
     Returns (mean variance, mean squared error) per bin, in bin order.
     """
-    _require_records(records)
-    n = len(records)
+    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
+    n = var.size
     if num_bins < 1 or num_bins > n:
         raise InputError(f"num_bins must lie in [1, {n}], got {num_bins}")
-    y_true, y_pred, var = _arrays(records)
     sq_err = (y_true - y_pred) ** 2
     order = np.argsort(var, kind="stable")
     base = n // num_bins
@@ -245,7 +265,7 @@ def error_uncertainty_curve(
 
 
 def selective_sweep(
-    records: Sequence[EvalRecord], thresholds: Sequence[float]
+    y_true: np.ndarray, y_pred: np.ndarray, var_pred: np.ndarray, thresholds: Sequence[float]
 ) -> list[tuple[float, float, float | None]]:
     """Accuracy when predictions above an uncertainty budget are rejected.
 
@@ -253,42 +273,31 @@ def selective_sweep(
     the result rows are (t, retained fraction, subset mse), with None in
     place of the mse when nothing is retained.
     """
-    _require_records(records)
+    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
     thresholds = [float(t) for t in thresholds]
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise InputError("thresholds must be sorted ascending")
-    y_true, y_pred, var = _arrays(records)
     sq_err = (y_true - y_pred) ** 2
-    n = len(records)
     rows: list[tuple[float, float, float | None]] = []
     for t in thresholds:
         sel = var <= t
         kept = int(sel.sum())
         subset_mse = float(sq_err[sel].mean()) if kept else None
-        rows.append((t, kept / n, subset_mse))
+        rows.append((t, kept / var.size, subset_mse))
     return rows
 
 
 def compute_report(
-    records: Sequence[EvalRecord],
-    num_bins: int = 10,
-    include_const: bool = True,
+    records: Sequence[EvalRecord], num_bins: int = 10, include_const: bool = True
 ) -> MetricsReport:
-    """All headline metrics in one pass.
+    """MetricsReport.of over EvalRecord rows, stacked once into columns.
 
-    The AUC field separates OOD from in-domain records by var_pred and is
-    None unless every record carries a domain label and both classes occur.
+    The rows' domain labels are used only when every record carries one.
     """
-    _require_records(records)
     labels = [r.domain_label for r in records]
-    auc = None
-    if all(l is not None for l in labels) and len(set(labels)) == 2:
-        auc = roc_auc([r.var_pred for r in records], labels)
-    return MetricsReport(
-        mse=mse(records),
-        srcc_system=srcc_system(records),
-        nll=nll_metric(records, include_const=include_const),
-        uce=uce(records, num_bins=num_bins),
-        sharpness=sharpness(records),
-        auc=auc,
+    scores = np.array([(r.y_true, r.y_pred, r.var_pred) for r in records], dtype=float)
+    return MetricsReport.of(
+        [r.system_id for r in records], *scores.reshape(-1, 3).T.copy(),
+        domain_labels=None if None in labels else labels,
+        num_bins=num_bins, include_const=include_const,
     )

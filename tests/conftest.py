@@ -10,14 +10,22 @@ variance scale on the calibration split.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 from mosuq.calibrate import CalibrationScale, fit_scale
-from mosuq.datagen import Dataset, GenConfig, Heteroscedastic, gen_synthetic, split_dataset
+from mosuq.datagen import (
+    DOMAIN_IN,
+    Dataset,
+    GenConfig,
+    Heteroscedastic,
+    gen_synthetic,
+    split_dataset,
+)
 from mosuq.mcdropout import MCConfig
 from mosuq.net import ArchConfig, HeteroPrediction, ModelParams
 from mosuq.trainer import TrainConfig, TrainHistory, predict_batch, train
@@ -25,6 +33,32 @@ from mosuq.trainer import TrainConfig, TrainHistory, predict_batch, train
 FIXTURE_SEEDS = (0, 1, 2, 3, 4)
 FIXTURE_SPLIT = (5.0 / 7.0, 1.0 / 7.0, 1.0 / 7.0)
 FIXTURE_MC = MCConfig(num_passes=25, dropout_p=0.5, seed=12345)
+
+
+def dataset_of(ids, system_ids, x, y, domain_tags=None, true_noise_var=None) -> Dataset:
+    """A Dataset built from its columns. Domain tags default to in-domain and
+    true noise variances to missing (nan)."""
+    n = len(ids)
+    return Dataset(
+        ids=ids,
+        system_ids=system_ids,
+        domain_tags=[DOMAIN_IN] * n if domain_tags is None else domain_tags,
+        y=y,
+        true_noise_var=[math.nan] * n if true_noise_var is None else true_noise_var,
+        x=x,
+    )
+
+
+def concat_datasets(*datasets: Dataset) -> Dataset:
+    """The rows of each dataset in turn, column by column."""
+    return Dataset(*(
+        np.concatenate([getattr(d, f.name) for d in datasets]) for f in fields(Dataset)
+    ))
+
+
+def head_rows(dataset: Dataset, n: int) -> Dataset:
+    """The first n rows of a dataset, column by column."""
+    return Dataset(*(getattr(dataset, f.name)[:n] for f in fields(Dataset)))
 
 
 def fixture_gen_config(seed: int) -> GenConfig:

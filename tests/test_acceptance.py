@@ -18,7 +18,6 @@ import pytest
 from mosuq.calibrate import fit_scale
 from mosuq.cli import main
 from mosuq.datagen import (
-    Dataset,
     add_feature_noise,
     feature_noise_analogue,
     gen_ood_shift,
@@ -28,7 +27,6 @@ from mosuq.loss import nll_loss_batch
 from mosuq.mcdropout import MCConfig, mc_forward, mc_forward_dataset, variance_of
 from mosuq.metrics import (
     HALF_LOG_2PI,
-    EvalRecord,
     mse,
     nll_metric,
     roc_auc,
@@ -45,28 +43,20 @@ from mosuq.net import (
     param_arrays,
 )
 
-from conftest import FIXTURE_MC, FIXTURE_SPLIT, fixture_gen_config
+from conftest import FIXTURE_MC, FIXTURE_SPLIT, fixture_gen_config, head_rows
 
 POOL_SIZE = 500
 OOD_SHIFT = 3.0
 
 
-def eval_records(run, split, calibrated):
-    """EvalRecords for a split with raw or calibrated predicted variance."""
+def eval_columns(run, split, calibrated):
+    """(y_true, y_pred, var_pred) columns for a split with raw or calibrated
+    predicted variance."""
     y_hat, s = run.predictions(split)
     var = np.exp(s)
     if calibrated:
         var = var * run.scale.variance_multiplier
-    return [
-        EvalRecord(
-            id=smp.id,
-            system_id=smp.system_id,
-            y_true=smp.y,
-            y_pred=float(y),
-            var_pred=float(v),
-        )
-        for smp, y, v in zip(split, y_hat, var)
-    ]
+    return split.labels(), y_hat, var
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +71,10 @@ def mc_pools(hetero_runs):
     pools = []
     for run in hetero_runs:
         cfg = fixture_gen_config(run.seed)
-        in_pool = Dataset.from_samples(list(run.test_split)[:POOL_SIZE])
+        in_pool = head_rows(run.test_split, POOL_SIZE)
         ood_full = gen_ood_shift(cfg, OOD_SHIFT)
         _, _, ood_test = split_dataset(ood_full, FIXTURE_SPLIT, seed=run.seed)
-        shift_pool = Dataset.from_samples(list(ood_test)[:POOL_SIZE])
+        shift_pool = head_rows(ood_test, POOL_SIZE)
 
         def epi_dist(ds):
             results = mc_forward_dataset(run.params, ds.features(), FIXTURE_MC)
@@ -160,12 +150,12 @@ def test_criterion_03_calibration_improves_fit(hetero_runs):
     start = perf_counter()
     uce_improved = 0
     for run in hetero_runs:
-        nll_before = nll_metric(eval_records(run, run.cal_split, calibrated=False))
-        nll_after = nll_metric(eval_records(run, run.cal_split, calibrated=True))
+        nll_before = nll_metric(*eval_columns(run, run.cal_split, calibrated=False))
+        nll_after = nll_metric(*eval_columns(run, run.cal_split, calibrated=True))
         assert nll_after <= nll_before + 1e-12
 
-        uce_before = uce(eval_records(run, run.test_split, calibrated=False))
-        uce_after = uce(eval_records(run, run.test_split, calibrated=True))
+        uce_before = uce(*eval_columns(run, run.test_split, calibrated=False))
+        uce_after = uce(*eval_columns(run, run.test_split, calibrated=True))
         if uce_after <= uce_before:
             uce_improved += 1
     assert uce_improved >= 4
@@ -177,10 +167,11 @@ def test_criterion_04_accuracy_invariant_under_calibration(hetero_runs):
     """MSE and system-level rank correlation are bit-identical before and
     after variance scaling on every seed's test split."""
     for run in hetero_runs:
-        pre = eval_records(run, run.test_split, calibrated=False)
-        post = eval_records(run, run.test_split, calibrated=True)
-        assert mse(pre) == mse(post)
-        assert srcc_system(pre) == srcc_system(post)
+        systems = run.test_split.system_ids
+        y_true, y_pre, _ = eval_columns(run, run.test_split, calibrated=False)
+        _, y_post, _ = eval_columns(run, run.test_split, calibrated=True)
+        assert mse(y_true, y_pre) == mse(y_true, y_post)
+        assert srcc_system(systems, y_true, y_pre) == srcc_system(systems, y_true, y_post)
 
 
 def test_criterion_05_selective_prediction(hetero_runs):
@@ -190,33 +181,24 @@ def test_criterion_05_selective_prediction(hetero_runs):
     is monotone."""
     improved = 0
     for run in hetero_runs:
-        records = eval_records(run, run.test_split, calibrated=True)
-        var = np.array([r.var_pred for r in records])
+        y_true, y_pred, var = eval_columns(run, run.test_split, calibrated=True)
         threshold = float(np.quantile(var, 0.5))
-        ((_, fraction, subset_mse),) = selective_sweep(records, [threshold])
+        ((_, fraction, subset_mse),) = selective_sweep(y_true, y_pred, var, [threshold])
         assert 0.4 <= fraction <= 0.6
-        if subset_mse < mse(records):
+        if subset_mse < mse(y_true, y_pred):
             improved += 1
     assert improved >= 4
 
     residuals = np.random.default_rng(3).normal(size=18)
-    oracle = [
-        EvalRecord(
-            id=f"r{i}",
-            system_id="sys0",
-            y_true=float(r),
-            y_pred=0.0,
-            var_pred=float(r * r),
-        )
-        for i, r in enumerate(residuals)
-    ]
-    thresholds = sorted(rec.var_pred for rec in oracle)
-    rows = selective_sweep(oracle, thresholds)
+    # (y_true, y_pred, var_pred) per oracle row.
+    oracle = [(float(r), 0.0, float(r * r)) for r in residuals]
+    thresholds = sorted(var for _, _, var in oracle)
+    rows = selective_sweep(*zip(*oracle), thresholds)
     previous = -math.inf
     for t, fraction, subset_mse in rows:
-        kept = [rec for rec in oracle if rec.var_pred <= t]
+        kept = [row for row in oracle if row[2] <= t]
         assert fraction == len(kept) / len(oracle)
-        brute = sum((rec.y_true - rec.y_pred) ** 2 for rec in kept) / len(kept)
+        brute = sum((y_true - y_pred) ** 2 for y_true, y_pred, _ in kept) / len(kept)
         assert subset_mse == pytest.approx(brute, abs=1e-12)
         assert subset_mse >= previous
         previous = subset_mse
@@ -293,49 +275,33 @@ def test_criterion_08_uncertainty_rises_with_corruption(mc_pools):
 def test_criterion_09_metric_hand_oracles():
     """Every hand-derived metric example reproduces to 1e-9; roc_auc also
     matches exhaustive pair enumeration on 100 random sets of size <= 50."""
-    counter = iter(range(10_000))
-
-    def rec(y_true, y_pred, var, system="sys0"):
-        return EvalRecord(
-            id=f"r{next(counter)}",
-            system_id=system,
-            y_true=y_true,
-            y_pred=y_pred,
-            var_pred=var,
-        )
-
     # uce
-    assert uce([rec(math.sqrt(0.9), 0.0, 0.5)]) == pytest.approx(0.4, abs=1e-9)
+    assert uce([math.sqrt(0.9)], [0.0], [0.5]) == pytest.approx(0.4, abs=1e-9)
     assert uce(
-        [rec(math.sqrt(0.1), 0.0, 0.2), rec(math.sqrt(0.9), 0.0, 0.4)], num_bins=1
+        [math.sqrt(0.1), math.sqrt(0.9)], [0.0, 0.0], [0.2, 0.4], num_bins=1
     ) == pytest.approx(0.2, abs=1e-9)
-    ideal = [rec(r, 0.0, r * r) for r in np.random.default_rng(1).normal(size=25)]
+    ideal = np.random.default_rng(1).normal(size=25)
     for m in (1, 3, 10):
-        assert uce(ideal, num_bins=m) == pytest.approx(0.0, abs=1e-9)
+        assert uce(ideal, np.zeros(25), ideal * ideal, num_bins=m) == pytest.approx(0.0, abs=1e-9)
 
     # srcc_system
-    def sys_recs(true_means, pred_means):
-        return [
-            rec(t, p, 1.0, system=f"sys{i}")
-            for i, (t, p) in enumerate(zip(true_means, pred_means))
-        ]
-
-    assert srcc_system(sys_recs([1, 2, 3, 4], [2, 4, 6, 8])) == pytest.approx(
+    systems = [f"sys{i}" for i in range(4)]
+    assert srcc_system(systems, [1, 2, 3, 4], [2, 4, 6, 8]) == pytest.approx(
         1.0, abs=1e-9
     )
-    assert srcc_system(sys_recs([1, 2, 3, 4], [4, 3, 2, 1])) == pytest.approx(
+    assert srcc_system(systems, [1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(
         -1.0, abs=1e-9
     )
-    assert srcc_system(sys_recs([1, 2, 3, 4], [1, 3, 2, 4])) == pytest.approx(
+    assert srcc_system(systems, [1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(
         0.8, abs=1e-9
     )
 
     # nll_metric
-    assert nll_metric([rec(0.0, 0.0, 1.0)]) == pytest.approx(HALF_LOG_2PI, abs=1e-9)
-    assert nll_metric([rec(0.0, 0.0, 1.0)], include_const=False) == pytest.approx(
+    assert nll_metric([0.0], [0.0], [1.0]) == pytest.approx(HALF_LOG_2PI, abs=1e-9)
+    assert nll_metric([0.0], [0.0], [1.0], include_const=False) == pytest.approx(
         0.0, abs=1e-9
     )
-    assert nll_metric([rec(1.0, 0.0, 1.0)], include_const=False) == pytest.approx(
+    assert nll_metric([1.0], [0.0], [1.0], include_const=False) == pytest.approx(
         0.5, abs=1e-9
     )
 

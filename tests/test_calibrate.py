@@ -15,7 +15,7 @@ from mosuq.calibrate import (
 )
 from mosuq.errors import InputError, InvariantError
 from mosuq.mcdropout import MCConfig, mc_forward_dataset
-from mosuq.metrics import EvalRecord, nll_metric
+from mosuq.metrics import nll_metric
 from mosuq.net import ArchConfig, HeteroPrediction, init_params
 
 
@@ -117,11 +117,8 @@ class TestApplyingTheScale:
 
 
 def nll_at_scale(preds, labels, r):
-    records = [
-        EvalRecord(str(i), "sys", labels[i], preds[i].y_hat, (r**2) * preds[i].sigma2)
-        for i in range(len(preds))
-    ]
-    return nll_metric(records)
+    y_hat = [p.y_hat for p in preds]
+    return nll_metric(labels, y_hat, [(r**2) * p.sigma2 for p in preds])
 
 
 class TestOptimality:

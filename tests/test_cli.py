@@ -15,9 +15,13 @@ import pytest
 
 import mosuq
 from mosuq.cli import build_parser, main
-from mosuq.datagen import Dataset, Sample, load_dataset_csv, save_dataset_csv
+from mosuq.calibrate import CalibrationScale
+from mosuq.datagen import DOMAIN_OOD, load_dataset_csv, save_dataset_csv
+from mosuq.metrics import EvalRecord, compute_report
 from mosuq.net import ArchConfig, init_params, param_arrays
-from mosuq.trainer import save_checkpoint
+from mosuq.trainer import load_checkpoint, predict_batch, save_checkpoint
+
+from conftest import concat_datasets, dataset_of
 
 
 def strict_json(text):
@@ -371,13 +375,12 @@ class TestEvaluate:
             a[:] = 0.0
         ck = tmp_path / "zero.json"
         save_checkpoint(params, ck)
-        rng = np.random.default_rng(1)
-        samples = tuple(
-            Sample(id=f"r{i}", system_id=f"sys{i % 2}", features=rng.normal(size=2), y=float(i))
-            for i in range(6)
-        )
+        x = np.random.default_rng(1).normal(size=(6, 2))
         data = tmp_path / "tied.csv"
-        save_dataset_csv(Dataset.from_samples(samples), data)
+        save_dataset_csv(
+            dataset_of([f"r{i}" for i in range(6)], [f"sys{i % 2}" for i in range(6)], x, range(6)),
+            data,
+        )
         report = tmp_path / "report.json"
         code = main([
             "evaluate", "--checkpoint", str(ck), "--data", str(data), "--report", str(report),
@@ -388,9 +391,9 @@ class TestEvaluate:
         assert doc["mse"] == float(np.mean(np.arange(6.0) ** 2))
 
     def test_auc_populated_on_a_mixed_domain_pool(self, workspace, tmp_path):
-        pool = Dataset.from_samples(
-            [*load_dataset_csv(workspace / "pool_in.csv"),
-             *load_dataset_csv(workspace / "pool_ood.csv")]
+        pool = concat_datasets(
+            load_dataset_csv(workspace / "pool_in.csv"),
+            load_dataset_csv(workspace / "pool_ood.csv"),
         )
         pool_path = tmp_path / "pool.csv"
         save_dataset_csv(pool, pool_path)
@@ -403,6 +406,33 @@ class TestEvaluate:
         assert code == 0
         auc = json.loads(report.read_text())["auc"]
         assert 0.0 <= auc <= 1.0
+
+    def test_report_equals_compute_report_over_records(self, workspace, tmp_path):
+        """report.json is byte-identical to compute_report over EvalRecord
+        rows built one per sample, with and without OOD rows in the data."""
+        pool = tmp_path / "pool.csv"
+        save_dataset_csv(concat_datasets(
+            load_dataset_csv(workspace / "base.test.csv"),
+            load_dataset_csv(workspace / "pool_ood.csv"),
+        ), pool)
+        params, r = load_checkpoint(workspace / "cal.json")
+        for data in (workspace / "base.test.csv", pool):
+            report = tmp_path / "report.json"
+            assert main([
+                "evaluate", "--checkpoint", str(workspace / "cal.json"),
+                "--data", str(data), "--report", str(report),
+            ]) == 0
+            dataset = load_dataset_csv(data)
+            y_pred, s = predict_batch(params, dataset.features())
+            var_pred = np.exp(CalibrationScale.from_r(r).shift_log_variance(s))
+            columns = (
+                dataset.ids.tolist(), dataset.system_ids.tolist(), dataset.labels().tolist(),
+                y_pred.tolist(), var_pred.tolist(),
+                (dataset.domain_tags == DOMAIN_OOD).astype(int).tolist(),
+            )
+            records = [EvalRecord(*row) for row in zip(*columns)]
+            assert report.read_text() == compute_report(records).to_json()
+            assert (json.loads(report.read_text())["auc"] is None) == (data != pool)
 
     def test_epistemic_uncertainty_requires_mc(self, workspace, tmp_path, capsys):
         code = self.run_eval(
@@ -466,18 +496,15 @@ class TestEvaluate:
             a[:] = 0.0
         ck = tmp_path / "zero.json"
         save_checkpoint(params, ck)
-        rng = np.random.default_rng(0)
-        samples = tuple(
-            Sample(
-                id=f"r{i}",
-                system_id=f"sys{i % 3}",
-                features=rng.normal(size=2),
-                y=float(1.0 if i % 2 == 0 else -1.0),
-            )
-            for i in range(24)
-        )
+        x = np.random.default_rng(0).normal(size=(24, 2))
         data = tmp_path / "oracle.csv"
-        save_dataset_csv(Dataset.from_samples(samples), data)
+        save_dataset_csv(
+            dataset_of(
+                [f"r{i}" for i in range(24)], [f"sys{i % 3}" for i in range(24)], x,
+                [1.0 if i % 2 == 0 else -1.0 for i in range(24)],
+            ),
+            data,
+        )
         report = tmp_path / "report.json"
         curve = tmp_path / "curve.csv"
         code = main([
@@ -568,6 +595,24 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_metric_exits_1_naming_it(self, workspace, tmp_path, capsys):
+        """A score-head bias of 1e200 makes the mse overflow to inf, which has
+        no JSON form: the run fails with an error line and writes no report."""
+        params, _ = load_checkpoint(workspace / "cal.json")
+        param_arrays(params)[-1][0] = 1e200  # the score head's output bias
+        checkpoint = tmp_path / "huge.json"
+        save_checkpoint(params, checkpoint)
+        report = tmp_path / "report.json"
+        code = main([
+            "evaluate", "--checkpoint", str(checkpoint),
+            "--data", str(workspace / "base.test.csv"), "--report", str(report),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: metric mse is not finite")
+        assert not report.exists()
 
 
 def subcommand_options(command):
@@ -911,15 +956,11 @@ class TestCsvQuoting:
 
     @pytest.fixture
     def odd_ids(self, tmp_path):
-        rng = np.random.default_rng(4)
-        samples = tuple(
-            Sample(id=self.IDS[i % 4] + str(i), system_id=f"s{i % 2}",
-                   features=rng.normal(size=3), y=float(i))
-            for i in range(8)
-        )
+        ids = [self.IDS[i % 4] + str(i) for i in range(8)]
+        x = np.random.default_rng(4).normal(size=(8, 3))
         path = tmp_path / "odd.csv"
-        save_dataset_csv(Dataset.from_samples(samples), path)
-        return path, [s.id for s in samples]
+        save_dataset_csv(dataset_of(ids, [f"s{i % 2}" for i in range(8)], x, range(8)), path)
+        return path, ids
 
     def read_rows(self, path):
         with open(path, newline="") as fh:

@@ -16,7 +16,6 @@ from mosuq.datagen import (
     Heteroscedastic,
     Homoscedastic,
     RaterPanel,
-    Sample,
     add_feature_noise,
     feature_noise_analogue,
     gen_ood_shift,
@@ -26,9 +25,9 @@ from mosuq.datagen import (
     split_dataset,
 )
 from mosuq.errors import ConfigError, InputError
-from mosuq.metrics import EvalRecord, nll_metric
+from mosuq.metrics import nll_metric
 
-from conftest import fixture_gen_config
+from conftest import concat_datasets, dataset_of, fixture_gen_config
 
 
 def small_cfg(noise_model, seed=0, **kwargs):
@@ -161,7 +160,7 @@ class TestGenOodShift:
 
     def test_mixed_pool_keeps_consistent_tags(self):
         cfg = small_cfg(Heteroscedastic())
-        pool = Dataset.from_samples([*gen_synthetic(cfg), *gen_ood_shift(cfg, 3.0)])
+        pool = concat_datasets(gen_synthetic(cfg), gen_ood_shift(cfg, 3.0))
         tags = [s.domain_tag for s in pool]
         assert tags == [DOMAIN_IN] * 100 + [DOMAIN_OOD] * 100
 
@@ -264,11 +263,9 @@ class TestCsvRoundTrip:
         assert [s.true_noise_var for s in loaded] == [s.true_noise_var for s in dataset]
 
     def test_missing_oracle_variance_round_trips_as_none(self, tmp_path):
-        sample = Sample(
-            id="a", system_id="sys0", features=np.array([1.0, 2.0]), y=3.0
-        )
+        dataset = dataset_of(["a"], ["sys0"], [[1.0, 2.0]], [3.0])
         path = tmp_path / "bare.csv"
-        save_dataset_csv(Dataset.from_samples((sample,)), path)
+        save_dataset_csv(dataset, path)
         assert ",3.0,," in path.read_text()
         assert load_dataset_csv(path)[0].true_noise_var is None
 
@@ -333,16 +330,12 @@ class TestCsvRoundTrip:
 
     def test_quoted_ids_round_trip(self, tmp_path):
         ids = ["comma,id", 'quote"id', "new\nline", "plain"]
-        rng = np.random.default_rng(3)
-        samples = [
-            Sample(id=i, system_id="s,0", features=rng.normal(size=2), y=float(k))
-            for k, i in enumerate(ids)
-        ]
+        x = np.random.default_rng(3).normal(size=(len(ids), 2))
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_dataset_csv(Dataset.from_samples(samples), first)
+        save_dataset_csv(dataset_of(ids, ["s,0"] * len(ids), x, range(len(ids))), first)
         loaded = load_dataset_csv(first)
         assert [s.id for s in loaded] == ids
-        assert np.array_equal(loaded.features(), np.array([s.features for s in samples]))
+        assert np.array_equal(loaded.features(), x)
         save_dataset_csv(loaded, second)
         assert second.read_bytes() == first.read_bytes()
 
@@ -350,17 +343,14 @@ class TestCsvRoundTrip:
         """A lone carriage return ends a row for csv.reader unless its cell
         is quoted, so ids and system ids holding one must be quoted."""
         ids = ["a\rb", "c\r", "\rd", "e\r\nf", "plain"]
-        rng = np.random.default_rng(4)
-        samples = [
-            Sample(id=i, system_id=f"s\r{k}", features=rng.normal(size=2), y=float(k))
-            for k, i in enumerate(ids)
-        ]
+        system_ids = [f"s\r{k}" for k in range(len(ids))]
+        x = np.random.default_rng(4).normal(size=(len(ids), 2))
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_dataset_csv(Dataset.from_samples(samples), first)
+        save_dataset_csv(dataset_of(ids, system_ids, x, range(len(ids))), first)
         loaded = load_dataset_csv(first)
         assert [s.id for s in loaded] == ids
         assert [s.system_id for s in loaded] == [f"s\r{k}" for k in range(len(ids))]
-        assert np.array_equal(loaded.features(), np.array([s.features for s in samples]))
+        assert np.array_equal(loaded.features(), x)
         save_dataset_csv(loaded, second)
         assert second.read_bytes() == first.read_bytes()
 
@@ -413,14 +403,12 @@ class TestDatasetContainer:
             Dataset(["a", "b"], ["s", "s"], ["in_domain"] * 2, [1.0], [0.1, 0.1], np.zeros((2, 3)))
 
     def test_inconsistent_widths_rejected(self):
-        a = Sample(id="a", system_id="s", features=np.zeros(2), y=3.0)
-        b = Sample(id="b", system_id="s", features=np.zeros(3), y=3.0)
         with pytest.raises(InputError):
-            Dataset.from_samples((a, b))
+            dataset_of(["a", "b"], ["s", "s"], [np.zeros(2), np.zeros(3)], [3.0, 3.0])
 
     def test_empty_dataset_has_no_feature_dim(self):
         with pytest.raises(InputError):
-            Dataset.from_samples(()).feature_dim
+            dataset_of([], [], np.empty((0, 0)), []).feature_dim
 
 
 class TestOracleNllLowerBound:
@@ -445,14 +433,4 @@ class TestOracleNllLowerBound:
 
             y_hat, s_vals = run.predictions(run.test_split)
             var_pred = np.exp(s_vals) * run.scale.variance_multiplier
-            records = [
-                EvalRecord(
-                    id=smp.id,
-                    system_id=smp.system_id,
-                    y_true=smp.y,
-                    y_pred=float(y),
-                    var_pred=float(v),
-                )
-                for smp, y, v in zip(run.test_split, y_hat, var_pred)
-            ]
-            assert nll_metric(records) >= oracle_nll - band
+            assert nll_metric(run.test_split.labels(), y_hat, var_pred) >= oracle_nll - band

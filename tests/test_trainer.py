@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 from mosuq.datagen import (
-    Dataset,
     GenConfig,
     Heteroscedastic,
     Homoscedastic,
-    Sample,
     gen_synthetic,
     split_dataset,
 )
@@ -38,6 +36,8 @@ from mosuq.trainer import (
     save_history_csv,
     train,
 )
+
+from conftest import dataset_of
 
 
 def small_dataset(seed=0, n_per=25, sigma=0.3):
@@ -86,7 +86,7 @@ class TestTrainConfig:
 class TestTrainValidation:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
-            train(Dataset.from_samples(()), small_arch(), quick_cfg())
+            train(dataset_of([], [], np.empty((0, 0)), []), small_arch(), quick_cfg())
 
     def test_batch_size_larger_than_dataset_rejected(self):
         with pytest.raises(ConfigError):
@@ -105,23 +105,15 @@ class TestTrainValidation:
             train(small_dataset(), small_arch(), quick_cfg(), val_dataset=wide)
 
     def test_non_finite_labels_rejected(self):
-        bad = Dataset.from_samples(
-            (
-                Sample(id="a", system_id="s", features=np.zeros(3), y=float("nan")),
-                Sample(id="b", system_id="s", features=np.ones(3), y=3.0),
-            )
-        )
+        bad = dataset_of(["a", "b"], ["s", "s"], [np.zeros(3), np.ones(3)], [float("nan"), 3.0])
         with pytest.raises(InputError):
             train(bad, small_arch(), quick_cfg(batch_size=2))
 
     @staticmethod
     def with_nan_feature(dataset):
-        first = dataset[0]
-        bad = Sample(
-            id=first.id, system_id=first.system_id,
-            features=np.array([0.0, np.nan, 1.0]), y=first.y,
-        )
-        return Dataset.from_samples([bad, *list(dataset)[1:]])
+        x = dataset.features().copy()
+        x[0] = [0.0, np.nan, 1.0]
+        return dataclasses.replace(dataset, x=x)
 
     @staticmethod
     def forbid_steps(monkeypatch):
