@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+configs raise them from."""
+
+import numbers
 
 
 class MosuqError(Exception):
@@ -35,3 +38,10 @@ class CheckpointError(MosuqError, ValueError):
 
 class CheckpointVersionError(CheckpointError):
     """Checkpoint format_version is not supported by this build."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless value is an integer >= minimum. A bool is not
+    an integer here; numpy integers are."""
+    if type(value) is bool or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")

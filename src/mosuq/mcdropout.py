@@ -21,14 +21,17 @@ reproducible pass by pass, invariant to how many passes run before or
 after, and independent of which other rows are sampled in the same call.
 At p = 0 no bits are drawn. One kernel serves both entry points: it runs
 the deterministic trunk once per row and only the two dropout heads per
-pass, over blocks of rows. The heads run as one (2, rows, passes, .)
-stack, score head first, read from the stacked views head_w and head_b;
-mask scaling, bias adds, the activation, the log-variance clamp and the
-summaries each run once on the stack. Only the contractions run per head,
-as einsum without optimize, whose per-row bits do not depend on how many
-rows or passes share a call. Every block-sized buffer is made once per
-call, and each block works in leading slices of it. Dataset row keys
-(row_seed) are computed for all rows at once.
+pass, over blocks of rows. The heads run as one unit-major
+(2, units, rows, passes) stack, score head first, read from the stacked
+views head_w and head_b; mask scaling, bias adds, the activation, the
+log-variance clamp and the summaries each run once on the stack. Only the
+contractions run per head, as einsum without optimize over a
+(units, rows, passes) operand, whose per-element bits do not depend on how
+many rows or passes share a call, except at 1 row x 1 pass, where einsum
+sums in another order; the kernel never forms that shape. Every
+block-sized buffer is made once per call, and each block works in leading
+slices of it. Dataset row keys (row_seed) are computed for all rows at
+once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import CalibrationScale
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError, check_int
 from .net import S_CLAMP, ModelParams, _activate, _check_features
 
 __all__ = ["MCConfig", "MCResult", "variance_of", "mc_forward", "mc_forward_dataset", "row_seed"]
@@ -57,10 +60,11 @@ _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 # Rows per block x passes x the wider of the trunk output and the head
 # hidden layer: 64 rows at 25 passes and width 16. The per-call workspace is
-# then about 1.3 MB: two head-major uint64 hash buffers (the second reused
-# for the masked head inputs), the bool mask, the two heads' hidden layers
-# and the samples. Blocks of 32 to 128 rows run equally fast; larger ones
-# raise peak memory and run slower.
+# then about 1.3 MB: two unit-major (2, width, rows, passes) uint64 hash
+# buffers (the second reused for the masked head inputs), the bool mask, the
+# two heads' hidden layers and the samples. At one pass the heads compute
+# two pass columns, which doubles it. Blocks of 32 to 128 rows run equally
+# fast; larger ones raise peak memory and run slower.
 _BLOCK_UNITS = 64 * 25 * 16
 
 
@@ -71,12 +75,10 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_passes < 1:
-            raise ConfigError(f"num_passes must be >= 1, got {self.num_passes}")
+        check_int("num_passes", self.num_passes, 1)
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -122,35 +124,35 @@ def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float, work: tuple 
     with counter c = (2t + h) * width + u + 1, gives a uniform
     (hash >> 11) * 2^-53 >= p, tested exactly as hash >= ceil(p * 2^53) << 11
     (the threshold is below 2^53). The mask is a transposed view of a
-    head-major (2, rows, passes, width) buffer: the one in work, from
+    unit-major (2, width, rows, passes) buffer: the one in work, from
     _mask_workspace, when it is given, and a fresh one otherwise.
     """
     step, z, shifted, keep = work or _mask_workspace(len(keys), passes, width)
-    z, shifted, keep = (buf[:, : len(keys)] for buf in (z, shifted, keep))
-    np.add(keys[:, None, None], step[:, None], out=z)
+    z, shifted, keep = (buf[:, :, : len(keys)] for buf in (z, shifted, keep))
+    np.add(keys[:, None], step[:, :, None], out=z)
     for shift, multiplier in ((30, _MIX1), (27, _MIX2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=shifted)
         z ^= shifted
         if multiplier is not None:
             z *= multiplier
     np.greater_equal(z, np.uint64(math.ceil(p * 2.0**53) << 11), out=keep)
-    return keep.transpose(1, 2, 0, 3)
+    return keep.transpose(2, 3, 0, 1)
 
 
 @functools.lru_cache(maxsize=16)
 def _counter_term(passes: int, width: int) -> np.ndarray:
     """c * 0x9E3779B97F4A7C15 (mod 2^64) for the counters c of _keep_mask,
-    head-major as (2, passes, width); read-only, since calls share it."""
+    unit-major as (2, width, passes); read-only, since calls share it."""
     counter = np.arange(1, passes * 2 * width + 1, dtype=np.uint64).reshape(passes, 2, width)
-    step = np.ascontiguousarray(counter.transpose(1, 0, 2)) * _GOLDEN
+    step = np.ascontiguousarray(counter.transpose(1, 2, 0)) * _GOLDEN
     step.flags.writeable = False
     return step
 
 
 def _mask_workspace(rows: int, passes: int, width: int) -> tuple:
-    """The counter term of _keep_mask and its head-major buffers for up to
-    rows rows."""
-    z, shifted = np.empty((2, 2, rows, passes, width), dtype=np.uint64)
+    """The counter term of _keep_mask and its unit-major (2, width, rows,
+    passes) buffers for up to rows rows."""
+    z, shifted = np.empty((2, 2, width, rows, passes), dtype=np.uint64)
     return _counter_term(passes, width), z, shifted, np.empty(z.shape, dtype=bool)
 
 
@@ -179,13 +181,16 @@ def _mc_rows(
     arch, passes, p = params.arch, cfg.num_passes, cfg.dropout_p
     kind, width = arch.activation, arch.trunk_output_dim
     block = max(1, _BLOCK_UNITS // (passes * max(width, arch.head_hidden_dim)))
-    size, run = min(block, len(x)), passes if p else 1
+    # The heads compute run pass columns: every pass, or at p = 0 one
+    # deterministic pass, and never fewer than two, because einsum sums a
+    # 1-row x 1-pass operand in another order. Extra columns are dropped.
+    size, run = min(block, len(x)), max(passes if p else 1, 2)
     # The workspace. The hash's shift buffer is dead once a mask is made, so
     # it then holds the masked head inputs.
-    work = _mask_workspace(size, passes, width) if p else ()
+    work = _mask_workspace(size, run, width) if p else ()
     head_in = work[2].view(np.float64) if p else None
-    hidden = np.empty((2, size, run, arch.head_hidden_dim))
-    samples = np.empty((2, size, passes))
+    hidden = np.empty((2, arch.head_hidden_dim, size, run))
+    samples = np.empty((2, size, max(passes, run)))
     w, b = params.head_w, params.head_b
     multiplier = 1.0 if scale is None else scale.variance_multiplier
     results = []
@@ -195,24 +200,25 @@ def _mc_rows(
         for trunk_w, trunk_b in zip(params.trunk_w, params.trunk_b):
             a = _activate(np.einsum("rk,jk->rj", a, trunk_w) + trunk_b, kind)
         n = len(a)
+        a = a.T[:, :, None]
         if p:
-            keep = _keep_mask(keys[rows], passes, width, p, work).transpose(2, 0, 1, 3)
+            keep = _keep_mask(keys[rows], run, width, p, work).transpose(2, 3, 0, 1)
             # a * (keep * scale), in this order: a dropped unit of a huge
             # input then gives a signed zero, where (a * scale) * 0 gives NaN.
-            h_in = np.multiply(keep, 1.0 / (1.0 - p), out=head_in[:, :n])
-            np.multiply(a[:, None, :], h_in, out=h_in)
+            h_in = np.multiply(keep, 1.0 / (1.0 - p), out=head_in[:, :, :n])
+            np.multiply(a, h_in, out=h_in)
         else:
-            h_in = np.broadcast_to(a[:, None, :], (2, n, 1, width))
-        h, out, block_samples = hidden[:, :n], samples[:, :n, :run], samples[:, :n]
+            h_in = np.broadcast_to(a, (2, width, n, run))
+        h, out, block_samples = hidden[:, :, :n], samples[:, :n, :run], samples[:, :n, :passes]
         for head in range(2):
-            np.einsum("rtk,jk->rtj", h_in[head], w[0][head], out=h[head])
-        h += b[0][:, None]
+            np.einsum("krt,jk->jrt", h_in[head], w[0][head], out=h[head])
+        h += b[0][:, 0, :, None, None]
         _activate(h, kind, out=h)
         for head in range(2):
-            np.einsum("rtj,j->rt", h[head], w[1][head, 0], out=out[head])
+            np.einsum("jrt,j->rt", h[head], w[1][head, 0], out=out[head])
         out += b[1]
         if not p:
-            block_samples[:, :, 1:] = out
+            block_samples[:, :, 1:] = out[:, :, :1]
         np.minimum(np.maximum(block_samples[1], -S_CLAMP), S_CLAMP, out=block_samples[1])
         means = _mean(block_samples).tolist()
         variances = variance_of(block_samples).tolist()

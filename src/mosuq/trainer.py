@@ -37,6 +37,7 @@ from .errors import (
     InputError,
     ShapeError,
     TrainingDivergedError,
+    check_int,
 )
 from .ioutils import atomic_write_text, canonical_json, write_csv
 from .loss import LOSSES, mse_loss_batch, nll_loss_batch
@@ -81,10 +82,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
         if not self.learning_rate > 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.loss not in LOSSES:
@@ -93,8 +92,7 @@ class TrainConfig:
             raise ConfigError(
                 f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

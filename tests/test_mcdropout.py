@@ -106,6 +106,24 @@ class TestMCConfig:
         with pytest.raises(ConfigError):
             MCConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"num_passes": 2.5},
+        {"num_passes": 3.0},
+        {"num_passes": True},
+        {"num_passes": "3"},
+        {"seed": 1.5},
+        {"seed": False},
+        {"seed": np.float64(2.0)},
+    ])
+    def test_counts_and_seeds_must_be_integers(self, kwargs):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            MCConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted_and_sample_like_ints(self):
+        cfg = MCConfig(num_passes=np.int64(4), dropout_p=0.5, seed=np.uint64(9))
+        params, x = tiny_params(seed=1), np.array([0.3, -0.2, 0.9])
+        assert mc_forward(params, x, cfg) == mc_forward(params, x, MCConfig(4, 0.5, 9))
+
 
 class TestMcForward:
     def test_no_dropout_means_no_epistemic_variance(self):
@@ -462,6 +480,40 @@ class TestBufferReuse:
             assert keep.ravel().tolist() == want
 
 
+class TestShapeInvariance:
+    """A row's samples do not depend on how many rows or passes share a
+    call, down to the 1-row x 1-pass shape, where einsum would sum in
+    another order if the kernel ran its contractions on it."""
+
+    @pytest.mark.parametrize("passes", [1, 2, 25])
+    @pytest.mark.parametrize("p", [0.0, 0.37])
+    @pytest.mark.parametrize("trunk_dims", [(), (16,), (6, 4)])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_rows_equal_one_row_calls_and_pass_prefixes(
+        self, monkeypatch, activation, trunk_dims, p, passes
+    ):
+        arch = ArchConfig(
+            input_dim=3, trunk_dims=trunk_dims, head_hidden_dim=5, activation=activation
+        )
+        widest = max(arch.trunk_output_dim, arch.head_hidden_dim)
+        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * widest)
+        params = init_params(arch, seed=7)
+        data = np.random.default_rng(passes + 10 * len(trunk_dims))
+        params.flat[...] += data.normal(scale=0.5, size=params.flat.size)
+        features = data.normal(scale=2.0, size=(65, 3))
+        cfg = MCConfig(num_passes=passes, dropout_p=p, seed=int(data.integers(2**63)))
+        alone = [one_row(params, features, cfg, i) for i in range(len(features))]
+        longer = mc_forward_dataset(params, features, replace(cfg, num_passes=30))
+        for rows in (1, 2, 63, 64, 65):
+            got = mc_forward_dataset(params, features[:rows], cfg)
+            assert got == alone[:rows]
+        for short, long in zip(alone, longer):
+            assert long.y_samples[:passes] == short.y_samples
+            assert long.s_samples[:passes] == short.s_samples
+            if p == 0.0 or passes == 1:
+                assert short.epi_pred_var == 0.0 and short.epi_dist_var == 0.0
+
+
 def per_head_reference(params, x, cfg, multiplier=1.0):
     """MC results for every row of x with the two heads run one at a time,
     as a plain oracle for the stacked kernel: all rows in one block, a fresh
@@ -470,23 +522,24 @@ def per_head_reference(params, x, cfg, multiplier=1.0):
     passes, p = cfg.num_passes, cfg.dropout_p
 
     def head(h_in, k):
+        """One head over a unit-major (width, rows, passes) input."""
         (w0, w1), (b0, b1) = (w[k] for w in params.head_w), (b[k, 0] for b in params.head_b)
-        hidden = act(np.einsum("rtk,jk->rtj", h_in, w0) + b0)
-        return np.einsum("rtj,j->rt", hidden, w1[0]) + b1[0]
+        hidden = act(np.einsum("krt,jk->jrt", h_in, w0) + b0[:, None, None])
+        return np.einsum("jrt,j->rt", hidden, w1[0]) + b1[0]
 
     a = x
     for w, b in zip(params.trunk_w, params.trunk_b):
         a = act(np.einsum("rk,jk->rj", a, w) + b)
-    h = a[:, None, :]
+    h = a.T[:, :, None]
     if p == 0.0:
         y = np.repeat(head(h, 0), passes, axis=1)
         s = np.repeat(head(h, 1), passes, axis=1)
     else:
         keys = np.array([row_seed(cfg.seed, i) for i in range(len(x))], dtype=np.uint64)
-        keep = _keep_mask(keys, passes, a.shape[1], p)
+        keep = _keep_mask(keys, passes, a.shape[1], p).transpose(2, 3, 0, 1)
         scale = 1.0 / (1.0 - p)
-        y = head(h * (keep[:, :, 0] * scale), 0)
-        s = head(h * (keep[:, :, 1] * scale), 1)
+        y = head(h * (keep[0] * scale), 0)
+        s = head(h * (keep[1] * scale), 1)
     s = np.clip(s, -S_CLAMP, S_CLAMP)
 
     def variance(v):
@@ -506,9 +559,9 @@ def result_bits(result):
 
 
 class TestStackedKernel:
-    """The kernel runs both heads as one (2, rows, passes, .) stack in a
-    per-call workspace. On the running numpy that must give the per-head
-    results bit for bit, on both entry points."""
+    """The kernel runs both heads as one unit-major (2, ., rows, passes)
+    stack in a per-call workspace. On the running numpy that must give the
+    per-head results bit for bit, on both entry points."""
 
     @pytest.mark.parametrize("passes", [1, 7, 25])
     @pytest.mark.parametrize("p", [0.0, 0.37, 0.5])
@@ -527,8 +580,8 @@ class TestStackedKernel:
         blocks, activate = [], mcdropout._activate
 
         def recording_activate(z, kind, out=None):
-            if z.ndim == 4:  # the heads' hidden layer, (2, rows, passes, width)
-                blocks.append(z.shape[1])
+            if z.ndim == 4:  # the heads' hidden layer, (2, width, rows, passes)
+                blocks.append(z.shape[2])
             return activate(z, kind, out=out)
 
         monkeypatch.setattr(mcdropout, "_activate", recording_activate)

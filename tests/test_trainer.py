@@ -82,6 +82,22 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"epochs": 2.5},
+        {"epochs": True},
+        {"batch_size": 2.5},
+        {"batch_size": 8.0},
+        {"seed": 1.5},
+        {"seed": False},
+    ])
+    def test_counts_and_seed_must_be_integers(self, kwargs):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            TrainConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint64(7))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 4, 7)
+
 
 class TestTrainValidation:
     def test_empty_dataset_rejected(self):
