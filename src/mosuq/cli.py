@@ -1,11 +1,15 @@
 """Command-line pipeline: gen-data, train, calibrate, evaluate, ood-detect.
 
 Each command's settings are declared once, in its table below: config key,
-kind, default and help text, from which the flags are built. Settings
-resolve in four layers (lowest priority first): the table's defaults, the
-named --preset if one was given, the JSON file passed via --config, and
-finally explicit command-line flags. Every resolved value is checked
-against its kind before any work starts. The checked settings are recorded
+kind, default and help text, from which the flags are built. A setting
+that feeds a library config (GenConfig, TrainConfig, ArchConfig, MCConfig)
+takes its default from that class and its choices from the library's
+constants, and `_config` builds the first three from the settings of the
+same name. Settings resolve in four layers (lowest priority first): the
+library's defaults, the named --preset if one was given, the JSON file
+passed via --config, and finally explicit command-line flags. Every
+resolved value is checked against its kind before any work starts, and
+the config classes check their own ranges. The checked settings are recorded
 next to the primary output as `<command>-config.json`, which --config
 accepts back, and all outputs are written atomically, so any run can be
 reproduced and audited after the fact.
@@ -17,6 +21,7 @@ invariants), 2 on usage, configuration, or file errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,10 +47,12 @@ from .datagen import (
 )
 from .errors import CheckpointError, ConfigError, InputError, MosuqError, ShapeError
 from .ioutils import atomic_write_text, canonical_json, write_csv
+from .loss import LOSSES
 from .mcdropout import MCConfig, mc_forward_dataset
 from .metrics import MetricsReport, error_uncertainty_curve, roc_auc, selective_sweep
-from .net import ArchConfig, HeteroPrediction
+from .net import ACTIVATIONS, ArchConfig, HeteroPrediction
 from .trainer import (
+    OPTIMIZERS,
     TrainConfig,
     load_checkpoint,
     predict_batch,
@@ -186,21 +193,21 @@ S = Setting
 
 GEN_DATA_SETTINGS = (
     S("out", PATH, None, "output CSV path (or prefix with --split)"),
-    S("seed", INT, 0),
-    S("num_systems", INT, 12),
-    S("samples_per_system", INT, 150),
-    S("feature_dim", INT, 16),
+    S("seed", INT, GenConfig.seed),
+    S("num_systems", INT, GenConfig.num_systems),
+    S("samples_per_system", INT, GenConfig.samples_per_system),
+    S("feature_dim", INT, GenConfig.feature_dim),
     S("preset", _choice("heteroscedastic", "homoscedastic", "rater-panel"),
       "heteroscedastic", "label noise model"),
-    S("sigma", FLOAT, 0.1, "homoscedastic noise std"),
-    S("raters", INT, 4, "rater panel size"),
-    S("rater_sd", FLOAT, 0.8, "per-rater noise std"),
+    S("sigma", FLOAT, Homoscedastic.sigma, "homoscedastic noise std"),
+    S("raters", INT, RaterPanel.num_raters, "rater panel size"),
+    S("rater_sd", FLOAT, RaterPanel.rater_sd, "per-rater noise std"),
     S("shift", NON_NEGATIVE, 0.0,
       "translate all cluster centers this far along a seed-derived direction"),
     S("feature_noise", NON_NEGATIVE, 0.0,
       "additive feature noise level in units of the global feature std"),
     S("feature_noise_seed", _optional(_at_least(0))),
-    S("clip_labels", BOOL, False, "clip labels into the clean score range"),
+    S("clip_labels", BOOL, GenConfig.clip_labels, "clip labels into the clean score range"),
     S("split", _optional(FRACTIONS), None,
       "write three CSVs with these fractions instead of one"),
 )
@@ -210,16 +217,16 @@ TRAIN_SETTINGS = (
     S("val", _optional(PATH), None, "optional validation CSV"),
     S("out", PATH, None, "checkpoint JSON path"),
     S("history", _optional(PATH), None, "optional per-epoch loss CSV"),
-    S("epochs", INT, 30),
-    S("batch_size", INT, 8),
-    S("learning_rate", FLOAT, 3e-4, flag="--lr"),
-    S("loss", _choice("nll", "mse"), "nll"),
-    S("optimizer", _choice("adam", "sgd"), "adam"),
-    S("seed", INT, 0),
-    S("trunk_dims", INT_LIST, [32], "trunk hidden widths"),
-    S("head_hidden_dim", INT, 16),
-    S("dropout_p", FLOAT, 0.5),
-    S("activation", _choice("tanh", "relu"), "tanh"),
+    S("epochs", INT, TrainConfig.epochs),
+    S("batch_size", INT, TrainConfig.batch_size),
+    S("learning_rate", FLOAT, TrainConfig.learning_rate, flag="--lr"),
+    S("loss", _choice(*LOSSES), TrainConfig.loss),
+    S("optimizer", _choice(*OPTIMIZERS), TrainConfig.optimizer),
+    S("seed", INT, TrainConfig.seed),
+    S("trunk_dims", INT_LIST, ArchConfig.trunk_dims, "trunk hidden widths"),
+    S("head_hidden_dim", INT, ArchConfig.head_hidden_dim),
+    S("dropout_p", FLOAT, ArchConfig.dropout_p),
+    S("activation", _choice(*ACTIVATIONS), ArchConfig.activation),
 )
 
 CALIBRATE_SETTINGS = (
@@ -252,7 +259,7 @@ OOD_DETECT_SETTINGS = (
     S("ood_data", PATH, None, "out-of-distribution CSV"),
     S("report", PATH, None, "AUC report JSON path"),
     S("scores", _optional(PATH), None, "per-sample score CSV path"),
-    S("mc", MC, [25, 0.5, 0], "MC sampling settings"),
+    S("mc", MC, dataclasses.astuple(MCConfig()), "MC sampling settings"),
     S("uncertainty", _choice(*UNCERTAINTY_FIELDS), "epi-dist"),
 )
 
@@ -322,6 +329,13 @@ def _record_config(command: str, primary_output: Path, cfg: SimpleNamespace) -> 
     atomic_write_text(primary_output.parent / f"{command}-config.json", canonical_json(doc))
 
 
+def _config(cls, cfg: SimpleNamespace, **given):
+    """A library config built from the settings named like its fields;
+    `given` supplies the fields that no setting is named after."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in given]
+    return cls(**{name: getattr(cfg, name) for name in names}, **given)
+
+
 def _cmd_gen_data(cfg: SimpleNamespace) -> int:
     if cfg.preset == "homoscedastic":
         noise = Homoscedastic(sigma=cfg.sigma)
@@ -329,14 +343,7 @@ def _cmd_gen_data(cfg: SimpleNamespace) -> int:
         noise = RaterPanel(num_raters=cfg.raters, rater_sd=cfg.rater_sd)
     else:
         noise = Heteroscedastic()
-    gen_cfg = GenConfig(
-        num_systems=cfg.num_systems,
-        samples_per_system=cfg.samples_per_system,
-        feature_dim=cfg.feature_dim,
-        noise_model=noise,
-        seed=cfg.seed,
-        clip_labels=cfg.clip_labels,
-    )
+    gen_cfg = _config(GenConfig, cfg, noise_model=noise)
     dataset = gen_ood_shift(gen_cfg, cfg.shift) if cfg.shift > 0.0 else gen_synthetic(gen_cfg)
     if cfg.feature_noise > 0.0:
         seed = gen_cfg.seed if cfg.feature_noise_seed is None else cfg.feature_noise_seed
@@ -362,23 +369,10 @@ def _cmd_gen_data(cfg: SimpleNamespace) -> int:
 
 
 def _cmd_train(cfg: SimpleNamespace) -> int:
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        loss=cfg.loss,
-        optimizer=cfg.optimizer,
-        seed=cfg.seed,
-    )
+    train_cfg = _config(TrainConfig, cfg)
     dataset = load_dataset_csv(cfg.data)
     val_dataset = load_dataset_csv(cfg.val) if cfg.val is not None else None
-    arch = ArchConfig(
-        input_dim=dataset.feature_dim,
-        trunk_dims=cfg.trunk_dims,
-        head_hidden_dim=cfg.head_hidden_dim,
-        dropout_p=cfg.dropout_p,
-        activation=cfg.activation,
-    )
+    arch = _config(ArchConfig, cfg, input_dim=dataset.feature_dim)
     params, history = train(dataset, arch, train_cfg, val_dataset)
     save_checkpoint(params, cfg.out)
     if cfg.history is not None:

@@ -41,7 +41,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, check_int
 from .ioutils import write_csv
 
 __all__ = [
@@ -186,8 +186,8 @@ class Homoscedastic:
     sigma: float = 0.1
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -203,10 +203,9 @@ class RaterPanel:
     rater_sd: float = 0.8
 
     def __post_init__(self):
-        if self.num_raters < 1:
-            raise ConfigError(f"num_raters must be >= 1, got {self.num_raters}")
-        if self.rater_sd < 0.0:
-            raise ConfigError(f"rater_sd must be >= 0, got {self.rater_sd}")
+        check_int("num_raters", self.num_raters, 1)
+        if not 0.0 <= self.rater_sd < math.inf:
+            raise ConfigError(f"rater_sd must be finite and >= 0, got {self.rater_sd}")
 
 
 NoiseModel = Union[Homoscedastic, Heteroscedastic, RaterPanel]
@@ -214,6 +213,9 @@ NoiseModel = Union[Homoscedastic, Heteroscedastic, RaterPanel]
 
 @dataclass(frozen=True)
 class GenConfig:
+    """Dataset shape, noise model and seed; these defaults are the CLI's.
+    Counts are integers >= 1 and the seed >= 0 (errors.check_int)."""
+
     num_systems: int = 12
     samples_per_system: int = 150
     feature_dim: int = 16
@@ -222,16 +224,10 @@ class GenConfig:
     clip_labels: bool = False
 
     def __post_init__(self):
-        if self.num_systems < 1:
-            raise ConfigError(f"num_systems must be >= 1, got {self.num_systems}")
-        if self.samples_per_system < 1:
-            raise ConfigError(
-                f"samples_per_system must be >= 1, got {self.samples_per_system}"
-            )
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_int("num_systems", self.num_systems, 1)
+        check_int("samples_per_system", self.samples_per_system, 1)
+        check_int("feature_dim", self.feature_dim, 1)
+        check_int("seed", self.seed, 0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -323,8 +319,8 @@ def gen_ood_shift(cfg: GenConfig, shift: float) -> Dataset:
     shift = 0 reproduces gen_synthetic(cfg) bit for bit; any positive shift
     tags the samples as OOD.
     """
-    if shift < 0.0:
-        raise InputError(f"shift must be >= 0, got {shift}")
+    if not 0.0 <= shift < math.inf:
+        raise InputError(f"shift must be finite and >= 0, got {shift}")
     if shift == 0.0:
         return gen_synthetic(cfg)
     rng = np.random.default_rng(
@@ -342,8 +338,8 @@ def add_feature_noise(dataset: Dataset, level: float, seed: int) -> Dataset:
     positive level marks the returned samples as OOD; level 0 returns the
     dataset unchanged.
     """
-    if level < 0.0:
-        raise InputError(f"noise level must be >= 0, got {level}")
+    if not 0.0 <= level < math.inf:
+        raise InputError(f"noise level must be finite and >= 0, got {level}")
     if len(dataset) == 0:
         raise InputError("cannot perturb an empty dataset")
     if level == 0.0:
@@ -365,11 +361,12 @@ def split_dataset(
     """Shuffle once with the given seed and cut into len(fractions) parts.
 
     Every part but the first gets floor(fraction * n) samples; the first
-    part absorbs the remainder. Fractions must be non-negative and sum to 1.
+    part absorbs the remainder. Fractions must be finite, non-negative and
+    sum to 1.
     """
     fractions = [float(f) for f in fractions]
-    if not fractions or any(f < 0.0 for f in fractions):
-        raise ConfigError(f"fractions must be non-negative, got {fractions}")
+    if not fractions or not all(0.0 <= f < math.inf for f in fractions):
+        raise ConfigError(f"fractions must be finite and non-negative, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {fractions}")
     n = len(dataset)

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError, check_int
 
 __all__ = [
     "ACTIVATIONS",
@@ -71,9 +71,11 @@ GROUPS = ("trunk_w", "trunk_b", "head_w", "head_b")
 class ArchConfig:
     """Network shape and regularisation settings.
 
-    trunk_dims may be empty, in which case both heads read the raw input.
-    dropout_p is the drop probability of every forward pass given a
-    generator, as in training (MC sampling takes its own from MCConfig).
+    These defaults are the CLI's. Every width is an integer >= 1 (checked
+    with errors.check_int), and trunk_dims, which may be empty so that both
+    heads read the raw input, is stored as a tuple of ints. dropout_p is
+    the drop probability of every forward pass given a generator, as in
+    training (MC sampling takes its own from MCConfig).
     """
 
     input_dim: int = 16
@@ -83,13 +85,11 @@ class ArchConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
+        check_int("input_dim", self.input_dim, 1)
+        for w in self.trunk_dims:
+            check_int("trunk width", w, 1)
         object.__setattr__(self, "trunk_dims", tuple(int(w) for w in self.trunk_dims))
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        if any(w < 1 for w in self.trunk_dims):
-            raise ConfigError(f"trunk widths must all be >= 1, got {self.trunk_dims}")
-        if self.head_hidden_dim < 1:
-            raise ConfigError(f"head_hidden_dim must be >= 1, got {self.head_hidden_dim}")
+        check_int("head_hidden_dim", self.head_hidden_dim, 1)
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
         if self.activation not in ACTIVATIONS:

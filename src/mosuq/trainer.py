@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +84,8 @@ class TrainConfig:
     def __post_init__(self):
         check_int("epochs", self.epochs, 1)
         check_int("batch_size", self.batch_size, 1)
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.loss not in LOSSES:
             raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -148,34 +148,12 @@ def train(
     raises InputError. A non-finite batch loss aborts with
     TrainingDivergedError naming the offending epoch.
     """
+    x_all, y_all = _checked_split("training", dataset, arch)
     n = len(dataset)
-    if n == 0:
-        raise InputError("training dataset is empty")
-    if dataset.feature_dim != arch.input_dim:
-        raise ShapeError(
-            f"dataset has {dataset.feature_dim} features but arch expects {arch.input_dim}"
-        )
     if cfg.batch_size > n:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-
-    x_all = dataset.features()
-    y_all = dataset.labels()
-    _check_features(arch, x_all)
-    if not np.all(np.isfinite(y_all)):
-        raise InputError("training labels contain non-finite values")
     if val_dataset is not None:
-        if len(val_dataset) == 0:
-            raise InputError("validation dataset is empty")
-        if val_dataset.feature_dim != arch.input_dim:
-            raise ShapeError(
-                f"validation data has {val_dataset.feature_dim} features, "
-                f"arch expects {arch.input_dim}"
-            )
-        x_val = val_dataset.features()
-        y_val = val_dataset.labels()
-        _check_features(arch, x_val)
-        if not np.all(np.isfinite(y_val)):
-            raise InputError("validation labels contain non-finite values")
+        x_val, y_val = _checked_split("validation", val_dataset, arch)
 
     params = init_params(arch, cfg.seed)
     # One gradient buffer for the whole run: every backward pass overwrites it.
@@ -223,6 +201,23 @@ def train(
     return params, history
 
 
+def _checked_split(
+    name: str, dataset: Dataset, arch: ArchConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (features, labels) of one split, after checking that it is not
+    empty, has arch.input_dim features and holds only finite values."""
+    if len(dataset) == 0:
+        raise InputError(f"{name} dataset is empty")
+    if dataset.feature_dim != arch.input_dim:
+        raise ShapeError(
+            f"{name} data has {dataset.feature_dim} features but arch expects {arch.input_dim}"
+        )
+    _check_features(arch, dataset.features())
+    if not np.all(np.isfinite(dataset.labels())):
+        raise InputError(f"{name} labels contain non-finite values")
+    return dataset.features(), dataset.labels()
+
+
 def predict_batch(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (y_hat, s) arrays for a feature matrix.
 
@@ -249,16 +244,9 @@ def _checkpoint_views(params: ModelParams) -> dict[tuple[str, str], list[np.ndar
 
 def checkpoint_document(params: ModelParams, calibration_r: float | None = None) -> dict:
     """The JSON-serializable form of a model."""
-    arch = params.arch
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "arch": {
-            "input_dim": arch.input_dim,
-            "trunk_dims": list(arch.trunk_dims),
-            "head_hidden_dim": arch.head_hidden_dim,
-            "dropout_p": arch.dropout_p,
-            "activation": arch.activation,
-        },
+        "arch": asdict(params.arch),
         "weights": {},
         "biases": {},
         "rng_seed_used": params.rng_seed_used,

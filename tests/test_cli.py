@@ -16,10 +16,10 @@ import pytest
 import mosuq
 from mosuq.cli import build_parser, main
 from mosuq.calibrate import CalibrationScale
-from mosuq.datagen import DOMAIN_OOD, load_dataset_csv, save_dataset_csv
+from mosuq.datagen import DOMAIN_OOD, GenConfig, gen_synthetic, load_dataset_csv, save_dataset_csv
 from mosuq.metrics import EvalRecord, compute_report
 from mosuq.net import ArchConfig, init_params, param_arrays
-from mosuq.trainer import load_checkpoint, predict_batch, save_checkpoint
+from mosuq.trainer import TrainConfig, load_checkpoint, predict_batch, save_checkpoint, train
 
 from conftest import concat_datasets, dataset_of
 
@@ -152,6 +152,11 @@ class TestGenData:
         assert not np.array_equal(a.features(), b.features())
         assert all(s.domain_tag == "ood" for s in b)
 
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        assert main(["gen-data", "--out", str(tmp_path / "cli.csv")]) == 0
+        save_dataset_csv(gen_synthetic(GenConfig()), tmp_path / "lib.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
     def test_resolved_config_is_recorded(self, workspace):
         doc = json.loads((workspace / "gen-data-config.json").read_text())
         assert doc["command"] == "gen-data"
@@ -204,6 +209,14 @@ class TestTrain:
         assert doc["batch_size"] == 8
         assert doc["learning_rate"] == 3e-4
         assert doc["optimizer"] == "adam"
+
+    def test_defaults_are_the_library_defaults(self, workspace, tmp_path):
+        data = workspace / "base.train.csv"
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "cli.json")]) == 0
+        dataset = load_dataset_csv(data)
+        params, _ = train(dataset, ArchConfig(input_dim=dataset.feature_dim), TrainConfig())
+        save_checkpoint(params, tmp_path / "lib.json")
+        assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
     def test_history_csv_written(self, workspace):
         lines = (workspace / "history.csv").read_text().splitlines()

@@ -53,10 +53,21 @@ class TestGenConfigValidation:
         {"samples_per_system": 0},
         {"feature_dim": 0},
         {"seed": -1},
+        {"num_systems": 2.5},
+        {"seed": True},
     ])
     def test_bad_counts(self, kwargs):
         with pytest.raises(ConfigError):
             GenConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = GenConfig(
+            num_systems=np.int64(2), samples_per_system=np.int32(3),
+            feature_dim=np.uint8(2), seed=np.uint64(7),
+        )
+        plain = GenConfig(num_systems=2, samples_per_system=3, feature_dim=2, seed=7)
+        assert cfg == plain
+        assert np.array_equal(gen_synthetic(cfg).x, gen_synthetic(plain).x)
 
     def test_bad_noise_models(self):
         with pytest.raises(ConfigError):
@@ -65,6 +76,13 @@ class TestGenConfigValidation:
             RaterPanel(num_raters=0)
         with pytest.raises(ConfigError):
             RaterPanel(rater_sd=-1.0)
+        with pytest.raises(ConfigError):
+            RaterPanel(num_raters=2.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                Homoscedastic(sigma=bad)
+            with pytest.raises(ConfigError):
+                RaterPanel(rater_sd=bad)
 
 
 class TestGenSynthetic:
@@ -167,6 +185,9 @@ class TestGenOodShift:
     def test_negative_shift_rejected(self):
         with pytest.raises(InputError):
             gen_ood_shift(small_cfg(Heteroscedastic()), -0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                gen_ood_shift(small_cfg(Heteroscedastic()), bad)
 
 
 class TestAddFeatureNoise:
@@ -198,6 +219,9 @@ class TestAddFeatureNoise:
         dataset = gen_synthetic(small_cfg(Heteroscedastic()))
         with pytest.raises(InputError):
             add_feature_noise(dataset, -0.1, seed=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                add_feature_noise(dataset, bad, seed=0)
 
     def test_amplitude_analogue_mapping(self):
         assert feature_noise_analogue(0.02) == pytest.approx(2.0, rel=1e-12)
@@ -239,6 +263,8 @@ class TestSplitDataset:
             split_dataset(dataset, (1.2, -0.2), seed=0)
         with pytest.raises(ConfigError):
             split_dataset(dataset, (), seed=0)
+        with pytest.raises(ConfigError):
+            split_dataset(dataset, (math.nan, 0.5, 0.5), seed=0)
 
 
 class TestCsvRoundTrip:

@@ -65,11 +65,22 @@ class TestArchConfig:
             {"dropout_p": 1.0},
             {"dropout_p": -0.1},
             {"activation": "sigmoid"},
+            {"input_dim": 2.5},
+            {"head_hidden_dim": True},
+            {"trunk_dims": (16.7,)},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ConfigError):
             small_arch(**overrides)
+
+    def test_numpy_integers_are_accepted(self):
+        arch = ArchConfig(
+            input_dim=np.int64(3), trunk_dims=(np.int32(4), np.uint8(2)),
+            head_hidden_dim=np.int16(5),
+        )
+        assert arch == ArchConfig(input_dim=3, trunk_dims=(4, 2), head_hidden_dim=5)
+        assert all(type(w) is int for w in arch.trunk_dims)
 
 
 class TestInitParams:

@@ -74,6 +74,7 @@ class TestTrainConfig:
         {"epochs": 0},
         {"batch_size": 0},
         {"learning_rate": 0.0},
+        {"learning_rate": float("inf")},
         {"loss": "huber"},
         {"optimizer": "rmsprop"},
         {"seed": -3},
