@@ -41,7 +41,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, InputError, check_int
+from .errors import ConfigError, InputError, check_float, check_int
 from .ioutils import write_csv
 
 __all__ = [
@@ -186,8 +186,7 @@ class Homoscedastic:
     sigma: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:
-            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
+        check_float("sigma", self.sigma, 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -204,8 +203,7 @@ class RaterPanel:
 
     def __post_init__(self):
         check_int("num_raters", self.num_raters, 1)
-        if not 0.0 <= self.rater_sd < math.inf:
-            raise ConfigError(f"rater_sd must be finite and >= 0, got {self.rater_sd}")
+        check_float("rater_sd", self.rater_sd, 0.0, math.inf)
 
 
 NoiseModel = Union[Homoscedastic, Heteroscedastic, RaterPanel]

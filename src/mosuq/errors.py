@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check that
-configs raise them from."""
+"""Exception types shared across the package, and the integer and float
+checks that configs raise them from."""
 
 import numbers
 
@@ -45,3 +45,17 @@ def check_int(name: str, value, minimum: int) -> None:
     an integer here; numpy integers are."""
     if type(value) is bool or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_float(name: str, value, low: float, high: float, low_open: bool = False) -> None:
+    """Raise ConfigError unless value is a real number in [low, high), or in
+    (low, high) when low_open is set. A bool is not a number here, and nan
+    lies in no interval; numpy floats and integers are numbers."""
+    if (
+        type(value) is bool
+        or not isinstance(value, numbers.Real)
+        or not (low < value if low_open else low <= value)
+        or not value < high
+    ):
+        interval = f"{'(' if low_open else '['}{low:g}, {high:g})"
+        raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import CalibrationScale
-from .errors import ConfigError, InputError, ShapeError, check_int
+from .errors import InputError, ShapeError, check_float, check_int
 from .net import S_CLAMP, ModelParams, _activate, _check_features
 
 __all__ = ["MCConfig", "MCResult", "variance_of", "mc_forward", "mc_forward_dataset", "row_seed"]
@@ -76,8 +76,7 @@ class MCConfig:
 
     def __post_init__(self):
         check_int("num_passes", self.num_passes, 1)
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
+        check_float("dropout_p", self.dropout_p, 0.0, 1.0)
         check_int("seed", self.seed, 0)
 
 

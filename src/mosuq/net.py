@@ -16,12 +16,13 @@ stack, score head first, and each head layer is one ``np.matmul``.
 layout (a ModelParams, fresh or reused), so an optimizer updates every
 parameter with a few whole-vector operations.
 
-Everything else is plain and explicit: randomness enters only through
-generators passed by the caller, and gradients are computed by replaying the
-forward pass, whose intermediates ``forward_batch`` hands to
-``backward_batch`` as a plain tuple. Dropout runs only when a generator is
-passed, and both heads' masks then come from one ``rng.random((2, B, H))``
-draw, score head first: the same stream as one draw per head.
+Everything else is plain and explicit: the network draws no random numbers,
+and gradients are computed by replaying the forward pass, whose
+intermediates ``forward_batch`` hands to ``backward_batch`` as a plain
+tuple. Dropout runs only when the caller passes a mask: the ``(2, B, H)``
+inverted-dropout multipliers of both heads, score head first.
+``dropout_mask`` makes one from a generator's uniforms; the trainer draws
+them for many batches at once and hands each batch its slice.
 
 There is one code path per operation, over a batch of rows:
 ``forward_batch`` and ``backward_batch``. A single row is a batch of one.
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ShapeError, check_int
+from .errors import ConfigError, InputError, ShapeError, check_float, check_int
 
 __all__ = [
     "ACTIVATIONS",
@@ -51,6 +52,7 @@ __all__ = [
     "Slot",
     "param_layout",
     "init_params",
+    "dropout_mask",
     "forward_batch",
     "backward_batch",
     "param_arrays",
@@ -73,9 +75,9 @@ class ArchConfig:
 
     These defaults are the CLI's. Every width is an integer >= 1 (checked
     with errors.check_int), and trunk_dims, which may be empty so that both
-    heads read the raw input, is stored as a tuple of ints. dropout_p is
-    the drop probability of every forward pass given a generator, as in
-    training (MC sampling takes its own from MCConfig).
+    heads read the raw input, is stored as a tuple of ints. dropout_p, a
+    number in [0, 1) (errors.check_float), is the drop probability of the
+    training masks (MC sampling takes its own from MCConfig).
     """
 
     input_dim: int = 16
@@ -90,8 +92,7 @@ class ArchConfig:
             check_int("trunk width", w, 1)
         object.__setattr__(self, "trunk_dims", tuple(int(w) for w in self.trunk_dims))
         check_int("head_hidden_dim", self.head_hidden_dim, 1)
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
+        check_float("dropout_p", self.dropout_p, 0.0, 1.0)
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
@@ -231,19 +232,30 @@ def _check_features(arch: ArchConfig, x: np.ndarray) -> None:
         raise InputError("features contain non-finite values")
 
 
+def dropout_mask(rng: np.random.Generator, p: float, shape) -> np.ndarray | None:
+    """Inverted-dropout multipliers of the given shape at drop probability p.
+
+    Each entry is 0 with probability p, else 1/(1-p), from one
+    ``rng.random(shape)`` draw. At p = 0 the mask would be all ones, so
+    nothing is drawn and None (no dropout) is returned.
+    """
+    if p == 0.0:
+        return None
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def forward_batch(
-    params: ModelParams, x: np.ndarray, rng: np.random.Generator | None = None
+    params: ModelParams, x: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Run the network on a (batch, input_dim) array.
 
     Returns (y_hat, s, cache) where y_hat and s are (batch,) arrays, s is
     already clamped to [-S_CLAMP, +S_CLAMP], and cache holds the
-    intermediates that backward_batch replays. Without rng the pass is
-    deterministic. With one, inverted dropout at arch.dropout_p perturbs
-    the heads' input: each mask entry is 0 with probability p, else
-    1/(1-p), and both heads' masks, score head first, come from one draw.
-    At p = 0 nothing is drawn. Features are not checked for finiteness
-    here (see the module docstring).
+    intermediates that backward_batch replays. mask, when given, is the
+    (2, batch, trunk_output_dim) inverted-dropout multipliers of the
+    heads' input, score head first (see dropout_mask); without one the pass
+    runs no dropout. Features are not checked for finiteness here (see the
+    module docstring).
     """
     arch = params.arch
     x = np.asarray(x, dtype=float)
@@ -255,15 +267,16 @@ def forward_batch(
         a = _activate(a @ w.T + b, arch.activation)
         trunk_post.append(a)
 
-    # Both heads at once, as (2, B, .) stacks. At p = 0 a mask would be all
-    # ones, and multiplying by one is exact, so the heads share the trunk
-    # output without a copy.
-    p = arch.dropout_p
-    if rng is not None and p > 0.0:
-        mask = (rng.random((2, *a.shape)) >= p) / (1.0 - p)
+    # Both heads at once, as (2, B, .) stacks. Without a mask the heads
+    # share the trunk output without a copy.
+    if mask is not None:
+        if mask.shape != (2, *a.shape):
+            raise ShapeError(
+                f"expected a dropout mask of shape {(2, *a.shape)}, got {mask.shape}"
+            )
         h_in = a * mask
     else:
-        mask, h_in = None, np.broadcast_to(a, (2, *a.shape))
+        h_in = np.broadcast_to(a, (2, *a.shape))
     w, b = params.head_w, params.head_b
     hidden = _activate(np.matmul(h_in, w[0].transpose(0, 2, 1)) + b[0], arch.activation)
     out = np.matmul(hidden, w[1].transpose(0, 2, 1)) + b[1]
@@ -300,7 +313,7 @@ def backward_batch(
         )
     if out is None:
         out = ModelParams(arch, np.empty_like(params.flat), params.rng_seed_used)
-    elif out.arch != arch:
+    elif out.arch is not arch and out.arch != arch:
         raise ShapeError("gradient buffer does not match the supplied parameters")
 
     kind = arch.activation

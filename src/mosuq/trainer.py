@@ -8,6 +8,13 @@ source of randomness (init, per-epoch shuffling, dropout masks) is derived
 from the single seed in TrainConfig, so a (dataset, arch, config) triple
 always reproduces the same parameters bit for bit.
 
+Dropout masks are drawn for a chunk of batches at a time: one
+``net.dropout_mask`` call over about ``MASK_CHUNK_UNITS`` uniforms, whose
+contiguous ``(2, B, H)`` slices are the batches' masks. Those are the same
+uniforms in the same order as one ``(2, B, H)`` draw per batch, so the chunk
+size changes no result, and the mask memory does not grow with the row
+count.
+
 Features are checked for non-finite values once per dataset, before the
 first step (training and validation splits), and once per predict_batch
 call; the per-batch forward pass checks only their shape.
@@ -37,6 +44,7 @@ from .errors import (
     InputError,
     ShapeError,
     TrainingDivergedError,
+    check_float,
     check_int,
 )
 from .ioutils import atomic_write_text, canonical_json, write_csv
@@ -46,6 +54,7 @@ from .net import (
     ModelParams,
     _check_features,
     backward_batch,
+    dropout_mask,
     forward_batch,
     init_params,
     param_layout,
@@ -71,6 +80,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Mask entries drawn per chunk, rounded down to whole batches (at least
+# one). 2**16 doubles are 512 KiB, twice over with the uniforms; a
+# whole-epoch draw would grow with the row count.
+MASK_CHUNK_UNITS = 2**16
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -84,8 +98,7 @@ class TrainConfig:
     def __post_init__(self):
         check_int("epochs", self.epochs, 1)
         check_int("batch_size", self.batch_size, 1)
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        check_float("learning_rate", self.learning_rate, 0.0, math.inf, low_open=True)
         if self.loss not in LOSSES:
             raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -164,6 +177,9 @@ def train(
     shuffle_stream, dropout_stream = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_stream)
     dropout_rng = np.random.default_rng(dropout_stream)
+    batch, width = cfg.batch_size, arch.trunk_output_dim
+    row_units = 2 * width
+    chunk_rows = max(1, MASK_CHUNK_UNITS // (row_units * batch)) * batch
 
     train_curve = []
     val_curve = [] if val_dataset is not None else None
@@ -171,19 +187,26 @@ def train(
         order = shuffle_rng.permutation(n)
         x_epoch, y_epoch = x_all[order], y_all[order]
         epoch_loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            xb = x_epoch[start : start + cfg.batch_size]
-            yb = y_epoch[start : start + cfg.batch_size]
-            y_hat, s, cache = forward_batch(params, xb, rng=dropout_rng)
-            values, d_y_hat, d_s = loss_batch(y_hat, s, yb)
-            # The batch loss is finite exactly when its sum is.
-            batch_sum = float(values.sum())
-            if not math.isfinite(batch_sum):
-                raise TrainingDivergedError(epoch)
-            epoch_loss_sum += batch_sum
-            # Batch loss is a mean, so upstream derivatives carry the 1/B.
-            backward_batch(cache, params, d_y_hat / len(xb), d_s / len(xb), out=grads)
-            optimizer.step(grads.flat)
+        for chunk in range(0, n, chunk_rows):
+            stop = min(chunk + chunk_rows, n)
+            masks = dropout_mask(dropout_rng, arch.dropout_p, (stop - chunk) * row_units)
+            for start in range(chunk, stop, batch):
+                xb = x_epoch[start : start + batch]
+                yb = y_epoch[start : start + batch]
+                mask = None
+                if masks is not None:
+                    offset = (start - chunk) * row_units
+                    mask = masks[offset : offset + len(xb) * row_units].reshape(2, len(xb), width)
+                y_hat, s, cache = forward_batch(params, xb, mask)
+                values, d_y_hat, d_s = loss_batch(y_hat, s, yb)
+                # The batch loss is finite exactly when its sum is.
+                batch_sum = float(np.add.reduce(values))
+                if not math.isfinite(batch_sum):
+                    raise TrainingDivergedError(epoch)
+                epoch_loss_sum += batch_sum
+                # Batch loss is a mean, so upstream derivatives carry the 1/B.
+                backward_batch(cache, params, d_y_hat / len(xb), d_s / len(xb), out=grads)
+                optimizer.step(grads.flat)
         train_curve.append(epoch_loss_sum / n)
 
         if val_dataset is not None:

@@ -78,7 +78,7 @@ class TestGenConfigValidation:
             RaterPanel(rater_sd=-1.0)
         with pytest.raises(ConfigError):
             RaterPanel(num_raters=2.5)
-        for bad in (math.nan, math.inf):
+        for bad in (math.nan, math.inf, True, "0.3", None):
             with pytest.raises(ConfigError):
                 Homoscedastic(sigma=bad)
             with pytest.raises(ConfigError):

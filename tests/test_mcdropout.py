@@ -101,6 +101,8 @@ class TestMCConfig:
         {"dropout_p": 1.0},
         {"dropout_p": -0.2},
         {"seed": -1},
+        {"dropout_p": False},
+        {"dropout_p": None},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):

@@ -20,6 +20,7 @@ from mosuq.net import (
     HeteroPrediction,
     ModelParams,
     backward_batch,
+    dropout_mask,
     forward_batch,
     init_params,
     param_arrays,
@@ -27,9 +28,21 @@ from mosuq.net import (
 )
 
 
-def one_row(params, x, **kwargs):
-    """forward_batch on one feature vector: (prediction, cache)."""
-    y_hat, s, cache = forward_batch(params, np.asarray(x, dtype=float)[None, :], **kwargs)
+def drawn_mask(params, rng, rows):
+    """The (2, rows, H) training mask of params.arch drawn from rng, as the
+    trainer draws it (None without a generator, or at p = 0)."""
+    if rng is None:
+        return None
+    arch = params.arch
+    return dropout_mask(rng, arch.dropout_p, (2, rows, arch.trunk_output_dim))
+
+
+def one_row(params, x, rng=None):
+    """forward_batch on one feature vector, with a mask drawn from rng when
+    one is given: (prediction, cache)."""
+    y_hat, s, cache = forward_batch(
+        params, np.asarray(x, dtype=float)[None, :], drawn_mask(params, rng, 1)
+    )
     return HeteroPrediction(float(y_hat[0]), float(s[0])), cache
 
 
@@ -68,6 +81,9 @@ class TestArchConfig:
             {"input_dim": 2.5},
             {"head_hidden_dim": True},
             {"trunk_dims": (16.7,)},
+            {"dropout_p": False},
+            {"dropout_p": None},
+            {"dropout_p": "0.5"},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -271,9 +287,15 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_batch(params, np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 4, 4), (2, 3, 4)])
+    def test_mask_of_another_shape_rejected(self, shape):
+        params = init_params(small_arch(), seed=1)
+        with pytest.raises(ShapeError, match="dropout mask"):
+            forward_batch(params, np.ones((4, 3)), np.ones(shape))
+
     def test_no_dropout_without_an_rng(self):
-        """At p = 0.5 a pass without a generator still masks nothing: both
-        heads read the trunk output as it is."""
+        """At p = 0.5 a pass without a mask still drops nothing: both heads
+        read the trunk output as it is."""
         params = init_params(small_arch(), seed=1)
         xs = np.random.default_rng(0).normal(size=(4, 3))
         y_hat, s, (_, trunk_post, mask, h_in, _, _) = forward_batch(params, xs)
@@ -298,7 +320,7 @@ class TestForward:
         params = init_params(small_arch(trunk_dims=(6,), dropout_p=0.4), seed=2)
         xs = np.random.default_rng(0).normal(size=(5, 3))
         rng = np.random.default_rng(8)
-        y_hat, s, _ = forward_batch(params, xs, rng=rng)
+        y_hat, s, _ = forward_batch(params, xs, drawn_mask(params, rng, len(xs)))
 
         ref_rng = np.random.default_rng(8)
         score_mask = (ref_rng.random((5, 6)) >= 0.4) / (1.0 - 0.4)
@@ -332,14 +354,16 @@ class TestForward:
 
 
 class TestDropoutMask:
-    """The inverted-dropout mask forward_batch draws and caches for replay."""
+    """The inverted-dropout mask dropout_mask draws and forward_batch caches
+    for replay."""
 
     @staticmethod
     def mask(p, rows, seed):
         """The (2, rows, 50) mask of one forward pass at dropout p."""
         params = init_params(small_arch(trunk_dims=(50,), dropout_p=p), seed=0)
         xs = np.random.default_rng(1).normal(size=(rows, 3))
-        return forward_batch(params, xs, rng=np.random.default_rng(seed))[2][2]
+        mask = drawn_mask(params, np.random.default_rng(seed), rows)
+        return forward_batch(params, xs, mask)[2][2]
 
     def test_values_are_zero_or_inverse_keep(self):
         mask = self.mask(0.25, 10, seed=0)
@@ -358,7 +382,9 @@ class TestDropoutMask:
         params = init_params(small_arch(trunk_dims=(16,), dropout_p=0.0), seed=0)
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        _, _, (_, trunk_post, mask, h_in, _, _) = forward_batch(params, np.ones((1, 3)), rng=rng_a)
+        _, _, (_, trunk_post, mask, h_in, _, _) = forward_batch(
+            params, np.ones((1, 3)), drawn_mask(params, rng_a, 1)
+        )
         assert mask is None
         np.testing.assert_array_equal(h_in, np.stack([trunk_post[-1]] * 2))
         assert rng_a.random() == rng_b.random()
@@ -548,7 +574,7 @@ class TestStackedHeads:
         d_y_hat, d_s = data.normal(size=batch), data.normal(size=batch)
 
         rng = (lambda: np.random.default_rng(7)) if mode == "dropout" else (lambda: None)
-        y_hat, s, cache = forward_batch(params, x, rng=rng())
+        y_hat, s, cache = forward_batch(params, x, drawn_mask(params, rng(), batch))
         grads = backward_batch(cache, params, d_y_hat, d_s)
         want_y, want_s, want = per_head_reference(params, x, rng(), d_y_hat, d_s)
         assert same_bits(y_hat, want_y)
@@ -573,7 +599,7 @@ class TestStackedHeads:
         data = np.random.default_rng(3)
         x = data.normal(size=(9, 3))
         rng = np.random.default_rng(1) if mode == "dropout" else None
-        _, _, cache = forward_batch(params, x, rng=rng)
+        _, _, cache = forward_batch(params, x, drawn_mask(params, rng, 9))
         d_y_hat, d_s = data.normal(size=9), data.normal(size=9)
         buffer = ModelParams(params.arch, np.full(params.flat.size, np.nan), 0)
         got = backward_batch(cache, params, d_y_hat, d_s, out=buffer)

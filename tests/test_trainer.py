@@ -25,7 +25,16 @@ from mosuq.errors import (
     TrainingDivergedError,
 )
 from mosuq import trainer as trainer_module
-from mosuq.net import ArchConfig, init_params, param_arrays, param_layout
+from mosuq.loss import mse_loss_batch, nll_loss_batch
+from mosuq.net import (
+    ArchConfig,
+    ModelParams,
+    backward_batch,
+    forward_batch,
+    init_params,
+    param_arrays,
+    param_layout,
+)
 from mosuq.trainer import (
     CHECKPOINT_FORMAT_VERSION,
     TrainConfig,
@@ -78,6 +87,8 @@ class TestTrainConfig:
         {"loss": "huber"},
         {"optimizer": "rmsprop"},
         {"seed": -3},
+        {"learning_rate": True},
+        {"learning_rate": "0.1"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -548,3 +559,112 @@ class TestFlatOptimizers:
             reference_opt.step(reference, per_array)
             for got, want in zip(param_arrays(params), reference):
                 assert np.array_equal(got, want)
+
+
+def _per_batch_mask_train(dataset, arch, cfg, val_dataset=None):
+    """train() as it ran before masks were drawn in chunks: one
+    rng.random((2, B, H)) draw per batch and a running float loss sum."""
+    x_all, y_all = dataset.features(), dataset.labels()
+    n, p = len(dataset), arch.dropout_p
+    params = init_params(arch, cfg.seed)
+    grads = ModelParams(arch, np.empty_like(params.flat), params.rng_seed_used)
+    optimizer_cls = trainer_module._Adam if cfg.optimizer == "adam" else trainer_module._SGD
+    optimizer = optimizer_cls(params.flat, cfg.learning_rate)
+    loss_batch = nll_loss_batch if cfg.loss == "nll" else mse_loss_batch
+    shuffle_stream, dropout_stream = np.random.SeedSequence(cfg.seed).spawn(2)
+    shuffle_rng = np.random.default_rng(shuffle_stream)
+    dropout_rng = np.random.default_rng(dropout_stream)
+    train_curve, val_curve = [], []
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        x_epoch, y_epoch = x_all[order], y_all[order]
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            xb = x_epoch[start : start + cfg.batch_size]
+            yb = y_epoch[start : start + cfg.batch_size]
+            mask = None
+            if p > 0.0:
+                u = dropout_rng.random((2, len(xb), arch.trunk_output_dim))
+                mask = (u >= p) / (1.0 - p)
+            y_hat, s, cache = forward_batch(params, xb, mask)
+            values, d_y_hat, d_s = loss_batch(y_hat, s, yb)
+            loss_sum += float(values.sum())
+            backward_batch(cache, params, d_y_hat / len(xb), d_s / len(xb), out=grads)
+            optimizer.step(grads.flat)
+        train_curve.append(loss_sum / n)
+        if val_dataset is not None:
+            y_hat, s, _ = forward_batch(params, val_dataset.features())
+            val_curve.append(float(loss_batch(y_hat, s, val_dataset.labels())[0].mean()))
+    val_loss = tuple(val_curve) if val_dataset is not None else None
+    return params, TrainHistory(tuple(train_curve), val_loss)
+
+
+class TestChunkedMasks:
+    """train() draws the dropout masks of many batches at once. Those are the
+    same uniforms, in the same order, as one draw per batch, so training
+    must match the per-batch loop bit for bit."""
+
+    # (n_per, trunk_dims, dropout_p, batch_size, optimizer, loss, val, chunk_units);
+    # a chunk_units of None keeps MASK_CHUNK_UNITS as it is.
+    CASES = {
+        "partial-last-batch": (25, (6, 4), 0.5, 7, "adam", "nll", True, 300),
+        "three-chunks": (2600, (8,), 0.5, 8, "adam", "nll", False, None),
+        "batch-wider-than-chunk": (25, (), 0.7, 16, "sgd", "mse", True, 50),
+        "wide-batch-default-units": (550, (32,), 0.5, 1100, "adam", "mse", False, None),
+        "p-zero": (25, (8,), 0.0, 5, "adam", "mse", True, 100),
+        "batch-one": (25, (), 0.3, 1, "sgd", "nll", False, 20),
+        "sgd-nll-val": (25, (6, 4), 0.5, 3, "sgd", "nll", True, 64),
+        "adam-mse": (25, (8,), 0.3, 8, "adam", "mse", False, 200),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_per_batch_loop_bit_for_bit(self, case, monkeypatch, tmp_path):
+        n_per, trunk_dims, p, batch, optimizer, loss, with_val, chunk_units = self.CASES[case]
+        if chunk_units is not None:
+            monkeypatch.setattr(trainer_module, "MASK_CHUNK_UNITS", chunk_units)
+        units = trainer_module.MASK_CHUNK_UNITS
+        dataset = small_dataset(n_per=n_per)
+        arch = ArchConfig(input_dim=3, trunk_dims=trunk_dims, head_hidden_dim=5, dropout_p=p)
+        batch_units = 2 * arch.trunk_output_dim * batch
+        chunk_rows = max(1, units // batch_units) * batch
+        if case == "three-chunks":
+            assert len(dataset) > 2 * chunk_rows
+        if case.startswith(("batch-wider", "wide-batch")):
+            assert batch_units > units
+        if case == "partial-last-batch":
+            assert len(dataset) % batch and len(dataset) > 2 * chunk_rows
+        cfg = quick_cfg(
+            epochs=2, batch_size=batch, optimizer=optimizer, loss=loss,
+            learning_rate=1e-3, seed=4,
+        )
+        val = small_dataset(seed=9) if with_val else None
+
+        params, history = train(dataset, arch, cfg, val_dataset=val)
+        want_params, want_history = _per_batch_mask_train(dataset, arch, cfg, val)
+        assert params.flat.tobytes() == want_params.flat.tobytes()
+        assert history == want_history
+        assert (history.val_loss is None) == (not with_val)
+        save_checkpoint(params, tmp_path / "chunked.json")
+        save_checkpoint(want_params, tmp_path / "per-batch.json")
+        assert (tmp_path / "chunked.json").read_bytes() == (
+            tmp_path / "per-batch.json"
+        ).read_bytes()
+
+    def test_mask_draws_are_bounded_by_the_chunk_budget(self, monkeypatch):
+        """Each draw covers whole batches of at most MASK_CHUNK_UNITS entries,
+        however many rows there are, and the draws cover every row."""
+        sizes = []
+
+        def recording(rng, p, shape):
+            sizes.append(shape)
+            return net_dropout_mask(rng, p, shape)
+
+        net_dropout_mask = trainer_module.dropout_mask
+        monkeypatch.setattr(trainer_module, "dropout_mask", recording)
+        dataset = small_dataset(n_per=2600)
+        arch = ArchConfig(input_dim=3, trunk_dims=(8,), head_hidden_dim=5, dropout_p=0.5)
+        train(dataset, arch, quick_cfg(epochs=2))
+        assert max(sizes) <= trainer_module.MASK_CHUNK_UNITS
+        assert all(size % (2 * 8) == 0 for size in sizes)
+        assert sum(sizes) == 2 * len(dataset) * 2 * 8
+        assert len(sizes) >= 6
