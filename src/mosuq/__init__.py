@@ -12,7 +12,7 @@ Submodules:
 * loss      - batched Gaussian NLL and MSE training losses with analytic gradients
 * trainer   - mini-batch Adam/SGD loop, checkpoints, loss history
 * calibrate - closed-form variance scaling
-* mcdropout - stochastic forward passes and epistemic variances
+* mcdropout - stochastic forward passes and epistemic variances, as columns
 * metrics   - column metrics: MSE, system Spearman, NLL, UCE, sharpness, AUC, curves, report
 * datagen   - columnar synthetic datasets with known noise, OOD shifts, CSV I/O
 * cli       - gen-data / train / calibrate / evaluate / ood-detect
@@ -34,7 +34,7 @@ from .datagen import (
     split_dataset,
 )
 from .loss import mse_loss_batch, nll_loss_batch
-from .mcdropout import MCConfig, MCResult, mc_forward, mc_forward_dataset, variance_of
+from .mcdropout import MCConfig, MCResult, MCSamples, mc_forward, mc_forward_dataset, variance_of
 from .metrics import (
     EvalRecord,
     MetricsReport,

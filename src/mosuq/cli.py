@@ -63,7 +63,7 @@ from .trainer import (
 
 __all__ = ["main", "build_parser"]
 
-# --uncertainty choice -> the MCResult field it reads.
+# --uncertainty choice -> the MCSamples column it reads.
 UNCERTAINTY_FIELDS = {
     "aleatoric": "aleatoric_var",
     "epi-pred": "epi_pred_var",
@@ -429,9 +429,8 @@ def _cmd_evaluate(cfg: SimpleNamespace) -> int:
         y_pred = y_det
     else:
         results = mc_forward_dataset(params, dataset.features(), mc, scale)
-        field = UNCERTAINTY_FIELDS[cfg.uncertainty]
-        var_pred = np.array([getattr(res, field) for res in results])
-        y_pred = np.array([res.y_mean for res in results]) if cfg.point == "mc-mean" else y_det
+        var_pred = getattr(results, UNCERTAINTY_FIELDS[cfg.uncertainty])
+        y_pred = results.y_mean if cfg.point == "mc-mean" else y_det
 
     scored = (dataset.labels(), y_pred, var_pred)
     # Every output is computed before the first file is written, so a
@@ -450,10 +449,9 @@ def _cmd_evaluate(cfg: SimpleNamespace) -> int:
         header = ["threshold", "retained_fraction", "subset_mse"]
         tables.append((cfg.sweep, header, list(zip(*rows))))
     if cfg.mc_out is not None:
-        fields = ("y_mean", "aleatoric_var", "epi_pred_var", "epi_dist_var")
-        y_mean, *variances = ([getattr(r, f) for r in results] for f in fields)
+        variances = (results.aleatoric_var, results.epi_pred_var, results.epi_dist_var)
         header = ["id", "y_mean", "y_det", "aleatoric_var", "epi_pred_var", "epi_dist_var"]
-        tables.append((cfg.mc_out, header, [dataset.ids, y_mean, y_det, *variances]))
+        tables.append((cfg.mc_out, header, [dataset.ids, results.y_mean, y_det, *variances]))
 
     atomic_write_text(cfg.report, report.to_json())
     for path, header, columns in tables:
@@ -482,8 +480,7 @@ def _cmd_ood_detect(cfg: SimpleNamespace) -> int:
 
     features = np.vstack([ds_in.features(), ds_ood.features()])
     results = mc_forward_dataset(params, features, mc, scale)
-    field = UNCERTAINTY_FIELDS[cfg.uncertainty]
-    scores = [getattr(res, field) for res in results]
+    scores = getattr(results, UNCERTAINTY_FIELDS[cfg.uncertainty])
     labels = [0] * len(ds_in) + [1] * len(ds_ood)
     auc = roc_auc(scores, labels)
 

@@ -32,14 +32,19 @@ sums in another order; the kernel never forms that shape. Every
 block-sized buffer is made once per call, and each block works in leading
 slices of it. Dataset row keys (row_seed) are computed for all rows at
 once.
+
+Results are columns, made once per call, and each block writes its samples
+and summaries into slices of them. mc_forward_dataset returns one
+MCSamples, which reads as a sequence of MCResult rows built only on
+request; mc_forward returns the one row of a one-row call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +52,8 @@ from .calibrate import CalibrationScale
 from .errors import InputError, ShapeError, check_float, check_int
 from .net import S_CLAMP, ModelParams, _activate, _check_features
 
-__all__ = ["MCConfig", "MCResult", "variance_of", "mc_forward", "mc_forward_dataset", "row_seed"]
+__all__ = ["MCConfig", "MCResult", "MCSamples", "variance_of", "mc_forward",
+           "mc_forward_dataset", "row_seed"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -66,6 +72,7 @@ _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 # two pass columns, which doubles it. Blocks of 32 to 128 rows run equally
 # fast; larger ones raise peak memory and run slower.
 _BLOCK_UNITS = 64 * 25 * 16
+_ROW_BLOCK = 256  # MCResult rows that iterating an MCSamples builds at a time
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,44 @@ class MCResult:
     aleatoric_var: float
 
 
+@dataclass(frozen=True, eq=False)
+class MCSamples:
+    """The MCResult fields of many rows as columns: (rows, passes) samples
+    and (rows,) summaries. len, iteration, an int index and a slice (which
+    gives an MCSamples) read it as a sequence of MCResult rows, built only
+    on request; == with an MCSamples or a list of rows compares rows."""
+
+    y_samples: np.ndarray
+    s_samples: np.ndarray
+    y_mean: np.ndarray
+    s_mean: np.ndarray
+    epi_pred_var: np.ndarray
+    epi_dist_var: np.ndarray
+    aleatoric_var: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y_mean)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return MCSamples(*(column[index] for column in vars(self).values()))
+        i = operator.index(index)
+        y, s, *summaries = (column[i] for column in vars(self).values())
+        return MCResult(tuple(y.tolist()), tuple(s.tolist()), *map(float, summaries))
+
+    def __iter__(self):
+        for start in range(0, len(self), _ROW_BLOCK):
+            y, s, *summaries = (c[start : start + _ROW_BLOCK].tolist() for c in vars(self).values())
+            yield from map(MCResult, map(tuple, y), map(tuple, s), *summaries)
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return list(self) == other
+        if not isinstance(other, MCSamples):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+
 def variance_of(samples) -> np.ndarray | float:
     """Population variance (divisor = number of samples) along the last axis,
     computed in two passes.
@@ -105,14 +150,20 @@ def variance_of(samples) -> np.ndarray | float:
     a = np.asarray(samples, dtype=float)
     if a.ndim == 0 or a.shape[-1] == 0:
         raise InputError("variance of an empty sample list is undefined")
-    mean = _mean(a, keepdims=True)
-    var = _mean((a - mean) ** 2)
-    return np.where(np.logical_and.reduce(a == a[..., :1], axis=-1), 0.0, var)[()]
+    return _variance(a, _mean(a), np.empty(a.shape[:-1]))[()]
 
 
-def _mean(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """a.mean(axis=-1), bit for bit, without numpy's Python-level wrapper."""
-    return np.add.reduce(a, axis=-1, keepdims=keepdims) / a.shape[-1]
+def _variance(a: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """variance_of(a) written into out, given mean = _mean(a)."""
+    _mean((a - mean[..., None]) ** 2, out=out)
+    np.copyto(out, 0.0, where=np.logical_and.reduce(a == a[..., :1], axis=-1))
+    return out
+
+
+def _mean(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a.mean(axis=-1), bit for bit, without numpy's Python-level wrapper;
+    written into out when it is given."""
+    return np.divide(np.add.reduce(a, axis=-1, out=out), a.shape[-1], out=out)
 
 
 def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float, work: tuple = ()) -> np.ndarray:
@@ -127,7 +178,7 @@ def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float, work: tuple 
     _mask_workspace, when it is given, and a fresh one otherwise.
     """
     step, z, shifted, keep = work or _mask_workspace(len(keys), passes, width)
-    z, shifted, keep = (buf[:, :, : len(keys)] for buf in (z, shifted, keep))
+    z, shifted, keep = z[:, :, : len(keys)], shifted[:, :, : len(keys)], keep[:, :, : len(keys)]
     np.add(keys[:, None], step[:, :, None], out=z)
     for shift, multiplier in ((30, _MIX1), (27, _MIX2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=shifted)
@@ -163,20 +214,20 @@ def _key(seed: int) -> int:
 def _mc_rows(
     params: ModelParams,
     x: np.ndarray,
-    keys: np.ndarray | Sequence[int],
+    keys: np.ndarray,
     cfg: MCConfig,
     scale: CalibrationScale | None,
-) -> list[MCResult]:
-    """The one MC kernel: row i of x is sampled with the 64-bit mask key keys[i].
+) -> MCSamples:
+    """The one MC kernel: row i of x is sampled with the uint64 mask key keys[i].
 
     Rows are processed in blocks so that the working memory is bounded by
     _BLOCK_UNITS, whatever the row count: the workspace is made once per
-    call, and every block works in leading slices of it. At p = 0 the heads
-    run one deterministic pass, which every pass repeats.
+    call, and every block works in leading slices of it and writes into
+    slices of the result columns. At p = 0 the heads run one deterministic
+    pass, which every pass repeats.
     """
     x = np.ascontiguousarray(x)
     _check_features(params.arch, x)
-    keys = np.asarray(keys, dtype=np.uint64)
     arch, passes, p = params.arch, cfg.num_passes, cfg.dropout_p
     kind, width = arch.activation, arch.trunk_output_dim
     block = max(1, _BLOCK_UNITS // (passes * max(width, arch.head_hidden_dim)))
@@ -189,10 +240,12 @@ def _mc_rows(
     work = _mask_workspace(size, run, width) if p else ()
     head_in = work[2].view(np.float64) if p else None
     hidden = np.empty((2, arch.head_hidden_dim, size, run))
-    samples = np.empty((2, size, max(passes, run)))
+    # The two heads' samples, then exp of the log-variance samples.
+    samples = np.empty((3, size, max(passes, run)))
     w, b = params.head_w, params.head_b
-    multiplier = 1.0 if scale is None else scale.variance_multiplier
-    results = []
+    # The result: y and s samples; the means of the three sample rows (the
+    # aleatoric one before scaling), then epi_pred_var and epi_dist_var.
+    sampled, summary = np.empty((2, len(x), passes)), np.empty((5, len(x)))
     for start in range(0, len(x), block):
         rows = slice(start, start + block)
         a = x[rows]
@@ -208,7 +261,7 @@ def _mc_rows(
             np.multiply(a, h_in, out=h_in)
         else:
             h_in = np.broadcast_to(a, (2, width, n, run))
-        h, out, block_samples = hidden[:, :, :n], samples[:, :n, :run], samples[:, :n, :passes]
+        h, out, stack = hidden[:, :, :n], samples[:2, :n, :run], samples[:, :n, :passes]
         for head in range(2):
             np.einsum("krt,jk->jrt", h_in[head], w[0][head], out=h[head])
         h += b[0][:, 0, :, None, None]
@@ -217,14 +270,17 @@ def _mc_rows(
             np.einsum("jrt,j->rt", h[head], w[1][head, 0], out=out[head])
         out += b[1]
         if not p:
-            block_samples[:, :, 1:] = out[:, :, :1]
-        np.minimum(np.maximum(block_samples[1], -S_CLAMP), S_CLAMP, out=block_samples[1])
-        means = _mean(block_samples).tolist()
-        variances = variance_of(block_samples).tolist()
-        aleatoric = (_mean(np.exp(block_samples[1])) * multiplier).tolist()
-        y, s = block_samples.tolist()
-        results += map(MCResult, map(tuple, y), map(tuple, s), *means, *variances, aleatoric)
-    return results
+            stack[:2, :, 1:] = out[:, :, :1]
+        np.maximum(stack[1], -S_CLAMP, out=stack[1])
+        np.minimum(stack[1], S_CLAMP, out=stack[1])
+        np.exp(stack[1], out=stack[2])
+        sampled[:, rows] = stack[:2]
+        means = _mean(stack, out=summary[:3, rows])
+        _variance(stack[:2], means[:2], summary[3:, rows])
+        if scale is not None:
+            means[2] *= scale.variance_multiplier
+    y_mean, s_mean, aleatoric, *variances = summary
+    return MCSamples(*sampled, y_mean, s_mean, *variances, aleatoric)
 
 
 def mc_forward(
@@ -240,7 +296,7 @@ def mc_forward(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-d feature vector, got array of shape {x.shape}")
-    return _mc_rows(params, x[None, :], [_key(cfg.seed)], cfg, scale)[0]
+    return _mc_rows(params, x[None, :], np.array([_key(cfg.seed)], np.uint64), cfg, scale)[0]
 
 
 def row_seed(base_seed: int, row_index: int) -> int:
@@ -284,8 +340,8 @@ def mc_forward_dataset(
     features: np.ndarray,
     cfg: MCConfig,
     scale: CalibrationScale | None = None,
-) -> list[MCResult]:
-    """mc_forward over every row of a feature matrix.
+) -> MCSamples:
+    """mc_forward over every row of a feature matrix, as columns.
 
     Row i uses seed row_seed(cfg.seed, i), so per-row results do not depend
     on which other rows are present and repeat runs are bit-identical.

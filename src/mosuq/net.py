@@ -228,20 +228,22 @@ def _check_shape(arch: ArchConfig, x: np.ndarray) -> None:
 
 def _check_features(arch: ArchConfig, x: np.ndarray) -> None:
     _check_shape(arch, x)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("features contain non-finite values")
 
 
-def dropout_mask(rng: np.random.Generator, p: float, shape) -> np.ndarray | None:
+def dropout_mask(rng: np.random.Generator, p: float, shape, out=None) -> np.ndarray | None:
     """Inverted-dropout multipliers of the given shape at drop probability p.
 
     Each entry is 0 with probability p, else 1/(1-p), from one
-    ``rng.random(shape)`` draw. At p = 0 the mask would be all ones, so
-    nothing is drawn and None (no dropout) is returned.
+    ``rng.random(shape)`` draw, made in place: in out when it is given (of
+    that shape), else in a new array. At p = 0 the mask would be all ones,
+    so nothing is drawn and None (no dropout) is returned.
     """
     if p == 0.0:
         return None
-    return (rng.random(shape) >= p) / (1.0 - p)
+    u = rng.random(shape, out=out)
+    return np.divide(np.greater_equal(u, p, out=u), 1.0 - p, out=u)
 
 
 def forward_batch(

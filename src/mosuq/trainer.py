@@ -12,8 +12,8 @@ Dropout masks are drawn for a chunk of batches at a time: one
 ``net.dropout_mask`` call over about ``MASK_CHUNK_UNITS`` uniforms, whose
 contiguous ``(2, B, H)`` slices are the batches' masks. Those are the same
 uniforms in the same order as one ``(2, B, H)`` draw per batch, so the chunk
-size changes no result, and the mask memory does not grow with the row
-count.
+size changes no result. Every chunk is drawn into one buffer made once per
+``train`` call, so the mask memory is one chunk, whatever the row count.
 
 Features are checked for non-finite values once per dataset, before the
 first step (training and validation splits), and once per predict_batch
@@ -180,6 +180,9 @@ def train(
     batch, width = cfg.batch_size, arch.trunk_output_dim
     row_units = 2 * width
     chunk_rows = max(1, MASK_CHUNK_UNITS // (row_units * batch)) * batch
+    # One chunk buffer for the whole run, which each chunk's draw overwrites
+    # (empty at p = 0, where nothing is drawn).
+    mask_buf = np.empty(min(chunk_rows, n) * row_units if arch.dropout_p else 0)
 
     train_curve = []
     val_curve = [] if val_dataset is not None else None
@@ -189,7 +192,8 @@ def train(
         epoch_loss_sum = 0.0
         for chunk in range(0, n, chunk_rows):
             stop = min(chunk + chunk_rows, n)
-            masks = dropout_mask(dropout_rng, arch.dropout_p, (stop - chunk) * row_units)
+            size = (stop - chunk) * row_units
+            masks = dropout_mask(dropout_rng, arch.dropout_p, size, out=mask_buf[:size])
             for start in range(chunk, stop, batch):
                 xb = x_epoch[start : start + batch]
                 yb = y_epoch[start : start + batch]

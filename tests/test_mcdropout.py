@@ -18,6 +18,7 @@ from mosuq.errors import ConfigError, InputError, ShapeError
 from mosuq.mcdropout import (
     _BLOCK_UNITS,
     MCConfig,
+    MCSamples,
     _keep_mask,
     _mask_workspace,
     _row_keys,
@@ -609,6 +610,74 @@ class TestStackedKernel:
             for i in (0, 3, 64, 130):
                 row_cfg = replace(cfg, seed=row_seed(cfg.seed, i))
                 assert result_bits(mc_forward(params, features[i], row_cfg, scale)) == want[i]
+
+
+class TestMCSamples:
+    """mc_forward_dataset returns one MCSamples of columns, read as a
+    sequence of MCResult rows the way the benchmark and the CLI read it."""
+
+    SUMMARIES = ("y_mean", "s_mean", "epi_pred_var", "epi_dist_var", "aleatoric_var")
+
+    @pytest.mark.parametrize("passes, p", [(25, 0.5), (25, 0.0), (1, 0.5), (3, 0.3)])
+    @pytest.mark.parametrize("r", [None, 1.7])
+    def test_reads_as_the_rows_of_one_row_calls(self, monkeypatch, passes, p, r):
+        params = paper_shape_params(seed=3)
+        # More rows than one 64-row kernel block and one block of built rows.
+        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * 16)
+        features = np.random.default_rng(passes).normal(size=(300, 2))
+        n, seed = len(features), 12
+        assert n > mcdropout._ROW_BLOCK
+        scale = None if r is None else CalibrationScale.from_r(r)
+        results = mc_forward_dataset(params, features, MCConfig(passes, p, seed), scale)
+        assert isinstance(results, MCSamples)
+        assert len(results) == n
+        for name in ("y_samples", "s_samples"):
+            assert getattr(results, name).shape == (n, passes)
+        for name in ("y_samples", "s_samples", *self.SUMMARIES):
+            assert getattr(results, name).dtype == np.float64
+            assert len(getattr(results, name)) == n
+        for name in self.SUMMARIES:
+            assert getattr(results, name).shape == (n,)
+
+        rows = [
+            mc_forward(params, features[i], MCConfig(passes, p, row_seed(seed, i)), scale)
+            for i in range(n)
+        ]
+        assert all(results[i] == rows[i] for i in range(n))
+        assert list(results) == rows
+        assert [row.epi_dist_var for row in results] == results.epi_dist_var.tolist()
+        for name in self.SUMMARIES:
+            assert getattr(results, name).tolist() == [getattr(row, name) for row in rows]
+        assert results[-1] == rows[-1] and results[-n] == rows[0]
+        assert results[np.int64(5)] == rows[5]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                results[index]
+        assert results[:65] == rows[:65] and results[100::7] == rows[100::7]
+
+        again = mc_forward_dataset(params, features, MCConfig(passes, p, seed), scale)
+        assert again == results and results == again and results == rows
+        if p and passes > 1:
+            other = mc_forward_dataset(params, features, MCConfig(passes, p, seed + 1), scale)
+            assert results != other and results != rows[::-1]
+        assert results != rows[:-1] and results != results[:-1]
+
+    def test_columns_hold_at_most_480_bytes_per_row(self):
+        """Two 25-sample rows and five summaries are 440 B per row, against
+        about 1.9 KB as MCResult objects; nothing else stays held."""
+        params = paper_shape_params(seed=1)
+        features = np.random.default_rng(0).normal(size=(5000, 2))
+        cfg = MCConfig(25, 0.5, 2)
+        mc_forward_dataset(params, features[:10], cfg)
+        tracemalloc.start()
+        try:
+            results = mc_forward_dataset(params, features, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(getattr(results, f.name).nbytes for f in fields(results))
+        assert nbytes / len(features) <= 480
+        assert held / len(features) <= 480
 
 
 class TestTrainedModelSensitivity:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -655,9 +656,9 @@ class TestChunkedMasks:
         however many rows there are, and the draws cover every row."""
         sizes = []
 
-        def recording(rng, p, shape):
+        def recording(rng, p, shape, out=None):
             sizes.append(shape)
-            return net_dropout_mask(rng, p, shape)
+            return net_dropout_mask(rng, p, shape, out=out)
 
         net_dropout_mask = trainer_module.dropout_mask
         monkeypatch.setattr(trainer_module, "dropout_mask", recording)
@@ -668,3 +669,25 @@ class TestChunkedMasks:
         assert all(size % (2 * 8) == 0 for size in sizes)
         assert sum(sizes) == 2 * len(dataset) * 2 * 8
         assert len(sizes) >= 6
+
+    def test_dropout_holds_one_chunk_at_the_paper_preset(self):
+        """Every chunk is drawn into one buffer that train() reuses, so
+        dropout adds about one chunk to the traced peak, not two. The
+        baseline is the same run at p = 0, which draws nothing."""
+        data = gen_synthetic(GenConfig(
+            num_systems=20, samples_per_system=350, feature_dim=2,
+            noise_model=Heteroscedastic(), seed=0,
+        ))
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=3e-4, seed=0)
+        peaks = {}
+        for p in (0.0, 0.5):
+            arch = ArchConfig(input_dim=2, trunk_dims=(16,), head_hidden_dim=16, dropout_p=p)
+            tracemalloc.start()
+            try:
+                train(data, arch, cfg)
+                peaks[p] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        chunk_bytes = 8 * trainer_module.MASK_CHUNK_UNITS
+        assert len(data) > 3 * trainer_module.MASK_CHUNK_UNITS // (2 * 16)
+        assert peaks[0.5] - peaks[0.0] <= 1.2 * chunk_bytes
