@@ -18,14 +18,13 @@ Submodules:
 * cli       - gen-data / train / calibrate / evaluate / ood-detect
 """
 
-from .calibrate import CalibrationScale, fit_scale
+from .calibrate import CalibrationScale
 from .datagen import (
     Dataset,
     GenConfig,
     Heteroscedastic,
     Homoscedastic,
     RaterPanel,
-    Sample,
     add_feature_noise,
     gen_ood_shift,
     gen_synthetic,
@@ -36,9 +35,7 @@ from .datagen import (
 from .loss import mse_loss_batch, nll_loss_batch
 from .mcdropout import MCConfig, MCResult, MCSamples, mc_forward, mc_forward_dataset, variance_of
 from .metrics import (
-    EvalRecord,
     MetricsReport,
-    compute_report,
     error_uncertainty_curve,
     mse,
     nll_metric,
@@ -50,7 +47,6 @@ from .metrics import (
 )
 from .net import (
     ArchConfig,
-    HeteroPrediction,
     ModelParams,
     backward_batch,
     forward_batch,

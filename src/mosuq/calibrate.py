@@ -1,13 +1,14 @@
 """Closed-form scalar recalibration of predicted variances.
 
-A single multiplier r is fitted on held-out data so that r^2 * sigma_hat^2
-matches the observed squared residuals on average: r^2 is the mean of
-(y - y_hat)^2 / sigma_hat^2, which is exactly the minimiser of the Gaussian
-NLL over the family {(y_hat, r^2 sigma_hat^2)}. Callers apply the scale to
-whole arrays, adding 2 log r to the log-variances (shift_log_variance) or
-multiplying variances by variance_multiplier. Either way point predictions
-are untouched, so rank-based and squared-error metrics are bit-identical
-before and after calibration.
+A single multiplier r is fitted on held-out columns (CalibrationScale.fit)
+so that r^2 * sigma_hat^2 matches the observed squared residuals on
+average: r^2 is the mean of (y - y_hat)^2 / sigma_hat^2, which is exactly
+the minimiser of the Gaussian NLL over the family
+{(y_hat, r^2 sigma_hat^2)}. Callers apply the scale to whole arrays, adding
+2 log r to the log-variances (shift_log_variance) or multiplying variances
+by variance_multiplier. Either way point predictions are untouched, so
+rank-based and squared-error metrics are bit-identical before and after
+calibration.
 """
 
 from __future__ import annotations
@@ -58,6 +59,40 @@ class CalibrationScale:
             raise InvariantError(f"calibration scale must be positive, got {self.r}")
 
     @classmethod
+    def fit(cls, y_hat, s, y) -> "CalibrationScale":
+        """Fit the scale on three matched 1-d columns: point predictions,
+        their log-variances and the labels.
+
+        The positive root is always taken. If the summed normalized
+        residuals fall below 1e-12 the scale is floored at DEGENERATE_FLOOR
+        and a DegenerateCalibrationWarning is emitted.
+        """
+        y_hat, s, y = (np.asarray(column, dtype=float) for column in (y_hat, s, y))
+        shapes = [column.shape for column in (y_hat, s, y)]
+        if len(set(shapes)) > 1 or y.ndim != 1:
+            raise InputError(f"calibration needs 1-d columns of one length, got shapes {shapes}")
+        n = len(y)
+        if n == 0:
+            raise InputError("calibration requires at least one sample")
+        if not (np.all(np.isfinite(y_hat)) and np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
+            raise InputError("calibration inputs must be finite")
+        sigma2 = np.exp(s)
+        if not np.all(sigma2 > 0.0):
+            raise InvariantError("predicted variances must be strictly positive")
+
+        normalized_sq = (y - y_hat) ** 2 / sigma2
+        total = float(normalized_sq.sum())
+        mean = total / n
+        if total < _DEGENERATE_SUM:
+            warnings.warn(
+                "calibration residuals are numerically zero; "
+                f"flooring r at {DEGENERATE_FLOOR}",
+                DegenerateCalibrationWarning,
+            )
+            return cls(DEGENERATE_FLOOR, n, mean, degenerate=True)
+        return cls(math.sqrt(mean), n, mean)
+
+    @classmethod
     def from_r(cls, r: float) -> "CalibrationScale":
         """Wrap an already-known multiplier, e.g. one read from a checkpoint."""
         return cls(r=float(r), num_samples_used=0, mean_normalized_residual_sq=float(r) ** 2)
@@ -71,38 +106,9 @@ class CalibrationScale:
         return s + 2.0 * math.log(self.r)
 
 
+# Kept for perfbench/workloads.py (train-paper), which fits on rows.
 def fit_scale(
     preds: Sequence[HeteroPrediction], labels: Sequence[float]
 ) -> CalibrationScale:
-    """Fit the scale on matched predictions and labels.
-
-    The positive root is always taken. If the summed normalized residuals
-    fall below 1e-12 the scale is floored at DEGENERATE_FLOOR and a
-    DegenerateCalibrationWarning is emitted.
-    """
-    if len(preds) == 0:
-        raise InputError("calibration requires at least one sample")
-    if len(preds) != len(labels):
-        raise InputError(
-            f"got {len(preds)} predictions but {len(labels)} labels"
-        )
-    y_hat = np.array([p.y_hat for p in preds], dtype=float)
-    s = np.array([p.s for p in preds], dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if not (np.all(np.isfinite(y_hat)) and np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
-        raise InputError("calibration inputs must be finite")
-    sigma2 = np.exp(s)
-    if not np.all(sigma2 > 0.0):
-        raise InvariantError("predicted variances must be strictly positive")
-
-    normalized_sq = (y - y_hat) ** 2 / sigma2
-    total = float(normalized_sq.sum())
-    mean = total / len(preds)
-    if total < _DEGENERATE_SUM:
-        warnings.warn(
-            "calibration residuals are numerically zero; "
-            f"flooring r at {DEGENERATE_FLOOR}",
-            DegenerateCalibrationWarning,
-        )
-        return CalibrationScale(DEGENERATE_FLOOR, len(preds), mean, degenerate=True)
-    return CalibrationScale(math.sqrt(mean), len(preds), mean)
+    """CalibrationScale.fit on the columns of matched predictions and labels."""
+    return CalibrationScale.fit([p.y_hat for p in preds], [p.s for p in preds], labels)

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calibrate import CalibrationScale, fit_scale
+from .calibrate import CalibrationScale
 from .datagen import (
     DOMAIN_OOD,
     GenConfig,
@@ -50,7 +50,7 @@ from .ioutils import atomic_write_text, canonical_json, write_csv
 from .loss import LOSSES
 from .mcdropout import MCConfig, mc_forward_dataset
 from .metrics import MetricsReport, error_uncertainty_curve, roc_auc, selective_sweep
-from .net import ACTIVATIONS, ArchConfig, HeteroPrediction
+from .net import ACTIVATIONS, ArchConfig
 from .trainer import (
     OPTIMIZERS,
     TrainConfig,
@@ -397,8 +397,7 @@ def _cmd_calibrate(cfg: SimpleNamespace) -> int:
     y_hat, s = predict_batch(params, dataset.features())
     if existing is not None:
         s = existing.shift_log_variance(s)
-    preds = [HeteroPrediction(float(y), float(si)) for y, si in zip(y_hat, s)]
-    scale = fit_scale(preds, dataset.labels())
+    scale = CalibrationScale.fit(y_hat, s, dataset.labels())
     composite = (existing.r if existing is not None else 1.0) * scale.r
     save_checkpoint(params, cfg.out, calibration_r=composite)
     _record_config("calibrate", cfg.out, cfg)

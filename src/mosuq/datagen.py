@@ -37,7 +37,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,14 +47,11 @@ from .ioutils import write_csv
 __all__ = [
     "DOMAIN_IN",
     "DOMAIN_OOD",
-    "CENTER_SPREAD",
-    "NOISE_ANALOGUE_SCALE",
     "Sample",
     "Dataset",
     "Homoscedastic",
     "Heteroscedastic",
     "RaterPanel",
-    "NoiseModel",
     "GenConfig",
     "gen_synthetic",
     "gen_ood_shift",
@@ -95,6 +92,7 @@ NOISE_ANALOGUE_SCALE = 100.0
 _SHIFT_DIRECTION_STREAM = 4
 
 
+# Kept for perfbench/workloads.py (train-paper), which iterates a split's rows.
 @dataclass(frozen=True)
 class Sample:
     """One row of a Dataset, built on demand by indexing or iteration."""
@@ -142,6 +140,7 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.y)
 
+    # __iter__ and __getitem__ are kept for perfbench/workloads.py (train-paper).
     def __iter__(self) -> Iterator[Sample]:
         return (self[i] for i in range(len(self)))
 
@@ -206,9 +205,6 @@ class RaterPanel:
         check_float("rater_sd", self.rater_sd, 0.0, math.inf)
 
 
-NoiseModel = Union[Homoscedastic, Heteroscedastic, RaterPanel]
-
-
 @dataclass(frozen=True)
 class GenConfig:
     """Dataset shape, noise model and seed; these defaults are the CLI's.
@@ -217,7 +213,7 @@ class GenConfig:
     num_systems: int = 12
     samples_per_system: int = 150
     feature_dim: int = 16
-    noise_model: NoiseModel = Heteroscedastic()
+    noise_model: Homoscedastic | Heteroscedastic | RaterPanel = Heteroscedastic()
     seed: int = 0
     clip_labels: bool = False
 

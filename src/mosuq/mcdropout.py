@@ -30,8 +30,9 @@ contractions run per head, as einsum without optimize over a
 many rows or passes share a call, except at 1 row x 1 pass, where einsum
 sums in another order; the kernel never forms that shape. Every
 block-sized buffer is made once per call, and each block works in leading
-slices of it. Dataset row keys (row_seed) are computed for all rows at
-once.
+slices of it. Row keys come from the same SplitMix64: row i of a dataset
+is keyed by its output i + 1 for the state seed mod 2^64 (row_seed),
+computed for all rows at once.
 
 Results are columns, made once per call, and each block writes its samples
 and summaries into slices of them. mc_forward_dataset returns one
@@ -55,14 +56,11 @@ from .net import S_CLAMP, ModelParams, _activate, _check_features
 __all__ = ["MCConfig", "MCResult", "MCSamples", "variance_of", "mc_forward",
            "mc_forward_dataset", "row_seed"]
 
+# SplitMix64, for keep bits and row keys: output k for state b is b + k * _GOLDEN
+# (mod 2^64), xor-shifted by each shift, then multiplied (not after the last).
 _MASK64 = (1 << 64) - 1
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
-# SeedSequence's entropy mixing (O'Neill's seed_seq_fe, as numpy implements it).
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_FINALISER = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
 
 # Rows per block x passes x the wider of the trunk output and the head
 # hidden layer: 64 rows at 25 passes and width 16. The per-call workspace is
@@ -115,6 +113,7 @@ class MCSamples:
     epi_dist_var: np.ndarray
     aleatoric_var: np.ndarray
 
+    # The row view is kept for perfbench/workloads.py (mc-ood), which reads rows.
     def __len__(self) -> int:
         return len(self.y_mean)
 
@@ -180,8 +179,8 @@ def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float, work: tuple 
     step, z, shifted, keep = work or _mask_workspace(len(keys), passes, width)
     z, shifted, keep = z[:, :, : len(keys)], shifted[:, :, : len(keys)], keep[:, :, : len(keys)]
     np.add(keys[:, None], step[:, :, None], out=z)
-    for shift, multiplier in ((30, _MIX1), (27, _MIX2), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=shifted)
+    for shift, multiplier in _FINALISER:
+        np.right_shift(z, shift, out=shifted)
         z ^= shifted
         if multiplier is not None:
             z *= multiplier
@@ -300,39 +299,21 @@ def mc_forward(
 
 
 def row_seed(base_seed: int, row_index: int) -> int:
-    """Per-row seed: SeedSequence([base_seed mod 2^64, row_index]).generate_state(1)[0]."""
+    """Per-row seed: output row_index + 1 of SplitMix64 with state base_seed mod 2^64."""
     if base_seed < 0 or not 0 <= row_index <= _MASK64:
         raise InputError(f"row_seed needs seed >= 0, 0 <= row < 2^64; got {base_seed}, {row_index}")
-    return int(_row_keys(_key(base_seed), int(row_index)))
+    return _row_keys(_key(base_seed), int(row_index))
 
 
 def _row_keys(base: int, rows: np.ndarray | int) -> np.ndarray | int:
-    """SeedSequence([base, i]).generate_state(1)[0] for every i in rows, at once.
-
-    rows is a uint64 array, or one int (plain int arithmetic is faster than
-    numpy for a single row). The entropy is base's one or two uint32 words,
-    then i's two, zero-padded to the 4-word pool (SeedSequence hashes a 0
-    into each unused slot). Words are held in ints or uint64 arrays and
-    masked after each product.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    words = [base & _MASK32] + ([base >> 32] if base >> 32 else []) + [rows & _MASK32, rows >> 32]
-    pool = [hashmix(word) for word in words + [0] * (4 - len(words))]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
-                pool[dst] = mixed ^ mixed >> 16
-    value = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32) & _MASK32
-    return value ^ value >> 16
+    """row_seed(base, i) for every i in rows: a uint64 array, which wraps modulo
+    2^64 (i = 2^64 - 1 gives i + 1 = 0), or one int, masked to 64 bits."""
+    z = (base + (rows + 1) * _GOLDEN) & _MASK64
+    for shift, multiplier in _FINALISER:
+        z ^= z >> shift
+        if multiplier is not None:
+            z = z * multiplier & _MASK64
+    return z
 
 
 def mc_forward_dataset(

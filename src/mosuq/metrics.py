@@ -36,6 +36,7 @@ __all__ = [
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+# Kept for perfbench/workloads.py (train-paper), which scores rows.
 @dataclass(frozen=True)
 class EvalRecord:
     """One scored item: ground truth, point prediction, predicted variance.
@@ -287,6 +288,7 @@ def selective_sweep(
     return rows
 
 
+# Kept for perfbench/workloads.py (train-paper), which scores EvalRecord rows.
 def compute_report(
     records: Sequence[EvalRecord], num_bins: int = 10, include_const: bool = True
 ) -> MetricsReport:

@@ -44,12 +44,10 @@ from .errors import ConfigError, InputError, ShapeError, check_float, check_int
 
 __all__ = [
     "ACTIVATIONS",
-    "GROUPS",
     "S_CLAMP",
     "ArchConfig",
     "ModelParams",
     "HeteroPrediction",
-    "Slot",
     "param_layout",
     "init_params",
     "dropout_mask",
@@ -170,19 +168,14 @@ class ModelParams:
         return ModelParams(self.arch, self.flat.copy(), self.rng_seed_used)
 
 
+# Kept for perfbench/workloads.py (train-paper), which builds fit_scale rows.
 @dataclass(frozen=True)
 class HeteroPrediction:
-    """A Gaussian predictive distribution for one input.
-
-    s is the log of the predicted variance; sigma2 is always exp(s).
-    """
+    """A Gaussian predictive distribution for one input; s is the log of the
+    predicted variance."""
 
     y_hat: float
     s: float
-
-    @property
-    def sigma2(self) -> float:
-        return math.exp(self.s)
 
 
 def param_arrays(params: ModelParams) -> list[np.ndarray]:

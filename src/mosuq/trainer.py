@@ -183,12 +183,17 @@ def train(
     # One chunk buffer for the whole run, which each chunk's draw overwrites
     # (empty at p = 0, where nothing is drawn).
     mask_buf = np.empty(min(chunk_rows, n) * row_units if arch.dropout_p else 0)
+    # One shuffled copy of the split, overwritten each epoch. mode="clip" gathers
+    # straight into out (the default mode gathers into a temporary copy first);
+    # order is a permutation, so nothing is clipped.
+    x_epoch, y_epoch = np.empty(x_all.shape), np.empty(n)
 
     train_curve = []
     val_curve = [] if val_dataset is not None else None
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
-        x_epoch, y_epoch = x_all[order], y_all[order]
+        np.take(x_all, order, axis=0, out=x_epoch, mode="clip")
+        np.take(y_all, order, out=y_epoch, mode="clip")
         epoch_loss_sum = 0.0
         for chunk in range(0, n, chunk_rows):
             stop = min(chunk + chunk_rows, n)
@@ -269,8 +274,10 @@ def _checkpoint_views(params: ModelParams) -> dict[tuple[str, str], list[np.ndar
     }
 
 
-def checkpoint_document(params: ModelParams, calibration_r: float | None = None) -> dict:
-    """The JSON-serializable form of a model."""
+def save_checkpoint(
+    params: ModelParams, path: str | Path, calibration_r: float | None = None
+) -> None:
+    """Serialize a model (and optional calibration scale) as canonical JSON."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "arch": asdict(params.arch),
@@ -282,14 +289,7 @@ def checkpoint_document(params: ModelParams, calibration_r: float | None = None)
         doc[section][key] = [a.tolist() for a in views]
     if calibration_r is not None:
         doc["calibration_r"] = float(calibration_r)
-    return doc
-
-
-def save_checkpoint(
-    params: ModelParams, path: str | Path, calibration_r: float | None = None
-) -> None:
-    """Serialize a model (and optional calibration scale) as canonical JSON."""
-    atomic_write_text(path, canonical_json(checkpoint_document(params, calibration_r)))
+    atomic_write_text(path, canonical_json(doc))
 
 
 def _section_arrays(doc: dict, section: str, key: str) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
-from mosuq.calibrate import CalibrationScale, fit_scale
+from mosuq.calibrate import CalibrationScale
 from mosuq.datagen import (
     DOMAIN_IN,
     Dataset,
@@ -27,7 +27,7 @@ from mosuq.datagen import (
     split_dataset,
 )
 from mosuq.mcdropout import MCConfig
-from mosuq.net import ArchConfig, HeteroPrediction, ModelParams
+from mosuq.net import ArchConfig, ModelParams
 from mosuq.trainer import TrainConfig, TrainHistory, predict_batch, train
 
 FIXTURE_SEEDS = (0, 1, 2, 3, 4)
@@ -110,8 +110,7 @@ def build_seed_run(seed: int) -> SeedRun:
     train_split, cal_split, test_split = split_dataset(dataset, FIXTURE_SPLIT, seed=seed)
     params, history = train(train_split, fixture_arch(), fixture_train_config(seed), cal_split)
     y_cal, s_cal = predict_batch(params, cal_split.features())
-    preds = [HeteroPrediction(float(y), float(s)) for y, s in zip(y_cal, s_cal)]
-    scale = fit_scale(preds, cal_split.labels())
+    scale = CalibrationScale.fit(y_cal, s_cal, cal_split.labels())
     return SeedRun(
         seed=seed,
         dataset=dataset,

@@ -15,7 +15,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from mosuq.calibrate import fit_scale
+from mosuq.calibrate import CalibrationScale
 from mosuq.cli import main
 from mosuq.datagen import (
     add_feature_noise,
@@ -36,7 +36,6 @@ from mosuq.metrics import (
 )
 from mosuq.net import (
     ArchConfig,
-    HeteroPrediction,
     backward_batch,
     forward_batch,
     init_params,
@@ -126,8 +125,9 @@ def test_criterion_01_gradients_match_finite_differences():
 
 
 def test_criterion_02_calibration_recovers_known_scale():
-    """fit_scale on 10,000 predictions with labels y = y_hat + N(0, c^2
-    sigma_hat^2) recovers c within 2% for c in {0.5, 1, 2}, under a second."""
+    """CalibrationScale.fit on 10,000 predictions with labels
+    y = y_hat + N(0, c^2 sigma_hat^2) recovers c within 2% for c in
+    {0.5, 1, 2}, under a second."""
     start = perf_counter()
     rng = np.random.default_rng(42)
     n = 10_000
@@ -135,10 +135,7 @@ def test_criterion_02_calibration_recovers_known_scale():
         var = rng.uniform(0.5, 2.0, size=n)
         y_hat = rng.normal(size=n)
         labels = y_hat + rng.normal(size=n) * c * np.sqrt(var)
-        preds = [
-            HeteroPrediction(float(m), float(math.log(v))) for m, v in zip(y_hat, var)
-        ]
-        scale = fit_scale(preds, labels)
+        scale = CalibrationScale.fit(y_hat, [math.log(v) for v in var], labels)
         assert abs(scale.r - c) <= 0.02 * c
     assert perf_counter() - start < 1.0
 

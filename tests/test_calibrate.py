@@ -19,49 +19,61 @@ from mosuq.metrics import nll_metric
 from mosuq.net import ArchConfig, HeteroPrediction, init_params
 
 
-def preds_with_normalized_residuals(norm_sq):
-    """Unit-variance predictions whose squared residuals equal norm_sq."""
-    preds = [HeteroPrediction(0.0, 0.0) for _ in norm_sq]
-    labels = [math.sqrt(q) for q in norm_sq]
-    return preds, labels
+def columns_with_normalized_residuals(norm_sq):
+    """Unit-variance (y_hat, s, y) columns whose squared residuals equal norm_sq."""
+    zeros = np.zeros(len(norm_sq))
+    return zeros, zeros, np.sqrt(norm_sq)
 
 
-class TestFitScale:
+class TestFit:
     def test_perfectly_calibrated_gives_unit_scale(self):
-        preds, labels = preds_with_normalized_residuals([1.0, 1.0, 1.0])
-        scale = fit_scale(preds, labels)
+        scale = CalibrationScale.fit(*columns_with_normalized_residuals([1.0, 1.0, 1.0]))
         assert scale.r == pytest.approx(1.0, abs=1e-15)
         assert scale.num_samples_used == 3
         assert not scale.degenerate
 
     def test_hand_worked_pair(self):
-        preds, labels = preds_with_normalized_residuals([4.0, 16.0])
-        scale = fit_scale(preds, labels)
+        scale = CalibrationScale.fit(*columns_with_normalized_residuals([4.0, 16.0]))
         assert scale.r == pytest.approx(math.sqrt(10.0), abs=1e-12)
         assert scale.mean_normalized_residual_sq == pytest.approx(10.0, abs=1e-12)
 
     def test_scale_invariant_links_r_to_mean(self):
         rng = np.random.default_rng(5)
-        preds = [HeteroPrediction(float(m), float(s)) for m, s in rng.normal(size=(40, 2))]
+        y_hat, s = rng.normal(size=(40, 2)).T
         labels = rng.normal(size=40)
-        scale = fit_scale(preds, list(labels))
+        scale = CalibrationScale.fit(y_hat, s, list(labels))
         assert scale.r**2 == pytest.approx(scale.mean_normalized_residual_sq, rel=1e-12)
 
     def test_zero_residuals_floor_and_warn(self):
-        preds = [HeteroPrediction(1.0, 0.0), HeteroPrediction(-2.0, 0.3)]
-        labels = [1.0, -2.0]
         with pytest.warns(DegenerateCalibrationWarning):
-            scale = fit_scale(preds, labels)
+            scale = CalibrationScale.fit([1.0, -2.0], [0.0, 0.3], [1.0, -2.0])
         assert scale.r == DEGENERATE_FLOOR
         assert scale.degenerate
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):
-            fit_scale([], [])
+            CalibrationScale.fit([], [], [])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
-            fit_scale([HeteroPrediction(0.0, 0.0)], [1.0, 2.0])
+            CalibrationScale.fit([0.0], [0.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "y_hat, s, y",
+        [
+            ([0.0, 1.0], [0.0], [1.0, 2.0]),
+            ([0.0, 1.0], [0.0, 0.5], [1.0]),
+            ([0.0], [0.0, 0.5], [1.0, 2.0]),
+            ([[0.0, 1.0]], [[0.0, 0.5]], [[1.0, 2.0]]),
+            ([0.0, 1.0], [[0.0], [0.5]], [1.0, 2.0]),
+            (0.0, 0.0, 1.0),
+            ([], [0.0], [1.0]),
+            (np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2))),
+        ],
+    )
+    def test_ragged_multi_dimensional_or_empty_columns_rejected(self, y_hat, s, y):
+        with pytest.raises(InputError):
+            CalibrationScale.fit(y_hat, s, y)
 
     def test_recovers_injected_scale(self):
         """Labels drawn as y = y_hat + N(0, c^2 sigma^2) recover r = c."""
@@ -70,9 +82,33 @@ class TestFitScale:
         s = rng.uniform(-1.0, 1.0, size=10000)
         y_hat = rng.normal(size=10000)
         labels = y_hat + rng.normal(size=10000) * c * np.exp(0.5 * s)
-        preds = [HeteroPrediction(float(m), float(v)) for m, v in zip(y_hat, s)]
-        scale = fit_scale(preds, list(labels))
+        scale = CalibrationScale.fit(y_hat, s, list(labels))
         assert scale.r == pytest.approx(c, rel=0.02)
+
+
+class TestFitScaleRows:
+    """fit_scale is CalibrationScale.fit over HeteroPrediction rows."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_give_the_bits_of_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        y_hat, s, labels = rng.normal(size=(3, 50))
+        preds = [HeteroPrediction(float(m), float(v)) for m, v in zip(y_hat, s)]
+        assert fit_scale(preds, labels) == CalibrationScale.fit(y_hat, s, labels)
+
+    def test_degenerate_rows_warn_and_match_columns(self):
+        preds = [HeteroPrediction(1.0, 0.0), HeteroPrediction(-2.0, 0.3)]
+        with pytest.warns(DegenerateCalibrationWarning):
+            rows = fit_scale(preds, [1.0, -2.0])
+        with pytest.warns(DegenerateCalibrationWarning):
+            columns = CalibrationScale.fit([1.0, -2.0], [0.0, 0.3], [1.0, -2.0])
+        assert rows == columns
+
+    def test_empty_and_mismatched_rows_rejected(self):
+        with pytest.raises(InputError):
+            fit_scale([], [])
+        with pytest.raises(InputError):
+            fit_scale([HeteroPrediction(0.0, 0.0)], [1.0, 2.0])
 
 
 class TestCalibrationScaleType:
@@ -116,9 +152,8 @@ class TestApplyingTheScale:
         assert twice == pytest.approx(CalibrationScale.from_r(6.0).variance_multiplier, abs=1e-12)
 
 
-def nll_at_scale(preds, labels, r):
-    y_hat = [p.y_hat for p in preds]
-    return nll_metric(labels, y_hat, [(r**2) * p.sigma2 for p in preds])
+def nll_at_scale(y_hat, s, labels, r):
+    return nll_metric(labels, y_hat, (r**2) * np.exp(s))
 
 
 class TestOptimality:
@@ -127,22 +162,19 @@ class TestOptimality:
         s = rng.uniform(-1.5, 0.5, size=400)
         y_hat = rng.normal(size=400)
         labels = y_hat + rng.normal(size=400) * 1.4 * np.exp(0.5 * s)
-        preds = [HeteroPrediction(float(m), float(v)) for m, v in zip(y_hat, s)]
-        scale = fit_scale(preds, list(labels))
-        fitted = nll_at_scale(preds, labels, scale.r)
+        scale = CalibrationScale.fit(y_hat, s, list(labels))
+        fitted = nll_at_scale(y_hat, s, labels, scale.r)
         for factor in (0.5, 0.9, 1.1, 2.0):
-            assert fitted <= nll_at_scale(preds, labels, factor * scale.r) + 1e-12
+            assert fitted <= nll_at_scale(y_hat, s, labels, factor * scale.r) + 1e-12
 
     def test_refit_after_scaling_is_idempotent(self):
         rng = np.random.default_rng(77)
         s = rng.uniform(-1.0, 1.0, size=5000)
         y_hat = rng.normal(size=5000)
         labels = y_hat + rng.normal(size=5000) * 0.6 * np.exp(0.5 * s)
-        preds = [HeteroPrediction(float(m), float(v)) for m, v in zip(y_hat, s)]
-        scale = fit_scale(preds, list(labels))
+        scale = CalibrationScale.fit(y_hat, s, list(labels))
         # As the CLI applies the scale: every log-variance shifts by 2 log r.
-        rescaled = [HeteroPrediction(m, v + 2.0 * math.log(scale.r)) for m, v in zip(y_hat, s)]
-        again = fit_scale(rescaled, list(labels))
+        again = CalibrationScale.fit(y_hat, scale.shift_log_variance(s), list(labels))
         assert again.r == pytest.approx(1.0, rel=0.02)
 
 

@@ -373,15 +373,28 @@ class TestKernelInvariants:
         assert results[4] == one_row(params, features, cfg, 4)
 
 
-def seed_sequence_key(base, i):
-    return int(np.random.SeedSequence([base, i]).generate_state(1)[0])
+def splitmix64(state, k):
+    """Output k of SplitMix64 for the given state, on Python ints."""
+    mask = 2**64 - 1
+    z = (state + k * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def splitmix_key(base, i):
+    """Row i's key: SplitMix64 output i + 1, the counter taken mod 2^64."""
+    return splitmix64(base, (i + 1) % 2**64)
 
 
 EDGE_INDICES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
 class TestRowKeys:
-    """Vectorised row keys against numpy's SeedSequence, the reference."""
+    """Vectorised row keys against a Python-int SplitMix64, the reference."""
+
+    def test_first_key_is_splitmix64s_published_first_output(self):
+        assert row_seed(0, 0) == splitmix64(0, 1) == 0xE220A8397B1DCDAF
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -392,19 +405,24 @@ class TestRowKeys:
         ),
         st.lists(st.integers(0, 2**64 - 1), max_size=8),
     )
-    def test_keys_equal_seed_sequence(self, base, drawn):
+    def test_keys_equal_splitmix64(self, base, drawn):
         rows = EDGE_INDICES + drawn
-        want = [seed_sequence_key(base, i) for i in rows]
+        want = [splitmix_key(base, i) for i in rows]
         keys = _row_keys(base, np.array(rows, dtype=np.uint64))
         assert keys.dtype == np.uint64
         assert keys.tolist() == want
         assert [row_seed(base, i) for i in rows] == want
 
+    @pytest.mark.parametrize("base", [0, 5, 2**32 + 7, 2**64 - 1])
+    def test_int_and_array_paths_agree_on_edge_indices(self, base):
+        keys = _row_keys(base, np.array(EDGE_INDICES, dtype=np.uint64))
+        assert keys.tolist() == [_row_keys(base, i) for i in EDGE_INDICES]
+
     @pytest.mark.parametrize("k", [0, 5, 2**32 + 7, 2**64 - 1])
     def test_bases_beyond_64_bits_are_folded(self, k):
         for base in (2**64 + k, 2**200 + k):
             assert [row_seed(base, i) for i in EDGE_INDICES] == [
-                seed_sequence_key(k, i) for i in EDGE_INDICES
+                splitmix_key(k, i) for i in EDGE_INDICES
             ]
 
     @pytest.mark.parametrize("base, i", [(-1, 0), (0, -1), (0, 2**64)])

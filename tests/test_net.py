@@ -265,7 +265,7 @@ class TestForward:
         pred, _ = one_row(params, np.ones(3))
         assert pred.y_hat == 0.0
         assert pred.s == 0.0
-        assert pred.sigma2 == 1.0
+        assert math.exp(pred.s) == 1.0
 
     def test_dropout_p_zero_matches_deterministic(self):
         params = init_params(small_arch(dropout_p=0.0), seed=5)
@@ -342,7 +342,6 @@ class TestForward:
             arr[1] = 50.0
         pred, _ = one_row(params, np.ones(3) * 100.0)
         assert abs(pred.s) == S_CLAMP
-        assert pred.sigma2 == math.exp(pred.s)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=3), st.integers(0, 10))
@@ -350,7 +349,7 @@ class TestForward:
         params = init_params(small_arch(), seed=seed)
         pred, _ = one_row(params, np.array(values))
         assert -S_CLAMP <= pred.s <= S_CLAMP
-        assert math.exp(-S_CLAMP) <= pred.sigma2 <= math.exp(S_CLAMP)
+        assert math.exp(-S_CLAMP) <= math.exp(pred.s) <= math.exp(S_CLAMP)
 
 
 class TestDropoutMask:

@@ -691,3 +691,25 @@ class TestChunkedMasks:
         chunk_bytes = 8 * trainer_module.MASK_CHUNK_UNITS
         assert len(data) > 3 * trainer_module.MASK_CHUNK_UNITS // (2 * 16)
         assert peaks[0.5] - peaks[0.0] <= 1.2 * chunk_bytes
+
+
+class TestEpochBuffers:
+    def test_epochs_reuse_one_shuffled_copy_of_the_split(self):
+        """Each epoch gathers its shuffled split into buffers that train()
+        reuses, so a second epoch adds nothing to the traced peak: keeping
+        the previous epoch's copy alive would add a whole copy (2.7 MB)."""
+        data = gen_synthetic(GenConfig(
+            num_systems=20, samples_per_system=1000, feature_dim=16,
+            noise_model=Heteroscedastic(), seed=0,
+        ))
+        arch = ArchConfig(input_dim=16, trunk_dims=(8,), head_hidden_dim=4, dropout_p=0.0)
+        peaks = {}
+        for epochs in (1, 2):
+            tracemalloc.start()
+            try:
+                train(data, arch, TrainConfig(epochs=epochs, batch_size=500, seed=0))
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        copy_bytes = len(data) * (16 + 1) * 8
+        assert peaks[2] <= peaks[1] + 0.1 * copy_bytes
