@@ -33,7 +33,7 @@ from .datagen import (
     split_dataset,
 )
 from .loss import mse_loss_batch, nll_loss_batch
-from .mcdropout import MCConfig, MCResult, MCSamples, mc_forward, mc_forward_dataset, variance_of
+from .mcdropout import MCConfig, MCSamples, mc_forward, mc_forward_dataset, variance_of
 from .metrics import (
     MetricsReport,
     error_uncertainty_curve,

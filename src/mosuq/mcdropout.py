@@ -36,15 +36,15 @@ computed for all rows at once.
 
 Results are columns, made once per call, and each block writes its samples
 and summaries into slices of them. mc_forward_dataset returns one
-MCSamples, which reads as a sequence of MCResult rows built only on
-request; mc_forward returns the one row of a one-row call.
+MCSamples of columns. Indexing it with an int gives one row as an MCSamples
+again, of (passes,) sample views and np.float64 summaries, and
+mc_forward returns that row of a one-row call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +53,7 @@ from .calibrate import CalibrationScale
 from .errors import InputError, ShapeError, check_float, check_int
 from .net import S_CLAMP, ModelParams, _activate, _check_features
 
-__all__ = ["MCConfig", "MCResult", "MCSamples", "variance_of", "mc_forward",
+__all__ = ["MCConfig", "MCSamples", "variance_of", "mc_forward",
            "mc_forward_dataset", "row_seed"]
 
 # SplitMix64, for keep bits and row keys: output k for state b is b + k * _GOLDEN
@@ -70,7 +70,6 @@ _FINALISER = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
 # two pass columns, which doubles it. Blocks of 32 to 128 rows run equally
 # fast; larger ones raise peak memory and run slower.
 _BLOCK_UNITS = 64 * 25 * 16
-_ROW_BLOCK = 256  # MCResult rows that iterating an MCSamples builds at a time
 
 
 @dataclass(frozen=True)
@@ -85,53 +84,33 @@ class MCConfig:
         check_int("seed", self.seed, 0)
 
 
-@dataclass(frozen=True)
-class MCResult:
-    """Summary of one sample's stochastic passes."""
-
-    y_samples: tuple[float, ...]
-    s_samples: tuple[float, ...]
-    y_mean: float
-    s_mean: float
-    epi_pred_var: float
-    epi_dist_var: float
-    aleatoric_var: float
-
-
 @dataclass(frozen=True, eq=False)
 class MCSamples:
-    """The MCResult fields of many rows as columns: (rows, passes) samples
-    and (rows,) summaries. len, iteration, an int index and a slice (which
-    gives an MCSamples) read it as a sequence of MCResult rows, built only
-    on request; == with an MCSamples or a list of rows compares rows."""
+    """MC results of many rows as columns: (rows, passes) samples and
+    (rows,) summaries. Indexing reads every column with the same index, so
+    results[i] is row i as an MCSamples of (passes,) sample views and
+    np.float64 summaries, and a slice gives an MCSamples of those rows;
+    iteration gives the rows in order. == compares column by column."""
 
     y_samples: np.ndarray
     s_samples: np.ndarray
     y_mean: np.ndarray
     s_mean: np.ndarray
+    aleatoric_var: np.ndarray
     epi_pred_var: np.ndarray
     epi_dist_var: np.ndarray
-    aleatoric_var: np.ndarray
 
-    # The row view is kept for perfbench/workloads.py (mc-ood), which reads rows.
+    # len and iteration are kept for perfbench/workloads.py (mc-ood), which reads rows.
     def __len__(self) -> int:
         return len(self.y_mean)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return MCSamples(*(column[index] for column in vars(self).values()))
-        i = operator.index(index)
-        y, s, *summaries = (column[i] for column in vars(self).values())
-        return MCResult(tuple(y.tolist()), tuple(s.tolist()), *map(float, summaries))
+    def __getitem__(self, index) -> MCSamples:
+        return MCSamples(*(column[index] for column in vars(self).values()))
 
     def __iter__(self):
-        for start in range(0, len(self), _ROW_BLOCK):
-            y, s, *summaries = (c[start : start + _ROW_BLOCK].tolist() for c in vars(self).values())
-            yield from map(MCResult, map(tuple, y), map(tuple, s), *summaries)
+        return map(MCSamples, *vars(self).values())
 
     def __eq__(self, other):
-        if isinstance(other, list):
-            return list(self) == other
         if not isinstance(other, MCSamples):
             return NotImplemented
         return all(map(np.array_equal, vars(self).values(), vars(other).values()))
@@ -242,8 +221,8 @@ def _mc_rows(
     # The two heads' samples, then exp of the log-variance samples.
     samples = np.empty((3, size, max(passes, run)))
     w, b = params.head_w, params.head_b
-    # The result: y and s samples; the means of the three sample rows (the
-    # aleatoric one before scaling), then epi_pred_var and epi_dist_var.
+    # The result, in MCSamples field order: y and s samples; the means of the
+    # three sample rows (aleatoric before scaling); the y and s variances.
     sampled, summary = np.empty((2, len(x), passes)), np.empty((5, len(x)))
     for start in range(0, len(x), block):
         rows = slice(start, start + block)
@@ -278,8 +257,7 @@ def _mc_rows(
         _variance(stack[:2], means[:2], summary[3:, rows])
         if scale is not None:
             means[2] *= scale.variance_multiplier
-    y_mean, s_mean, aleatoric, *variances = summary
-    return MCSamples(*sampled, y_mean, s_mean, *variances, aleatoric)
+    return MCSamples(*sampled, *summary)
 
 
 def mc_forward(
@@ -287,8 +265,9 @@ def mc_forward(
     x: np.ndarray,
     cfg: MCConfig,
     scale: CalibrationScale | None = None,
-) -> MCResult:
-    """Run num_passes dropout forward passes on one feature vector.
+) -> MCSamples:
+    """Run num_passes dropout forward passes on one feature vector, giving
+    its row: an MCSamples of (passes,) samples and np.float64 summaries.
 
     The masks are keyed by cfg.seed itself, taken modulo 2^64.
     """

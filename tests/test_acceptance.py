@@ -236,7 +236,8 @@ def test_criterion_07_ood_detection(hetero_runs, mc_pools):
 
     shift_aucs = []
     noise_ordered = 0
-    for entry in pools:
+    seen = []
+    for run, entry in zip(hetero_runs, pools):
         shift_aucs.append(
             roc_auc(np.concatenate([entry["in"], entry["shift"]]), labels)
         )
@@ -244,21 +245,27 @@ def test_criterion_07_ood_detection(hetero_runs, mc_pools):
         auc_high = roc_auc(np.concatenate([entry["in"], entry[high]]), labels)
         if auc_high > auc_low:
             noise_ordered += 1
+        seen.append(
+            f"seed {run.seed}: shift AUC {shift_aucs[-1]:.6f}, "
+            f"noise AUC {auc_low:.6f} (weak) vs {auc_high:.6f} (strong)"
+        )
+    seen = "; ".join(seen)
 
-    assert sum(a > 0.7 for a in shift_aucs) >= 4
-    assert float(np.mean(shift_aucs)) > 0.7
-    assert noise_ordered >= 4
+    assert sum(a > 0.7 for a in shift_aucs) >= 4, f"shift AUC <= 0.7 in 2+ seeds: {seen}"
+    assert float(np.mean(shift_aucs)) > 0.7, f"mean shift AUC {np.mean(shift_aucs):.6f}: {seen}"
+    assert noise_ordered >= 4, f"strong noise not above weak in 4 seeds: {seen}"
     assert pool_seconds + (perf_counter() - start) < 120.0
 
 
-def test_criterion_08_uncertainty_rises_with_corruption(mc_pools):
+def test_criterion_08_uncertainty_rises_with_corruption(hetero_runs, mc_pools):
     """Mean epistemic distributional uncertainty is non-decreasing across
     feature-noise levels {0, 0.002 analogue, 0.01 analogue} in >= 4 of 5
     seeds."""
     pools, _ = mc_pools
     lvl_a, lvl_b = feature_noise_analogue(0.002), feature_noise_analogue(0.01)
     monotone = 0
-    for entry in pools:
+    seen = []
+    for run, entry in zip(hetero_runs, pools):
         means = [
             float(entry["in"].mean()),
             float(entry[lvl_a].mean()),
@@ -266,7 +273,8 @@ def test_criterion_08_uncertainty_rises_with_corruption(mc_pools):
         ]
         if means[0] <= means[1] <= means[2]:
             monotone += 1
-    assert monotone >= 4
+        seen.append(f"seed {run.seed}: means " + ", ".join(f"{m:.6g}" for m in means))
+    assert monotone >= 4, f"means not non-decreasing in 2+ seeds: {'; '.join(seen)}"
 
 
 def test_criterion_09_metric_hand_oracles():

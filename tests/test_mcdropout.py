@@ -155,8 +155,8 @@ class TestMcForward:
         x = np.array([0.2, -0.7, 1.1])
         short = mc_forward(params, x, MCConfig(num_passes=3, dropout_p=0.5, seed=9))
         long = mc_forward(params, x, MCConfig(num_passes=10, dropout_p=0.5, seed=9))
-        assert long.y_samples[:3] == short.y_samples
-        assert long.s_samples[:3] == short.s_samples
+        assert np.array_equal(long.y_samples[:3], short.y_samples)
+        assert np.array_equal(long.s_samples[:3], short.s_samples)
 
     def test_summary_fields_follow_from_samples(self):
         params = tiny_params(seed=2)
@@ -178,8 +178,8 @@ class TestMcForward:
         assert scaled.aleatoric_var == pytest.approx(4.0 * plain.aleatoric_var, rel=1e-12)
         assert scaled.epi_pred_var == plain.epi_pred_var
         assert scaled.epi_dist_var == plain.epi_dist_var
-        assert scaled.y_samples == plain.y_samples
-        assert scaled.s_samples == plain.s_samples
+        assert np.array_equal(scaled.y_samples, plain.y_samples)
+        assert np.array_equal(scaled.s_samples, plain.s_samples)
 
 
 class TestMcForwardDataset:
@@ -239,8 +239,8 @@ class TestKernelInvariants:
         short = mc_forward_dataset(params, features, MCConfig(num_passes=5, dropout_p=0.5, seed=2))
         long = mc_forward_dataset(params, features, MCConfig(num_passes=25, dropout_p=0.5, seed=2))
         for a, b in zip(short, long):
-            assert b.y_samples[:5] == a.y_samples
-            assert b.s_samples[:5] == a.s_samples
+            assert np.array_equal(b.y_samples[:5], a.y_samples)
+            assert np.array_equal(b.s_samples[:5], a.s_samples)
 
     @pytest.mark.parametrize("passes, p", [(10, 0.0), (1, 0.5)])
     def test_dataset_path_gives_exact_zero_epistemic_variance(self, passes, p):
@@ -435,7 +435,7 @@ class TestRowKeys:
         features = np.random.default_rng(9).normal(size=(3, 3))
         cfg = MCConfig(num_passes=6, dropout_p=0.5, seed=2**64 + 5)
         full = mc_forward_dataset(params, features, cfg)
-        assert full == [one_row(params, features, cfg, i) for i in range(3)]
+        assert list(full) == [one_row(params, features, cfg, i) for i in range(3)]
 
 
 class TestBufferReuse:
@@ -448,7 +448,7 @@ class TestBufferReuse:
         assert _BLOCK_UNITS // (cfg.num_passes * 16) == 64
         features = np.random.default_rng(rows).normal(size=(rows, 2))
         full = mc_forward_dataset(params, features, cfg)
-        assert full == [one_row(params, features, cfg, i) for i in range(rows)]
+        assert list(full) == [one_row(params, features, cfg, i) for i in range(rows)]
 
     def test_back_to_back_calls_match_calls_in_reverse_order(self):
         params = paper_shape_params(seed=5)
@@ -527,18 +527,18 @@ class TestShapeInvariance:
         longer = mc_forward_dataset(params, features, replace(cfg, num_passes=30))
         for rows in (1, 2, 63, 64, 65):
             got = mc_forward_dataset(params, features[:rows], cfg)
-            assert got == alone[:rows]
+            assert list(got) == alone[:rows]
         for short, long in zip(alone, longer):
-            assert long.y_samples[:passes] == short.y_samples
-            assert long.s_samples[:passes] == short.s_samples
+            assert np.array_equal(long.y_samples[:passes], short.y_samples)
+            assert np.array_equal(long.s_samples[:passes], short.s_samples)
             if p == 0.0 or passes == 1:
                 assert short.epi_pred_var == 0.0 and short.epi_dist_var == 0.0
 
 
 def per_head_reference(params, x, cfg, multiplier=1.0):
-    """MC results for every row of x with the two heads run one at a time,
-    as a plain oracle for the stacked kernel: all rows in one block, a fresh
-    mask, and summaries in numpy's own words."""
+    """MC results for every row of x, as one MCSamples, with the two heads
+    run one at a time: a plain oracle for the stacked kernel, with all rows
+    in one block, a fresh mask, and summaries in numpy's own words."""
     act = np.tanh if params.arch.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
     passes, p = cfg.num_passes, cfg.dropout_p
 
@@ -567,15 +567,15 @@ def per_head_reference(params, x, cfg, multiplier=1.0):
         var = np.mean((v - v.mean(axis=1, keepdims=True)) ** 2, axis=1)
         return np.where(np.all(v == v[:, :1], axis=1), 0.0, var)
 
-    columns = (
-        y.tolist(), s.tolist(), y.mean(axis=1), s.mean(axis=1), variance(y), variance(s),
-        np.mean(np.exp(s), axis=1) * multiplier,
+    return MCSamples(
+        y_samples=y, s_samples=s, y_mean=y.mean(axis=1), s_mean=s.mean(axis=1),
+        aleatoric_var=np.mean(np.exp(s), axis=1) * multiplier,
+        epi_pred_var=variance(y), epi_dist_var=variance(s),
     )
-    return [mcdropout.MCResult(tuple(ys), tuple(ss), *rest) for ys, ss, *rest in zip(*columns)]
 
 
 def result_bits(result):
-    """Every field of an MCResult as raw float64 bytes, so NaNs compare too."""
+    """Every field of an MC row as raw float64 bytes, so NaNs compare too."""
     return [np.asarray(getattr(result, f.name), dtype=float).tobytes() for f in fields(result)]
 
 
@@ -631,8 +631,9 @@ class TestStackedKernel:
 
 
 class TestMCSamples:
-    """mc_forward_dataset returns one MCSamples of columns, read as a
-    sequence of MCResult rows the way the benchmark and the CLI read it."""
+    """mc_forward_dataset returns one MCSamples of columns. Indexing and
+    iteration read it as a sequence of rows, each an MCSamples of sample
+    views and np.float64 summaries, the way the benchmark reads it."""
 
     SUMMARIES = ("y_mean", "s_mean", "epi_pred_var", "epi_dist_var", "aleatoric_var")
 
@@ -640,11 +641,10 @@ class TestMCSamples:
     @pytest.mark.parametrize("r", [None, 1.7])
     def test_reads_as_the_rows_of_one_row_calls(self, monkeypatch, passes, p, r):
         params = paper_shape_params(seed=3)
-        # More rows than one 64-row kernel block and one block of built rows.
+        # More rows than one 64-row kernel block.
         monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * 16)
         features = np.random.default_rng(passes).normal(size=(300, 2))
         n, seed = len(features), 12
-        assert n > mcdropout._ROW_BLOCK
         scale = None if r is None else CalibrationScale.from_r(r)
         results = mc_forward_dataset(params, features, MCConfig(passes, p, seed), scale)
         assert isinstance(results, MCSamples)
@@ -662,7 +662,18 @@ class TestMCSamples:
             for i in range(n)
         ]
         assert all(results[i] == rows[i] for i in range(n))
-        assert list(results) == rows
+        iterated = list(results)
+        assert iterated == rows
+        assert all(
+            result_bits(row) == result_bits(results[i]) for i, row in enumerate(iterated)
+        )
+        for row in (rows[7], iterated[7], results[7]):
+            for name in ("y_samples", "s_samples"):
+                assert getattr(row, name).shape == (passes,)
+                assert getattr(row, name).dtype == np.float64
+            for name in self.SUMMARIES:
+                assert type(getattr(row, name)) is np.float64
+        assert np.shares_memory(iterated[7].y_samples, results.y_samples)
         assert [row.epi_dist_var for row in results] == results.epi_dist_var.tolist()
         for name in self.SUMMARIES:
             assert getattr(results, name).tolist() == [getattr(row, name) for row in rows]
@@ -671,18 +682,19 @@ class TestMCSamples:
         for index in (n, -n - 1):
             with pytest.raises(IndexError):
                 results[index]
-        assert results[:65] == rows[:65] and results[100::7] == rows[100::7]
+        assert list(results[:65]) == rows[:65] and list(results[100::7]) == rows[100::7]
 
         again = mc_forward_dataset(params, features, MCConfig(passes, p, seed), scale)
-        assert again == results and results == again and results == rows
+        assert again == results and results == again and list(results) == rows
         if p and passes > 1:
             other = mc_forward_dataset(params, features, MCConfig(passes, p, seed + 1), scale)
-            assert results != other and results != rows[::-1]
-        assert results != rows[:-1] and results != results[:-1]
+            assert results != other and list(results) != rows[::-1]
+        assert list(results) != rows[:-1] and results != results[:-1]
 
     def test_columns_hold_at_most_480_bytes_per_row(self):
         """Two 25-sample rows and five summaries are 440 B per row, against
-        about 1.9 KB as MCResult objects; nothing else stays held."""
+        about 1.9 KB as per-row objects of float tuples; nothing else stays
+        held."""
         params = paper_shape_params(seed=1)
         features = np.random.default_rng(0).normal(size=(5000, 2))
         cfg = MCConfig(25, 0.5, 2)
@@ -696,6 +708,24 @@ class TestMCSamples:
         nbytes = sum(getattr(results, f.name).nbytes for f in fields(results))
         assert nbytes / len(features) <= 480
         assert held / len(features) <= 480
+
+    def test_listed_rows_hold_at_most_1_kib_each(self):
+        """Rows share the columns' memory: a row's samples are views, so
+        list(results) adds about 490 B per row at 25 passes, against about
+        1.9 KB for rows that copy the samples into float tuples."""
+        params = paper_shape_params(seed=1)
+        features = np.random.default_rng(0).normal(size=(5000, 2))
+        cfg = MCConfig(25, 0.5, 2)
+        list(mc_forward_dataset(params, features[:10], cfg))
+        results = mc_forward_dataset(params, features, cfg)
+        tracemalloc.start()
+        try:
+            rows = list(results)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(features)
+        assert held / len(features) <= 1024
 
 
 class TestTrainedModelSensitivity:
