@@ -42,18 +42,19 @@ class CheckpointVersionError(CheckpointError):
 
 def check_int(name: str, value, minimum: int) -> None:
     """Raise ConfigError unless value is an integer >= minimum. A bool is not
-    an integer here; numpy integers are."""
-    if type(value) is bool or not isinstance(value, numbers.Integral) or value < minimum:
+    an integer here; numpy integers are. An exact int skips the slower ABC check."""
+    integral = type(value) is int or type(value) is not bool and isinstance(value, numbers.Integral)
+    if not integral or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_float(name: str, value, low: float, high: float, low_open: bool = False) -> None:
     """Raise ConfigError unless value is a real number in [low, high), or in
     (low, high) when low_open is set. A bool is not a number here, and nan
-    lies in no interval; numpy floats and integers are numbers."""
+    lies in no interval; numpy floats and integers are numbers. An exact
+    float skips the slower ABC check."""
     if (
-        type(value) is bool
-        or not isinstance(value, numbers.Real)
+        type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real))
         or not (low < value if low_open else low <= value)
         or not value < high
     ):

@@ -23,10 +23,10 @@ At p = 0 no bits are drawn. One kernel serves both entry points: it runs
 the deterministic trunk once per row and only the two dropout heads per
 pass, over blocks of rows. The heads run as one unit-major
 (2, units, rows, passes) stack, score head first, read from the stacked
-views head_w and head_b; mask scaling, bias adds, the activation, the
-log-variance clamp and the summaries each run once on the stack. Only the
-contractions run per head, as einsum without optimize over a
-(units, rows, passes) operand, whose per-element bits do not depend on how
+views head_w and head_b; mask scaling, the contractions, bias adds, the
+activation, the log-variance clamp and the summaries each run once on the
+stack. Each head layer is one einsum without optimize over the stack, whose
+per-element bits equal those of one head at a time and do not depend on how
 many rows or passes share a call, except at 1 row x 1 pass, where einsum
 sums in another order; the kernel never forms that shape. Every
 block-sized buffer is made once per call, and each block works in leading
@@ -38,7 +38,7 @@ Results are columns, made once per call, and each block writes its samples
 and summaries into slices of them. mc_forward_dataset returns one
 MCSamples of columns. Indexing it with an int gives one row as an MCSamples
 again, of (passes,) sample views and np.float64 summaries, and
-mc_forward returns that row of a one-row call.
+mc_forward builds that row of a one-row call straight from its columns.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ __all__ = ["MCConfig", "MCSamples", "variance_of", "mc_forward",
 
 # SplitMix64, for keep bits and row keys: output k for state b is b + k * _GOLDEN
 # (mod 2^64), xor-shifted by each shift, then multiplied (not after the last).
+# The multipliers are uint64, so the mask hash does not convert them per block.
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_FINALISER = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
+_FINALISER = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)), (31, None))
 
 # Rows per block x passes x the wider of the trunk output and the head
 # hidden layer: 64 rows at 25 passes and width 16. The per-call workspace is
@@ -100,9 +101,9 @@ class MCSamples:
     epi_pred_var: np.ndarray
     epi_dist_var: np.ndarray
 
-    # len and iteration are kept for perfbench/workloads.py (mc-ood), which reads rows.
+    # len (1 for a row) and iteration are kept for perfbench/workloads.py (mc-ood): it reads rows.
     def __len__(self) -> int:
-        return len(self.y_mean)
+        return np.size(self.y_mean)
 
     def __getitem__(self, index) -> MCSamples:
         return MCSamples(*(column[index] for column in vars(self).values()))
@@ -133,7 +134,8 @@ def variance_of(samples) -> np.ndarray | float:
 
 def _variance(a: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
     """variance_of(a) written into out, given mean = _mean(a)."""
-    _mean((a - mean[..., None]) ** 2, out=out)
+    d = np.subtract(a, mean[..., None])
+    _mean(np.multiply(d, d, out=d), out=out)
     np.copyto(out, 0.0, where=np.logical_and.reduce(a == a[..., :1], axis=-1))
     return out
 
@@ -195,8 +197,9 @@ def _mc_rows(
     keys: np.ndarray,
     cfg: MCConfig,
     scale: CalibrationScale | None,
-) -> MCSamples:
+) -> tuple[np.ndarray, np.ndarray]:
     """The one MC kernel: row i of x is sampled with the uint64 mask key keys[i].
+    It returns the sample and summary columns of an MCSamples, in field order.
 
     Rows are processed in blocks so that the working memory is bounded by
     _BLOCK_UNITS, whatever the row count: the workspace is made once per
@@ -221,6 +224,7 @@ def _mc_rows(
     # The two heads' samples, then exp of the log-variance samples.
     samples = np.empty((3, size, max(passes, run)))
     w, b = params.head_w, params.head_b
+    hidden_b, out_w = b[0][:, 0, :, None, None], w[1][:, 0]
     # The result, in MCSamples field order: y and s samples; the means of the
     # three sample rows (aleatoric before scaling); the y and s variances.
     sampled, summary = np.empty((2, len(x), passes)), np.empty((5, len(x)))
@@ -240,12 +244,10 @@ def _mc_rows(
         else:
             h_in = np.broadcast_to(a, (2, width, n, run))
         h, out, stack = hidden[:, :, :n], samples[:2, :n, :run], samples[:, :n, :passes]
-        for head in range(2):
-            np.einsum("krt,jk->jrt", h_in[head], w[0][head], out=h[head])
-        h += b[0][:, 0, :, None, None]
+        np.einsum("hkrt,hjk->hjrt", h_in, w[0], out=h)
+        h += hidden_b
         _activate(h, kind, out=h)
-        for head in range(2):
-            np.einsum("jrt,j->rt", h[head], w[1][head, 0], out=out[head])
+        np.einsum("hjrt,hj->hrt", h, out_w, out=out)
         out += b[1]
         if not p:
             stack[:2, :, 1:] = out[:, :, :1]
@@ -257,7 +259,7 @@ def _mc_rows(
         _variance(stack[:2], means[:2], summary[3:, rows])
         if scale is not None:
             means[2] *= scale.variance_multiplier
-    return MCSamples(*sampled, *summary)
+    return sampled, summary
 
 
 def mc_forward(
@@ -274,7 +276,9 @@ def mc_forward(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-d feature vector, got array of shape {x.shape}")
-    return _mc_rows(params, x[None, :], np.array([_key(cfg.seed)], np.uint64), cfg, scale)[0]
+    keys = np.array([_key(cfg.seed)], np.uint64)
+    sampled, summary = _mc_rows(params, x[None, :], keys, cfg, scale)
+    return MCSamples(*sampled[:, 0], *summary[:, 0])
 
 
 def row_seed(base_seed: int, row_index: int) -> int:
@@ -291,7 +295,7 @@ def _row_keys(base: int, rows: np.ndarray | int) -> np.ndarray | int:
     for shift, multiplier in _FINALISER:
         z ^= z >> shift
         if multiplier is not None:
-            z = z * multiplier & _MASK64
+            z = z * int(multiplier) & _MASK64
     return z
 
 
@@ -310,4 +314,5 @@ def mc_forward_dataset(
     if features.ndim != 2:
         raise InputError(f"expected a 2-d feature matrix, got shape {features.shape}")
     keys = _row_keys(_key(cfg.seed), np.arange(len(features), dtype=np.uint64))
-    return _mc_rows(params, features, keys, cfg, scale)
+    sampled, summary = _mc_rows(params, features, keys, cfg, scale)
+    return MCSamples(*sampled, *summary)

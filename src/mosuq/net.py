@@ -53,7 +53,6 @@ __all__ = [
     "dropout_mask",
     "forward_batch",
     "backward_batch",
-    "param_arrays",
 ]
 
 ACTIVATIONS = ("tanh", "relu")
@@ -176,11 +175,6 @@ class HeteroPrediction:
 
     y_hat: float
     s: float
-
-
-def param_arrays(params: ModelParams) -> list[np.ndarray]:
-    """All learnable arrays, as views in flat-vector order."""
-    return [params.flat[s.start : s.stop].reshape(s.shape) for s in param_layout(params.arch)]
 
 
 def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:

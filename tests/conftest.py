@@ -27,7 +27,7 @@ from mosuq.datagen import (
     split_dataset,
 )
 from mosuq.mcdropout import MCConfig
-from mosuq.net import ArchConfig, ModelParams
+from mosuq.net import ArchConfig, ModelParams, param_layout
 from mosuq.trainer import TrainConfig, TrainHistory, predict_batch, train
 
 FIXTURE_SEEDS = (0, 1, 2, 3, 4)
@@ -47,6 +47,11 @@ def dataset_of(ids, system_ids, x, y, domain_tags=None, true_noise_var=None) -> 
         true_noise_var=[math.nan] * n if true_noise_var is None else true_noise_var,
         x=x,
     )
+
+
+def param_arrays(params: ModelParams) -> list[np.ndarray]:
+    """All learnable arrays, as views in flat-vector order."""
+    return [params.flat[s.start : s.stop].reshape(s.shape) for s in param_layout(params.arch)]
 
 
 def concat_datasets(*datasets: Dataset) -> Dataset:

@@ -39,10 +39,9 @@ from mosuq.net import (
     backward_batch,
     forward_batch,
     init_params,
-    param_arrays,
 )
 
-from conftest import FIXTURE_MC, FIXTURE_SPLIT, fixture_gen_config, head_rows
+from conftest import FIXTURE_MC, FIXTURE_SPLIT, fixture_gen_config, head_rows, param_arrays
 
 POOL_SIZE = 500
 OOD_SHIFT = 3.0

@@ -18,10 +18,10 @@ from mosuq.cli import build_parser, main
 from mosuq.calibrate import CalibrationScale
 from mosuq.datagen import DOMAIN_OOD, GenConfig, gen_synthetic, load_dataset_csv, save_dataset_csv
 from mosuq.metrics import EvalRecord, compute_report
-from mosuq.net import ArchConfig, init_params, param_arrays
+from mosuq.net import ArchConfig, init_params
 from mosuq.trainer import TrainConfig, load_checkpoint, predict_batch, save_checkpoint, train
 
-from conftest import concat_datasets, dataset_of
+from conftest import concat_datasets, dataset_of, param_arrays
 
 
 def strict_json(text):

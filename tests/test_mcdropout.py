@@ -327,6 +327,25 @@ class TestKernelInvariants:
         mc_forward(params, features[0], MCConfig(num_passes=25))
         assert checked == [(300, 2), (1, 2)]
 
+    def test_one_contraction_per_layer_and_block(self, monkeypatch):
+        """Each block makes one einsum per trunk layer and one per head
+        layer, both heads in the same call."""
+        subscripts, real = [], np.einsum
+
+        def counting_einsum(*args, **kwargs):
+            subscripts.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        params = paper_shape_params()
+        features = np.random.default_rng(5).normal(size=(131, 2))
+        block = ["rk,jk->rj", "hkrt,hjk->hjrt", "hjrt,hj->hrt"]
+        mc_forward(params, features[0], MCConfig(num_passes=25))
+        assert subscripts == block
+        subscripts.clear()
+        mc_forward_dataset(params, features, MCConfig(num_passes=25))
+        assert subscripts == block * 3
+
     def test_seeds_beyond_64_bits_fold_the_same_way_on_both_paths(self):
         params = tiny_params(seed=3)
         features = np.random.default_rng(9).normal(size=(3, 3))
@@ -690,6 +709,21 @@ class TestMCSamples:
             other = mc_forward_dataset(params, features, MCConfig(passes, p, seed + 1), scale)
             assert results != other and list(results) != rows[::-1]
         assert list(results) != rows[:-1] and results != results[:-1]
+
+    def test_length_and_truth_of_rows_and_columns(self):
+        """A row has length 1 and is truthy; columns have one entry per row,
+        so zero rows give an empty, falsy result."""
+        params = paper_shape_params(seed=2)
+        features = np.random.default_rng(1).normal(size=(3, 2))
+        cfg = MCConfig(5, 0.5, 1)
+        row = mc_forward(params, features[0], cfg)
+        results = mc_forward_dataset(params, features, cfg)
+        assert len(row) == 1 and bool(row)
+        assert len(results[2]) == 1 and bool(results[2])
+        assert len(results) == 3 and bool(results)
+        empty = mc_forward_dataset(params, features[:0], cfg)
+        assert len(empty) == 0 and not empty and list(empty) == []
+        assert empty.y_samples.shape == (0, 5) and empty.epi_dist_var.shape == (0,)
 
     def test_columns_hold_at_most_480_bytes_per_row(self):
         """Two 25-sample rows and five summaries are 440 B per row, against

@@ -23,9 +23,10 @@ from mosuq.net import (
     dropout_mask,
     forward_batch,
     init_params,
-    param_arrays,
     param_layout,
 )
+
+from conftest import param_arrays
 
 
 def drawn_mask(params, rng, rows):

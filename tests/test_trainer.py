@@ -33,7 +33,6 @@ from mosuq.net import (
     backward_batch,
     forward_batch,
     init_params,
-    param_arrays,
     param_layout,
 )
 from mosuq.trainer import (
@@ -47,7 +46,7 @@ from mosuq.trainer import (
     train,
 )
 
-from conftest import dataset_of
+from conftest import dataset_of, param_arrays
 
 
 def small_dataset(seed=0, n_per=25, sigma=0.3):
