@@ -43,8 +43,8 @@ class CheckpointVersionError(CheckpointError):
 def check_int(name: str, value, minimum: int) -> None:
     """Raise ConfigError unless value is an integer >= minimum. A bool is not
     an integer here; numpy integers are. An exact int skips the slower ABC check."""
-    integral = type(value) is int or type(value) is not bool and isinstance(value, numbers.Integral)
-    if not integral or value < minimum:
+    is_int = type(value) is int or (type(value) is not bool and isinstance(value, numbers.Integral))
+    if not is_int or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -54,7 +54,7 @@ def check_float(name: str, value, low: float, high: float, low_open: bool = Fals
     lies in no interval; numpy floats and integers are numbers. An exact
     float skips the slower ABC check."""
     if (
-        type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real))
+        (type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)))
         or not (low < value if low_open else low <= value)
         or not value < high
     ):

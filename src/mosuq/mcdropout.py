@@ -91,7 +91,8 @@ class MCSamples:
     (rows,) summaries. Indexing reads every column with the same index, so
     results[i] is row i as an MCSamples of (passes,) sample views and
     np.float64 summaries, and a slice gives an MCSamples of those rows;
-    iteration gives the rows in order. == compares column by column."""
+    iteration gives the rows in order. == compares column by column. A row
+    has length 1 only so that it is truthy: it cannot be iterated or indexed."""
 
     y_samples: np.ndarray
     s_samples: np.ndarray

@@ -712,7 +712,8 @@ class TestMCSamples:
 
     def test_length_and_truth_of_rows_and_columns(self):
         """A row has length 1 and is truthy; columns have one entry per row,
-        so zero rows give an empty, falsy result."""
+        so zero rows give an empty, falsy result. A row's length is only its
+        truth: its summaries are scalars, so it cannot be iterated or indexed."""
         params = paper_shape_params(seed=2)
         features = np.random.default_rng(1).normal(size=(3, 2))
         cfg = MCConfig(5, 0.5, 1)
@@ -721,6 +722,10 @@ class TestMCSamples:
         assert len(row) == 1 and bool(row)
         assert len(results[2]) == 1 and bool(results[2])
         assert len(results) == 3 and bool(results)
+        with pytest.raises(TypeError):
+            iter(row)
+        with pytest.raises(IndexError):
+            row[0]
         empty = mc_forward_dataset(params, features[:0], cfg)
         assert len(empty) == 0 and not empty and list(empty) == []
         assert empty.y_samples.shape == (0, 5) and empty.epi_dist_var.shape == (0,)
