@@ -28,11 +28,11 @@ activation, the log-variance clamp and the summaries each run once on the
 stack. Each head layer is one einsum without optimize over the stack, whose
 per-element bits equal those of one head at a time and do not depend on how
 many rows or passes share a call, except at 1 row x 1 pass, where einsum
-sums in another order; the kernel never forms that shape. Every
-block-sized buffer is made once per call, and each block works in leading
-slices of it. Row keys come from the same SplitMix64: row i of a dataset
-is keyed by its output i + 1 for the state seed mod 2^64 (row_seed),
-computed for all rows at once.
+sums in another order; the kernel never forms that shape. A config's
+constants are cached, the workspace is made and bound once per call, and
+one helper hashes each block's masks. Row keys come from the same
+SplitMix64: row i of a dataset is keyed by its output i + 1 for the state
+seed mod 2^64 (row_seed), computed for all rows at once.
 
 Results are columns, made once per call, and each block writes its samples
 and summaries into slices of them. mc_forward_dataset returns one
@@ -45,13 +45,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibrate import CalibrationScale
 from .errors import InputError, ShapeError, check_float, check_int
-from .net import S_CLAMP, ModelParams, _activate, _check_features
+from .net import S_CLAMP, ModelParams, _activate, _as_features, _check_features
 
 __all__ = ["MCConfig", "MCSamples", "variance_of", "mc_forward",
            "mc_forward_dataset", "row_seed"]
@@ -147,44 +148,55 @@ def _mean(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.add.reduce(a, axis=-1, out=out), a.shape[-1], out=out)
 
 
-def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float, work: tuple = ()) -> np.ndarray:
+def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float) -> np.ndarray:
     """Boolean keep mask of shape (rows, passes, 2, width).
 
     Unit u of head h (0 = score, 1 = log-variance) in pass t of a row with
     key k is kept when the SplitMix64 hash of k + c * 0x9E3779B97F4A7C15,
     with counter c = (2t + h) * width + u + 1, gives a uniform
     (hash >> 11) * 2^-53 >= p, tested exactly as hash >= ceil(p * 2^53) << 11
-    (the threshold is below 2^53). The mask is a transposed view of a
-    unit-major (2, width, rows, passes) buffer: the one in work, from
-    _mask_workspace, when it is given, and a fresh one otherwise.
+    (the threshold is below 2^53). The mask is a transposed view of the
+    unit-major buffer that _splitmix_keep writes, in a fresh workspace.
     """
-    step, z, shifted, keep = work or _mask_workspace(len(keys), passes, width)
-    z, shifted, keep = z[:, :, : len(keys)], shifted[:, :, : len(keys)], keep[:, :, : len(keys)]
-    np.add(keys[:, None], step[:, :, None], out=z)
+    step, threshold = _plan(passes, p, width, width, _BLOCK_UNITS)[2:4]
+    work = _mask_workspace(len(keys), passes, width)
+    return _splitmix_keep(keys[:, None], step[..., :passes], threshold, *work).transpose(2, 3, 0, 1)
+
+
+def _splitmix_keep(keys, step, threshold, z, shifted, keep) -> np.ndarray:
+    """The bits of _keep_mask, written into keep and returned unit-major as
+    (2, width, rows, passes), for a (rows, 1) column of keys and the counter
+    term and threshold of _plan; z and shifted are uint64 buffers of the
+    same shape, from _mask_workspace or leading slices of its buffers."""
+    np.add(keys, step, out=z)
     for shift, multiplier in _FINALISER:
         np.right_shift(z, shift, out=shifted)
         z ^= shifted
         if multiplier is not None:
             z *= multiplier
-    np.greater_equal(z, np.uint64(math.ceil(p * 2.0**53) << 11), out=keep)
-    return keep.transpose(2, 3, 0, 1)
+    return np.greater_equal(z, threshold, out=keep)
 
 
-@functools.lru_cache(maxsize=16)
-def _counter_term(passes: int, width: int) -> np.ndarray:
-    """c * 0x9E3779B97F4A7C15 (mod 2^64) for the counters c of _keep_mask,
-    unit-major as (2, width, passes); read-only, since calls share it."""
-    counter = np.arange(1, passes * 2 * width + 1, dtype=np.uint64).reshape(passes, 2, width)
-    step = np.ascontiguousarray(counter.transpose(1, 2, 0)) * _GOLDEN
+@functools.lru_cache(maxsize=64, typed=True)
+def _plan(passes: int, p: float, width: int, hidden: int, block_units: int) -> tuple:
+    """An MC config's constants, worked out once: rows per block (block_units
+    over passes x the wider layer); run, the pass columns the heads compute
+    (every pass, or one at p = 0, but at least two, because einsum sums a
+    1-row x 1-pass operand in another order; extra columns are dropped);
+    the read-only counter term c * 0x9E3779B97F4A7C15 (mod 2^64) of
+    _keep_mask as (2, width, 1, max(passes, 2)); the keep threshold; and
+    1 / (1 - p), in the precision of p, which is why the cache is typed."""
+    counter = np.arange(1, max(passes, 2) * 2 * width + 1, dtype=np.uint64).reshape(-1, 2, width)
+    step = np.ascontiguousarray(counter.transpose(1, 2, 0)[:, :, None]) * _GOLDEN
     step.flags.writeable = False
-    return step
+    block, threshold = max(1, block_units // (passes * max(width, hidden))), math.ceil(p * 2.0**53)
+    return block, max(passes if p else 1, 2), step, np.uint64(threshold << 11), 1.0 / (1.0 - p)
 
 
 def _mask_workspace(rows: int, passes: int, width: int) -> tuple:
-    """The counter term of _keep_mask and its unit-major (2, width, rows,
-    passes) buffers for up to rows rows."""
-    z, shifted = np.empty((2, 2, width, rows, passes), dtype=np.uint64)
-    return _counter_term(passes, width), z, shifted, np.empty(z.shape, dtype=bool)
+    """_splitmix_keep's z and shifted (one uint64 array) and keep, for up to rows rows."""
+    hashed = np.empty((2, 2, width, rows, passes), dtype=np.uint64)
+    return hashed[0], hashed[1], np.empty(hashed.shape[1:], dtype=bool)
 
 
 def _key(seed: int) -> int:
@@ -203,29 +215,28 @@ def _mc_rows(
     It returns the sample and summary columns of an MCSamples, in field order.
 
     Rows are processed in blocks so that the working memory is bounded by
-    _BLOCK_UNITS, whatever the row count: the workspace is made once per
-    call, and every block works in leading slices of it and writes into
-    slices of the result columns. At p = 0 the heads run one deterministic
-    pass, which every pass repeats.
+    _BLOCK_UNITS, whatever the row count. The workspace is made once per call
+    and its views bound before the loop; only a short last block slices them.
+    Each block writes into slices of the result columns. At p = 0 the heads
+    run one deterministic pass, which every pass repeats.
     """
     x = np.ascontiguousarray(x)
     _check_features(params.arch, x)
     arch, passes, p = params.arch, cfg.num_passes, cfg.dropout_p
-    kind, width = arch.activation, arch.trunk_output_dim
-    block = max(1, _BLOCK_UNITS // (passes * max(width, arch.head_hidden_dim)))
-    # The heads compute run pass columns: every pass, or at p = 0 one
-    # deterministic pass, and never fewer than two, because einsum sums a
-    # 1-row x 1-pass operand in another order. Extra columns are dropped.
-    size, run = min(block, len(x)), max(passes if p else 1, 2)
+    kind, width, hidden_dim = arch.activation, arch.trunk_output_dim, arch.head_hidden_dim
+    block, run, step, threshold, keep_scale = _plan(passes, p, width, hidden_dim, _BLOCK_UNITS)
+    n = min(block, len(x))
     # The workspace. The hash's shift buffer is dead once a mask is made, so
     # it then holds the masked head inputs.
-    work = _mask_workspace(size, run, width) if p else ()
-    head_in = work[2].view(np.float64) if p else None
-    hidden = np.empty((2, arch.head_hidden_dim, size, run))
-    # The two heads' samples, then exp of the log-variance samples.
-    samples = np.empty((3, size, max(passes, run)))
-    w, b = params.head_w, params.head_b
-    hidden_b, out_w = b[0][:, 0, :, None, None], w[1][:, 0]
+    if p:
+        z, shifted, keep = _mask_workspace(n, run, width)
+        h_in, keys = shifted.view(np.float64), keys[:, None]
+    # The heads' hidden layers; the two heads' samples, then exp of the
+    # log-variance samples.
+    h, stack = np.empty((2, hidden_dim, n, run)), np.empty((3, n, max(passes, run)))
+    out, stack = stack[:2, :, :run], stack[:, :, :passes]
+    (hidden_w, out_w), (hidden_b, out_b) = params.head_w, params.head_b
+    hidden_b, out_w = hidden_b[:, 0, :, None, None], out_w[:, 0]
     # The result, in MCSamples field order: y and s samples; the means of the
     # three sample rows (aleatoric before scaling); the y and s variances.
     sampled, summary = np.empty((2, len(x), passes)), np.empty((5, len(x)))
@@ -234,22 +245,25 @@ def _mc_rows(
         a = x[rows]
         for trunk_w, trunk_b in zip(params.trunk_w, params.trunk_b):
             a = _activate(np.einsum("rk,jk->rj", a, trunk_w) + trunk_b, kind)
-        n = len(a)
+        if len(a) < n:  # a short last block
+            n = len(a)
+            h, out, stack = h[:, :, :n], out[:, :n], stack[:, :n]
+            if p:
+                z, shifted, keep, h_in = (v[:, :, :n] for v in (z, shifted, keep, h_in))
         a = a.T[:, :, None]
         if p:
-            keep = _keep_mask(keys[rows], run, width, p, work).transpose(2, 3, 0, 1)
+            _splitmix_keep(keys[rows], step, threshold, z, shifted, keep)
             # a * (keep * scale), in this order: a dropped unit of a huge
             # input then gives a signed zero, where (a * scale) * 0 gives NaN.
-            h_in = np.multiply(keep, 1.0 / (1.0 - p), out=head_in[:, :, :n])
+            np.multiply(keep, keep_scale, out=h_in)
             np.multiply(a, h_in, out=h_in)
         else:
             h_in = np.broadcast_to(a, (2, width, n, run))
-        h, out, stack = hidden[:, :, :n], samples[:2, :n, :run], samples[:, :n, :passes]
-        np.einsum("hkrt,hjk->hjrt", h_in, w[0], out=h)
+        np.einsum("hkrt,hjk->hjrt", h_in, hidden_w, out=h)
         h += hidden_b
         _activate(h, kind, out=h)
         np.einsum("hjrt,hj->hrt", h, out_w, out=out)
-        out += b[1]
+        out += out_b
         if not p:
             stack[:2, :, 1:] = out[:, :, :1]
         np.maximum(stack[1], -S_CLAMP, out=stack[1])
@@ -274,16 +288,26 @@ def mc_forward(
 
     The masks are keyed by cfg.seed itself, taken modulo 2^64.
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_features(x)
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-d feature vector, got array of shape {x.shape}")
     keys = np.array([_key(cfg.seed)], np.uint64)
     sampled, summary = _mc_rows(params, x[None, :], keys, cfg, scale)
-    return MCSamples(*sampled[:, 0], *summary[:, 0])
+    # Indexed item by item: iterating the columns costs several times more.
+    return MCSamples(sampled[0, 0], sampled[1, 0], summary[0, 0], summary[1, 0],
+                     summary[2, 0], summary[3, 0], summary[4, 0])
 
 
 def row_seed(base_seed: int, row_index: int) -> int:
-    """Per-row seed: output row_index + 1 of SplitMix64 with state base_seed mod 2^64."""
+    """Per-row seed: output row_index + 1 of SplitMix64 with state base_seed mod 2^64.
+
+    Both must be Python or numpy integers (not bools) in range, else it
+    raises InputError.
+    """
+    if not (type(base_seed) is int and type(row_index) is int) and not all(
+        isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (base_seed, row_index)
+    ):
+        raise InputError(f"row_seed needs integers; got {base_seed!r}, {row_index!r}")
     if base_seed < 0 or not 0 <= row_index <= _MASK64:
         raise InputError(f"row_seed needs seed >= 0, 0 <= row < 2^64; got {base_seed}, {row_index}")
     return _row_keys(_key(base_seed), int(row_index))
@@ -311,7 +335,7 @@ def mc_forward_dataset(
     Row i uses seed row_seed(cfg.seed, i), so per-row results do not depend
     on which other rows are present and repeat runs are bit-identical.
     """
-    features = np.asarray(features, dtype=float)
+    features = _as_features(features)
     if features.ndim != 2:
         raise InputError(f"expected a 2-d feature matrix, got shape {features.shape}")
     keys = _row_keys(_key(cfg.seed), np.arange(len(features), dtype=np.uint64))

@@ -62,6 +62,8 @@ ACTIVATIONS = ("tanh", "relu")
 # or an out-of-distribution input pushes the raw head output.
 S_CLAMP = 10.0
 
+_FLOAT64 = np.dtype(np.float64)
+
 # Parameter groups; within a group, layers in order.
 GROUPS = ("trunk_w", "trunk_b", "head_w", "head_b")
 
@@ -211,6 +213,21 @@ def _check_shape(arch: ArchConfig, x: np.ndarray) -> None:
         raise ShapeError(
             f"expected features of width {arch.input_dim}, got array of shape {x.shape}"
         )
+
+
+def _as_features(x) -> np.ndarray:
+    """x as a float64 array. Features that are ragged or not real numbers
+    (strings, complex numbers, objects that are not numbers) are an
+    InputError; bools, integers and number objects are converted."""
+    try:
+        x = np.asarray(x)
+        if x.dtype.kind == "O":
+            x = x.astype(np.float64)
+    except (TypeError, ValueError):  # ragged, or an object that is not a number
+        raise InputError("features must be a rectangular array of real numbers") from None
+    if x.dtype.kind not in "biuf":
+        raise InputError(f"features must be real numbers, got an array of dtype {x.dtype}")
+    return x if x.dtype is _FLOAT64 else x.astype(np.float64)
 
 
 def _check_features(arch: ArchConfig, x: np.ndarray) -> None:

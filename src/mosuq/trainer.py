@@ -52,6 +52,7 @@ from .loss import LOSSES, mse_loss_batch, nll_loss_batch
 from .net import (
     ArchConfig,
     ModelParams,
+    _as_features,
     _check_features,
     backward_batch,
     dropout_mask,
@@ -253,9 +254,10 @@ def _checked_split(
 def predict_batch(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (y_hat, s) arrays for a feature matrix.
 
-    Raises InputError if a feature is not finite.
+    Raises InputError if the features are ragged or a feature is not a
+    finite real number.
     """
-    features = np.asarray(features, dtype=float)
+    features = _as_features(features)
     _check_features(params.arch, features)
     y_hat, s, _ = forward_batch(params, features)
     return y_hat, s

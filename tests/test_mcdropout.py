@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from mosuq.mcdropout import (
     variance_of,
 )
 from mosuq.net import S_CLAMP, ArchConfig, forward_batch, init_params
+from mosuq.trainer import predict_batch
 
 from conftest import FIXTURE_MC, fixture_gen_config
 
@@ -254,6 +257,7 @@ class TestKernelInvariants:
             raise AssertionError("mask bits drawn at p = 0")
 
         monkeypatch.setattr(mcdropout, "_keep_mask", no_bits)
+        monkeypatch.setattr(mcdropout, "_splitmix_keep", no_bits)
         params = paper_shape_params(seed=2)
         features = np.random.default_rng(8).normal(size=(30, 2))
         results = mc_forward_dataset(params, features, MCConfig(4, 0.0, seed=1))
@@ -315,6 +319,42 @@ class TestKernelInvariants:
         with pytest.raises(InputError):
             mc_forward_dataset(params, features, MCConfig())
 
+    @pytest.mark.parametrize(
+        "row, matrix",
+        [
+            (["a", "b"], [["a", "b"]]),  # not numbers
+            ([1.0, [2.0, 3.0]], [[1.0, 2.0], [3.0]]),  # ragged
+            ([1.0 + 2.0j, 0.5], [[1.0 + 2.0j, 0.5]]),  # complex
+            ([1.0 + 2.0j, None], [[1.0 + 2.0j, None]]),  # objects, one complex
+        ],
+        ids=["non-numeric", "ragged", "complex", "complex-object"],
+    )
+    @pytest.mark.parametrize("entry", ["mc_forward", "mc_forward_dataset", "predict_batch"])
+    def test_malformed_features_are_an_input_error(self, entry, row, matrix):
+        params, cfg = paper_shape_params(), MCConfig(num_passes=3)
+        call = {
+            "mc_forward": lambda: mc_forward(params, row, cfg),
+            "mc_forward_dataset": lambda: mc_forward_dataset(params, matrix, cfg),
+            "predict_batch": lambda: predict_batch(params, matrix),
+        }[entry]
+        # No numpy warning (a ComplexWarning for complex input) gets through.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="features"):
+                call()
+
+    def test_integer_and_bool_features_are_converted(self):
+        params, cfg = paper_shape_params(), MCConfig(num_passes=3, seed=4)
+        floats = np.array([[1.0, 0.0], [-2.0, 1.0]])
+        for matrix in ([[1, 0], [-2, 1]], np.array([[1, 0], [-2, 1]], dtype=np.int8)):
+            want = mc_forward_dataset(params, floats, cfg)
+            assert mc_forward_dataset(params, matrix, cfg) == want
+            assert mc_forward(params, matrix[0], cfg) == mc_forward(params, floats[0], cfg)
+            assert np.array_equal(predict_batch(params, matrix), predict_batch(params, floats))
+        assert mc_forward(params, [True, False], cfg) == mc_forward(params, floats[0], cfg)
+        numbers = np.array([Fraction(1), 0], dtype=object)
+        assert mc_forward(params, numbers, cfg) == mc_forward(params, floats[0], cfg)
+
     def test_features_are_validated_once_per_call(self, monkeypatch):
         checked = []
         real = mcdropout._check_features
@@ -326,6 +366,30 @@ class TestKernelInvariants:
         mc_forward_dataset(params, features, MCConfig(num_passes=25))
         mc_forward(params, features[0], MCConfig(num_passes=25))
         assert checked == [(300, 2), (1, 2)]
+
+    def test_masks_are_hashed_once_per_block_by_the_shared_helper(self, monkeypatch):
+        """The kernel and _keep_mask hash through one helper, and the kernel
+        calls it once per block: 1 call for one row, 3 for 131 rows in blocks
+        of 64, none at p = 0."""
+        hashed, real = [], mcdropout._splitmix_keep
+
+        def counting_hash(keys, *rest):
+            hashed.append(len(keys))
+            return real(keys, *rest)
+
+        monkeypatch.setattr(mcdropout, "_splitmix_keep", counting_hash)
+        params = paper_shape_params()
+        features = np.random.default_rng(5).normal(size=(131, 2))
+        mc_forward(params, features[0], MCConfig(num_passes=25))
+        assert hashed == [1]
+        hashed.clear()
+        mc_forward_dataset(params, features, MCConfig(num_passes=25))
+        assert hashed == [64, 64, 3]
+        hashed.clear()
+        mc_forward_dataset(params, features, MCConfig(num_passes=25, dropout_p=0.0))
+        assert hashed == []
+        keep = _keep_mask(np.arange(5, dtype=np.uint64), 25, 16, 0.5)
+        assert hashed == [5] and keep.shape == (5, 25, 2, 16)
 
     def test_one_contraction_per_layer_and_block(self, monkeypatch):
         """Each block makes one einsum per trunk layer and one per head
@@ -449,6 +513,23 @@ class TestRowKeys:
         with pytest.raises(InputError):
             row_seed(base, i)
 
+    @pytest.mark.parametrize(
+        "base, i",
+        [
+            (1.5, 0), (1, 2.7), (2.0, 0), (0, np.float64(3.0)), (True, 0), (0, False),
+            (np.True_, 0), ("3", 0), (0, "1"), (math.nan, 0), (None, 0), (0, [1]),
+        ],
+    )
+    def test_non_integer_arguments_are_an_input_error(self, base, i):
+        with pytest.raises(InputError, match="integers"):
+            row_seed(base, i)
+
+    @pytest.mark.parametrize(
+        "base, i", [(np.int64(3), 5), (3, np.uint64(5)), (np.uint8(3), np.int32(5))]
+    )
+    def test_numpy_integers_are_accepted(self, base, i):
+        assert row_seed(base, i) == row_seed(3, 5) == splitmix_key(3, 5)
+
     def test_row_seed_reproduces_dataset_rows_for_seeds_beyond_64_bits(self):
         params = tiny_params(seed=3)
         features = np.random.default_rng(9).normal(size=(3, 3))
@@ -486,6 +567,57 @@ class TestBufferReuse:
         for (n, cfg), results in zip(calls, forward):
             assert results[n - 1] == one_row(params, features, cfg, n - 1)
 
+    def test_interleaved_calls_equal_calls_after_clearing_the_plan_cache(self, monkeypatch):
+        """The kernel keeps no state across calls but its cached constants:
+        each call of a shuffled run over archs, pass counts, dropout rates and
+        block fills equals the same call made with the plan cache cleared."""
+        archs = [
+            ArchConfig(input_dim=2, trunk_dims=(16,), head_hidden_dim=16),
+            ArchConfig(input_dim=2, trunk_dims=(5,), head_hidden_dim=7, activation="relu"),
+            ArchConfig(input_dim=2, trunk_dims=(), head_hidden_dim=3),
+        ]
+        models = [init_params(arch, seed=k) for k, arch in enumerate(archs)]
+        data = np.random.default_rng(13)
+        features = data.normal(size=(129, 2))
+        calls = [
+            (k, passes, p, rows)
+            for k in range(len(models))
+            for passes in (1, 2, 25)
+            for p in (0.0, 0.37)
+            for rows in (1, 63, 64, 65, 129)
+        ]
+        data.shuffle(calls)
+
+        def call(k, passes, p, rows):
+            arch = archs[k]
+            # Blocks of 64 rows, so that the row counts fill blocks every way.
+            widest = max(arch.trunk_output_dim, arch.head_hidden_dim)
+            monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * widest)
+            cfg = MCConfig(num_passes=passes, dropout_p=p, seed=rows + 100 * k)
+            return (
+                mc_forward_dataset(models[k], features[:rows], cfg),
+                mc_forward(models[k], features[rows - 1], cfg),
+            )
+
+        interleaved = [call(*c) for c in calls]
+        for c, (columns, row) in zip(calls, interleaved):
+            mcdropout._plan.cache_clear()
+            fresh_columns, fresh_row = call(*c)
+            assert columns == fresh_columns and row == fresh_row
+
+    def test_equal_dropout_rates_of_other_types_do_not_share_a_plan(self):
+        """1 / (1 - p) is computed in the precision of p, so a float32 0.25
+        and a float 0.25 scale the masks differently, in either order."""
+        params = paper_shape_params(seed=2)
+        features = np.random.default_rng(14).normal(size=(5, 2))
+        results = {}
+        for p in (np.float32(0.25), 0.25, np.float32(0.25), 0.25):
+            got = mc_forward_dataset(params, features, MCConfig(num_passes=25, dropout_p=p))
+            mcdropout._plan.cache_clear()
+            fresh = mc_forward_dataset(params, features, MCConfig(num_passes=25, dropout_p=p))
+            assert got == fresh == results.setdefault(type(p), fresh)
+        assert results[float] != results[np.float32]
+
     @pytest.mark.parametrize("trunk_dims, head", [((16,), 16), ((1,), 64), ((), 256)])
     def test_working_memory_is_bounded_by_the_head_width_too(self, trunk_dims, head):
         """A block's hidden-layer buffer grows with the head width, so a
@@ -504,13 +636,17 @@ class TestBufferReuse:
         assert peak < 8e6
 
     @pytest.mark.parametrize("p", [2.0**-53, 0.37, 1.0 - 2.0**-53])
-    def test_keep_mask_in_a_workspace_equals_fresh_buffers_and_the_hash(self, p):
+    def test_hash_in_a_reused_workspace_equals_fresh_buffers_and_the_hash(self, p):
+        """The kernel hashes every block into leading slices of one workspace."""
         passes, width = 3, 4
         work = _mask_workspace(10, passes, width)
+        step, threshold = mcdropout._plan(passes, p, width, width, _BLOCK_UNITS)[2:4]
         for rows in (10, 3, 1, 10):
             keys = np.array([(977 * r + rows) * 0x9E3779B97F4A7C15 % 2**64 for r in range(rows)],
                             dtype=np.uint64)
-            keep = _keep_mask(keys, passes, width, p, work)
+            views = (v[:, :, :rows] for v in work)
+            keep = mcdropout._splitmix_keep(keys[:, None], step, threshold, *views)
+            keep = keep.transpose(2, 3, 0, 1)
             assert np.array_equal(keep, _keep_mask(keys, passes, width, p))
             want = [
                 splitmix_uniform(int(key), c + 1) >= p
