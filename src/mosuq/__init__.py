@@ -48,6 +48,7 @@ from .metrics import (
 from .net import (
     ArchConfig,
     ModelParams,
+    Workspace,
     backward_batch,
     forward_batch,
     init_params,

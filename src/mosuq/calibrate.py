@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, InvariantError
-from .net import HeteroPrediction
+from .net import HeteroPrediction, _as_features
 
 __all__ = [
     "DEGENERATE_FLOOR",
@@ -60,14 +60,14 @@ class CalibrationScale:
 
     @classmethod
     def fit(cls, y_hat, s, y) -> "CalibrationScale":
-        """Fit the scale on three matched 1-d columns: point predictions,
-        their log-variances and the labels.
+        """Fit the scale on three matched 1-d columns of real numbers: point
+        predictions, their log-variances and the labels (InputError otherwise).
 
         The positive root is always taken. If the summed normalized
         residuals fall below 1e-12 the scale is floored at DEGENERATE_FLOOR
         and a DegenerateCalibrationWarning is emitted.
         """
-        y_hat, s, y = (np.asarray(column, dtype=float) for column in (y_hat, s, y))
+        y_hat, s, y = (_as_features(column, "calibration columns") for column in (y_hat, s, y))
         shapes = [column.shape for column in (y_hat, s, y)]
         if len(set(shapes)) > 1 or y.ndim != 1:
             raise InputError(f"calibration needs 1-d columns of one length, got shapes {shapes}")

@@ -185,7 +185,7 @@ class Homoscedastic:
     sigma: float = 0.1
 
     def __post_init__(self):
-        check_float("sigma", self.sigma, 0.0, math.inf)
+        self.__dict__["sigma"] = check_float("sigma", self.sigma, 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ class RaterPanel:
     rater_sd: float = 0.8
 
     def __post_init__(self):
-        check_int("num_raters", self.num_raters, 1)
-        check_float("rater_sd", self.rater_sd, 0.0, math.inf)
+        self.__dict__["num_raters"] = check_int("num_raters", self.num_raters, 1)
+        self.__dict__["rater_sd"] = check_float("rater_sd", self.rater_sd, 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -218,10 +218,11 @@ class GenConfig:
     clip_labels: bool = False
 
     def __post_init__(self):
-        check_int("num_systems", self.num_systems, 1)
-        check_int("samples_per_system", self.samples_per_system, 1)
-        check_int("feature_dim", self.feature_dim, 1)
-        check_int("seed", self.seed, 0)
+        self.__dict__["num_systems"] = check_int("num_systems", self.num_systems, 1)
+        n = check_int("samples_per_system", self.samples_per_system, 1)
+        self.__dict__["samples_per_system"] = n
+        self.__dict__["feature_dim"] = check_int("feature_dim", self.feature_dim, 1)
+        self.__dict__["seed"] = check_int("seed", self.seed, 0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

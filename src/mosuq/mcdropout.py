@@ -81,9 +81,9 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("num_passes", self.num_passes, 1)
-        check_float("dropout_p", self.dropout_p, 0.0, 1.0)
-        check_int("seed", self.seed, 0)
+        self.__dict__["num_passes"] = check_int("num_passes", self.num_passes, 1)
+        self.__dict__["dropout_p"] = check_float("dropout_p", self.dropout_p, 0.0, 1.0)
+        self.__dict__["seed"] = check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +126,10 @@ def variance_of(samples) -> np.ndarray | float:
     A (rows, passes) array gives one variance per row; a flat sequence gives
     one float. A row of identical samples gives exactly 0.0, so degenerate
     sampling setups (single pass, zero dropout) report zero epistemic
-    variance without floating-point residue.
+    variance without floating-point residue. Samples that are ragged or not
+    real numbers raise InputError.
     """
-    a = np.asarray(samples, dtype=float)
+    a = _as_features(samples, "samples")
     if a.ndim == 0 or a.shape[-1] == 0:
         raise InputError("variance of an empty sample list is undefined")
     return _variance(a, _mean(a), np.empty(a.shape[:-1]))[()]
@@ -177,7 +178,7 @@ def _splitmix_keep(keys, step, threshold, z, shifted, keep) -> np.ndarray:
     return np.greater_equal(z, threshold, out=keep)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _plan(passes: int, p: float, width: int, hidden: int, block_units: int) -> tuple:
     """An MC config's constants, worked out once: rows per block (block_units
     over passes x the wider layer); run, the pass columns the heads compute
@@ -185,7 +186,7 @@ def _plan(passes: int, p: float, width: int, hidden: int, block_units: int) -> t
     1-row x 1-pass operand in another order; extra columns are dropped);
     the read-only counter term c * 0x9E3779B97F4A7C15 (mod 2^64) of
     _keep_mask as (2, width, 1, max(passes, 2)); the keep threshold; and
-    1 / (1 - p), in the precision of p, which is why the cache is typed."""
+    1 / (1 - p). p is a Python float, as MCConfig stores it."""
     counter = np.arange(1, max(passes, 2) * 2 * width + 1, dtype=np.uint64).reshape(-1, 2, width)
     step = np.ascontiguousarray(counter.transpose(1, 2, 0)[:, :, None]) * _GOLDEN
     step.flags.writeable = False

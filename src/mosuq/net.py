@@ -9,26 +9,22 @@ perturbs the heads.
 All learnable arrays live in one contiguous float64 vector,
 ``ModelParams.flat``. One layout table, ``param_layout(arch)``, gives each
 array's group, shape and span in that vector, and ``trunk_w``, ``trunk_b``,
-``head_w`` and ``head_b`` are views into it. The two heads are stored side
-by side: ``head_w`` and ``head_b`` view each head layer as one ``(2, ...)``
-stack, score head first, and each head layer is one ``np.matmul``.
-``backward_batch`` writes its gradients into a flat vector of the same
-layout (a ModelParams, fresh or reused), so an optimizer updates every
-parameter with a few whole-vector operations.
+``head_w`` and ``head_b`` are views into it; the head views hold each head
+layer of both heads as one ``(2, ...)`` stack, score head first, so each
+head layer is one ``np.matmul``. Gradients share the layout, so an
+optimizer updates every parameter with a few whole-vector operations.
 
-Everything else is plain and explicit: the network draws no random numbers,
-and gradients are computed by replaying the forward pass, whose
-intermediates ``forward_batch`` hands to ``backward_batch`` as a plain
-tuple. Dropout runs only when the caller passes a mask: the ``(2, B, H)``
-inverted-dropout multipliers of both heads, score head first.
-``dropout_mask`` makes one from a generator's uniforms; the trainer draws
-them for many batches at once and hands each batch its slice.
-
-There is one code path per operation, over a batch of rows:
-``forward_batch`` and ``backward_batch``. A single row is a batch of one.
-``forward_batch`` checks only the shape of its features. Their finiteness
-is checked once per dataset by its callers (``trainer.train`` for the train
-and validation splits, ``trainer.predict_batch``, and the MC kernel).
+There is one code path per operation, over a batch of rows (a single row is
+a batch of one): ``forward_batch`` and ``backward_batch``. Both write every
+intermediate into a ``Workspace``, which is also the forward cache that the
+backward pass replays; training makes one per batch length and reuses it,
+with the weight views it binds once, so a step's passes make no new
+arrays, and any other call gets a fresh one. The network draws no random
+numbers: dropout runs only when the caller passes a mask, the ``(2, B, H)``
+inverted-dropout multipliers of both heads, score head first, which
+``dropout_mask`` makes from a generator's uniforms. ``forward_batch``
+checks only the shape of its features; their callers check finiteness
+once per dataset.
 """
 
 from __future__ import annotations
@@ -48,6 +44,7 @@ __all__ = [
     "ArchConfig",
     "ModelParams",
     "HeteroPrediction",
+    "Workspace",
     "param_layout",
     "init_params",
     "dropout_mask",
@@ -86,12 +83,10 @@ class ArchConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
-        check_int("input_dim", self.input_dim, 1)
-        for w in self.trunk_dims:
-            check_int("trunk width", w, 1)
-        object.__setattr__(self, "trunk_dims", tuple(int(w) for w in self.trunk_dims))
-        check_int("head_hidden_dim", self.head_hidden_dim, 1)
-        check_float("dropout_p", self.dropout_p, 0.0, 1.0)
+        self.__dict__["input_dim"] = check_int("input_dim", self.input_dim, 1)
+        self.__dict__["trunk_dims"] = tuple(check_int("trunk width", w, 1) for w in self.trunk_dims)
+        self.__dict__["head_hidden_dim"] = check_int("head_hidden_dim", self.head_hidden_dim, 1)
+        self.__dict__["dropout_p"] = check_float("dropout_p", self.dropout_p, 0.0, 1.0)
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
@@ -185,12 +180,12 @@ def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nda
     return np.maximum(z, 0.0, out=out)
 
 
-def _activate_grad(post: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(post: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
     # tanh' from the cached output avoids recomputing tanh; relu' is 0 at 0,
     # and relu's output is positive exactly where its input is.
     if kind == "tanh":
-        return 1.0 - post * post
-    return post > 0.0
+        return np.subtract(1.0, np.multiply(post, post, out=out), out=out)
+    return np.greater(post, 0.0, out=out)
 
 
 def init_params(arch: ArchConfig, seed: int) -> ModelParams:
@@ -215,18 +210,18 @@ def _check_shape(arch: ArchConfig, x: np.ndarray) -> None:
         )
 
 
-def _as_features(x) -> np.ndarray:
-    """x as a float64 array. Features that are ragged or not real numbers
-    (strings, complex numbers, objects that are not numbers) are an
-    InputError; bools, integers and number objects are converted."""
+def _as_features(x, what: str = "features") -> np.ndarray:
+    """x as a float64 array. Values that are ragged or not real numbers (strings,
+    complex numbers, objects that are not numbers) are an InputError naming
+    what they are; bools, integers and number objects are converted."""
     try:
         x = np.asarray(x)
         if x.dtype.kind == "O":
             x = x.astype(np.float64)
     except (TypeError, ValueError):  # ragged, or an object that is not a number
-        raise InputError("features must be a rectangular array of real numbers") from None
+        raise InputError(f"{what} must be a rectangular array of real numbers") from None
     if x.dtype.kind not in "biuf":
-        raise InputError(f"features must be real numbers, got an array of dtype {x.dtype}")
+        raise InputError(f"{what} must be real numbers, got an array of dtype {x.dtype}")
     return x if x.dtype is _FLOAT64 else x.astype(np.float64)
 
 
@@ -250,96 +245,144 @@ def dropout_mask(rng: np.random.Generator, p: float, shape, out=None) -> np.ndar
     return np.divide(np.greater_equal(u, p, out=u), 1.0 - p, out=u)
 
 
+class Workspace:
+    """The buffers of a batch pass over a fixed number of rows, with the
+    transposed weight views of params bound once (an optimizer updates
+    params.flat in place, so they stay valid). for_training() adds those of
+    a masked pass, the loss and backward_batch, which binds the gradient
+    views of its output. loss_out is a loss's (values, d_y_hat, d_s) output;
+    the last two view d_out, the (2, rows, 1) upstream stack, score first."""
+
+    def __init__(self, params: ModelParams, rows: int):
+        arch = params.arch
+        self.params, self.kind = params, arch.activation
+        self.grads = self.h_buf = None  # bound by backward_batch; made by for_training
+        self.x_shape, self.h_shape = (rows, arch.input_dim), (2, rows, arch.trunk_output_dim)
+        self.trunk = [  # per trunk layer: W.T, b, the layer's output
+            (w.T, b, np.empty((rows, n)))
+            for w, b, n in zip(params.trunk_w, params.trunk_b, arch.trunk_dims)
+        ]
+        (self.w0, self.w1), (self.b0, self.b1) = params.head_w, params.head_b
+        self.w0_t, self.w1_t = self.w0.transpose(0, 2, 1), self.w1.transpose(0, 2, 1)
+        self.hidden, self.out = np.empty((2, rows, arch.head_hidden_dim)), np.empty((2, rows, 1))
+        (self.y_hat, self.s_raw), self.s = self.out[:, :, 0], np.empty(rows)
+
+    def for_training(self) -> Workspace:
+        """Make the buffers of a masked pass, the loss and backward_batch, once."""
+        if self.h_buf is None:
+            rows = self.x_shape[0]
+            grad_dtype = float if self.kind == "tanh" else bool  # 1 - post^2, or post > 0
+            self.h_buf, self.d_h = np.empty((2, *self.h_shape))  # masked head input, its derivative
+            self.d_hidden = np.empty(self.hidden.shape)
+            self.act_grad = np.empty(self.hidden.shape, grad_dtype)
+            self.d_out = np.empty(self.out.shape)
+            self.d_y_hat, self.d_s = self.d_out[:, :, 0]
+            self.loss_out = (np.empty(rows), self.d_y_hat, self.d_s)
+            self.abs_s_raw, self.unclamped = np.empty(rows), np.empty(rows, bool)
+            self.d_out_t = self.d_out.transpose(0, 2, 1)
+            self.d_hidden_t = self.d_hidden.transpose(0, 2, 1)
+            # Per trunk layer: W, its output, and that output's derivative
+            # and activation derivative.
+            self.trunk_back = [
+                (w, post, np.empty(post.shape), np.empty(post.shape, grad_dtype))
+                for w, (_, _, post) in zip(self.params.trunk_w, self.trunk)
+            ]
+        return self
+
+
 def forward_batch(
-    params: ModelParams, x: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, tuple]:
+    params: ModelParams, x, mask: np.ndarray | None = None, work: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray, Workspace]:
     """Run the network on a (batch, input_dim) array.
 
-    Returns (y_hat, s, cache) where y_hat and s are (batch,) arrays, s is
-    already clamped to [-S_CLAMP, +S_CLAMP], and cache holds the
-    intermediates that backward_batch replays. mask, when given, is the
-    (2, batch, trunk_output_dim) inverted-dropout multipliers of the
-    heads' input, score head first (see dropout_mask); without one the pass
-    runs no dropout. Features are not checked for finiteness here (see the
-    module docstring).
+    Returns (y_hat, s, work): (batch,) arrays, s clamped to [-S_CLAMP,
+    +S_CLAMP], and the Workspace that holds them, the cache backward_batch
+    replays. Without work a fresh one is made and x is converted by
+    _as_features; with one, x must be a float64 array of its rows, and its
+    next pass overwrites the outputs. mask, when given, is the
+    (2, batch, trunk_output_dim) dropout multipliers of the heads' input
+    (see dropout_mask); without one the pass runs no dropout.
     """
-    arch = params.arch
-    x = np.asarray(x, dtype=float)
-    _check_shape(arch, x)
+    if work is None:
+        x = _as_features(x)
+        _check_shape(params.arch, x)
+        work = Workspace(params, len(x))
+    elif work.params is not params or x.shape != work.x_shape:
+        raise ShapeError(f"workspace of shape {work.x_shape} does not match the params or features")
+    if mask is not None and mask.shape != work.h_shape:
+        raise ShapeError(f"expected a dropout mask of shape {work.h_shape}, got {mask.shape}")
 
-    a = x
-    trunk_post = []
-    for w, b in zip(params.trunk_w, params.trunk_b):
-        a = _activate(a @ w.T + b, arch.activation)
-        trunk_post.append(a)
-
+    kind, hidden, out, a = work.kind, work.hidden, work.out, x
+    for w_t, b, post in work.trunk:
+        np.matmul(a, w_t, out=post)
+        post += b
+        a = _activate(post, kind, out=post)
     # Both heads at once, as (2, B, .) stacks. Without a mask the heads
     # share the trunk output without a copy.
-    if mask is not None:
-        if mask.shape != (2, *a.shape):
-            raise ShapeError(
-                f"expected a dropout mask of shape {(2, *a.shape)}, got {mask.shape}"
-            )
-        h_in = a * mask
+    work.x, work.mask = x, mask
+    if mask is None:
+        work.h_in = np.broadcast_to(a, work.h_shape)
     else:
-        h_in = np.broadcast_to(a, (2, *a.shape))
-    w, b = params.head_w, params.head_b
-    hidden = _activate(np.matmul(h_in, w[0].transpose(0, 2, 1)) + b[0], arch.activation)
-    out = np.matmul(hidden, w[1].transpose(0, 2, 1)) + b[1]
-    s_raw = out[1, :, 0]
-    s = np.minimum(np.maximum(s_raw, -S_CLAMP), S_CLAMP)
-    return out[0, :, 0], s, (x, trunk_post, mask, h_in, hidden, s_raw)
+        work.h_in = np.multiply(a, mask, out=work.for_training().h_buf)
+    np.matmul(work.h_in, work.w0_t, out=hidden)
+    hidden += work.b0
+    _activate(hidden, kind, out=hidden)
+    np.matmul(hidden, work.w1_t, out=out)
+    out += work.b1
+    np.minimum(np.maximum(work.s_raw, -S_CLAMP, out=work.s), S_CLAMP, out=work.s)
+    return work.y_hat, work.s, work
 
 
 def backward_batch(
-    cache: tuple,
+    work: Workspace,
     params: ModelParams,
     d_y_hat: np.ndarray,
     d_s: np.ndarray,
     out: ModelParams | None = None,
 ) -> ModelParams:
-    """Parameter gradients for a cached batch forward pass.
+    """Parameter gradients for the forward pass cached in work, its Workspace.
 
     d_y_hat and d_s are (batch,) upstream derivatives of a scalar loss with
-    respect to the two outputs. Where the log-variance clamp was active the
-    incoming d_s is zeroed, matching the piecewise-constant clamp. The
-    gradients are written into out, which every call overwrites entirely,
-    or into a new ModelParams when out is None; either is returned.
+    respect to the two outputs, read in place when they are work.d_y_hat
+    and work.d_s (as a loss given out=work.loss_out returns them). Where
+    the log-variance clamp was active d_s is zeroed, matching the
+    piecewise-constant clamp. The gradients are written into out, which
+    every call overwrites entirely, or into a new ModelParams; either is
+    returned.
     """
-    x, trunk_post, mask, h_in, hidden, s_raw = cache
-    arch = params.arch
-    if x.shape[1] != arch.input_dim or h_in.shape[2] != arch.trunk_output_dim:
+    if work.params is not params:
         raise ShapeError("forward cache does not match the supplied parameters")
-    d_y_hat = np.asarray(d_y_hat, dtype=float)
-    d_s = np.asarray(d_s, dtype=float)
-    if d_y_hat.shape != (len(x),) or d_s.shape != (len(x),):
-        raise ShapeError(
-            f"upstream gradients must have shape ({len(x)},), "
-            f"got {d_y_hat.shape} and {d_s.shape}"
-        )
+    work.for_training()
+    if d_y_hat is not work.d_y_hat or d_s is not work.d_s:
+        shapes = np.shape(d_y_hat), np.shape(d_s)
+        if shapes != (work.s.shape,) * 2:
+            raise ShapeError(f"upstream gradients must have shape {work.s.shape}, got {shapes}")
+        work.d_y_hat[...], work.d_s[...] = d_y_hat, d_s
     if out is None:
-        out = ModelParams(arch, np.empty_like(params.flat), params.rng_seed_used)
-    elif out.arch is not arch and out.arch != arch:
+        out = ModelParams(params.arch, np.empty_like(params.flat), params.rng_seed_used)
+    elif out.arch is not params.arch and out.arch != params.arch:
         raise ShapeError("gradient buffer does not match the supplied parameters")
+    if out is not work.grads:
+        work.grads, (work.g_w0, work.g_w1), (work.g_b0, work.g_b1) = out, out.head_w, out.head_b
 
-    kind = arch.activation
-    w, d_w, d_b = params.head_w, out.head_w, out.head_b
-    d_out = np.empty((2, len(x), 1))
-    d_out[0, :, 0] = d_y_hat
-    np.multiply(d_s, np.abs(s_raw) < S_CLAMP, out=d_out[1, :, 0])
-    np.matmul(d_out.transpose(0, 2, 1), hidden, out=d_w[1])
-    np.add.reduce(d_out, axis=1, keepdims=True, out=d_b[1])
-    d_hidden = np.matmul(d_out, w[1]) * _activate_grad(hidden, kind)
-    np.matmul(d_hidden.transpose(0, 2, 1), h_in, out=d_w[0])
-    np.add.reduce(d_hidden, axis=1, keepdims=True, out=d_b[0])
-    d_h = np.matmul(d_hidden, w[0])
-    if mask is not None:
-        d_h *= mask
-    d_a = d_h[0] + d_h[1]
-    for l in range(len(trunk_post) - 1, -1, -1):
-        d_z = d_a * _activate_grad(trunk_post[l], kind)
-        np.matmul(d_z.T, trunk_post[l - 1] if l > 0 else x, out=out.trunk_w[l])
+    kind, hidden, d_hidden, trunk = work.kind, work.hidden, work.d_hidden, work.trunk
+    work.d_s *= np.less(np.abs(work.s_raw, out=work.abs_s_raw), S_CLAMP, out=work.unclamped)
+    np.matmul(work.d_out_t, hidden, out=work.g_w1)
+    np.add.reduce(work.d_out, axis=1, keepdims=True, out=work.g_b1)
+    np.matmul(work.d_out, work.w1, out=d_hidden)
+    d_hidden *= _activate_grad(hidden, kind, work.act_grad)
+    np.matmul(work.d_hidden_t, work.h_in, out=work.g_w0)
+    np.add.reduce(d_hidden, axis=1, keepdims=True, out=work.g_b0)
+    if trunk:
+        d_h = np.matmul(d_hidden, work.w0, out=work.d_h)
+        if work.mask is not None:
+            d_h *= work.mask
+        np.add(d_h[0], d_h[1], out=work.trunk_back[-1][2])
+    for l in range(len(trunk) - 1, -1, -1):
+        w, post, d_z, act_grad = work.trunk_back[l]
+        np.multiply(d_z, _activate_grad(post, kind, act_grad), out=d_z)
+        np.matmul(d_z.T, work.trunk_back[l - 1][1] if l > 0 else work.x, out=out.trunk_w[l])
         np.add.reduce(d_z, axis=0, out=out.trunk_b[l])
         if l > 0:
-            d_a = d_z @ params.trunk_w[l]
+            np.matmul(d_z, w, out=work.trunk_back[l - 1][2])
     return out

@@ -8,12 +8,14 @@ source of randomness (init, per-epoch shuffling, dropout masks) is derived
 from the single seed in TrainConfig, so a (dataset, arch, config) triple
 always reproduces the same parameters bit for bit.
 
-Dropout masks are drawn for a chunk of batches at a time: one
-``net.dropout_mask`` call over about ``MASK_CHUNK_UNITS`` uniforms, whose
-contiguous ``(2, B, H)`` slices are the batches' masks. Those are the same
-uniforms in the same order as one ``(2, B, H)`` draw per batch, so the chunk
-size changes no result. Every chunk is drawn into one buffer made once per
-``train`` call, so the mask memory is one chunk, whatever the row count.
+Each step writes into one ``net.Workspace`` per batch length (the full
+batch and a short last one), made once per ``train`` call, so only the
+optimizer makes new arrays. Dropout masks are drawn for a chunk of batches
+at a time: one ``net.dropout_mask`` call over about ``MASK_CHUNK_UNITS``
+uniforms, into one buffer made once per ``train`` call, whose contiguous
+``(2, B, H)`` slices are the batches' masks: the same uniforms in the same
+order as one draw per batch, so the chunk size changes no result, and the
+mask memory is one chunk, whatever the row count.
 
 Features are checked for non-finite values once per dataset, before the
 first step (training and validation splits), and once per predict_batch
@@ -52,6 +54,7 @@ from .loss import LOSSES, mse_loss_batch, nll_loss_batch
 from .net import (
     ArchConfig,
     ModelParams,
+    Workspace,
     _as_features,
     _check_features,
     backward_batch,
@@ -97,16 +100,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("epochs", self.epochs, 1)
-        check_int("batch_size", self.batch_size, 1)
-        check_float("learning_rate", self.learning_rate, 0.0, math.inf, low_open=True)
+        self.__dict__["epochs"] = check_int("epochs", self.epochs, 1)
+        self.__dict__["batch_size"] = check_int("batch_size", self.batch_size, 1)
+        self.__dict__["learning_rate"] = check_float(
+            "learning_rate", self.learning_rate, 0.0, math.inf, low_open=True
+        )
         if self.loss not in LOSSES:
             raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(
                 f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
             )
-        check_int("seed", self.seed, 0)
+        self.__dict__["seed"] = check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -169,17 +174,19 @@ def train(
     if val_dataset is not None:
         x_val, y_val = _checked_split("validation", val_dataset, arch)
 
-    params = init_params(arch, cfg.seed)
-    # One gradient buffer for the whole run: every backward pass overwrites it.
+    params, batch = init_params(arch, cfg.seed), cfg.batch_size
+    # One gradient buffer and one workspace per batch length (the full batch
+    # and a short last one) for the whole run: every step overwrites them.
     grads = ModelParams(arch, np.empty_like(params.flat), params.rng_seed_used)
+    full = Workspace(params, batch).for_training()
+    last = Workspace(params, n % batch).for_training() if n % batch else full
     optimizer = (_Adam if cfg.optimizer == "adam" else _SGD)(params.flat, cfg.learning_rate)
     loss_batch = nll_loss_batch if cfg.loss == "nll" else mse_loss_batch
 
     shuffle_stream, dropout_stream = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_stream)
     dropout_rng = np.random.default_rng(dropout_stream)
-    batch, width = cfg.batch_size, arch.trunk_output_dim
-    row_units = 2 * width
+    row_units = 2 * arch.trunk_output_dim
     chunk_rows = max(1, MASK_CHUNK_UNITS // (row_units * batch)) * batch
     # One chunk buffer for the whole run, which each chunk's draw overwrites
     # (empty at p = 0, where nothing is drawn).
@@ -201,21 +208,22 @@ def train(
             size = (stop - chunk) * row_units
             masks = dropout_mask(dropout_rng, arch.dropout_p, size, out=mask_buf[:size])
             for start in range(chunk, stop, batch):
-                xb = x_epoch[start : start + batch]
-                yb = y_epoch[start : start + batch]
+                xb, yb = x_epoch[start : start + batch], y_epoch[start : start + batch]
+                work = full if len(xb) == batch else last
                 mask = None
                 if masks is not None:
                     offset = (start - chunk) * row_units
-                    mask = masks[offset : offset + len(xb) * row_units].reshape(2, len(xb), width)
-                y_hat, s, cache = forward_batch(params, xb, mask)
-                values, d_y_hat, d_s = loss_batch(y_hat, s, yb)
+                    mask = masks[offset : offset + len(xb) * row_units].reshape(work.h_shape)
+                y_hat, s, _ = forward_batch(params, xb, mask, work)
+                values, d_y_hat, d_s = loss_batch(y_hat, s, yb, work.loss_out)
                 # The batch loss is finite exactly when its sum is.
                 batch_sum = float(np.add.reduce(values))
                 if not math.isfinite(batch_sum):
                     raise TrainingDivergedError(epoch)
                 epoch_loss_sum += batch_sum
                 # Batch loss is a mean, so upstream derivatives carry the 1/B.
-                backward_batch(cache, params, d_y_hat / len(xb), d_s / len(xb), out=grads)
+                work.d_out /= len(xb)
+                backward_batch(work, params, d_y_hat, d_s, out=grads)
                 optimizer.step(grads.flat)
         train_curve.append(epoch_loss_sum / n)
 

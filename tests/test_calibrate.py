@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,21 @@ class TestFit:
     def test_ragged_multi_dimensional_or_empty_columns_rejected(self, y_hat, s, y):
         with pytest.raises(InputError):
             CalibrationScale.fit(y_hat, s, y)
+
+    @pytest.mark.parametrize(
+        "column",
+        [["a", "b"], [1.0, [2.0, 3.0]], [1.0 + 2.0j, 0.5], np.array([1.0 + 2.0j, 0.5])],
+        ids=["non-numeric", "ragged", "complex-list", "complex-array"],
+    )
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_columns_that_are_not_real_numbers_are_an_input_error(self, column, position):
+        columns = [[0.0, 1.0], [0.0, 0.5], [1.0, 2.0]]
+        columns[position] = column
+        # No numpy warning (a ComplexWarning for complex input) gets through.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="calibration columns"):
+                CalibrationScale.fit(*columns)
 
     def test_recovers_injected_scale(self):
         """Labels drawn as y = y_hat + N(0, c^2 sigma^2) recover r = c."""

@@ -54,6 +54,17 @@ class TestVarianceOf:
         with pytest.raises(InputError):
             variance_of([])
 
+    @pytest.mark.parametrize(
+        "samples",
+        [["a", "b"], [[1.0, 2.0], [3.0]], [1.0 + 2.0j, 0.5], np.array([1.0 + 2.0j, 0.5])],
+        ids=["non-numeric", "ragged", "complex-list", "complex-array"],
+    )
+    def test_samples_that_are_not_real_numbers_are_an_input_error(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="samples"):
+                variance_of(samples)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.floats(-1, 1), min_size=2, max_size=10),
@@ -605,18 +616,20 @@ class TestBufferReuse:
             fresh_columns, fresh_row = call(*c)
             assert columns == fresh_columns and row == fresh_row
 
-    def test_equal_dropout_rates_of_other_types_do_not_share_a_plan(self):
-        """1 / (1 - p) is computed in the precision of p, so a float32 0.25
-        and a float 0.25 scale the masks differently, in either order."""
+    def test_equal_dropout_rates_of_other_types_give_equal_results(self):
+        """MCConfig stores dropout_p as a Python float, so a float32 0.25 and
+        a float 0.25 are one config and scale the masks alike, in either
+        order and with the plan cache cleared or not."""
         params = paper_shape_params(seed=2)
         features = np.random.default_rng(14).normal(size=(5, 2))
         results = {}
         for p in (np.float32(0.25), 0.25, np.float32(0.25), 0.25):
+            assert type(MCConfig(dropout_p=p).dropout_p) is float
             got = mc_forward_dataset(params, features, MCConfig(num_passes=25, dropout_p=p))
             mcdropout._plan.cache_clear()
             fresh = mc_forward_dataset(params, features, MCConfig(num_passes=25, dropout_p=p))
             assert got == fresh == results.setdefault(type(p), fresh)
-        assert results[float] != results[np.float32]
+        assert results[float] == results[np.float32]
 
     @pytest.mark.parametrize("trunk_dims, head", [((16,), 16), ((1,), 64), ((), 256)])
     def test_working_memory_is_bounded_by_the_head_width_too(self, trunk_dims, head):

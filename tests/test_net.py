@@ -5,13 +5,14 @@ from __future__ import annotations
 import copy
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosuq.errors import ConfigError, ShapeError
+from mosuq.errors import ConfigError, InputError, ShapeError
 from mosuq.loss import nll_loss_batch
 from mosuq.net import (
     S_CLAMP,
@@ -19,6 +20,7 @@ from mosuq.net import (
     ArchConfig,
     HeteroPrediction,
     ModelParams,
+    Workspace,
     backward_batch,
     dropout_mask,
     forward_batch,
@@ -288,6 +290,19 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_batch(params, np.zeros((1, 4)))
 
+    @pytest.mark.parametrize(
+        "features",
+        [[["a", "b", "c"]], [[1.0, 2.0, 3.0], [4.0]], [[1.0 + 2.0j, 0.5, 0.0]],
+         np.array([[1.0 + 2.0j, 0.5, 0.0]])],
+        ids=["non-numeric", "ragged", "complex-list", "complex-array"],
+    )
+    def test_features_that_are_not_real_numbers_are_an_input_error(self, features):
+        params = init_params(small_arch(), seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="features"):
+                forward_batch(params, features)
+
     @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 4, 4), (2, 3, 4)])
     def test_mask_of_another_shape_rejected(self, shape):
         params = init_params(small_arch(), seed=1)
@@ -299,9 +314,10 @@ class TestForward:
         read the trunk output as it is."""
         params = init_params(small_arch(), seed=1)
         xs = np.random.default_rng(0).normal(size=(4, 3))
-        y_hat, s, (_, trunk_post, mask, h_in, _, _) = forward_batch(params, xs)
-        assert mask is None
-        assert np.array_equal(h_in, np.stack([trunk_post[-1]] * 2))
+        y_hat, s, work = forward_batch(params, xs)
+        trunk_out = np.tanh(xs @ params.trunk_w[0].T + params.trunk_b[0])
+        assert work.mask is None
+        assert np.array_equal(work.h_in, np.stack([trunk_out] * 2))
         again_y, again_s, _ = forward_batch(params, xs)
         assert same_bits(y_hat, again_y) and same_bits(s, again_s)
 
@@ -363,7 +379,7 @@ class TestDropoutMask:
         params = init_params(small_arch(trunk_dims=(50,), dropout_p=p), seed=0)
         xs = np.random.default_rng(1).normal(size=(rows, 3))
         mask = drawn_mask(params, np.random.default_rng(seed), rows)
-        return forward_batch(params, xs, mask)[2][2]
+        return forward_batch(params, xs, mask)[2].mask
 
     def test_values_are_zero_or_inverse_keep(self):
         mask = self.mask(0.25, 10, seed=0)
@@ -382,11 +398,11 @@ class TestDropoutMask:
         params = init_params(small_arch(trunk_dims=(16,), dropout_p=0.0), seed=0)
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        _, _, (_, trunk_post, mask, h_in, _, _) = forward_batch(
-            params, np.ones((1, 3)), drawn_mask(params, rng_a, 1)
-        )
-        assert mask is None
-        np.testing.assert_array_equal(h_in, np.stack([trunk_post[-1]] * 2))
+        x = np.ones((1, 3))
+        _, _, work = forward_batch(params, x, drawn_mask(params, rng_a, 1))
+        trunk_out = np.tanh(x @ params.trunk_w[0].T + params.trunk_b[0])
+        assert work.mask is None
+        np.testing.assert_array_equal(work.h_in, np.stack([trunk_out] * 2))
         assert rng_a.random() == rng_b.random()
 
 
@@ -612,3 +628,59 @@ class TestStackedHeads:
         other = init_params(small_arch(head_hidden_dim=5), seed=2)
         with pytest.raises(ShapeError):
             backward_batch(cache, params, np.ones(2), np.ones(2), out=other)
+
+
+class TestWorkspace:
+    """forward_batch and backward_batch write into a Workspace when given
+    one; without one they make a fresh one, so their outputs are new arrays."""
+
+    @pytest.mark.parametrize("trunk_dims", [(), (5,), (6, 4)])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("mode", ["deterministic", "dropout"])
+    def test_reused_workspace_equals_fresh_passes_bit_for_bit(self, mode, activation, trunk_dims):
+        params = init_params(small_arch(trunk_dims=trunk_dims, activation=activation), seed=4)
+        params.flat[...] += np.random.default_rng(0).normal(scale=0.5, size=params.flat.size)
+        params.head_b[1][1] = 9.0  # some log-variances beyond the clamp
+        data = np.random.default_rng(1)
+        rng = np.random.default_rng(2) if mode == "dropout" else None
+        work = Workspace(params, 6).for_training()
+        grads = ModelParams(params.arch, np.empty_like(params.flat), 0)
+        for _ in range(3):
+            x = data.normal(scale=2.0, size=(6, 3))
+            mask = drawn_mask(params, rng, 6)
+            d_y_hat, d_s = data.normal(size=6), data.normal(size=6)
+            y_hat, s, got_work = forward_batch(params, x, mask, work)
+            want_y, want_s, fresh = forward_batch(params, x, mask)
+            assert got_work is work and fresh is not work
+            assert same_bits(y_hat, want_y) and same_bits(s, want_s)
+            # Upstream derivatives written into the workspace are read in place.
+            work.d_y_hat[...], work.d_s[...] = d_y_hat, d_s
+            backward_batch(work, params, work.d_y_hat, work.d_s, out=grads)
+            want = backward_batch(fresh, params, d_y_hat, d_s)
+            assert same_bits(grads.flat, want.flat)
+
+    def test_fresh_outputs_are_not_overwritten_by_later_calls(self):
+        params = init_params(small_arch(), seed=3)
+        data = np.random.default_rng(5)
+        first_x, second_x = data.normal(size=(4, 3)), data.normal(size=(4, 3))
+        y_hat, s, work = forward_batch(params, first_x)
+        kept = y_hat.copy(), s.copy(), work.hidden.copy()
+        again_y, again_s, again_work = forward_batch(params, second_x)
+        assert again_work is not work
+        assert not np.shares_memory(y_hat, again_y) and not np.shares_memory(s, again_s)
+        for got, want in zip((y_hat, s, work.hidden), kept):
+            assert same_bits(got, want)
+
+    def test_workspace_of_other_params_or_rows_rejected(self):
+        params = init_params(small_arch(), seed=3)
+        other = init_params(small_arch(), seed=3)
+        work = Workspace(params, 4)
+        with pytest.raises(ShapeError, match="workspace"):
+            forward_batch(other, np.ones((4, 3)), None, work)
+        with pytest.raises(ShapeError, match="workspace"):
+            forward_batch(params, np.ones((5, 3)), None, work)
+        with pytest.raises(ShapeError, match="dropout mask"):
+            forward_batch(params, np.ones((4, 3)), np.ones((2, 5, 4)), work)
+        forward_batch(params, np.ones((4, 3)), None, work)
+        with pytest.raises(ShapeError, match="forward cache"):
+            backward_batch(work, other, np.ones(4), np.ones(4))

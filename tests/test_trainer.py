@@ -25,13 +25,13 @@ from mosuq.errors import (
     ShapeError,
     TrainingDivergedError,
 )
+from mosuq import net as net_module
 from mosuq import trainer as trainer_module
-from mosuq.loss import mse_loss_batch, nll_loss_batch
 from mosuq.net import (
+    S_CLAMP,
     ArchConfig,
     ModelParams,
-    backward_batch,
-    forward_batch,
+    Workspace,
     init_params,
     param_layout,
 )
@@ -109,6 +109,20 @@ class TestTrainConfig:
     def test_numpy_integers_are_accepted(self):
         cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint64(7))
         assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 4, 7)
+
+    def test_equal_configs_of_numpy_numbers_train_alike(self):
+        """Configs store plain Python numbers, so a float32 dropout rate
+        trains exactly as the float it converts to (the mask scale 1 / (1 - p)
+        used to be computed in float32)."""
+        p = np.float32(0.1)
+        cfg = TrainConfig(
+            epochs=np.int64(2), batch_size=np.int32(7), learning_rate=np.float32(1e-3)
+        )
+        plain = TrainConfig(epochs=2, batch_size=7, learning_rate=float(np.float32(1e-3)))
+        assert cfg == plain
+        got = train(small_dataset(), small_arch(dropout_p=p), cfg)
+        want = train(small_dataset(), small_arch(dropout_p=float(p)), plain)
+        assert got[0].flat.tobytes() == want[0].flat.tobytes() and got[1] == want[1]
 
 
 class TestTrainValidation:
@@ -561,16 +575,65 @@ class TestFlatOptimizers:
                 assert np.array_equal(got, want)
 
 
+def _plain_step(arrays, arch, xb, yb, mask, loss):
+    """One training step as it ran before steps shared a workspace, in plain
+    numpy expressions: (per-sample losses, gradients in flat-vector order)
+    for arrays = [trunk weights..., trunk biases..., W0, b0, W1, b1]."""
+    depth = len(arch.trunk_dims)
+    trunk_w, trunk_b = arrays[:depth], arrays[depth : 2 * depth]
+    w0, b0, w1, b1 = arrays[2 * depth :]
+    if arch.activation == "tanh":
+        act, act_grad = np.tanh, lambda post: 1.0 - post * post
+    else:
+        act, act_grad = (lambda z: np.maximum(z, 0.0)), (lambda post: post > 0.0)
+    a, trunk_post = xb, []
+    for w, b in zip(trunk_w, trunk_b):
+        a = act(a @ w.T + b)
+        trunk_post.append(a)
+    h_in = np.broadcast_to(a, (2, *a.shape)) if mask is None else a * mask
+    hidden = act(np.matmul(h_in, w0.transpose(0, 2, 1)) + b0)
+    out = np.matmul(hidden, w1.transpose(0, 2, 1)) + b1
+    y_hat, s_raw = out[0, :, 0], out[1, :, 0]
+    s = np.minimum(np.maximum(s_raw, -S_CLAMP), S_CLAMP)
+    resid = yb - y_hat
+    if loss == "nll":
+        inv_var = np.exp(-s)
+        half_norm_sq = 0.5 * resid * resid * inv_var
+        values, d_y_hat, d_s = 0.5 * s + half_norm_sq, -resid * inv_var, 0.5 - half_norm_sq
+    else:
+        values, d_y_hat, d_s = resid * resid, -2.0 * resid, np.zeros_like(resid)
+    # The batch loss is a mean, so the upstream derivatives carry the 1/B.
+    d_y_hat, d_s = d_y_hat / len(xb), d_s / len(xb)
+    d_out = np.stack([d_y_hat, d_s * (np.abs(s_raw) < S_CLAMP)])[:, :, None]
+    g_w1, g_b1 = np.matmul(d_out.transpose(0, 2, 1), hidden), d_out.sum(axis=1, keepdims=True)
+    d_hidden = np.matmul(d_out, w1) * act_grad(hidden)
+    g_w0 = np.matmul(d_hidden.transpose(0, 2, 1), h_in)
+    g_b0 = d_hidden.sum(axis=1, keepdims=True)
+    d_h = np.matmul(d_hidden, w0)
+    if mask is not None:
+        d_h = d_h * mask
+    d_a = d_h[0] + d_h[1]
+    g_trunk_w, g_trunk_b = [None] * depth, [None] * depth
+    for l in range(depth - 1, -1, -1):
+        d_z = d_a * act_grad(trunk_post[l])
+        g_trunk_w[l] = d_z.T @ (trunk_post[l - 1] if l > 0 else xb)
+        g_trunk_b[l] = d_z.sum(axis=0)
+        if l > 0:
+            d_a = d_z @ trunk_w[l]
+    return values, g_trunk_w + g_trunk_b + [g_w0, g_b0, g_w1, g_b1]
+
+
 def _per_batch_mask_train(dataset, arch, cfg, val_dataset=None):
-    """train() as it ran before masks were drawn in chunks: one
-    rng.random((2, B, H)) draw per batch and a running float loss sum."""
+    """train() as it ran before masks were drawn in chunks and before steps
+    shared a workspace: one rng.random((2, B, H)) draw per batch, a running
+    float loss sum, the step in plain numpy (_plain_step) and the per-array
+    optimizers above. It calls none of forward_batch, the losses,
+    backward_batch or the trainer's optimizers."""
     x_all, y_all = dataset.features(), dataset.labels()
     n, p = len(dataset), arch.dropout_p
-    params = init_params(arch, cfg.seed)
-    grads = ModelParams(arch, np.empty_like(params.flat), params.rng_seed_used)
-    optimizer_cls = trainer_module._Adam if cfg.optimizer == "adam" else trainer_module._SGD
-    optimizer = optimizer_cls(params.flat, cfg.learning_rate)
-    loss_batch = nll_loss_batch if cfg.loss == "nll" else mse_loss_batch
+    arrays = [a.copy() for a in param_arrays(init_params(arch, cfg.seed))]
+    optimizer_cls = _PerArrayAdam if cfg.optimizer == "adam" else _PerArraySGD
+    optimizer = optimizer_cls(arrays, cfg.learning_rate)
     shuffle_stream, dropout_stream = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_stream)
     dropout_rng = np.random.default_rng(dropout_stream)
@@ -586,52 +649,59 @@ def _per_batch_mask_train(dataset, arch, cfg, val_dataset=None):
             if p > 0.0:
                 u = dropout_rng.random((2, len(xb), arch.trunk_output_dim))
                 mask = (u >= p) / (1.0 - p)
-            y_hat, s, cache = forward_batch(params, xb, mask)
-            values, d_y_hat, d_s = loss_batch(y_hat, s, yb)
+            values, grads = _plain_step(arrays, arch, xb, yb, mask, cfg.loss)
             loss_sum += float(values.sum())
-            backward_batch(cache, params, d_y_hat / len(xb), d_s / len(xb), out=grads)
-            optimizer.step(grads.flat)
+            optimizer.step(arrays, grads)
         train_curve.append(loss_sum / n)
         if val_dataset is not None:
-            y_hat, s, _ = forward_batch(params, val_dataset.features())
-            val_curve.append(float(loss_batch(y_hat, s, val_dataset.labels())[0].mean()))
+            values, _ = _plain_step(
+                arrays, arch, val_dataset.features(), val_dataset.labels(), None, cfg.loss
+            )
+            val_curve.append(float(values.mean()))
     val_loss = tuple(val_curve) if val_dataset is not None else None
-    return params, TrainHistory(tuple(train_curve), val_loss)
+    flat = np.concatenate([a.ravel() for a in arrays])
+    return ModelParams(arch, flat, cfg.seed), TrainHistory(tuple(train_curve), val_loss)
 
 
 class TestChunkedMasks:
     """train() draws the dropout masks of many batches at once. Those are the
     same uniforms, in the same order, as one draw per batch, so training
-    must match the per-batch loop bit for bit."""
+    must match the per-batch loop bit for bit. That loop is also the oracle
+    for the step itself: it shares no code with forward_batch, the losses,
+    backward_batch or the optimizers."""
 
-    # (n_per, trunk_dims, dropout_p, batch_size, optimizer, loss, val, chunk_units);
-    # a chunk_units of None keeps MASK_CHUNK_UNITS as it is.
+    # (n_per, trunk_dims, dropout_p, batch_size, optimizer, loss, val, chunk_units,
+    # activation); a chunk_units of None keeps MASK_CHUNK_UNITS as it is.
     CASES = {
-        "partial-last-batch": (25, (6, 4), 0.5, 7, "adam", "nll", True, 300),
-        "three-chunks": (2600, (8,), 0.5, 8, "adam", "nll", False, None),
-        "batch-wider-than-chunk": (25, (), 0.7, 16, "sgd", "mse", True, 50),
-        "wide-batch-default-units": (550, (32,), 0.5, 1100, "adam", "mse", False, None),
-        "p-zero": (25, (8,), 0.0, 5, "adam", "mse", True, 100),
-        "batch-one": (25, (), 0.3, 1, "sgd", "nll", False, 20),
-        "sgd-nll-val": (25, (6, 4), 0.5, 3, "sgd", "nll", True, 64),
-        "adam-mse": (25, (8,), 0.3, 8, "adam", "mse", False, 200),
+        "partial-last-batch": (25, (6, 4), 0.5, 7, "adam", "nll", True, 300, "tanh"),
+        "three-chunks": (2600, (8,), 0.5, 8, "adam", "nll", False, None, "tanh"),
+        "batch-wider-than-chunk": (25, (), 0.7, 16, "sgd", "mse", True, 50, "tanh"),
+        "wide-batch-default-units": (550, (32,), 0.5, 1100, "adam", "mse", False, None, "tanh"),
+        "p-zero": (25, (8,), 0.0, 5, "adam", "mse", True, 100, "tanh"),
+        "batch-one": (25, (), 0.3, 1, "sgd", "nll", False, 20, "tanh"),
+        "sgd-nll-val": (25, (6, 4), 0.5, 3, "sgd", "nll", True, 64, "tanh"),
+        "adam-mse": (25, (8,), 0.3, 8, "adam", "mse", False, 200, "tanh"),
+        "relu-partial-last-batch": (25, (6, 4), 0.5, 7, "adam", "nll", True, 300, "relu"),
+        "relu-p-zero-no-trunk": (25, (), 0.0, 8, "sgd", "mse", True, None, "relu"),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_the_per_batch_loop_bit_for_bit(self, case, monkeypatch, tmp_path):
-        n_per, trunk_dims, p, batch, optimizer, loss, with_val, chunk_units = self.CASES[case]
+        n_per, trunk_dims, p, batch, optimizer, loss, with_val, chunk_units, act = self.CASES[case]
         if chunk_units is not None:
             monkeypatch.setattr(trainer_module, "MASK_CHUNK_UNITS", chunk_units)
         units = trainer_module.MASK_CHUNK_UNITS
         dataset = small_dataset(n_per=n_per)
-        arch = ArchConfig(input_dim=3, trunk_dims=trunk_dims, head_hidden_dim=5, dropout_p=p)
+        arch = ArchConfig(
+            input_dim=3, trunk_dims=trunk_dims, head_hidden_dim=5, dropout_p=p, activation=act
+        )
         batch_units = 2 * arch.trunk_output_dim * batch
         chunk_rows = max(1, units // batch_units) * batch
         if case == "three-chunks":
             assert len(dataset) > 2 * chunk_rows
         if case.startswith(("batch-wider", "wide-batch")):
             assert batch_units > units
-        if case == "partial-last-batch":
+        if case.endswith("partial-last-batch"):
             assert len(dataset) % batch and len(dataset) > 2 * chunk_rows
         cfg = quick_cfg(
             epochs=2, batch_size=batch, optimizer=optimizer, loss=loss,
@@ -690,6 +760,48 @@ class TestChunkedMasks:
         chunk_bytes = 8 * trainer_module.MASK_CHUNK_UNITS
         assert len(data) > 3 * trainer_module.MASK_CHUNK_UNITS // (2 * 16)
         assert peaks[0.5] - peaks[0.0] <= 1.2 * chunk_bytes
+
+
+class TestStepWorkspaces:
+    """Training steps share one Workspace per batch length; predict_batch
+    and the validation pass make a fresh one per call."""
+
+    @staticmethod
+    def count_workspaces(monkeypatch):
+        made = []
+
+        class Counting(Workspace):
+            def __init__(self, params, rows):
+                made.append(rows)
+                super().__init__(params, rows)
+
+        monkeypatch.setattr(net_module, "Workspace", Counting)
+        monkeypatch.setattr(trainer_module, "Workspace", Counting)
+        return made
+
+    @pytest.mark.parametrize("batch", [7, 10])
+    def test_one_train_call_builds_at_most_two_workspaces(self, monkeypatch, batch):
+        made = self.count_workspaces(monkeypatch)
+        dataset = small_dataset()
+        train(dataset, small_arch(dropout_p=0.5), quick_cfg(epochs=3, batch_size=batch))
+        short = len(dataset) % batch
+        assert made == ([batch, short] if short else [batch])
+
+    def test_each_validation_pass_gets_a_fresh_workspace(self, monkeypatch):
+        made = self.count_workspaces(monkeypatch)
+        dataset, val = small_dataset(), small_dataset(seed=9)
+        train(dataset, small_arch(dropout_p=0.5), quick_cfg(epochs=3, batch_size=7), val)
+        assert made == [7, len(dataset) % 7] + [len(val)] * 3
+
+    def test_predictions_are_not_overwritten_by_later_calls(self):
+        params = init_params(small_arch(), seed=0)
+        data = np.random.default_rng(2)
+        first = predict_batch(params, data.normal(size=(5, 3)))
+        kept = [a.copy() for a in first]
+        second = predict_batch(params, data.normal(size=(5, 3)))
+        for got, want, later in zip(first, kept, second):
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, later)
 
 
 class TestEpochBuffers:
