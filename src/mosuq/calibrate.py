@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, InvariantError
-from .net import HeteroPrediction, _as_features
+from .errors import InputError, InvariantError, check_array, check_float
+from .net import HeteroPrediction
 
 __all__ = [
     "DEGENERATE_FLOOR",
@@ -55,27 +55,23 @@ class CalibrationScale:
     degenerate: bool = False
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise InvariantError(f"calibration scale must be positive, got {self.r}")
+        self.__dict__["r"] = check_float("scale r", self.r, 0.0, math.inf, True, InvariantError)
 
     @classmethod
     def fit(cls, y_hat, s, y) -> "CalibrationScale":
-        """Fit the scale on three matched 1-d columns of real numbers: point
-        predictions, their log-variances and the labels (InputError otherwise).
+        """Fit the scale on three matched 1-d columns of finite real numbers:
+        point predictions, their log-variances and the labels (else InputError).
 
         The positive root is always taken. If the summed normalized
         residuals fall below 1e-12 the scale is floored at DEGENERATE_FLOOR
         and a DegenerateCalibrationWarning is emitted.
         """
-        y_hat, s, y = (_as_features(column, "calibration columns") for column in (y_hat, s, y))
-        shapes = [column.shape for column in (y_hat, s, y)]
-        if len(set(shapes)) > 1 or y.ndim != 1:
-            raise InputError(f"calibration needs 1-d columns of one length, got shapes {shapes}")
+        y_hat, s, y = (check_array(f"{k} of the calibration columns", v, 1, finite=True)
+                       for k, v in dict(y_hat=y_hat, s=s, y=y).items())
         n = len(y)
-        if n == 0:
-            raise InputError("calibration requires at least one sample")
-        if not (np.all(np.isfinite(y_hat)) and np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
-            raise InputError("calibration inputs must be finite")
+        if not 0 < n == len(y_hat) == len(s):
+            raise InputError(f"calibration needs at least one sample, in columns of one length; "
+                             f"got lengths {len(y_hat)}, {len(s)}, {n}")
         sigma2 = np.exp(s)
         if not np.all(sigma2 > 0.0):
             raise InvariantError("predicted variances must be strictly positive")
@@ -94,8 +90,9 @@ class CalibrationScale:
 
     @classmethod
     def from_r(cls, r: float) -> "CalibrationScale":
-        """Wrap an already-known multiplier, e.g. one read from a checkpoint."""
-        return cls(r=float(r), num_samples_used=0, mean_normalized_residual_sq=float(r) ** 2)
+        """Wrap an already-known multiplier r > 0, e.g. one from a checkpoint."""
+        r = check_float("scale r", r, 0.0, math.inf, True, InvariantError)
+        return cls(r=r, num_samples_used=0, mean_normalized_residual_sq=r**2)
 
     @property
     def variance_multiplier(self) -> float:

@@ -46,6 +46,7 @@ from .datagen import (
     split_dataset,
 )
 from .errors import CheckpointError, ConfigError, InputError, MosuqError, ShapeError
+from .errors import check_float, check_int
 from .ioutils import atomic_write_text, canonical_json, write_csv
 from .loss import LOSSES
 from .mcdropout import MCConfig, mc_forward_dataset
@@ -85,19 +86,17 @@ class Kind(NamedTuple):
     optional: bool = False
 
 
-def _int(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
+def _int(value, low: float = -math.inf) -> int:
+    """A flag string or JSON number (an integral float too) as an integer >= low."""
+    if isinstance(value, str) or (type(value) is float and value.is_integer()):
+        value = int(value)
+    return check_int("value", value, low)
 
 
-def _float(value) -> float:
-    if isinstance(value, bool):
-        raise ValueError(value)
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(value)
-    return number
+def _float(value, low: float = -math.inf) -> float:
+    """A flag string or JSON number as a finite number >= low."""
+    return check_float("value", float(value) if isinstance(value, str) else value, low,
+                       math.inf, low_open=low == -math.inf)
 
 
 def _bool(value) -> bool:
@@ -129,21 +128,8 @@ def _fixed(*parsers: Callable) -> Callable:
     return parse
 
 
-def _non_negative(value) -> float:
-    number = _float(value)
-    if number < 0.0:
-        raise ValueError(value)
-    return number
-
-
 def _at_least(low: int) -> Kind:
-    def parse(value) -> int:
-        number = _int(value)
-        if number < low:
-            raise ValueError(value)
-        return number
-
-    return Kind(f"an integer >= {low}", parse)
+    return Kind(f"an integer >= {low}", lambda value: _int(value, low))
 
 
 def _choice(*options: str) -> Kind:
@@ -161,7 +147,7 @@ def _optional(kind: Kind) -> Kind:
 
 INT = Kind("an integer", _int)
 FLOAT = Kind("a finite number", _float)
-NON_NEGATIVE = Kind("a finite number >= 0", _non_negative)
+NON_NEGATIVE = Kind("a finite number >= 0", lambda value: _float(value, 0.0))
 BOOL = Kind("true or false", _bool, {"action": argparse.BooleanOptionalAction})
 PATH = Kind("a path", _path)
 INT_LIST = Kind(
@@ -353,9 +339,7 @@ def _cmd_gen_data(cfg: SimpleNamespace) -> int:
         parts = split_dataset(dataset, list(cfg.split), gen_cfg.seed)
         if min(len(part) for part in parts) == 0:
             raise ConfigError(f"split {cfg.split} of {len(dataset)} samples leaves a part empty")
-        base = str(cfg.out)
-        if base.endswith(".csv"):
-            base = base[: -len(".csv")]
+        base = str(cfg.out).removesuffix(".csv")
         paths = [Path(f"{base}.{name}.csv") for name in ("train", "val", "test")]
         for part, path in zip(parts, paths):
             save_dataset_csv(part, path)

@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, check_float, check_int
+from .errors import ConfigError, InputError, check_array, check_float, check_int
 from .ioutils import write_csv
 
 __all__ = [
@@ -111,9 +111,9 @@ class Dataset:
 
     ids, system_ids and domain_tags are numpy string vectors, y and
     true_noise_var float vectors (nan marks a missing true_noise_var), and
-    x is the (n, feature_dim) feature matrix. Every column is read-only, so
-    features() and labels() hand them out without a copy. Indexing and
-    iteration build Sample rows on demand.
+    x is the (n, feature_dim) feature matrix; all pass errors.check_array, share
+    one length and hold tags in DOMAIN_TAGS (else InputError). All are read-only,
+    so features() and labels() return them uncopied; indexing builds Sample rows.
     """
 
     ids: np.ndarray
@@ -124,18 +124,17 @@ class Dataset:
     x: np.ndarray
 
     def __post_init__(self):
-        try:
-            for name, dtype in _COLUMN_DTYPES.items():
-                column = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
-                column.flags.writeable = False
-                object.__setattr__(self, name, column)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"dataset column {name} is not a regular array: {exc}") from None
-        if self.x.ndim != 2:
-            raise InputError(f"features must form an (n, d) matrix, got shape {self.x.shape}")
-        lengths = {name: len(getattr(self, name)) for name in _COLUMN_DTYPES}
+        for name, (ndim, text) in _COLUMNS.items():
+            column = check_array(name, getattr(self, name), ndim, text=text)
+            column = np.ascontiguousarray(column).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        lengths = {name: len(getattr(self, name)) for name in _COLUMNS}
         if len(set(lengths.values())) > 1:
             raise InputError(f"dataset columns differ in length: {lengths}")
+        row = _unknown_tag(self.domain_tags)
+        if row is not None:
+            raise InputError(f"row {row}: unknown domain_tag {str(self.domain_tags[row])!r}")
 
     def __len__(self) -> int:
         return len(self.y)
@@ -157,7 +156,7 @@ class Dataset:
 
     def _take(self, rows: np.ndarray) -> Dataset:
         """The rows at the given indices, taken from every column alike."""
-        return Dataset(*(getattr(self, name)[rows] for name in _COLUMN_DTYPES))
+        return Dataset(*(getattr(self, name)[rows] for name in _COLUMNS))
 
     @property
     def feature_dim(self) -> int:
@@ -172,10 +171,17 @@ class Dataset:
         return self.y
 
 
-# Dataset columns in constructor order, with the dtype each is stored as.
-_COLUMN_DTYPES = dict(
-    ids=str, system_ids=str, domain_tags=str, y=float, true_noise_var=float, x=float
+# Dataset columns in constructor order, with the rank of each and whether it is text.
+_COLUMNS = dict(
+    ids=(1, True), system_ids=(1, True), domain_tags=(1, True),
+    y=(1, False), true_noise_var=(1, False), x=(2, False),
 )
+
+
+def _unknown_tag(tags: np.ndarray) -> int | None:
+    """The index of the first tag outside DOMAIN_TAGS, or None."""
+    unknown = np.flatnonzero(~np.isin(tags, DOMAIN_TAGS))
+    return int(unknown[0]) if unknown.size else None
 
 
 @dataclass(frozen=True)
@@ -312,10 +318,9 @@ def gen_ood_shift(cfg: GenConfig, shift: float) -> Dataset:
     The translation direction is a seed-derived unit vector, so each center
     lands exactly `shift` feature units from its in-domain counterpart.
     shift = 0 reproduces gen_synthetic(cfg) bit for bit; any positive shift
-    tags the samples as OOD.
+    tags the samples as OOD. A shift that is not a finite number >= 0 is an InputError.
     """
-    if not 0.0 <= shift < math.inf:
-        raise InputError(f"shift must be finite and >= 0, got {shift}")
+    shift = check_float("shift", shift, 0.0, math.inf, error=InputError)
     if shift == 0.0:
         return gen_synthetic(cfg)
     rng = np.random.default_rng(
@@ -331,10 +336,10 @@ def add_feature_noise(dataset: Dataset, level: float, seed: int) -> Dataset:
 
     The noise std is level * (global std of all feature entries). Any
     positive level marks the returned samples as OOD; level 0 returns the
-    dataset unchanged.
+    dataset unchanged. level is checked as in gen_ood_shift, seed as a config's.
     """
-    if not 0.0 <= level < math.inf:
-        raise InputError(f"noise level must be finite and >= 0, got {level}")
+    level = check_float("noise level", level, 0.0, math.inf, error=InputError)
+    seed = check_int("seed", seed, 0)
     if len(dataset) == 0:
         raise InputError("cannot perturb an empty dataset")
     if level == 0.0:
@@ -357,11 +362,12 @@ def split_dataset(
 
     Every part but the first gets floor(fraction * n) samples; the first
     part absorbs the remainder. Fractions must be finite, non-negative and
-    sum to 1.
+    sum to 1, and the seed an integer >= 0, else ConfigError.
     """
-    fractions = [float(f) for f in fractions]
-    if not fractions or not all(0.0 <= f < math.inf for f in fractions):
-        raise ConfigError(f"fractions must be finite and non-negative, got {fractions}")
+    fractions = fractions if np.iterable(fractions) else []
+    fractions = [check_float("fraction", f, 0.0, math.inf) for f in fractions]
+    if not fractions:
+        raise ConfigError("fractions must be a non-empty sequence of finite numbers >= 0")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {fractions}")
     n = len(dataset)
@@ -369,7 +375,7 @@ def split_dataset(
     sizes[0] = n - sum(sizes[1:])
     if sizes[0] < 0:
         raise ConfigError(f"fractions {fractions} over-allocate {n} samples")
-    order = np.random.default_rng(seed).permutation(n)
+    order = np.random.default_rng(check_int("seed", seed, 0)).permutation(n)
     ends = np.cumsum(sizes)
     return tuple(dataset._take(order[end - size : end]) for size, end in zip(sizes, ends))
 
@@ -418,8 +424,6 @@ def load_dataset_csv(path: str | Path) -> Dataset:
                 raise InputError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            if row[2] not in DOMAIN_TAGS:
-                raise InputError(f"{path}:{lineno}: unknown domain_tag {row[2]!r}")
             try:
                 y.append(float(row[3]))
                 var.append(math.nan if row[4] == "" else float(row[4]))
@@ -432,6 +436,9 @@ def load_dataset_csv(path: str | Path) -> Dataset:
             tags.append(row[2])
     if not ids:
         raise InputError(f"{path}: dataset file has a header but no rows")
+    row = _unknown_tag(tags)
+    if row is not None:
+        raise InputError(f"{path}:{row + 2}: unknown domain_tag {tags[row]!r}")
     try:
         x = np.loadtxt(
             path, delimiter=",", quotechar='"', comments=None, skiprows=1,
@@ -439,10 +446,7 @@ def load_dataset_csv(path: str | Path) -> Dataset:
         )
     except ValueError as exc:
         raise InputError(f"{path}:{_bad_feature_row(path, width)}: {exc}") from None
-    return Dataset(
-        np.array(ids, dtype=str), np.array(system_ids, dtype=str), np.array(tags, dtype=str),
-        y, var, x,
-    )
+    return Dataset(ids, system_ids, tags, y, var, x)
 
 
 def _bad_feature_row(path: str | Path, width: int) -> int | str:

@@ -1,8 +1,13 @@
-"""Exception types shared across the package, and the integer and float
-checks that configs raise them from. The configs store the plain int or
-float a check returns (through __dict__, as they are frozen)."""
+"""Exception types shared across the package, and the input boundary that
+raises them: caller numbers enter through check_int and check_float (configs
+store the plain int or float returned, through __dict__, as they are
+frozen), choices through check_choice and arrays through check_array. A
+ragged, non-real or wrong-rank array is an InputError; ShapeError is kept for
+input that disagrees with the architecture or a workspace."""
 
 import numbers
+
+import numpy as np
 
 
 class MosuqError(Exception):
@@ -41,25 +46,63 @@ class CheckpointVersionError(CheckpointError):
     """Checkpoint format_version is not supported by this build."""
 
 
-def check_int(name: str, value, minimum: int) -> int:
-    """int(value), or ConfigError unless value is an integer >= minimum. A bool
-    is not an integer here; numpy integers are. An exact int skips the slower ABC check."""
+def check_int(name: str, value, minimum: int, error: type = ConfigError) -> int:
+    """int(value), or error unless value is an integer >= minimum. A bool is
+    not an integer here; numpy integers are. An exact int skips the slower ABC check."""
     is_int = type(value) is int or (type(value) is not bool and isinstance(value, numbers.Integral))
     if not is_int or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
-def check_float(name: str, value, low: float, high: float, low_open: bool = False) -> float:
-    """float(value), or ConfigError unless value is a real number in [low, high),
-    or in (low, high) when low_open is set. A bool is not a number here, and nan
-    lies in no interval; numpy floats and integers are numbers. An exact float
-    skips the slower ABC check."""
-    if (
-        (type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)))
-        or not (low < value if low_open else low <= value)
-        or not value < high
-    ):
-        interval = f"{'(' if low_open else '['}{low:g}, {high:g})"
-        raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")
-    return float(value)
+def check_float(name: str, value, low: float, high: float, low_open: bool = False,
+                error: type = ConfigError) -> float:
+    """float(value), or error unless value is a real number in [low, high), or
+    in (low, high) when low_open is set. A bool is not a number here, nan lies
+    in no interval, and an integer beyond the float range is rejected; numpy
+    floats and integers are numbers. An exact float skips the slower ABC check."""
+    try:
+        if (
+            (type(value) is float or (type(value) is not bool and isinstance(value, numbers.Real)))
+            and (low < value if low_open else low <= value)
+            and value < high
+        ):
+            return float(value)
+    except OverflowError:
+        pass
+    interval = f"{'(' if low_open else '['}{low:g}, {high:g})"
+    raise error(f"{name} must be a number in {interval}, got {value!r}")
+
+
+def check_choice(name: str, value, options: tuple[str, ...]) -> str:
+    """str(value), or ConfigError unless value is a string among options."""
+    if not (isinstance(value, str) and value in options):
+        raise ConfigError(f"{name} must be one of {options}, got {value!r}")
+    return str(value)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def check_array(name: str, value, ndim: int | None = None, finite=False, text=False) -> np.ndarray:
+    """value as a float64 array (a str array when text is set), else InputError
+    naming it: ragged, not real numbers (bools, integers and number objects are
+    converted), not ndim-d when ndim is given, or with nan or inf when finite
+    is set. A float64 array is returned without a copy."""
+    if text or type(value) is not np.ndarray or value.dtype is not _FLOAT64:
+        try:
+            value = np.asarray(value, str if text else None)
+            if value.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in value.flat):
+                value = value.astype(np.float64)
+        except (TypeError, ValueError, OverflowError):  # ragged, or an int beyond float range
+            value = None
+        if value is None or not (text or value.dtype.kind in "biuf"):
+            kind = "text" if text else "numeric"
+            raise InputError(f"{name} must be a rectangular {ndim or 'n'}-d {kind} array, "
+                             f"got {'a ragged value' if value is None else value.dtype}")
+        value = value if text else value.astype(np.float64, copy=False)
+    if ndim is not None and value.ndim != ndim:
+        raise InputError(f"{name} must be a {ndim}-d array, got shape {value.shape}")
+    if finite and not np.isfinite(value).all():
+        raise InputError(f"{name} must be finite, got nan or inf")
+    return value

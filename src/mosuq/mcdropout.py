@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import CalibrationScale
-from .errors import InputError, ShapeError, check_float, check_int
-from .net import S_CLAMP, ModelParams, _activate, _as_features, _check_features
+from .errors import InputError, check_array, check_float, check_int
+from .net import S_CLAMP, ModelParams, _activate, _check_width
 
 __all__ = ["MCConfig", "MCSamples", "variance_of", "mc_forward",
            "mc_forward_dataset", "row_seed"]
@@ -126,10 +126,10 @@ def variance_of(samples) -> np.ndarray | float:
     A (rows, passes) array gives one variance per row; a flat sequence gives
     one float. A row of identical samples gives exactly 0.0, so degenerate
     sampling setups (single pass, zero dropout) report zero epistemic
-    variance without floating-point residue. Samples that are ragged or not
-    real numbers raise InputError.
+    variance without floating-point residue. Samples that are ragged, not
+    finite real numbers (errors.check_array) or empty raise InputError.
     """
-    a = _as_features(samples, "samples")
+    a = check_array("samples", samples, finite=True)
     if a.ndim == 0 or a.shape[-1] == 0:
         raise InputError("variance of an empty sample list is undefined")
     return _variance(a, _mean(a), np.empty(a.shape[:-1]))[()]
@@ -222,7 +222,7 @@ def _mc_rows(
     run one deterministic pass, which every pass repeats.
     """
     x = np.ascontiguousarray(x)
-    _check_features(params.arch, x)
+    _check_width(params.arch, x)
     arch, passes, p = params.arch, cfg.num_passes, cfg.dropout_p
     kind, width, hidden_dim = arch.activation, arch.trunk_output_dim, arch.head_hidden_dim
     block, run, step, threshold, keep_scale = _plan(passes, p, width, hidden_dim, _BLOCK_UNITS)
@@ -287,11 +287,9 @@ def mc_forward(
     """Run num_passes dropout forward passes on one feature vector, giving
     its row: an MCSamples of (passes,) samples and np.float64 summaries.
 
-    The masks are keyed by cfg.seed itself, taken modulo 2^64.
+    The masks are keyed by cfg.seed itself, taken modulo 2^64; x is a finite real vector.
     """
-    x = _as_features(x)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-d feature vector, got array of shape {x.shape}")
+    x = check_array("features", x, 1, finite=True)
     keys = np.array([_key(cfg.seed)], np.uint64)
     sampled, summary = _mc_rows(params, x[None, :], keys, cfg, scale)
     # Indexed item by item: iterating the columns costs several times more.
@@ -334,11 +332,10 @@ def mc_forward_dataset(
     """mc_forward over every row of a feature matrix, as columns.
 
     Row i uses seed row_seed(cfg.seed, i), so per-row results do not depend
-    on which other rows are present and repeat runs are bit-identical.
+    on which other rows are present and repeat runs are bit-identical. The
+    features must be a 2-d array of finite real numbers (errors.check_array).
     """
-    features = _as_features(features)
-    if features.ndim != 2:
-        raise InputError(f"expected a 2-d feature matrix, got shape {features.shape}")
+    features = check_array("features", features, 2, finite=True)
     keys = _row_keys(_key(cfg.seed), np.arange(len(features), dtype=np.uint64))
     sampled, summary = _mc_rows(params, features, keys, cfg, scale)
     return MCSamples(*sampled, *summary)

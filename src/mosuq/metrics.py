@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, check_array, check_int
 from .ioutils import canonical_json
 
 __all__ = [
@@ -116,23 +116,20 @@ class MetricsReport:
 
 def _columns(**columns) -> tuple[np.ndarray, ...]:
     """The named inputs as 1-d arrays of one length, at least one row: system_ids as objects,
-    the rest float64. As in EvalRecord, non-finite y_true, y_pred (or roc_auc scores) raise
-    InputError, and a var_pred that is not finite and non-negative raises InvariantError."""
-    try:
-        arrays = [np.asarray(v, dtype=object if k == "system_ids" else float)
-                  for k, v in columns.items()]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"metric columns must be 1-d numeric sequences: {exc}") from None
+    the rest float64 (errors.check_array). As in EvalRecord, non-finite y_true, y_pred (or
+    roc_auc scores) raise InputError, and a var_pred that is not finite and non-negative
+    raises InvariantError."""
+    finite = ("y_true", "y_pred", "scores")
+    arrays = [check_array(k, v, 1, k in finite) if k != "system_ids"
+              else np.asarray(v, dtype=object) for k, v in columns.items()]
     shapes = dict(zip(columns, (a.shape for a in arrays)))
-    if len(set(shapes.values())) > 1 or arrays[0].ndim != 1:
+    if len(set(shapes.values())) > 1:
         raise InputError(f"metric columns must be 1-d and of one length, got shapes {shapes}")
     if arrays[0].size == 0:
         raise InputError("metric requires at least one record")
-    for name, a in zip(columns, arrays):
-        if name in ("y_true", "y_pred", "scores") and not np.isfinite(a).all():
-            raise InputError(f"{name} must be finite")
-        if name == "var_pred" and not (np.isfinite(a) & (a >= 0.0)).all():
-            raise InvariantError("var_pred needs finite non-negative values")
+    var = dict(zip(columns, arrays)).get("var_pred")
+    if var is not None and not (np.isfinite(var) & (var >= 0.0)).all():
+        raise InvariantError("var_pred needs finite non-negative values")
     return tuple(arrays)
 
 
@@ -160,7 +157,10 @@ def srcc_system(system_ids: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray) 
     # An object array keeps ids that a fixed-width "U" array would merge,
     # such as "a" and "a\x00"; bincount sums each system in row order.
     system_ids, y_true, y_pred = _columns(system_ids=system_ids, y_true=y_true, y_pred=y_pred)
-    systems, system = np.unique(system_ids, return_inverse=True)
+    try:
+        systems, system = np.unique(system_ids, return_inverse=True)
+    except (TypeError, ValueError):  # ids that do not sort against each other
+        raise InputError("system_ids must be mutually comparable, such as strings") from None
     if len(systems) < 2:
         raise InputError(f"system correlation needs >= 2 systems, got {len(systems)}")
     counts = np.bincount(system)
@@ -202,8 +202,7 @@ def uce(
     variance inside the bin. Empty bins contribute nothing.
     """
     y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
-    if num_bins < 1:
-        raise InputError(f"num_bins must be >= 1, got {num_bins}")
+    num_bins = check_int("num_bins", num_bins, 1, error=InputError)
     sq_err = (y_true - y_pred) ** 2
     edges = np.linspace(var.min(), var.max(), num_bins + 1)
     # Right-closed bins; the first bin also includes its left edge.
@@ -251,7 +250,7 @@ def error_uncertainty_curve(
     """
     y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
     n = var.size
-    if num_bins < 1 or num_bins > n:
+    if check_int("num_bins", num_bins, 1, error=InputError) > n:
         raise InputError(f"num_bins must lie in [1, {n}], got {num_bins}")
     sq_err = (y_true - y_pred) ** 2
     order = np.argsort(var, kind="stable")
@@ -275,7 +274,7 @@ def selective_sweep(
     place of the mse when nothing is retained.
     """
     y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
-    thresholds = [float(t) for t in thresholds]
+    thresholds = check_array("thresholds", thresholds, 1).tolist()
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise InputError("thresholds must be sorted ascending")
     sq_err = (y_true - y_pred) ** 2
@@ -297,7 +296,7 @@ def compute_report(
     The rows' domain labels are used only when every record carries one.
     """
     labels = [r.domain_label for r in records]
-    scores = np.array([(r.y_true, r.y_pred, r.var_pred) for r in records], dtype=float)
+    scores = check_array("records", [(r.y_true, r.y_pred, r.var_pred) for r in records])
     return MetricsReport.of(
         [r.system_id for r in records], *scores.reshape(-1, 3).T.copy(),
         domain_labels=None if None in labels else labels,

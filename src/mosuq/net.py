@@ -22,9 +22,9 @@ with the weight views it binds once, so a step's passes make no new
 arrays, and any other call gets a fresh one. The network draws no random
 numbers: dropout runs only when the caller passes a mask, the ``(2, B, H)``
 inverted-dropout multipliers of both heads, score head first, which
-``dropout_mask`` makes from a generator's uniforms. ``forward_batch``
-checks only the shape of its features; their callers check finiteness
-once per dataset.
+``dropout_mask`` makes from a generator's uniforms. Caller arrays enter
+through ``errors.check_array``; a workspace-bound pass, the training step's,
+takes the trainer's own float64 arrays, which it checked once per dataset.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ShapeError, check_float, check_int
+from .errors import ConfigError, ShapeError, check_array, check_choice, check_float, check_int
 
 __all__ = [
     "ACTIVATIONS",
@@ -58,8 +58,6 @@ ACTIVATIONS = ("tanh", "relu")
 # exp(s) stays within roughly [4.5e-5, 2.2e4] no matter how far training
 # or an out-of-distribution input pushes the raw head output.
 S_CLAMP = 10.0
-
-_FLOAT64 = np.dtype(np.float64)
 
 # Parameter groups; within a group, layers in order.
 GROUPS = ("trunk_w", "trunk_b", "head_w", "head_b")
@@ -84,11 +82,14 @@ class ArchConfig:
 
     def __post_init__(self):
         self.__dict__["input_dim"] = check_int("input_dim", self.input_dim, 1)
-        self.__dict__["trunk_dims"] = tuple(check_int("trunk width", w, 1) for w in self.trunk_dims)
+        try:
+            widths = tuple(check_int("trunk width", w, 1) for w in self.trunk_dims)
+        except TypeError:  # not a sequence
+            raise ConfigError(f"trunk_dims must be a sequence, got {self.trunk_dims!r}") from None
+        self.__dict__["trunk_dims"] = widths
         self.__dict__["head_hidden_dim"] = check_int("head_hidden_dim", self.head_hidden_dim, 1)
         self.__dict__["dropout_p"] = check_float("dropout_p", self.dropout_p, 0.0, 1.0)
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        self.__dict__["activation"] = check_choice("activation", self.activation, ACTIVATIONS)
 
     @property
     def trunk_output_dim(self) -> int:
@@ -149,12 +150,10 @@ class ModelParams:
 
     def __post_init__(self):
         layout = param_layout(self.arch)
-        size, flat = layout[-1].stop, self.flat
-        if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
-            raise ShapeError(
-                f"expected a contiguous float64 vector of {size} parameters, "
-                f"got {flat.dtype} array of shape {flat.shape}"
-            )
+        size, flat = layout[-1].stop, check_array("parameters", self.flat, 1)
+        if len(flat) != size or not flat.flags.c_contiguous:
+            raise ShapeError(f"expected a contiguous vector of {size} parameters, got {flat.shape}")
+        object.__setattr__(self, "flat", flat)
         for group in GROUPS:
             object.__setattr__(self, group, [])
         for slot in layout:
@@ -193,42 +192,20 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
 
     Weights are uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases are
     zero. Draw order is fixed: trunk layers, then both score head layers,
-    then both log-variance head layers.
+    then both log-variance head layers. The seed is an integer >= 0.
     """
+    seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    params = ModelParams(arch, np.zeros(param_layout(arch)[-1].stop), int(seed))
+    params = ModelParams(arch, np.zeros(param_layout(arch)[-1].stop), seed)
     for w in params.trunk_w + [layer[h] for h in (0, 1) for layer in params.head_w]:
         bound = 1.0 / math.sqrt(w.shape[1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
     return params
 
 
-def _check_shape(arch: ArchConfig, x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[1] != arch.input_dim:
-        raise ShapeError(
-            f"expected features of width {arch.input_dim}, got array of shape {x.shape}"
-        )
-
-
-def _as_features(x, what: str = "features") -> np.ndarray:
-    """x as a float64 array. Values that are ragged or not real numbers (strings,
-    complex numbers, objects that are not numbers) are an InputError naming
-    what they are; bools, integers and number objects are converted."""
-    try:
-        x = np.asarray(x)
-        if x.dtype.kind == "O":
-            x = x.astype(np.float64)
-    except (TypeError, ValueError):  # ragged, or an object that is not a number
-        raise InputError(f"{what} must be a rectangular array of real numbers") from None
-    if x.dtype.kind not in "biuf":
-        raise InputError(f"{what} must be real numbers, got an array of dtype {x.dtype}")
-    return x if x.dtype is _FLOAT64 else x.astype(np.float64)
-
-
-def _check_features(arch: ArchConfig, x: np.ndarray) -> None:
-    _check_shape(arch, x)
-    if not np.isfinite(x).all():
-        raise InputError("features contain non-finite values")
+def _check_width(arch: ArchConfig, x: np.ndarray) -> None:
+    if x.shape[1] != arch.input_dim:
+        raise ShapeError(f"expected features of width {arch.input_dim}, got shape {x.shape}")
 
 
 def dropout_mask(rng: np.random.Generator, p: float, shape, out=None) -> np.ndarray | None:
@@ -254,7 +231,7 @@ class Workspace:
     the last two view d_out, the (2, rows, 1) upstream stack, score first."""
 
     def __init__(self, params: ModelParams, rows: int):
-        arch = params.arch
+        arch, rows = params.arch, check_int("rows", rows, 0)
         self.params, self.kind = params, arch.activation
         self.grads = self.h_buf = None  # bound by backward_batch; made by for_training
         self.x_shape, self.h_shape = (rows, arch.input_dim), (2, rows, arch.trunk_output_dim)
@@ -297,16 +274,18 @@ def forward_batch(
 
     Returns (y_hat, s, work): (batch,) arrays, s clamped to [-S_CLAMP,
     +S_CLAMP], and the Workspace that holds them, the cache backward_batch
-    replays. Without work a fresh one is made and x is converted by
-    _as_features; with one, x must be a float64 array of its rows, and its
-    next pass overwrites the outputs. mask, when given, is the
-    (2, batch, trunk_output_dim) dropout multipliers of the heads' input
-    (see dropout_mask); without one the pass runs no dropout.
+    replays. mask, when given, is the (2, batch, trunk_output_dim) dropout
+    multipliers of the heads' input (see dropout_mask; another shape is a
+    ShapeError); without one the pass runs no dropout. Without work a fresh
+    one is made, and x and mask must be finite real arrays; with one, they
+    must be float64 arrays of its rows, and its next pass overwrites it.
     """
     if work is None:
-        x = _as_features(x)
-        _check_shape(params.arch, x)
+        x = check_array("features", x, 2, finite=True)
+        _check_width(params.arch, x)
         work = Workspace(params, len(x))
+        if mask is not None:
+            mask = check_array("dropout mask", mask, finite=True)
     elif work.params is not params or x.shape != work.x_shape:
         raise ShapeError(f"workspace of shape {work.x_shape} does not match the params or features")
     if mask is not None and mask.shape != work.h_shape:
@@ -344,7 +323,8 @@ def backward_batch(
 
     d_y_hat and d_s are (batch,) upstream derivatives of a scalar loss with
     respect to the two outputs, read in place when they are work.d_y_hat
-    and work.d_s (as a loss given out=work.loss_out returns them). Where
+    and work.d_s (as a loss given out=work.loss_out returns them), and
+    otherwise finite real arrays (errors.check_array). Where
     the log-variance clamp was active d_s is zeroed, matching the
     piecewise-constant clamp. The gradients are written into out, which
     every call overwrites entirely, or into a new ModelParams; either is
@@ -354,9 +334,9 @@ def backward_batch(
         raise ShapeError("forward cache does not match the supplied parameters")
     work.for_training()
     if d_y_hat is not work.d_y_hat or d_s is not work.d_s:
-        shapes = np.shape(d_y_hat), np.shape(d_s)
-        if shapes != (work.s.shape,) * 2:
-            raise ShapeError(f"upstream gradients must have shape {work.s.shape}, got {shapes}")
+        d_y_hat, d_s = (check_array("upstream gradients", d, 1, True) for d in (d_y_hat, d_s))
+        if not len(d_y_hat) == len(d_s) == len(work.s):
+            raise ShapeError(f"upstream gradients must have shape {work.s.shape}")
         work.d_y_hat[...], work.d_s[...] = d_y_hat, d_s
     if out is None:
         out = ModelParams(params.arch, np.empty_like(params.flat), params.rng_seed_used)

@@ -17,9 +17,9 @@ uniforms, into one buffer made once per ``train`` call, whose contiguous
 order as one draw per batch, so the chunk size changes no result, and the
 mask memory is one chunk, whatever the row count.
 
-Features are checked for non-finite values once per dataset, before the
-first step (training and validation splits), and once per predict_batch
-call; the per-batch forward pass checks only their shape.
+Features and labels are checked once per split, before the first step; a
+step's workspace-bound pass checks only their shape, while predict_batch and
+the validation pass go through forward_batch's checks.
 
 Checkpoints are canonical JSON: keys sorted, two-space indent, trailing
 newline, floats via repr. Saving a loaded checkpoint therefore reproduces
@@ -40,14 +40,8 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import (
-    CheckpointError,
-    CheckpointVersionError,
-    ConfigError,
-    InputError,
-    ShapeError,
-    TrainingDivergedError,
-    check_float,
-    check_int,
+    CheckpointError, CheckpointVersionError, ConfigError, InputError, InvariantError, ShapeError,
+    TrainingDivergedError, check_array, check_choice, check_float, check_int,
 )
 from .ioutils import atomic_write_text, canonical_json, write_csv
 from .loss import LOSSES, mse_loss_batch, nll_loss_batch
@@ -55,8 +49,6 @@ from .net import (
     ArchConfig,
     ModelParams,
     Workspace,
-    _as_features,
-    _check_features,
     backward_batch,
     dropout_mask,
     forward_batch,
@@ -105,12 +97,8 @@ class TrainConfig:
         self.__dict__["learning_rate"] = check_float(
             "learning_rate", self.learning_rate, 0.0, math.inf, low_open=True
         )
-        if self.loss not in LOSSES:
-            raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(
-                f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
-            )
+        self.__dict__["loss"] = check_choice("loss", self.loss, LOSSES)
+        self.__dict__["optimizer"] = check_choice("optimizer", self.optimizer, OPTIMIZERS)
         self.__dict__["seed"] = check_int("seed", self.seed, 0)
 
 
@@ -253,20 +241,15 @@ def _checked_split(
         raise ShapeError(
             f"{name} data has {dataset.feature_dim} features but arch expects {arch.input_dim}"
         )
-    _check_features(arch, dataset.features())
-    if not np.all(np.isfinite(dataset.labels())):
-        raise InputError(f"{name} labels contain non-finite values")
-    return dataset.features(), dataset.labels()
+    x = check_array(f"{name} features", dataset.features(), finite=True)
+    return x, check_array(f"{name} labels", dataset.labels(), finite=True)
 
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (y_hat, s) arrays for a feature matrix.
-
-    Raises InputError if the features are ragged or a feature is not a
-    finite real number.
+    """Deterministic (y_hat, s) arrays for a feature matrix, which
+    forward_batch checks: InputError unless it is a 2-d array of finite
+    real numbers.
     """
-    features = _as_features(features)
-    _check_features(params.arch, features)
     y_hat, s, _ = forward_batch(params, features)
     return y_hat, s
 
@@ -287,7 +270,7 @@ def _checkpoint_views(params: ModelParams) -> dict[tuple[str, str], list[np.ndar
 def save_checkpoint(
     params: ModelParams, path: str | Path, calibration_r: float | None = None
 ) -> None:
-    """Serialize a model (and optional calibration scale) as canonical JSON."""
+    """Serialize a model (and optional calibration scale r > 0) as canonical JSON."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "arch": asdict(params.arch),
@@ -298,7 +281,7 @@ def save_checkpoint(
     for (section, key), views in _checkpoint_views(params).items():
         doc[section][key] = [a.tolist() for a in views]
     if calibration_r is not None:
-        doc["calibration_r"] = float(calibration_r)
+        doc["calibration_r"] = check_float("r", calibration_r, 0.0, math.inf, True, InvariantError)
     atomic_write_text(path, canonical_json(doc))
 
 
@@ -403,20 +386,17 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
     calibration_r = doc.get("calibration_r")
     if calibration_r is not None:
         try:
-            calibration_r = _number(calibration_r)
+            calibration_r = check_float("value", _number(calibration_r), 0.0, math.inf, True)
         except ValueError as exc:
             raise CheckpointError(f"{path}: invalid calibration_r: {exc}") from None
-        if not (math.isfinite(calibration_r) and calibration_r > 0.0):
-            raise CheckpointError(
-                f"{path}: calibration_r must be positive and finite, got {calibration_r}"
-            )
     return params, calibration_r
 
 
 def save_history_csv(history: TrainHistory, path: str | Path) -> None:
     """Write `epoch,train_loss,val_loss` rows; val cells are empty when no
     validation split was supplied."""
-    train_loss = np.asarray(history.train_loss, dtype=float)
+    train_loss = check_array("train_loss", history.train_loss, 1)
     epochs = len(train_loss)
-    val = [None] * epochs if history.val_loss is None else np.asarray(history.val_loss, dtype=float)
+    val = history.val_loss
+    val = [None] * epochs if val is None else check_array("val_loss", val, 1)
     write_csv(path, ["epoch", "train_loss", "val_loss"], [range(1, epochs + 1), train_loss, val])

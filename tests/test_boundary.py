@@ -1,0 +1,267 @@
+"""The input boundary gate.
+
+Malformed values go to every array and number argument of the names that
+``mosuq/__init__.py`` exports, and to every field of its configs: ragged,
+text, complex, object, bool, numpy scalars, nan or inf, empty and
+wrong-rank values. Whatever a call makes of one, it either returns or raises
+a ``MosuqError``; any other exception, and any warning (numpy's
+``ComplexWarning`` among them), fails the gate. The documented
+``DegenerateCalibrationWarning`` is the one warning let through. Result
+types (``MCSamples``, ``TrainHistory``), paths and bool flags are not
+fuzzed.
+
+The same values, where JSON can hold them, go into each CLI command's
+``--config`` file, one setting at a time, with valid inputs for the rest:
+each run must exit 2 and write no file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import io
+import json
+import math
+import types
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import mosuq
+from mosuq.calibrate import DegenerateCalibrationWarning
+from mosuq import cli
+from mosuq.cli import BOOL, COMMANDS, FRACTIONS, INT_LIST, MC, PATH, main
+from mosuq.errors import MosuqError
+
+MALFORMED = [
+    [[1.0, 2.0], [3.0]], [1.0, [2.0], 3.0],  # ragged
+    "abc", "1.5", "", ["a", "b", "c"],  # text
+    1j, [1j, 2.0, 3.0], np.array([[1 + 1j, 2.0], [3.0, 4.0], [5.0, 6.0]]),  # complex
+    object(), None, {}, [object(), 1.0, 2.0], [None, 1.0, 2.0],  # objects
+    True, [True, False, True],  # bools
+    np.float32(0.5), np.int64(2), np.complex128(1j), np.str_("1"), np.bool_(True),
+    np.datetime64("2020-01-01"),  # numpy scalars
+    math.nan, math.inf, -math.inf, [math.nan, 1.0, 2.0], [[math.inf, 0.0]] * 3,  # nan, inf
+    [], np.empty(0), np.empty((0, 2)), np.empty((3, 0)),  # empty
+    np.zeros((3, 2, 1)), np.float64(1.0), np.zeros(3), np.zeros((3, 3)),  # wrong rank
+    -1, 2.5,
+]
+
+# Random arrays of each malformed kind, of rank 0 to 3.
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+GENERATED = st.one_of(
+    hnp.arrays(np.complex128, _SHAPES, elements=st.complex_numbers(max_magnitude=4, allow_nan=False)),
+    hnp.arrays("U2", _SHAPES),
+    hnp.arrays(bool, _SHAPES),
+    hnp.arrays(np.float64, _SHAPES, elements=st.sampled_from([0.5, -1.0, math.nan, math.inf])),
+    hnp.arrays(np.float32, _SHAPES, elements=st.sampled_from([0.25, 2.0])),
+    st.lists(st.lists(st.integers(-2, 2), max_size=3), min_size=2, max_size=3),
+)
+
+ARCH = mosuq.ArchConfig(input_dim=2, trunk_dims=(3,), head_hidden_dim=3)
+PARAMS = mosuq.init_params(ARCH, 0)
+X = np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 0.0]])
+COL, VAR, LABELS = [1.0, 2.0, 3.5], [0.5, 1.0, 2.0], [0, 1, 1]
+SYSTEMS = ["s1", "s2", "s1"]
+DATASET = mosuq.Dataset(["a", "b", "c"], SYSTEMS, ["in_domain"] * 3, COL, [math.nan] * 3, X)
+GEN = mosuq.GenConfig(num_systems=2, samples_per_system=3, feature_dim=2)
+MCCFG = mosuq.MCConfig(num_passes=2)
+
+
+def _fields(cls, valid: dict):
+    """One slot per field of a config class: the config built with the value
+    in that field, and the valid values in the others."""
+    return {
+        f"{cls.__name__}.{name}": (lambda v, name=name: cls(**{**valid, name: v}))
+        for name in cls.__dataclass_fields__
+    }
+
+
+def _backward(d_y_hat, d_s):
+    work = mosuq.forward_batch(PARAMS, X)[2]
+    return mosuq.backward_batch(work, PARAMS, d_y_hat, d_s)
+
+
+def _columns(name: str, fn, count: int, valid: list):
+    """One slot per array argument of fn, the first count positions of valid."""
+    return {
+        f"{name}[{i}]": (lambda v, i=i: fn(*valid[:i], v, *valid[i + 1 :]))
+        for i in range(count)
+    }
+
+
+SLOTS = {
+    **_fields(mosuq.ArchConfig, {"input_dim": 2}),
+    **_fields(mosuq.TrainConfig, {}),
+    **_fields(mosuq.MCConfig, {}),
+    **_fields(mosuq.GenConfig, {"num_systems": 2, "samples_per_system": 3, "feature_dim": 2}),
+    **_fields(mosuq.Homoscedastic, {}),
+    **_fields(mosuq.RaterPanel, {}),
+    "GenConfig.noise_model in gen_synthetic": lambda v: mosuq.gen_synthetic(
+        mosuq.GenConfig(num_systems=2, samples_per_system=3, feature_dim=2, noise_model=v)
+    ),
+    "CalibrationScale.r": lambda v: mosuq.CalibrationScale(v, 0, 1.0),
+    "CalibrationScale.from_r": mosuq.CalibrationScale.from_r,
+    **_columns("CalibrationScale.fit", mosuq.CalibrationScale.fit, 3, [COL, VAR, COL]),
+    **_columns("Dataset", mosuq.Dataset, 6,
+               [["a", "b", "c"], SYSTEMS, ["in_domain"] * 3, COL, [math.nan] * 3, X]),
+    "gen_ood_shift.shift": lambda v: mosuq.gen_ood_shift(GEN, v),
+    "add_feature_noise.level": lambda v: mosuq.add_feature_noise(DATASET, v, 0),
+    "add_feature_noise.seed": lambda v: mosuq.add_feature_noise(DATASET, 0.5, v),
+    "split_dataset.fractions": lambda v: mosuq.split_dataset(DATASET, v, 0),
+    "split_dataset.seed": lambda v: mosuq.split_dataset(DATASET, (0.5, 0.5), v),
+    "init_params.seed": lambda v: mosuq.init_params(ARCH, v),
+    "ModelParams.flat": lambda v: mosuq.ModelParams(ARCH, v, 0),
+    "Workspace.rows": lambda v: mosuq.Workspace(PARAMS, v),
+    "forward_batch.x": lambda v: mosuq.forward_batch(PARAMS, v),
+    "forward_batch.mask": lambda v: mosuq.forward_batch(PARAMS, X, v),
+    "backward_batch.d_y_hat": lambda v: _backward(v, VAR),
+    "backward_batch.d_s": lambda v: _backward(VAR, v),
+    **_columns("nll_loss_batch", mosuq.nll_loss_batch, 3, [COL, VAR, COL]),
+    **_columns("mse_loss_batch", mosuq.mse_loss_batch, 3, [COL, VAR, COL]),
+    "mc_forward.x": lambda v: mosuq.mc_forward(PARAMS, v, MCCFG),
+    "mc_forward_dataset.features": lambda v: mosuq.mc_forward_dataset(PARAMS, v, MCCFG),
+    "variance_of": mosuq.variance_of,
+    "save_checkpoint.calibration_r": lambda v: mosuq.save_checkpoint(PARAMS, SCRATCH / "c", v),
+    **_columns("mse", mosuq.mse, 2, [COL, COL]),
+    **_columns("srcc_system", mosuq.srcc_system, 3, [SYSTEMS, COL, COL]),
+    **_columns("nll_metric", mosuq.nll_metric, 3, [COL, COL, VAR]),
+    **_columns("uce", mosuq.uce, 4, [COL, COL, VAR, 2]),
+    **_columns("sharpness", mosuq.sharpness, 1, [VAR]),
+    **_columns("roc_auc", mosuq.roc_auc, 2, [VAR, LABELS]),
+    **_columns("error_uncertainty_curve", mosuq.error_uncertainty_curve, 4, [COL, COL, VAR, 2]),
+    **_columns("selective_sweep", mosuq.selective_sweep, 4, [COL, COL, VAR, [0.5, 1.0]]),
+    **_columns("MetricsReport.of", mosuq.MetricsReport.of, 6,
+               [SYSTEMS, COL, COL, VAR, LABELS, 2]),
+}
+
+
+SCRATCH = Path()  # a temporary directory, set for each test
+
+
+@pytest.fixture(autouse=True)
+def _scratch(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "SCRATCH", tmp_path)
+
+
+def _gate(call, value) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", DegenerateCalibrationWarning)
+        try:
+            call(value)
+        except MosuqError:
+            pass
+
+
+@pytest.mark.parametrize("slot", SLOTS)
+def test_every_malformed_value_gives_only_package_errors(slot):
+    for value in MALFORMED:
+        _gate(SLOTS[slot], value)
+
+
+@settings(
+    derandomize=True, database=None, max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(slot=st.sampled_from(sorted(SLOTS)), value=GENERATED)
+def test_generated_malformed_arrays_give_only_package_errors(slot, value):
+    _gate(SLOTS[slot], value)
+
+
+def test_every_exported_array_or_config_name_has_a_slot():
+    covered = {name.split(".")[0].split("[")[0] for name in SLOTS}
+    skipped = {  # paths, results, no fields, and names that take only checked configs
+        "load_dataset_csv", "save_dataset_csv", "load_checkpoint", "MCSamples",
+        "TrainHistory", "Heteroscedastic", "gen_synthetic", "train",
+    }
+    exported = {
+        name for name, value in vars(mosuq).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported - skipped == covered
+
+
+def _json_form(value) -> bool:
+    try:
+        return json.loads(json.dumps(value)) is not None
+    except TypeError:
+        return False
+
+
+# The values of MALFORMED that JSON holds, for the CLI, but for numeric text
+# and finite numbers, which a setting may accept ("1.5" is a number).
+JSON_VALUES = [
+    v for v in MALFORMED
+    if type(v) in (list, str, bool, float, dict) and _json_form(v) and v != "1.5"
+    and not (type(v) is float and math.isfinite(v))
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A tiny dataset and checkpoint, so every command's other inputs are valid."""
+    root = tmp_path_factory.mktemp("gate")
+    data = mosuq.gen_synthetic(mosuq.GenConfig(num_systems=2, samples_per_system=6, feature_dim=2))
+    mosuq.save_dataset_csv(data, root / "d.csv")
+    arch = mosuq.ArchConfig(input_dim=2, trunk_dims=(3,), head_hidden_dim=3)
+    params, _ = mosuq.train(data, arch, mosuq.TrainConfig(epochs=1, batch_size=4))
+    mosuq.save_checkpoint(params, root / "ck.json", calibration_r=1.5)
+    return root
+
+
+def _valid_settings(command: str, root, out) -> dict:
+    data, ck = str(root / "d.csv"), str(root / "ck.json")
+    return {
+        "gen-data": {"out": str(out / "g.csv"), "num_systems": 2, "samples_per_system": 3,
+                     "feature_dim": 2},
+        "train": {"data": data, "out": str(out / "ck.json"), "epochs": 1, "batch_size": 4},
+        "calibrate": {"checkpoint": ck, "data": data, "out": str(out / "ck.json")},
+        "evaluate": {"checkpoint": ck, "data": data, "report": str(out / "r.json"),
+                     "mc": [2, 0.5, 0]},
+        "ood-detect": {"checkpoint": ck, "in_data": data, "ood_data": data,
+                       "report": str(out / "r.json"), "mc": [2, 0.5, 0]},
+    }[command]
+
+
+def _placed(kind, value):
+    """value where a setting of this kind reads a number: in place of the first
+    item of a list kind, or as the whole value; None where it would be valid."""
+    if kind.parse in (INT_LIST.parse, FRACTIONS.parse, MC.parse):
+        return [value, *{INT_LIST.parse: [], FRACTIONS.parse: [0.5, 0.5],
+                         MC.parse: [0.5, 0]}[kind.parse]]
+    if (kind.parse is PATH.parse and isinstance(value, str)) or (
+        kind.parse is BOOL.parse and isinstance(value, bool)
+    ):
+        return None
+    return value
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_config_values_exit_2_without_writing(command, inputs, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))  # for speed
+    config, ok, out = tmp_path / "cfg.json", tmp_path / "ok", tmp_path / "out"
+    ok.mkdir()
+    out.mkdir()
+    config.write_text(json.dumps(_valid_settings(command, inputs, ok)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", str(config)]) == 0  # the valid settings alone run
+    valid, checked = _valid_settings(command, inputs, out), 0
+    for setting in COMMANDS[command].settings:
+        for value in JSON_VALUES:
+            placed = _placed(setting.kind, value)
+            if placed is None:
+                continue
+            config.write_text(json.dumps({**valid, setting.key: placed}))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([command, "--config", str(config)])
+            assert code == 2, (setting.key, placed, err.getvalue())
+            assert list(out.iterdir()) == [], (setting.key, placed)
+            checked += 1
+    assert checked > 0

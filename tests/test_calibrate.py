@@ -132,6 +132,15 @@ class TestCalibrationScaleType:
         with pytest.raises(InvariantError):
             CalibrationScale(r=0.0, num_samples_used=1, mean_normalized_residual_sq=0.0)
 
+    @pytest.mark.parametrize("r", ["2", True, math.inf, math.nan, -1.0, 0.0, 1j, None, [2.0]])
+    def test_from_r_rejects_anything_but_a_finite_positive_number(self, r):
+        with pytest.raises(InvariantError, match="scale r must be a number"):
+            CalibrationScale.from_r(r)
+
+    def test_from_r_stores_a_plain_float(self):
+        scale = CalibrationScale.from_r(np.float32(2.0))
+        assert type(scale.r) is float and scale.r == 2.0 and scale.variance_multiplier == 4.0
+
     def test_from_r_round_trips(self):
         scale = CalibrationScale.from_r(2.5)
         assert scale.r == 2.5

@@ -868,6 +868,10 @@ class TestFailBeforeWork:
         config = write_config(tmp_path / "cfg.json", '{"sigma": NaN}')
         self.assert_usage_error(self.gen_argv(tmp_path, "--config", config), tmp_path, capsys)
 
+    def test_integer_beyond_the_float_range_in_a_number_setting(self, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", '{"sigma": 1' + "0" * 400 + "}")
+        self.assert_usage_error(self.gen_argv(tmp_path, "--config", config), tmp_path, capsys)
+
     @pytest.mark.parametrize("flag", ["--shift", "--feature-noise"])
     def test_negative_shift_or_noise_flag(self, tmp_path, capsys, flag):
         self.assert_usage_error(self.gen_argv(tmp_path, flag, "-1"), tmp_path, capsys)
@@ -1004,3 +1008,63 @@ class TestCsvQuoting:
         rows = self.read_rows(mc_out)
         assert all(len(row) == 6 for row in rows)
         assert [row[0] for row in rows[1:]] == ids
+
+
+# Each number as a flag string and as a JSON value, and what each numeric
+# setting kind makes of it: the parsed value, or None for exit 2. Flags always
+# arrive as strings, so "2.0" is not an integer there, while the JSON number
+# 2.0 is; a numeric JSON string is parsed as a flag would be.
+NUMBER_INPUTS = [  # (flag text, JSON text)
+    ("2", '"2"'), ("2.0", "2.0"), ("2.5", "2.5"), ("true", "true"),
+    ("1e400", "1e400"), ("nan", '"nan"'), ("1e-3", '"1e-3"'),
+]
+NUMBER_OUTCOMES = {  # setting -> {route: outcome per NUMBER_INPUTS entry}
+    "seed": {  # INT
+        "flag": [2, None, None, None, None, None, None],
+        "config": [2, 2, None, None, None, None, None],
+    },
+    "feature_noise_seed": {  # an integer >= 0, or null
+        "flag": [2, None, None, None, None, None, None],
+        "config": [2, 2, None, None, None, None, None],
+    },
+    "sigma": {  # FLOAT
+        "flag": [2.0, 2.0, 2.5, None, None, None, 0.001],
+        "config": [2.0, 2.0, 2.5, None, None, None, 0.001],
+    },
+    "shift": {  # a finite number >= 0
+        "flag": [2.0, 2.0, 2.5, None, None, None, 0.001],
+        "config": [2.0, 2.0, 2.5, None, None, None, 0.001],
+    },
+}
+
+
+class TestNumberOutcomes:
+    """What each numeric setting kind accepts, through a flag and through
+    --config: the parsed value and its type, as recorded in the config file,
+    or exit 2 with no file written."""
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("key", NUMBER_OUTCOMES)
+    @pytest.mark.parametrize("index", range(len(NUMBER_INPUTS)), ids=[f for f, _ in NUMBER_INPUTS])
+    def test_outcome(self, tmp_path, capsys, key, route, index):
+        flag_text, json_text = NUMBER_INPUTS[index]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = [
+            "gen-data", "--out", str(out_dir / "d.csv"), "--num-systems", "2",
+            "--samples-per-system", "3", "--feature-dim", "2",
+        ]
+        if route == "flag":
+            argv += [f"--{key.replace('_', '-')}", flag_text]
+        else:
+            argv += ["--config", write_config(tmp_path / "cfg.json", f'{{"{key}": {json_text}}}')]
+        want = NUMBER_OUTCOMES[key][route][index]
+        code = main(argv)
+        capsys.readouterr()
+        if want is None:
+            assert code == 2
+            assert list(out_dir.iterdir()) == []
+        else:
+            assert code == 0
+            got = json.loads((out_dir / "gen-data-config.json").read_text())[key]
+            assert type(got) is type(want) and got == want

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -389,6 +390,16 @@ class TestCsvRoundTrip:
         with pytest.raises(InputError, match="domain_tag"):
             load_dataset_csv(path)
 
+    def test_unknown_domain_tag_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "tag.csv"
+        path.write_text(
+            "id,system_id,domain_tag,y,true_noise_var,f0\n"
+            "a,sys0,ood,3.0,0.1,0.5\n"
+            "b,sys0,zzz,3.0,0.1,0.5\n"
+        )
+        with pytest.raises(InputError, match=f"{path}:3: unknown domain_tag 'zzz'"):
+            load_dataset_csv(path)
+
 
 class TestDatasetContainer:
     def test_columns_are_read_only_arrays_handed_out_without_a_copy(self):
@@ -423,6 +434,23 @@ class TestDatasetContainer:
                     whole.system_id, whole.y, whole.true_noise_var
                 )
                 assert np.array_equal(s.features, whole.features)
+
+    def test_unknown_domain_tag_rejected(self):
+        """The rule the CSV loader applies holds for a Dataset built in memory,
+        which evaluate would otherwise score as in-domain."""
+        with pytest.raises(InputError, match="row 1: unknown domain_tag 'zzz'"):
+            dataset_of(["a", "b"], ["s", "s"], np.zeros((2, 2)), [3.0, 3.0], ["ood", "zzz"])
+
+    @pytest.mark.parametrize("column, value", [
+        ("y", [1.0 + 2.0j, 3.0]), ("y", ["1.5", "2.5"]), ("y", [[1.0], [2.0]]),
+        ("x", [[1.0, 2.0], [3.0]]), ("x", np.zeros(2)), ("ids", [["a"], ["b"]]),
+    ], ids=["complex", "text", "2-d-labels", "ragged-features", "1-d-features", "2-d-ids"])
+    def test_malformed_columns_are_an_input_error(self, column, value):
+        columns = dict(ids=["a", "b"], system_ids=["s", "s"], x=np.zeros((2, 2)), y=[3.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=column):
+                dataset_of(**{**columns, column: value})
 
     def test_columns_of_different_lengths_rejected(self):
         with pytest.raises(InputError):

@@ -1,8 +1,11 @@
-"""The integer and float checks that every config runs its fields through."""
+"""The input boundary: the integer, float and choice checks that every config
+runs its fields through, and the one array check that every caller array
+enters through."""
 
 from __future__ import annotations
 
 import enum
+import warnings
 import math
 import numbers
 from decimal import Decimal
@@ -12,7 +15,9 @@ import numpy as np
 import pytest
 
 from mosuq.datagen import GenConfig, Homoscedastic, RaterPanel
-from mosuq.errors import ConfigError, check_float, check_int
+from mosuq.errors import (
+    ConfigError, InputError, InvariantError, check_array, check_choice, check_float, check_int,
+)
 from mosuq.mcdropout import MCConfig
 from mosuq.net import ArchConfig
 from mosuq.trainer import TrainConfig
@@ -102,3 +107,70 @@ def test_configs_store_plain_python_numbers(config):
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, (np.generic, numbers.Number)) and not isinstance(v, bool):
                 assert type(v) in (int, float), name
+
+
+def test_check_float_rejects_an_integer_beyond_the_float_range():
+    with pytest.raises(ConfigError, match="must be a number"):
+        check_float("sigma", 10**400, 0.0, math.inf)
+
+
+def test_checks_raise_the_error_class_they_are_given():
+    with pytest.raises(InputError, match="shift"):
+        check_float("shift", -1.0, 0.0, math.inf, error=InputError)
+    with pytest.raises(InvariantError, match="n must be an integer"):
+        check_int("n", 0.5, 0, error=InvariantError)
+
+
+@pytest.mark.parametrize("value", ["tanh", np.str_("relu")])
+def test_check_choice_returns_a_plain_str(value):
+    got = check_choice("activation", value, ("tanh", "relu"))
+    assert type(got) is str and got == value
+
+
+@pytest.mark.parametrize("value", ["sigmoid", None, 1, np.array(["tanh", "relu"]), ["tanh"]])
+def test_check_choice_rejects(value):
+    with pytest.raises(ConfigError, match="activation must be one of"):
+        check_choice("activation", value, ("tanh", "relu"))
+
+
+class TestCheckArray:
+    def test_a_float64_array_passes_through_without_a_copy(self):
+        x = np.zeros((2, 3))
+        assert check_array("x", x, 2, finite=True) is x
+
+    @pytest.mark.parametrize("value, want", [
+        ([1, 2], [1.0, 2.0]), ([True, False], [1.0, 0.0]), (np.int8([3]), [3.0]),
+        (np.float32([0.5]), [0.5]), ([Fraction(1, 2), np.float32(0.25)], [0.5, 0.25]),
+        (np.array([1.0, 2.0], dtype=">f8"), [1.0, 2.0]),
+    ])
+    def test_real_numbers_are_converted_to_float64(self, value, want):
+        got = check_array("x", value, 1)
+        assert got.dtype == np.float64 and got.dtype.isnative and got.tolist() == want
+
+    @pytest.mark.parametrize("value", [
+        [[1.0], [2.0, 3.0]], ["1.5"], [1j], np.array([1j]), [None], [object()], [10**400],
+        np.array(["2020-01-01"], dtype="datetime64[D]"), {"a": 1}, [Decimal("0.5")],
+    ], ids=["ragged", "text", "complex", "complex-array", "none", "object", "huge-int",
+            "datetime", "dict", "decimal"])
+    def test_values_that_are_not_real_numbers_are_an_input_error(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="column must be a rectangular"):
+                check_array("column", value)
+
+    @pytest.mark.parametrize("value, ndim", [([1.0], 2), ([[1.0]], 1), (1.0, 1)])
+    def test_wrong_rank_is_an_input_error(self, value, ndim):
+        with pytest.raises(InputError, match=f"column must be a {ndim}-d array"):
+            check_array("column", value, ndim)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_finite_rejects_nan_and_inf(self, bad):
+        check_array("column", [1.0, bad])
+        with pytest.raises(InputError, match="column must be finite"):
+            check_array("column", [1.0, bad], finite=True)
+
+    def test_text_columns(self):
+        got = check_array("ids", ["a", 1, 2.5], 1, text=True)
+        assert got.dtype.kind == "U" and got.tolist() == ["a", "1", "2.5"]
+        with pytest.raises(InputError, match="ids must be a rectangular 1-d text array"):
+            check_array("ids", [["a"], ["b", "c"]], 1, text=True)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mosuq.errors import InputError
 from mosuq.loss import mse_loss_batch, nll_loss_batch
 
 finite_floats = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -97,3 +98,26 @@ class TestMseLoss:
     def test_never_touches_log_variance(self, y_hat, s, y):
         _, _, d_s = mse_loss_batch(np.array([y_hat]), np.array([s]), np.array([y]))
         np.testing.assert_array_equal(d_s, np.zeros(1))
+
+
+class TestInputChecks:
+    """Called without out, a loss checks its inputs; a training step's call
+    with out (its workspace's buffers) is not checked."""
+
+    @pytest.mark.parametrize("loss", [nll_loss_batch, mse_loss_batch])
+    @pytest.mark.parametrize("bad, match", [
+        ([1.0, math.inf], "must be finite"), ([1j, 0.0], "numeric array"),
+        (["a", "b"], "numeric array"), ([[1.0, 2.0]], "1-d array"), ([1.0], "differ in length"),
+    ])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_malformed_inputs_are_an_input_error(self, loss, bad, match, which):
+        args = [[1.0, 2.0], [0.0, 0.5], [1.5, 2.5]]
+        args[which] = bad
+        with pytest.raises(InputError, match=match):
+            loss(*args)
+
+    @pytest.mark.parametrize("loss", [nll_loss_batch, mse_loss_batch])
+    def test_lists_give_the_bits_of_arrays(self, loss):
+        args = [[1, 2.5], [0.0, -0.5], [1.5, 2]]
+        got, want = loss(*args), loss(*(np.array(a, dtype=float) for a in args))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

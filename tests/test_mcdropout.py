@@ -320,6 +320,19 @@ class TestKernelInvariants:
         with pytest.raises(ShapeError):
             mc_forward_dataset(params, np.zeros((4, width)), MCConfig())
 
+    def test_wrong_rank_is_an_input_error_on_both_paths(self):
+        """One class for one fault: a matrix for one row, or a row for a matrix."""
+        params = paper_shape_params()
+        with pytest.raises(InputError, match="features must be a 1-d array"):
+            mc_forward(params, np.zeros((1, 2)), MCConfig())
+        with pytest.raises(InputError, match="features must be a 2-d array"):
+            mc_forward_dataset(params, np.zeros(2), MCConfig())
+
+    @pytest.mark.parametrize("samples", [[1.0, math.inf], [[math.nan, 1.0]]])
+    def test_non_finite_samples_are_an_input_error(self, samples):
+        with pytest.raises(InputError, match="samples must be finite"):
+            variance_of(samples)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_features_are_an_input_error_on_both_paths(self, bad):
         params = paper_shape_params()
@@ -368,15 +381,18 @@ class TestKernelInvariants:
 
     def test_features_are_validated_once_per_call(self, monkeypatch):
         checked = []
-        real = mcdropout._check_features
-        monkeypatch.setattr(
-            mcdropout, "_check_features", lambda arch, x: (checked.append(x.shape), real(arch, x))
-        )
+        real = mcdropout.check_array
+
+        def counting_check(name, x, *args, **kwargs):
+            checked.append(np.shape(x))
+            return real(name, x, *args, **kwargs)
+
+        monkeypatch.setattr(mcdropout, "check_array", counting_check)
         params = paper_shape_params()
         features = np.zeros((300, 2))
         mc_forward_dataset(params, features, MCConfig(num_passes=25))
         mc_forward(params, features[0], MCConfig(num_passes=25))
-        assert checked == [(300, 2), (1, 2)]
+        assert checked == [(300, 2), (2,)]
 
     def test_masks_are_hashed_once_per_block_by_the_shared_helper(self, monkeypatch):
         """The kernel and _keep_mask hash through one helper, and the kernel

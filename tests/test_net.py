@@ -131,6 +131,16 @@ class TestInitParams:
     def test_records_seed(self):
         assert init_params(small_arch(), seed=42).rng_seed_used == 42
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    def test_seed_that_is_not_an_integer_at_least_zero_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            init_params(small_arch(), seed)
+
+    def test_numpy_integer_seed_is_recorded_as_an_int(self):
+        params = init_params(small_arch(), np.int64(42))
+        assert type(params.rng_seed_used) is int
+        assert np.array_equal(params.flat, init_params(small_arch(), 42).flat)
+
     def test_shapes(self):
         arch = small_arch(trunk_dims=(5,), head_hidden_dim=2)
         params = init_params(arch, seed=0)
@@ -302,6 +312,18 @@ class TestForward:
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="features"):
                 forward_batch(params, features)
+
+    @pytest.mark.parametrize("features", [np.zeros(3), np.zeros((1, 1, 3)), 0.5])
+    def test_features_of_the_wrong_rank_are_an_input_error(self, features):
+        with pytest.raises(InputError, match="features must be a 2-d array"):
+            forward_batch(init_params(small_arch(), seed=1), features)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_features_are_an_input_error(self, bad):
+        x = np.zeros((2, 3))
+        x[1, 2] = bad
+        with pytest.raises(InputError, match="features must be finite"):
+            forward_batch(init_params(small_arch(), seed=1), x)
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 4, 4), (2, 3, 4)])
     def test_mask_of_another_shape_rejected(self, shape):
@@ -511,6 +533,27 @@ class TestBackward:
         _, _, cache = forward_batch(params, np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             backward_batch(cache, params, np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 1)), ["a", "b"], [1.0, [2.0]], [1j, 0.0],
+                                     [math.inf, 0.0]],
+                             ids=["2-d", "text", "ragged", "complex", "inf"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_malformed_upstream_gradients_are_an_input_error(self, bad, which):
+        params = init_params(small_arch(), seed=9)
+        _, _, cache = forward_batch(params, np.zeros((2, 3)))
+        upstream = [np.ones(2), np.ones(2)]
+        upstream[which] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="upstream gradients"):
+                backward_batch(cache, params, *upstream)
+
+    def test_upstream_lists_are_converted(self):
+        params = init_params(small_arch(), seed=9)
+        _, _, cache = forward_batch(params, np.ones((2, 3)))
+        want = backward_batch(cache, params, np.array([0.5, -1.0]), np.array([1.0, 0.0]))
+        got = backward_batch(cache, params, [0.5, -1], [True, False])
+        assert np.array_equal(got.flat, want.flat)
 
     def test_clamped_log_variance_blocks_its_gradient(self):
         params = init_params(small_arch(), seed=3)

@@ -1,0 +1,34 @@
+"""Smoke tests of the measurement tools under tools/: each runs end to end
+on a tiny setting and prints what its docstring promises."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_stepbench_prints_one_strict_json_line_with_every_timing():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stepbench.py"), "--repeat", "1", "--number", "1"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    report = strict_json(done.stdout.strip().splitlines()[-1])
+    assert set(report["us"]) == {
+        "forward_batch", "nll_loss_batch", "backward_batch", "adam_step",
+        "train_epoch", "train_epoch_per_step",
+    }
+    assert all(isinstance(v, float) and v > 0 for v in report["us"].values())
+    assert report["src"] == str(ROOT / "src")
