@@ -35,13 +35,16 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, check_array, check_float, check_int
+from .errors import (
+    MAX_SIZE, ConfigError, InputError, check_array, check_bool, check_float, check_int,
+)
 from .ioutils import write_csv
 
 __all__ = [
@@ -207,7 +210,7 @@ class RaterPanel:
     rater_sd: float = 0.8
 
     def __post_init__(self):
-        self.__dict__["num_raters"] = check_int("num_raters", self.num_raters, 1)
+        self.__dict__["num_raters"] = check_int("num_raters", self.num_raters, 1, MAX_SIZE)
         self.__dict__["rater_sd"] = check_float("rater_sd", self.rater_sd, 0.0, math.inf)
 
 
@@ -224,11 +227,10 @@ class GenConfig:
     clip_labels: bool = False
 
     def __post_init__(self):
-        self.__dict__["num_systems"] = check_int("num_systems", self.num_systems, 1)
-        n = check_int("samples_per_system", self.samples_per_system, 1)
-        self.__dict__["samples_per_system"] = n
-        self.__dict__["feature_dim"] = check_int("feature_dim", self.feature_dim, 1)
+        for name in ("num_systems", "samples_per_system", "feature_dim"):
+            self.__dict__[name] = check_int(name, getattr(self, name), 1, MAX_SIZE)
         self.__dict__["seed"] = check_int("seed", self.seed, 0)
+        self.__dict__["clip_labels"] = check_bool("clip_labels", self.clip_labels)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -242,10 +244,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _generate(cfg: GenConfig, center_offset: np.ndarray | None, tag: str) -> Dataset:
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
-    rng_model = np.random.default_rng(streams[0])
-    rng_centers = np.random.default_rng(streams[1])
-    rng_features = np.random.default_rng(streams[2])
-    rng_noise = np.random.default_rng(streams[3])
+    rng_model, rng_centers, rng_features, rng_noise = map(np.random.default_rng, streams)
 
     d = cfg.feature_dim
     # Downscale w so the quality projection w.x stays in the responsive part
@@ -301,7 +300,7 @@ def _generate(cfg: GenConfig, center_offset: np.ndarray | None, tag: str) -> Dat
         y = np.clip(y, SCORE_MID - SCORE_SPAN, SCORE_MID + SCORE_SPAN)
 
     system_ids = np.repeat(np.char.mod("sys%03d", np.arange(k)), n_k)
-    row_numbers = np.char.mod("-%05d", np.tile(np.arange(n_k), k))
+    row_numbers = np.tile(np.char.mod("-%05d", np.arange(n_k)), k)
     return Dataset(
         np.char.add(system_ids, row_numbers), system_ids, np.full(k * n_k, tag), y, true_var, x
     )
@@ -388,75 +387,75 @@ def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """
     if len(dataset) == 0:
         raise InputError("refusing to write an empty dataset")
-    header = [*_FIXED_HEADER, *(f"f{j}" for j in range(dataset.feature_dim))]
     var = [None if math.isnan(v) else v for v in dataset.true_noise_var.tolist()]
     write_csv(
-        path, header,
+        path, [*_FIXED_HEADER, *(f"f{j}" for j in range(dataset.feature_dim))],
         [dataset.ids, dataset.system_ids, dataset.domain_tags, dataset.y, var, *dataset.x.T],
     )
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
-    """Read a dataset written by save_dataset_csv (or any file matching its
-    header contract).
+    """Read a dataset written by save_dataset_csv, or any file with its header.
 
-    One csv pass reads and checks every column but the features, which
-    np.loadtxt parses in one call. An empty true_noise_var is a missing
-    value; a literal nan there is rejected, as nan marks a missing value in
-    the loaded column. A malformed file raises InputError naming the path
-    and, where one row is at fault, its row number.
+    csv.reader reads the header; one np.loadtxt pass splits the rows as csv does
+    and parses every number once, by numpy's rule ("1_0" is refused). An empty
+    true_noise_var is missing, a literal nan there is refused (nan marks missing)
+    and blank lines are skipped. A malformed file raises InputError naming the
+    path and the first faulty row, if any, counted in CSV records.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise InputError(f"{path}: empty dataset file")
-        width = len(_FIXED_HEADER)
-        if header[:width] != _FIXED_HEADER or any(
-            col != f"f{j}" for j, col in enumerate(header[width:])
-        ):
-            raise InputError(f"{path}: unexpected header {header!r}")
-        if len(header) == width:
-            raise InputError(f"{path}: no feature columns")
-        ids, system_ids, tags, y, var = [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                y.append(float(row[3]))
-                var.append(math.nan if row[4] == "" else float(row[4]))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if row[4] != "" and math.isnan(var[-1]):
-                raise InputError(f"{path}:{lineno}: true_noise_var is nan; leave it empty")
-            ids.append(row[0])
-            system_ids.append(row[1])
-            tags.append(row[2])
-    if not ids:
+        d = len(header) - len(_FIXED_HEADER)
+        if d < 1 or header != [*_FIXED_HEADER, *(f"f{j}" for j in range(d))]:
+            raise InputError(f"{path}: unexpected header {header!r}, want {_FIXED_HEADER} + f0...")
+        fields = [("text", object, (3,)), ("y", float), ("var", object), ("x", float, (d,))]
+        try:
+            rows = _quiet_loadtxt(fh, fields, quotechar='"')
+        except ValueError as exc:
+            raise InputError(_fault(path, header, str(exc))) from None
+    if not len(rows):
         raise InputError(f"{path}: dataset file has a header but no rows")
-    row = _unknown_tag(tags)
-    if row is not None:
-        raise InputError(f"{path}:{row + 2}: unknown domain_tag {tags[row]!r}")
+    missing = rows["var"] == ""
+    var = _floats(np.where(missing, "nan", rows["var"]).tolist())
+    ids, system_ids, tags = (column.astype(str) for column in rows["text"].T)
+    if var is None or (np.isnan(var) & ~missing).any() or _unknown_tag(tags) is not None:
+        raise InputError(_fault(path, header, "bad true_noise_var or domain_tag"))
+    return Dataset(ids, system_ids, tags, rows["y"], var, rows["x"])
+
+
+def _quiet_loadtxt(source, dtype=float, quotechar=None) -> np.ndarray:
+    """np.loadtxt of comma-separated lines, without its warning for no data."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, dtype, delimiter=",", quotechar=quotechar, comments=None, ndmin=1)
+
+
+def _floats(cells: list[str]) -> np.ndarray | None:
+    """cells as float64 by np.loadtxt's number rule, or None if one is not a number."""
     try:
-        x = np.loadtxt(
-            path, delimiter=",", quotechar='"', comments=None, skiprows=1,
-            usecols=range(width, len(header)), ndmin=2, encoding=fh.encoding,
-        )
-    except ValueError as exc:
-        raise InputError(f"{path}:{_bad_feature_row(path, width)}: {exc}") from None
-    return Dataset(ids, system_ids, tags, y, var, x)
+        values = _quiet_loadtxt(cells)
+    except ValueError:
+        return None
+    return values if values.shape == (len(cells),) else None
 
 
-def _bad_feature_row(path: str | Path, width: int) -> int | str:
-    """Row number of the first row whose features float() rejects, or "?"."""
+def _fault(path: str | Path, header: list[str], reason: str) -> str:
+    """The error for the first CSV record that breaks a loader rule, by a csv.reader rescan."""
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        for lineno, row in enumerate(rows, start=2):
-            try:
-                list(map(float, row[width:]))
-            except ValueError:
-                return lineno
-    return "?"
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if lineno == 1 or not row:
+                continue  # the header, or a blank line, which np.loadtxt skips too
+            if len(row) != len(header):
+                return f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            cells = [row[3], row[4] or "nan", *row[len(_FIXED_HEADER):]]
+            values = _floats(cells)
+            if values is None:
+                bad = next(i for i, cell in enumerate(cells) if _floats([cell]) is None)
+                return f"{path}:{lineno}: {header[3 + bad]} is not a number: {cells[bad]!r}"
+            if row[4] and math.isnan(values[1]):
+                return f"{path}:{lineno}: true_noise_var is nan; leave it empty"
+            if row[2] not in DOMAIN_TAGS:
+                return f"{path}:{lineno}: unknown domain_tag {row[2]!r}"
+    return f"{path}: {reason}"

@@ -1,9 +1,9 @@
 """Exception types shared across the package, and the input boundary that
-raises them: caller numbers enter through check_int and check_float (configs
-store the plain int or float returned, through __dict__, as they are
-frozen), choices through check_choice and arrays through check_array. A
-ragged, non-real or wrong-rank array is an InputError; ShapeError is kept for
-input that disagrees with the architecture or a workspace."""
+raises them: caller numbers enter through check_int and check_float, flags
+through check_bool (configs store the plain int, float or bool returned,
+through __dict__, as they are frozen), choices through check_choice and arrays
+through check_array. A ragged, non-real or wrong-rank array is an InputError;
+ShapeError is kept for input that disagrees with the architecture or a workspace."""
 
 import numbers
 
@@ -46,13 +46,27 @@ class CheckpointVersionError(CheckpointError):
     """Checkpoint format_version is not supported by this build."""
 
 
-def check_int(name: str, value, minimum: int, error: type = ConfigError) -> int:
-    """int(value), or error unless value is an integer >= minimum. A bool is
-    not an integer here; numpy integers are. An exact int skips the slower ABC check."""
+# The largest array size or count numpy can allocate: the maximum for sizes.
+MAX_SIZE = int(np.iinfo(np.intp).max)
+
+
+def check_int(name: str, value, minimum: int, maximum: int | None = None,
+              error: type = ConfigError) -> int:
+    """int(value), or error unless value is an integer >= minimum (and <= maximum,
+    if given). A bool is not an integer here; numpy integers are. An exact int
+    skips the slower ABC check."""
     is_int = type(value) is int or (type(value) is not bool and isinstance(value, numbers.Integral))
-    if not is_int or value < minimum:
-        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if not is_int or value < minimum or (maximum is not None and value > maximum):
+        bound = f"in [{minimum}, {maximum}]" if maximum is not None else f">= {minimum}"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_bool(name: str, value, error: type = ConfigError) -> bool:
+    """bool(value), or error unless value is a bool or a numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be true or false, got {value!r}")
+    return bool(value)
 
 
 def check_float(name: str, value, low: float, high: float, low_open: bool = False,

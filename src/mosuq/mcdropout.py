@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import CalibrationScale
-from .errors import InputError, check_array, check_float, check_int
+from .errors import MAX_SIZE, InputError, check_array, check_float, check_int
 from .net import S_CLAMP, ModelParams, _activate, _check_width
 
 __all__ = ["MCConfig", "MCSamples", "variance_of", "mc_forward",
@@ -81,7 +81,7 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.__dict__["num_passes"] = check_int("num_passes", self.num_passes, 1)
+        self.__dict__["num_passes"] = check_int("num_passes", self.num_passes, 1, MAX_SIZE)
         self.__dict__["dropout_p"] = check_float("dropout_p", self.dropout_p, 0.0, 1.0)
         self.__dict__["seed"] = check_int("seed", self.seed, 0)
 

@@ -25,7 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, InvariantError, check_array, check_int
+from .errors import (
+    MAX_SIZE, InputError, InvariantError, check_array, check_bool, check_float, check_int,
+)
 from .ioutils import canonical_json
 
 __all__ = [
@@ -53,12 +55,11 @@ class EvalRecord:
     domain_label: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.y_true) and math.isfinite(self.y_pred)):
-            raise InputError(f"record {self.id!r} has non-finite scores")
-        if not (math.isfinite(self.var_pred) and self.var_pred >= 0.0):
-            raise InvariantError(
-                f"record {self.id!r} needs a finite non-negative var_pred, got {self.var_pred}"
-            )
+        for name in ("y_true", "y_pred"):
+            check_float(f"record {self.id!r} {name}", getattr(self, name), -math.inf, math.inf,
+                        low_open=True, error=InputError)
+        check_float(f"record {self.id!r} var_pred", self.var_pred, 0.0, math.inf,
+                    error=InvariantError)
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def nll_metric(
     if np.any(var <= 0.0):
         raise InputError("nll_metric requires strictly positive predicted variances")
     vals = 0.5 * np.log(var) + (y_true - y_pred) ** 2 / (2.0 * var)
-    if include_const:
+    if check_bool("include_const", include_const, error=InputError):
         vals = vals + HALF_LOG_2PI
     return float(np.mean(vals))
 
@@ -202,7 +203,7 @@ def uce(
     variance inside the bin. Empty bins contribute nothing.
     """
     y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
-    num_bins = check_int("num_bins", num_bins, 1, error=InputError)
+    num_bins = check_int("num_bins", num_bins, 1, MAX_SIZE, error=InputError)
     sq_err = (y_true - y_pred) ** 2
     edges = np.linspace(var.min(), var.max(), num_bins + 1)
     # Right-closed bins; the first bin also includes its left edge.
@@ -250,7 +251,7 @@ def error_uncertainty_curve(
     """
     y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
     n = var.size
-    if check_int("num_bins", num_bins, 1, error=InputError) > n:
+    if check_int("num_bins", num_bins, 1, MAX_SIZE, error=InputError) > n:
         raise InputError(f"num_bins must lie in [1, {n}], got {num_bins}")
     sq_err = (y_true - y_pred) ** 2
     order = np.argsort(var, kind="stable")

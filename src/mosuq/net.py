@@ -36,7 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_array, check_choice, check_float, check_int
+from .errors import (
+    MAX_SIZE, ConfigError, ShapeError, check_array, check_choice, check_float, check_int,
+)
 
 __all__ = [
     "ACTIVATIONS",
@@ -81,13 +83,15 @@ class ArchConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
-        self.__dict__["input_dim"] = check_int("input_dim", self.input_dim, 1)
+        self.__dict__["input_dim"] = check_int("input_dim", self.input_dim, 1, MAX_SIZE)
         try:
-            widths = tuple(check_int("trunk width", w, 1) for w in self.trunk_dims)
+            widths = tuple(check_int("trunk width", w, 1, MAX_SIZE) for w in self.trunk_dims)
         except TypeError:  # not a sequence
             raise ConfigError(f"trunk_dims must be a sequence, got {self.trunk_dims!r}") from None
         self.__dict__["trunk_dims"] = widths
-        self.__dict__["head_hidden_dim"] = check_int("head_hidden_dim", self.head_hidden_dim, 1)
+        self.__dict__["head_hidden_dim"] = check_int(
+            "head_hidden_dim", self.head_hidden_dim, 1, MAX_SIZE
+        )
         self.__dict__["dropout_p"] = check_float("dropout_p", self.dropout_p, 0.0, 1.0)
         self.__dict__["activation"] = check_choice("activation", self.activation, ACTIVATIONS)
 
@@ -231,7 +235,7 @@ class Workspace:
     the last two view d_out, the (2, rows, 1) upstream stack, score first."""
 
     def __init__(self, params: ModelParams, rows: int):
-        arch, rows = params.arch, check_int("rows", rows, 0)
+        arch, rows = params.arch, check_int("rows", rows, 0, MAX_SIZE)
         self.params, self.kind = params, arch.activation
         self.grads = self.h_buf = None  # bound by backward_batch; made by for_training
         self.x_shape, self.h_shape = (rows, arch.input_dim), (2, rows, arch.trunk_output_dim)

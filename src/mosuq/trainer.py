@@ -40,8 +40,8 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import (
-    CheckpointError, CheckpointVersionError, ConfigError, InputError, InvariantError, ShapeError,
-    TrainingDivergedError, check_array, check_choice, check_float, check_int,
+    MAX_SIZE, CheckpointError, CheckpointVersionError, ConfigError, InputError, InvariantError,
+    ShapeError, TrainingDivergedError, check_array, check_choice, check_float, check_int,
 )
 from .ioutils import atomic_write_text, canonical_json, write_csv
 from .loss import LOSSES, mse_loss_batch, nll_loss_batch
@@ -93,7 +93,7 @@ class TrainConfig:
 
     def __post_init__(self):
         self.__dict__["epochs"] = check_int("epochs", self.epochs, 1)
-        self.__dict__["batch_size"] = check_int("batch_size", self.batch_size, 1)
+        self.__dict__["batch_size"] = check_int("batch_size", self.batch_size, 1, MAX_SIZE)
         self.__dict__["learning_rate"] = check_float(
             "learning_rate", self.learning_rate, 0.0, math.inf, low_open=True
         )

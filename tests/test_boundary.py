@@ -1,14 +1,13 @@
 """The input boundary gate.
 
-Malformed values go to every array and number argument of the names that
-``mosuq/__init__.py`` exports, and to every field of its configs: ragged,
-text, complex, object, bool, numpy scalars, nan or inf, empty and
-wrong-rank values. Whatever a call makes of one, it either returns or raises
-a ``MosuqError``; any other exception, and any warning (numpy's
-``ComplexWarning`` among them), fails the gate. The documented
+Malformed values go to every array, number and flag argument of the names
+that ``mosuq/__init__.py`` exports, and to every field of its configs:
+ragged, text, complex, object, bool, numpy scalars, nan or inf, integers
+beyond numpy's sizes, empty and wrong-rank values. Whatever a call makes of
+one, it either returns or raises a ``MosuqError``; any other exception, and
+any warning (numpy's ``ComplexWarning`` among them), fails the gate. The documented
 ``DegenerateCalibrationWarning`` is the one warning let through. Result
-types (``MCSamples``, ``TrainHistory``), paths and bool flags are not
-fuzzed.
+types (``MCSamples``, ``TrainHistory``) and paths are not fuzzed.
 
 The same values, where JSON can hold them, go into each CLI command's
 ``--config`` file, one setting at a time, with valid inputs for the rest:
@@ -49,7 +48,7 @@ MALFORMED = [
     math.nan, math.inf, -math.inf, [math.nan, 1.0, 2.0], [[math.inf, 0.0]] * 3,  # nan, inf
     [], np.empty(0), np.empty((0, 2)), np.empty((3, 0)),  # empty
     np.zeros((3, 2, 1)), np.float64(1.0), np.zeros(3), np.zeros((3, 3)),  # wrong rank
-    -1, 2.5,
+    -1, 2.5, 10**400, -(10**400), 2**64,  # beyond every numpy size
 ]
 
 # Random arrays of each malformed kind, of rank 0 to 3.
@@ -105,6 +104,9 @@ SLOTS = {
     "GenConfig.noise_model in gen_synthetic": lambda v: mosuq.gen_synthetic(
         mosuq.GenConfig(num_systems=2, samples_per_system=3, feature_dim=2, noise_model=v)
     ),
+    "GenConfig.clip_labels in gen_synthetic": lambda v: mosuq.gen_synthetic(
+        mosuq.GenConfig(num_systems=2, samples_per_system=3, feature_dim=2, clip_labels=v)
+    ),
     "CalibrationScale.r": lambda v: mosuq.CalibrationScale(v, 0, 1.0),
     "CalibrationScale.from_r": mosuq.CalibrationScale.from_r,
     **_columns("CalibrationScale.fit", mosuq.CalibrationScale.fit, 3, [COL, VAR, COL]),
@@ -130,14 +132,14 @@ SLOTS = {
     "save_checkpoint.calibration_r": lambda v: mosuq.save_checkpoint(PARAMS, SCRATCH / "c", v),
     **_columns("mse", mosuq.mse, 2, [COL, COL]),
     **_columns("srcc_system", mosuq.srcc_system, 3, [SYSTEMS, COL, COL]),
-    **_columns("nll_metric", mosuq.nll_metric, 3, [COL, COL, VAR]),
+    **_columns("nll_metric", mosuq.nll_metric, 4, [COL, COL, VAR, True]),
     **_columns("uce", mosuq.uce, 4, [COL, COL, VAR, 2]),
     **_columns("sharpness", mosuq.sharpness, 1, [VAR]),
     **_columns("roc_auc", mosuq.roc_auc, 2, [VAR, LABELS]),
     **_columns("error_uncertainty_curve", mosuq.error_uncertainty_curve, 4, [COL, COL, VAR, 2]),
     **_columns("selective_sweep", mosuq.selective_sweep, 4, [COL, COL, VAR, [0.5, 1.0]]),
-    **_columns("MetricsReport.of", mosuq.MetricsReport.of, 6,
-               [SYSTEMS, COL, COL, VAR, LABELS, 2]),
+    **_columns("MetricsReport.of", mosuq.MetricsReport.of, 7,
+               [SYSTEMS, COL, COL, VAR, LABELS, 2, True]),
 }
 
 

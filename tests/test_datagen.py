@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import math
+import re
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -399,6 +402,180 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(InputError, match=f"{path}:3: unknown domain_tag 'zzz'"):
             load_dataset_csv(path)
+
+
+FIXED_HEADER = ["id", "system_id", "domain_tag", "y", "true_noise_var"]
+
+
+def oracle_load(path) -> Dataset:
+    """The loader as it was before its one-pass rewrite, the reference here:
+    csv.reader and float() per row, each row checked in turn."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: empty dataset file")
+        d = len(header) - len(FIXED_HEADER)
+        if d < 1 or header != [*FIXED_HEADER, *(f"f{j}" for j in range(d))]:
+            raise InputError(f"{path}: unexpected header {header!r}")
+        columns = ([], [], [], [], [], [])
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise InputError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                var = math.nan if row[4] == "" else float(row[4])
+                numbers = [float(row[3]), var, [float(cell) for cell in row[5:]]]
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+            if row[4] != "" and math.isnan(var):
+                raise InputError(f"{path}:{lineno}: true_noise_var is nan")
+            if row[2] not in (DOMAIN_IN, DOMAIN_OOD):
+                raise InputError(f"{path}:{lineno}: unknown domain_tag {row[2]!r}")
+            for column, value in zip(columns, [*row[:3], *numbers]):
+                column.append(value)
+    if not columns[0]:
+        raise InputError(f"{path}: dataset file has a header but no rows")
+    return Dataset(*columns)
+
+
+def write_table(path, rows, d=2, newline="\n", final_newline=True):
+    """rows under the dataset header, a cell quoted where it holds , " \\r or \\n."""
+    def cell(text):
+        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+    header = [*FIXED_HEADER, *(f"f{j}" for j in range(d))]
+    lines = [",".join(map(cell, row)) for row in [header, *rows]]
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
+    return path
+
+
+def assert_same_columns(got: Dataset, want: Dataset):
+    for field in fields(Dataset):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
+
+
+QUOTED_IDS = ["comma,id", 'quote"id', '""', "new\nline", "car\rriage", "crlf\r\nid", " pad ", "#x"]
+
+
+class TestOnePassLoader:
+    """load_dataset_csv against the csv.reader + float() oracle: the same
+    columns, values and dtypes on valid files, and the same path:row on
+    corrupt ones."""
+
+    @pytest.mark.parametrize("d, noise", [(1, RaterPanel(3, 0.5)), (16, Heteroscedastic())])
+    def test_generated_files_load_as_the_oracle_loads_them(self, tmp_path, d, noise):
+        cfg = GenConfig(num_systems=3, samples_per_system=40, feature_dim=d, noise_model=noise)
+        pool = concat_datasets(gen_synthetic(cfg), gen_ood_shift(cfg, 2.0))
+        path = tmp_path / "gen.csv"
+        save_dataset_csv(pool, path)
+        assert_same_columns(load_dataset_csv(path), oracle_load(path))
+        assert_same_columns(load_dataset_csv(path), pool)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("final_newline", [True, False], ids=["final", "no-final"])
+    @pytest.mark.parametrize("d", [1, 16])
+    def test_hand_written_files_load_as_the_oracle_loads_them(self, tmp_path, newline,
+                                                              final_newline, d):
+        rng = np.random.default_rng(d)
+        rows = [
+            [name, f"s,{k % 3}", DOMAIN_OOD if k % 2 else DOMAIN_IN, repr(float(y)),
+             "" if k % 3 == 0 else repr(float(v)), *map(repr, rng.normal(size=d).tolist())]
+            for k, (name, y, v) in enumerate(zip(QUOTED_IDS, rng.normal(3, 1, 8), rng.random(8)))
+        ]
+        rows[1][3:5] = [" 2.5 ", "1e-3"]  # spaces around a number, and exponent forms
+        rows[2][3:5] = ["+.5", "0E0"]
+        rows[4][3] = "-inf"
+        path = write_table(tmp_path / "hand.csv", rows, d, newline, final_newline)
+        got = load_dataset_csv(path)
+        assert_same_columns(got, oracle_load(path))
+        assert got.ids.tolist() == QUOTED_IDS
+        assert np.isnan(got.true_noise_var[::3]).all()
+
+    ROW = ["a", "sys0", DOMAIN_IN, "3.0", "0.1", "0.5", "0.25"]
+
+    @pytest.mark.parametrize("edit, row", [
+        (lambda rows: rows[1].pop(), 3),  # short row
+        (lambda rows: rows[0].append("1.0"), 2),  # long row
+        (lambda rows: rows[1].__setitem__(3, "oops"), 3),  # bad y
+        (lambda rows: rows[1].__setitem__(3, ""), 3),  # empty y
+        (lambda rows: rows[0].__setitem__(4, "x"), 2),  # bad variance
+        (lambda rows: rows[2].__setitem__(6, "oops"), 4),  # bad feature
+        (lambda rows: rows[2].__setitem__(5, "1,5"), 4),  # two numbers in one quoted cell
+        (lambda rows: rows[1].__setitem__(4, "nan"), 3),  # literal nan variance
+        (lambda rows: rows[1].__setitem__(4, "NaN"), 3),
+        (lambda rows: rows[1].__setitem__(2, "zzz"), 3),  # unknown tag
+        (lambda rows: rows[1].__setitem__(2, " ood"), 3),
+        (lambda rows: (rows[0].__setitem__(0, "a\nb"), rows[1].__setitem__(3, "x")), 3),
+        (lambda rows: (rows[0].__setitem__(0, "a\r\nb"), rows[2].__setitem__(2, "?")), 4),
+    ], ids=["short", "long", "bad-y", "empty-y", "bad-var", "bad-feature", "comma-feature",
+            "nan-var", "NaN-var", "unknown-tag", "padded-tag", "after-quoted-lf",
+            "after-quoted-crlf"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_corrupt_row_is_named_as_the_oracle_names_it(self, tmp_path, edit, row, newline):
+        rows = [list(self.ROW) for _ in range(4)]
+        edit(rows)
+        path = write_table(tmp_path / "bad.csv", rows, newline=newline)
+        self.assert_same_fault(path, f"{path}:{row}: ")
+
+    @pytest.mark.parametrize("text, prefix", [
+        ("", ""),  # empty
+        ("id,system_id,domain_tag,y,true_noise_var,f0,f1\n", ""),  # header only
+        ("id,system_id,domain_tag,y,true_noise_var\na,s,ood,1.0,\n", ""),  # no features
+        ("id,system_id,domain_tag,y,true_noise_var,f0,f1\na,s,ood,1,1,1,1\n\"b,s,ood,1,1,1,1\n",
+         ":3"),  # unterminated quote
+    ], ids=["empty", "header-only", "no-features", "unterminated-quote"])
+    def test_a_corrupt_file_is_named_as_the_oracle_names_it(self, tmp_path, text, prefix):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        self.assert_same_fault(path, f"{path}{prefix}: ")
+
+    @staticmethod
+    def assert_same_fault(path, prefix):
+        with pytest.raises(InputError) as oracle:
+            oracle_load(path)
+        assert str(oracle.value).startswith(prefix)
+        with pytest.raises(InputError, match=re.escape(prefix)):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("column, index", [("y", 3), ("true_noise_var", 4), ("f1", 6)])
+    @pytest.mark.parametrize("cell", ["1_0", "١"])  # float() reads both, numpy neither
+    def test_every_numeric_column_follows_numpy_number_rule(self, tmp_path, column, index, cell):
+        assert float(cell) in (10.0, 1.0)
+        rows = [list(self.ROW) for _ in range(3)]
+        rows[1][index] = cell
+        path = write_table(tmp_path / "rule.csv", rows)
+        want = f"{path}:3: {column} is not a number: {cell!r}"
+        with pytest.raises(InputError, match=re.escape(want)):
+            load_dataset_csv(path)
+
+    def test_blank_lines_are_skipped_but_counted_as_records(self, tmp_path):
+        header, good = ",".join([*FIXED_HEADER, "f0", "f1"]), ",".join(self.ROW)
+        path = tmp_path / "blank.csv"
+        path.write_text(f"{header}\n{good}\n\n{good}\n")
+        assert len(load_dataset_csv(path)) == 2
+        path.write_text(f"{header}\n\n{good}\n{good.replace('in_domain', 'x')}\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}:4: unknown domain_tag 'x'")):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("samples_per_system", [200, 800])
+    def test_traced_peak_is_a_bounded_multiple_of_the_loaded_columns(self, tmp_path,
+                                                                        samples_per_system):
+        """The structured rows (168 B a row at 16 features), one str per text and
+        variance cell and the final columns: at most 3x the bytes returned."""
+        cfg = GenConfig(num_systems=5, samples_per_system=samples_per_system, feature_dim=16)
+        path = tmp_path / "peak.csv"
+        save_dataset_csv(gen_synthetic(cfg), path)
+        load_dataset_csv(path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(getattr(loaded, field.name).nbytes for field in fields(Dataset))
+        assert peak < 3.0 * held, (peak, held)
 
 
 class TestDatasetContainer:

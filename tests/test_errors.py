@@ -1,5 +1,5 @@
-"""The input boundary: the integer, float and choice checks that every config
-runs its fields through, and the one array check that every caller array
+"""The input boundary: the integer, float, flag and choice checks that every
+config runs its fields through, and the one array check that every caller array
 enters through."""
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import pytest
 
 from mosuq.datagen import GenConfig, Homoscedastic, RaterPanel
 from mosuq.errors import (
-    ConfigError, InputError, InvariantError, check_array, check_choice, check_float, check_int,
+    MAX_SIZE, ConfigError, InputError, InvariantError, check_array, check_bool, check_choice,
+    check_float, check_int,
 )
 from mosuq.mcdropout import MCConfig
-from mosuq.net import ArchConfig
+from mosuq.metrics import uce
+from mosuq.net import ArchConfig, Workspace, init_params
 from mosuq.trainer import TrainConfig
 
 
@@ -97,16 +99,48 @@ def test_check_float_returns_a_python_float(value):
                 seed=np.uint64(7)),
     MCConfig(num_passes=np.int64(5), dropout_p=np.float32(0.25), seed=np.int8(1)),
     GenConfig(num_systems=np.int64(2), samples_per_system=np.int32(3), feature_dim=np.int8(2),
-              seed=np.uint16(4)),
+              seed=np.uint16(4), clip_labels=np.bool_(True)),
     Homoscedastic(sigma=np.float32(0.3)),
     RaterPanel(num_raters=np.int64(3), rater_sd=np.float16(0.5)),
 ], ids=lambda config: type(config).__name__)
 def test_configs_store_plain_python_numbers(config):
-    """Every checked number is stored as the int or float it converts to."""
+    """Every checked number or flag is stored as the int, float or bool it converts to."""
     for name, value in vars(config).items():
         for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, (np.generic, numbers.Number)) and not isinstance(v, bool):
-                assert type(v) in (int, float), name
+            if isinstance(v, (np.generic, numbers.Number)):
+                assert type(v) in (int, float, bool), name
+
+
+@pytest.mark.parametrize("value", [MAX_SIZE + 1, 2**64, 10**400, np.uint64(2**64 - 1)])
+def test_check_int_rejects_an_integer_above_its_maximum(value):
+    assert check_int("n", MAX_SIZE, 0, MAX_SIZE) == MAX_SIZE
+    with pytest.raises(ConfigError, match=rf"n must be an integer in \[0, {MAX_SIZE}\]"):
+        check_int("n", value, 0, MAX_SIZE)
+
+
+def test_a_size_beyond_numpy_raises_the_error_of_its_caller():
+    with pytest.raises(ConfigError, match="rows"):
+        Workspace(init_params(ArchConfig(input_dim=2), 0), 10**400)
+    with pytest.raises(InputError, match="num_bins"):
+        uce([1.0, 2.0], [1.0, 2.0], [1.0, 2.0], num_bins=10**400)
+    with pytest.raises(ConfigError, match="feature_dim"):
+        GenConfig(feature_dim=2**64)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])
+def test_check_bool_returns_a_plain_bool(value):
+    got = check_bool("flag", value)
+    assert type(got) is bool and got == value
+
+
+@pytest.mark.parametrize(
+    "value", [1, 0, 1.0, "true", None, np.array([1, 0]), np.array(True), [True]]
+)
+def test_check_bool_rejects(value):
+    with pytest.raises(ConfigError, match="flag must be true or false"):
+        check_bool("flag", value)
+    with pytest.raises(InputError, match="flag must be true or false"):
+        check_bool("flag", value, error=InputError)
 
 
 def test_check_float_rejects_an_integer_beyond_the_float_range():

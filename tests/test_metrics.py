@@ -101,6 +101,15 @@ class TestEvalRecord:
     def test_zero_variance_is_allowed_at_record_level(self):
         assert rec(1.0, 1.0, var=0.0).var_pred == 0.0
 
+    @pytest.mark.parametrize("bad", ["x", None, 1j, True, [1.0]])
+    def test_a_score_that_is_no_number_is_an_input_error(self, bad):
+        with pytest.raises(InputError, match="y_true"):
+            EvalRecord("a", "s", bad, 1.0, 1.0)
+        with pytest.raises(InputError, match="y_pred"):
+            EvalRecord("a", "s", 1.0, bad, 1.0)
+        with pytest.raises(InvariantError, match="var_pred"):
+            EvalRecord("a", "s", 1.0, 1.0, bad)
+
 
 class TestMse:
     def test_perfect_predictions(self):

@@ -32,3 +32,20 @@ def test_stepbench_prints_one_strict_json_line_with_every_timing():
     }
     assert all(isinstance(v, float) and v > 0 for v in report["us"].values())
     assert report["src"] == str(ROOT / "src")
+
+
+def test_iobench_prints_one_strict_json_line_with_every_timing():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "iobench.py"), "--repeat", "1",
+         "--rows-per-system", "10"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    report = strict_json(done.stdout.strip().splitlines()[-1])
+    assert set(report["ms"]) == {
+        "gen_synthetic", "split_dataset", "save_dataset_csv", "load_dataset_csv",
+    }
+    for timing in report["ms"].values():
+        assert set(timing) == {"best", "median"}
+        assert all(isinstance(v, float) and v > 0 for v in timing.values())
+    assert report["rows"] == {"generated": 200, "csv": 140}
+    assert report["src"] == str(ROOT / "src")
