@@ -31,6 +31,7 @@ from .datagen import (
     load_dataset_csv,
     save_dataset_csv,
     split_dataset,
+    split_rows,
 )
 from .loss import mse_loss_batch, nll_loss_batch
 from .mcdropout import MCConfig, MCSamples, mc_forward, mc_forward_dataset, variance_of

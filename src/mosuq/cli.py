@@ -43,7 +43,7 @@ from .datagen import (
     gen_synthetic,
     load_dataset_csv,
     save_dataset_csv,
-    split_dataset,
+    split_rows,
 )
 from .errors import CheckpointError, ConfigError, InputError, MosuqError, ShapeError
 from .errors import check_float, check_int
@@ -336,13 +336,14 @@ def _cmd_gen_data(cfg: SimpleNamespace) -> int:
         dataset = add_feature_noise(dataset, cfg.feature_noise, seed)
 
     if cfg.split is not None:
-        parts = split_dataset(dataset, list(cfg.split), gen_cfg.seed)
-        if min(len(part) for part in parts) == 0:
+        parts = split_rows(dataset, list(cfg.split), gen_cfg.seed)
+        if min(len(rows) for rows in parts) == 0:
             raise ConfigError(f"split {cfg.split} of {len(dataset)} samples leaves a part empty")
         base = str(cfg.out).removesuffix(".csv")
         paths = [Path(f"{base}.{name}.csv") for name in ("train", "val", "test")]
-        for part, path in zip(parts, paths):
-            save_dataset_csv(part, path)
+        # Each part is written straight from the generated table, so it is held once.
+        for rows, path in zip(parts, paths):
+            save_dataset_csv(dataset, path, rows)
         written = ", ".join(str(p) for p in paths)
         print(f"wrote {len(dataset)} samples across {written}")
     else:

@@ -61,6 +61,7 @@ __all__ = [
     "add_feature_noise",
     "feature_noise_analogue",
     "split_dataset",
+    "split_rows",
     "save_dataset_csv",
     "load_dataset_csv",
 ]
@@ -345,8 +346,10 @@ def add_feature_noise(dataset: Dataset, level: float, seed: int) -> Dataset:
         return dataset
     global_std = float(np.std(dataset.x))
     rng = np.random.default_rng(seed)
-    noise = rng.normal(size=dataset.x.shape) * (level * global_std)
-    return replace(dataset, x=dataset.x + noise, domain_tags=np.full(len(dataset), DOMAIN_OOD))
+    x = rng.normal(size=dataset.x.shape)  # scaled and shifted in place: one new table
+    x *= level * global_std
+    x += dataset.x
+    return replace(dataset, x=x, domain_tags=np.full(len(dataset), DOMAIN_OOD))
 
 
 def feature_noise_analogue(amplitude: float) -> float:
@@ -357,11 +360,17 @@ def feature_noise_analogue(amplitude: float) -> float:
 def split_dataset(
     dataset: Dataset, fractions: Sequence[float], seed: int
 ) -> tuple[Dataset, ...]:
-    """Shuffle once with the given seed and cut into len(fractions) parts.
+    """The parts of the dataset at split_rows(dataset, fractions, seed)."""
+    return tuple(dataset._take(rows) for rows in split_rows(dataset, fractions, seed))
 
-    Every part but the first gets floor(fraction * n) samples; the first
-    part absorbs the remainder. Fractions must be finite, non-negative and
-    sum to 1, and the seed an integer >= 0, else ConfigError.
+
+def split_rows(dataset: Dataset, fractions: Sequence[float], seed: int) -> tuple[np.ndarray, ...]:
+    """Shuffle the row indices once with the given seed and cut them into
+    len(fractions) parts.
+
+    Every part but the first gets floor(fraction * n) rows; the first part
+    absorbs the remainder. Fractions must be finite, non-negative and sum
+    to 1, and the seed an integer >= 0, else ConfigError.
     """
     fractions = fractions if np.iterable(fractions) else []
     fractions = [check_float("fraction", f, 0.0, math.inf) for f in fractions]
@@ -376,21 +385,33 @@ def split_dataset(
         raise ConfigError(f"fractions {fractions} over-allocate {n} samples")
     order = np.random.default_rng(check_int("seed", seed, 0)).permutation(n)
     ends = np.cumsum(sizes)
-    return tuple(dataset._take(order[end - size : end]) for size, end in zip(sizes, ends))
+    return tuple(order[end - size : end] for size, end in zip(sizes, ends))
 
 
-def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
+def save_dataset_csv(dataset: Dataset, path: str | Path, rows=None) -> None:
     """Write `id,system_id,domain_tag,y,true_noise_var,f0,...` rows.
 
     A missing true_noise_var becomes an empty field. Floats are written
-    with repr so a load/save round trip is byte-identical.
+    with repr so a load/save round trip is byte-identical. With rows, a 1-D
+    array of integers in [0, len(dataset)) (else InputError), the file is that
+    of dataset._take(rows), written without copying those rows out first.
     """
-    if len(dataset) == 0:
+    if rows is not None:
+        index = check_array("rows", rows, 1)
+        if not ((index >= 0) & (index < len(dataset)) & (index == np.floor(index))).all():
+            raise InputError(f"rows must be integer indices in [0, {len(dataset)})")
+        rows = np.asarray(rows if isinstance(rows, np.ndarray) else index, np.intp)
+        del index  # its float copy of rows would otherwise live through the write
+    if (len(dataset) if rows is None else len(rows)) == 0:
         raise InputError("refusing to write an empty dataset")
-    var = [None if math.isnan(v) else v for v in dataset.true_noise_var.tolist()]
+
+    def var_cells(at):  # nan marks a missing variance
+        return [None if math.isnan(v) else v for v in dataset.true_noise_var[at].tolist()]
+
     write_csv(
         path, [*_FIXED_HEADER, *(f"f{j}" for j in range(dataset.feature_dim))],
-        [dataset.ids, dataset.system_ids, dataset.domain_tags, dataset.y, var, *dataset.x.T],
+        [dataset.ids, dataset.system_ids, dataset.domain_tags, dataset.y, var_cells, dataset.x],
+        rows,
     )
 
 
@@ -400,28 +421,39 @@ def load_dataset_csv(path: str | Path) -> Dataset:
     csv.reader reads the header; one np.loadtxt pass splits the rows as csv does
     and parses every number once, by numpy's rule ("1_0" is refused). An empty
     true_noise_var is missing, a literal nan there is refused (nan marks missing)
-    and blank lines are skipped. A malformed file raises InputError naming the
-    path and the first faulty row, if any, counted in CSV records.
+    and blank lines are skipped. A malformed file, text that does not decode or
+    a field beyond csv.field_size_limit() raises InputError naming the path and
+    the first faulty row, if any, counted in CSV records. Each text or variance
+    column's cell strings are freed as soon as it is converted.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise InputError(f"{path}: empty dataset file")
-        d = len(header) - len(_FIXED_HEADER)
-        if d < 1 or header != [*_FIXED_HEADER, *(f"f{j}" for j in range(d))]:
-            raise InputError(f"{path}: unexpected header {header!r}, want {_FIXED_HEADER} + f0...")
-        fields = [("text", object, (3,)), ("y", float), ("var", object), ("x", float, (d,))]
-        try:
-            rows = _quiet_loadtxt(fh, fields, quotechar='"')
-        except ValueError as exc:
-            raise InputError(_fault(path, header, str(exc))) from None
-    if not len(rows):
-        raise InputError(f"{path}: dataset file has a header but no rows")
-    missing = rows["var"] == ""
-    var = _floats(np.where(missing, "nan", rows["var"]).tolist())
-    ids, system_ids, tags = (column.astype(str) for column in rows["text"].T)
-    if var is None or (np.isnan(var) & ~missing).any() or _unknown_tag(tags) is not None:
-        raise InputError(_fault(path, header, "bad true_noise_var or domain_tag"))
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise InputError(f"{path}: empty dataset file")
+            d = len(header) - len(_FIXED_HEADER)
+            if d < 1 or header != [*_FIXED_HEADER, *(f"f{j}" for j in range(d))]:
+                want = f"want {_FIXED_HEADER} + f0..."
+                raise InputError(f"{path}: unexpected header {header!r}, {want}")
+            fields = [("text", object, (3,)), ("y", float), ("var", object), ("x", float, (d,))]
+            try:
+                rows = _quiet_loadtxt(fh, fields, quotechar='"')
+            except ValueError as exc:
+                raise InputError(_fault(path, header, str(exc))) from None
+        if not len(rows):
+            raise InputError(f"{path}: dataset file has a header but no rows")
+        missing = rows["var"] == ""
+        var = _floats(np.where(missing, "nan", rows["var"]).tolist())
+        rows["var"] = None
+        columns = []
+        for cells in rows["text"].T:  # each column's strings die once it is converted
+            columns.append(cells.astype(str))
+            cells[...] = None
+        ids, system_ids, tags = columns
+        if var is None or (np.isnan(var) & ~missing).any() or _unknown_tag(tags) is not None:
+            raise InputError(_fault(path, header, "bad true_noise_var or domain_tag"))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: unreadable as CSV text: {exc}") from None
     return Dataset(ids, system_ids, tags, rows["y"], var, rows["x"])
 
 

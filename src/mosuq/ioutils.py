@@ -2,7 +2,8 @@
 
 Every file goes through one atomic, durable write. CSV tables are written
 by one columnar writer, `write_csv`: it takes whole columns, formats each
-chunk of rows one column at a time, and streams the chunks to disk.
+chunk of rows one column at a time, and streams the chunks to disk; given
+row indices, it gathers each chunk's rows from the columns as it goes.
 """
 
 from __future__ import annotations
@@ -59,13 +60,16 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 _CSV_CHUNK_ROWS = 512
 
 
-def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence, rows=None) -> None:
     """Write a header and equal-length columns atomically as CSV.
 
-    Each column is a 1-D numpy array or a sequence. Rows are formatted
-    _CSV_CHUNK_ROWS at a time, one column at a time with a rule chosen once
-    per column, and each chunk is one write to the temp file, so the whole
-    text is never held in memory:
+    Each column is a 1-D numpy array, a sequence, a 2-D numpy array (its
+    columns in order) or a function from a chunk's row index (a slice, or
+    part of rows) to that chunk's cells. With rows, an integer index array,
+    the file holds those rows of every column, in that order. Rows are
+    gathered and formatted _CSV_CHUNK_ROWS at a time, one column at a time
+    with a rule chosen once per column, and each chunk is one write to the
+    temp file, so neither the whole text nor a gathered copy is ever held:
     - float64 arrays: repr, so values round-trip exactly (nan stays "nan");
     - str arrays: the text, quoted if needed;
     - int and bool arrays: str;
@@ -78,16 +82,22 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequenc
     one field. Apart from quoting a lone carriage return, the bytes are
     those of `csv.writer(fh, lineterminator="\\n")`.
     """
-    if len(columns) != len(header):
-        raise ValueError(f"{len(header)} header cells but {len(columns)} columns")
-    width = len(columns)
+    blocks = [isinstance(col, np.ndarray) and col.ndim == 2 for col in columns]
+    width = sum(col.shape[1] if block else 1 for col, block in zip(columns, blocks))
+    if width != len(header):
+        raise ValueError(f"{len(header)} header cells but {width} columns")
     formats = [_column_format(col) for col in columns]
-    num_rows = max(map(len, columns), default=0)
+    lengths = [len(col) for col in columns if not callable(col)]
+    num_rows = max(lengths, default=0) if rows is None else len(rows)
     with _atomic_file(path) as fh:
         fh.write(_csv_text([tuple(map(_cell, header))], width))
         for lo in range(0, num_rows, _CSV_CHUNK_ROWS):
             hi = lo + _CSV_CHUNK_ROWS
-            cells = [fmt(col[lo:hi]) for fmt, col in zip(formats, columns)]
+            at = slice(lo, hi) if rows is None else rows[lo:hi]
+            cells = []
+            for fmt, col, block in zip(formats, columns, blocks):
+                part = col(at) if callable(col) else col[at]
+                cells.extend(map(fmt, part.T) if block else [fmt(part)])
             fh.write(_csv_text(zip(*cells, strict=True), width))
 
 

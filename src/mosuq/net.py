@@ -235,7 +235,11 @@ class Workspace:
     the last two view d_out, the (2, rows, 1) upstream stack, score first."""
 
     def __init__(self, params: ModelParams, rows: int):
-        arch, rows = params.arch, check_int("rows", rows, 0, MAX_SIZE)
+        arch = params.arch
+        # Rows numpy can size: the widest buffer (h_buf) holds 4 * trunk_output_dim
+        # doubles a row, hidden and its twins 2 * head_hidden_dim, a trunk layer its width.
+        widest = max(4 * arch.trunk_output_dim, 2 * arch.head_hidden_dim, *arch.trunk_dims)
+        rows = check_int("rows", rows, 0, MAX_SIZE // (8 * widest))
         self.params, self.kind = params, arch.activation
         self.grads = self.h_buf = None  # bound by backward_batch; made by for_training
         self.x_shape, self.h_shape = (rows, arch.input_dim), (2, rows, arch.trunk_output_dim)

@@ -14,8 +14,9 @@ optimizer makes new arrays. Dropout masks are drawn for a chunk of batches
 at a time: one ``net.dropout_mask`` call over about ``MASK_CHUNK_UNITS``
 uniforms, into one buffer made once per ``train`` call, whose contiguous
 ``(2, B, H)`` slices are the batches' masks: the same uniforms in the same
-order as one draw per batch, so the chunk size changes no result, and the
-mask memory is one chunk, whatever the row count.
+order as one draw per batch, so the chunk size changes no result. Each
+chunk's shuffled rows are gathered into one chunk-sized buffer too, so the
+mask and shuffle memory is one chunk, whatever the row count.
 
 Features and labels are checked once per split, before the first step; a
 step's workspace-bound pass checks only their shape, while predict_batch and
@@ -179,28 +180,29 @@ def train(
     # One chunk buffer for the whole run, which each chunk's draw overwrites
     # (empty at p = 0, where nothing is drawn).
     mask_buf = np.empty(min(chunk_rows, n) * row_units if arch.dropout_p else 0)
-    # One shuffled copy of the split, overwritten each epoch. mode="clip" gathers
-    # straight into out (the default mode gathers into a temporary copy first);
-    # order is a permutation, so nothing is clipped.
-    x_epoch, y_epoch = np.empty(x_all.shape), np.empty(n)
+    # One chunk of shuffled rows, which each chunk's gather overwrites. mode="clip"
+    # gathers straight into out (the default mode gathers into a temporary copy
+    # first); order is a permutation, so nothing is clipped.
+    x_buf, y_buf = np.empty((min(chunk_rows, n), x_all.shape[1])), np.empty(min(chunk_rows, n))
 
     train_curve = []
     val_curve = [] if val_dataset is not None else None
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
-        np.take(x_all, order, axis=0, out=x_epoch, mode="clip")
-        np.take(y_all, order, out=y_epoch, mode="clip")
         epoch_loss_sum = 0.0
         for chunk in range(0, n, chunk_rows):
-            stop = min(chunk + chunk_rows, n)
-            size = (stop - chunk) * row_units
+            rows = order[chunk : chunk + chunk_rows]
+            x_chunk, y_chunk = x_buf[: len(rows)], y_buf[: len(rows)]
+            np.take(x_all, rows, axis=0, out=x_chunk, mode="clip")
+            np.take(y_all, rows, out=y_chunk, mode="clip")
+            size = len(rows) * row_units
             masks = dropout_mask(dropout_rng, arch.dropout_p, size, out=mask_buf[:size])
-            for start in range(chunk, stop, batch):
-                xb, yb = x_epoch[start : start + batch], y_epoch[start : start + batch]
+            for start in range(0, len(rows), batch):
+                xb, yb = x_chunk[start : start + batch], y_chunk[start : start + batch]
                 work = full if len(xb) == batch else last
                 mask = None
                 if masks is not None:
-                    offset = (start - chunk) * row_units
+                    offset = start * row_units
                     mask = masks[offset : offset + len(xb) * row_units].reshape(work.h_shape)
                 y_hat, s, _ = forward_batch(params, xb, mask, work)
                 values, d_y_hat, d_s = loss_batch(y_hat, s, yb, work.loss_out)

@@ -117,6 +117,9 @@ SLOTS = {
     "add_feature_noise.seed": lambda v: mosuq.add_feature_noise(DATASET, 0.5, v),
     "split_dataset.fractions": lambda v: mosuq.split_dataset(DATASET, v, 0),
     "split_dataset.seed": lambda v: mosuq.split_dataset(DATASET, (0.5, 0.5), v),
+    "split_rows.fractions": lambda v: mosuq.split_rows(DATASET, v, 0),
+    "split_rows.seed": lambda v: mosuq.split_rows(DATASET, (0.5, 0.5), v),
+    "save_dataset_csv.rows": lambda v: mosuq.save_dataset_csv(DATASET, SCRATCH / "d.csv", v),
     "init_params.seed": lambda v: mosuq.init_params(ARCH, v),
     "ModelParams.flat": lambda v: mosuq.ModelParams(ARCH, v, 0),
     "Workspace.rows": lambda v: mosuq.Workspace(PARAMS, v),
@@ -176,10 +179,18 @@ def test_generated_malformed_arrays_give_only_package_errors(slot, value):
     _gate(SLOTS[slot], value)
 
 
+@pytest.mark.parametrize("rows", [2**62, 2**63 - 1])
+def test_workspace_rows_numpy_cannot_size_are_a_config_error(rows):
+    """Sizes within np.intp whose buffers numpy refuses before allocating
+    anything: check_int bounds rows by the widest buffer's bytes a row."""
+    with pytest.raises(mosuq.errors.ConfigError, match="rows must be an integer in"):
+        mosuq.Workspace(PARAMS, rows)
+
+
 def test_every_exported_array_or_config_name_has_a_slot():
     covered = {name.split(".")[0].split("[")[0] for name in SLOTS}
     skipped = {  # paths, results, no fields, and names that take only checked configs
-        "load_dataset_csv", "save_dataset_csv", "load_checkpoint", "MCSamples",
+        "load_dataset_csv", "load_checkpoint", "MCSamples",
         "TrainHistory", "Heteroscedastic", "gen_synthetic", "train",
     }
     exported = {

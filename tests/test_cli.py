@@ -609,6 +609,26 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fault", ["undecodable", "long-field"])
+    def test_an_unreadable_data_file_exits_2_naming_it(self, workspace, tmp_path, capsys, fault):
+        text = (workspace / "base.test.csv").read_bytes()
+        data = tmp_path / "bad.csv"
+        if fault == "undecodable":
+            data.write_bytes(text.replace(b"sys000-", b"sys\xe9-", 1))
+        else:
+            data.write_bytes(text.replace(b"sys000-", b"s" * (csv.field_size_limit() + 1), 1)
+                             + b"x,sys000,bad_tag,3.0,0.1,0.5,0.5,0.5\n")
+        report = tmp_path / "report.json"
+        code = main([
+            "evaluate", "--checkpoint", str(workspace / "cal.json"),
+            "--data", str(data), "--report", str(report),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{data}: unreadable as CSV text" in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_metric_exits_1_naming_it(self, workspace, tmp_path, capsys):
         """A score-head bias of 1e200 makes the mse overflow to inf, which has

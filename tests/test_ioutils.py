@@ -232,6 +232,32 @@ class TestWriteCsv:
         ]
         assert path.read_bytes() == csv_writer_bytes(header, cells)
 
+    @pytest.mark.parametrize("count", [1, 512, 1300])
+    def test_rows_gather_every_column_a_chunk_at_a_time(self, tmp_path, count):
+        """A 2-D column stands for its columns, a function column gives each
+        chunk's cells from its row index, and rows pick and order the rows:
+        the bytes of csv.writer on the gathered rows."""
+        rng = np.random.default_rng(count)
+        x, y = rng.normal(size=(700, 3)), rng.normal(size=700)
+        names = np.array([f"n,{i}" for i in range(700)])
+        rows = rng.integers(0, 700, size=count)
+
+        def halves(at):
+            return [None if v < 0 else v for v in y[at].tolist()]
+
+        path = tmp_path / "t.csv"
+        header = ["name", "y", "half", "a", "b", "c"]
+        write_csv(path, header, [names, y, halves, x], rows)
+        want = [names[rows].tolist(), y[rows].tolist(), halves(rows), *x[rows].T.tolist()]
+        assert path.read_bytes() == csv_writer_bytes(header, want)
+        write_csv(path, header, [names, y, halves, x])
+        want = [names.tolist(), y.tolist(), halves(slice(None)), *x.T.tolist()]
+        assert path.read_bytes() == csv_writer_bytes(header, want)
+
+    def test_a_2d_column_counts_its_columns_against_the_header(self, tmp_path):
+        with pytest.raises(ValueError, match="2 header cells but 4 columns"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0], np.zeros((1, 3))])
+
     def test_columns_of_different_lengths_are_refused(self, tmp_path):
         path = tmp_path / "t.csv"
         for columns in ([[1, 2], [3]], [[1], np.zeros(_CSV_CHUNK_ROWS + 1)]):

@@ -41,11 +41,12 @@ def test_iobench_prints_one_strict_json_line_with_every_timing():
         capture_output=True, text=True, check=True, timeout=120,
     )
     report = strict_json(done.stdout.strip().splitlines()[-1])
-    assert set(report["ms"]) == {
-        "gen_synthetic", "split_dataset", "save_dataset_csv", "load_dataset_csv",
-    }
+    steps = {"gen_synthetic", "split_dataset", "save_dataset_csv", "load_dataset_csv",
+             "split_write"}
+    assert set(report["ms"]) == set(report["peak_mib"]) == steps
     for timing in report["ms"].values():
         assert set(timing) == {"best", "median"}
         assert all(isinstance(v, float) and v > 0 for v in timing.values())
+    assert all(isinstance(v, float) and v > 0 for v in report["peak_mib"].values())
     assert report["rows"] == {"generated": 200, "csv": 140}
     assert report["src"] == str(ROOT / "src")

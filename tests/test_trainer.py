@@ -824,3 +824,28 @@ class TestEpochBuffers:
                 tracemalloc.stop()
         copy_bytes = len(data) * (16 + 1) * 8
         assert peaks[2] <= peaks[1] + 0.1 * copy_bytes
+
+
+class TestChunkGather:
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_shuffled_rows_do_not_grow_with_the_row_count(self, p):
+        """Each mask chunk's shuffled rows are gathered into one chunk-sized
+        buffer, so doubling the rows adds only the epoch's permutation (8 B a
+        row) to the traced peak, not a shuffled copy of the split (136 B a
+        row). Batch 7 gives chunks of 4,095 rows: both row counts end in a
+        short chunk and a short batch."""
+        arch = ArchConfig(input_dim=16, trunk_dims=(8,), head_hidden_dim=4, dropout_p=p)
+        chunk_rows = trainer_module.MASK_CHUNK_UNITS // (2 * arch.trunk_output_dim * 7) * 7
+        peaks = {}
+        for per in (500, 1000):
+            data = gen_synthetic(GenConfig(num_systems=10, samples_per_system=per,
+                                           feature_dim=16, seed=0))
+            assert len(data) % chunk_rows and len(data) % 7
+            tracemalloc.start()
+            try:
+                train(data, arch, TrainConfig(epochs=1, batch_size=7, seed=0))
+                peaks[len(data)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        copy_bytes = 5000 * (16 + 1) * 8
+        assert peaks[10000] - peaks[5000] < 0.25 * copy_bytes, peaks
