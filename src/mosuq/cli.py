@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -46,8 +45,8 @@ from .datagen import (
     split_rows,
 )
 from .errors import CheckpointError, ConfigError, InputError, MosuqError, ShapeError
-from .errors import check_float, check_int
-from .ioutils import atomic_write_text, canonical_json, write_csv
+from .errors import MAX_SIZE, check_float, check_int
+from .ioutils import atomic_write_text, canonical_json, read_json_object, write_csv
 from .loss import LOSSES
 from .mcdropout import MCConfig, mc_forward_dataset
 from .metrics import MetricsReport, error_uncertainty_curve, roc_auc, selective_sweep
@@ -86,11 +85,11 @@ class Kind(NamedTuple):
     optional: bool = False
 
 
-def _int(value, low: float = -math.inf) -> int:
-    """A flag string or JSON number (an integral float too) as an integer >= low."""
+def _int(value, low: float = -math.inf, high: int | None = None) -> int:
+    """A flag string or JSON number (an integral float too) as an integer >= low (<= high)."""
     if isinstance(value, str) or (type(value) is float and value.is_integer()):
         value = int(value)
-    return check_int("value", value, low)
+    return check_int("value", value, low, high)
 
 
 def _float(value, low: float = -math.inf) -> float:
@@ -106,7 +105,7 @@ def _bool(value) -> bool:
 
 
 def _path(value) -> Path:
-    if not isinstance(value, str) or value == "":
+    if not isinstance(value, str) or value == "" or "\0" in value:
         raise ValueError(value)
     return Path(value)
 
@@ -149,7 +148,8 @@ INT = Kind("an integer", _int)
 FLOAT = Kind("a finite number", _float)
 NON_NEGATIVE = Kind("a finite number >= 0", lambda value: _float(value, 0.0))
 BOOL = Kind("true or false", _bool, {"action": argparse.BooleanOptionalAction})
-PATH = Kind("a path", _path)
+PATH = Kind("a path without NUL bytes", _path)
+SIZE = Kind(f"an integer in [1, {MAX_SIZE}]", lambda value: _int(value, 1, MAX_SIZE))
 INT_LIST = Kind(
     "a comma list of integers", lambda v: tuple(_int(x) for x in _items(v)),
     {"metavar": "W1,W2,..."},
@@ -235,7 +235,7 @@ EVALUATE_SETTINGS = (
       "include the Gaussian 1/2 log(2 pi) constant in the NLL metric"),
     S("curve", _optional(PATH), None, "error-uncertainty curve CSV path"),
     S("sweep", _optional(PATH), None, "selective prediction sweep CSV path"),
-    S("sweep_points", _at_least(1), 20),
+    S("sweep_points", SIZE, 20),
     S("mc_out", _optional(PATH), None, "per-sample MC summary CSV path"),
 )
 
@@ -276,12 +276,7 @@ def _check(setting: Setting, value):
 
 
 def _read_config(path: Path, command: Command) -> dict:
-    try:
-        loaded = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"{path}: config root must be an object")
+    loaded = read_json_object(path, ConfigError)
     recorded_for = loaded.pop("command", command.name)
     if recorded_for != command.name:
         raise ConfigError(

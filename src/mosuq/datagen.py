@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (
     MAX_SIZE, ConfigError, InputError, check_array, check_bool, check_float, check_int,
 )
-from .ioutils import write_csv
+from .ioutils import open_text, write_csv
 
 __all__ = [
     "DOMAIN_IN",
@@ -421,13 +421,13 @@ def load_dataset_csv(path: str | Path) -> Dataset:
     csv.reader reads the header; one np.loadtxt pass splits the rows as csv does
     and parses every number once, by numpy's rule ("1_0" is refused). An empty
     true_noise_var is missing, a literal nan there is refused (nan marks missing)
-    and blank lines are skipped. A malformed file, text that does not decode or
+    and blank lines are skipped. A malformed file, text that is not UTF-8 or
     a field beyond csv.field_size_limit() raises InputError naming the path and
     the first faulty row, if any, counted in CSV records. Each text or variance
     column's cell strings are freed as soon as it is converted.
     """
     try:
-        with open(path, newline="") as fh:
+        with open_text(path) as fh:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise InputError(f"{path}: empty dataset file")
@@ -475,7 +475,7 @@ def _floats(cells: list[str]) -> np.ndarray | None:
 
 def _fault(path: str | Path, header: list[str], reason: str) -> str:
     """The error for the first CSV record that breaks a loader rule, by a csv.reader rescan."""
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if lineno == 1 or not row:
                 continue  # the header, or a blank line, which np.loadtxt skips too

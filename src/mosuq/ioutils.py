@@ -1,9 +1,9 @@
-"""Small file-writing helpers shared by the library and the CLI.
+"""The package's one file layer: every file it reads or writes goes through here.
 
-Every file goes through one atomic, durable write. CSV tables are written
-by one columnar writer, `write_csv`: it takes whole columns, formats each
-chunk of rows one column at a time, and streams the chunks to disk; given
-row indices, it gathers each chunk's rows from the columns as it goes.
+Files are UTF-8 text in `open_text`'s one mode; each is written through one atomic,
+durable write, and JSON is read by `read_json_object`. CSV tables are written by one
+columnar writer, `write_csv`, which formats chunks of rows one column at a time and
+streams them to disk, gathering each chunk's rows through row indices if given.
 """
 
 from __future__ import annotations
@@ -19,7 +19,27 @@ from typing import TextIO
 
 import numpy as np
 
-__all__ = ["atomic_write_text", "canonical_json", "write_csv"]
+__all__ = ["atomic_write_text", "canonical_json", "open_text", "read_json_object", "write_csv"]
+
+
+def open_text(file: str | Path | int, mode: str = "r") -> TextIO:
+    """file (a path or a descriptor) opened in the one text mode: UTF-8 whatever
+    the locale, and no newline translation, so lines end as they were written."""
+    return open(file, mode, encoding="utf-8", newline="")
+
+
+def read_json_object(path: str | Path, error: type) -> dict:
+    """The JSON object in the file at path, or error naming path if the file cannot
+    be read, is not UTF-8 or not JSON, holds an integer beyond Python's digit limit
+    or nesting beyond the recursion limit, or its root is not an object."""
+    try:
+        with open_text(path) as fh:
+            doc = json.loads(fh.read())
+    except (OSError, ValueError, RecursionError) as exc:  # a JSONDecodeError names line and column
+        raise error(f"{path}: unreadable as JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: root must be a JSON object")
+    return doc
 
 
 @contextlib.contextmanager
@@ -37,7 +57,7 @@ def _atomic_file(path: str | Path) -> Iterator[TextIO]:
     directory = path.parent or Path(".")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open_text(fd, "w") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -72,7 +92,6 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence, rows=N
     temp file, so neither the whole text nor a gathered copy is ever held:
     - float64 arrays: repr, so values round-trip exactly (nan stays "nan");
     - str arrays: the text, quoted if needed;
-    - int and bool arrays: str;
     - anything else, cell by cell: None is an empty field, a str is quoted
       if needed, any float (numpy float64 too) uses float.__repr__, and any
       other value uses str.
@@ -131,8 +150,6 @@ def _column_format(col):
         return lambda chunk: map(float.__repr__, chunk.tolist())
     if dtype.kind == "U":
         return lambda chunk: map(_quote, chunk.tolist())
-    if dtype.kind in "iub":
-        return lambda chunk: map(str, chunk.tolist())
     return lambda chunk: map(_cell, chunk)
 
 

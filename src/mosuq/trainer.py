@@ -32,7 +32,6 @@ head arrays, for saving and loading alike.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -44,7 +43,7 @@ from .errors import (
     MAX_SIZE, CheckpointError, CheckpointVersionError, ConfigError, InputError, InvariantError,
     ShapeError, TrainingDivergedError, check_array, check_choice, check_float, check_int,
 )
-from .ioutils import atomic_write_text, canonical_json, write_csv
+from .ioutils import atomic_write_text, canonical_json, read_json_object, write_csv
 from .loss import LOSSES, mse_loss_batch, nll_loss_batch
 from .net import (
     ArchConfig,
@@ -326,20 +325,9 @@ def _number(value, integral: bool = False) -> float | int:
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
     """Load a checkpoint, returning (params, calibration_r or None).
 
-    Any malformed field raises CheckpointError, naming the file.
+    An unreadable file or any malformed field raises CheckpointError, naming the file.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"{path}: checkpoint root must be an object")
+    doc = read_json_object(path, CheckpointError)
 
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:

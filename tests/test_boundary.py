@@ -7,20 +7,34 @@ beyond numpy's sizes, empty and wrong-rank values. Whatever a call makes of
 one, it either returns or raises a ``MosuqError``; any other exception, and
 any warning (numpy's ``ComplexWarning`` among them), fails the gate. The documented
 ``DegenerateCalibrationWarning`` is the one warning let through. Result
-types (``MCSamples``, ``TrainHistory``) and paths are not fuzzed.
+types (``MCSamples``, ``TrainHistory``) are not fuzzed.
 
 The same values, where JSON can hold them, go into each CLI command's
 ``--config`` file, one setting at a time, with valid inputs for the rest:
-each run must exit 2 and write no file.
+each run must exit 2 and write no file. So do sizes beyond ``np.intp`` and
+paths holding a NUL byte.
+
+The file section gives malformed files (not UTF-8, an integer beyond
+Python's digit limit, nesting beyond the recursion limit, a root that is
+not an object, truncated, empty, a directory) to ``load_checkpoint``, which
+must raise ``CheckpointError``, and to every command that reads them, as
+``--config`` or ``--checkpoint``: exit 2, one error line naming the file, no
+output. A hand-written CSV with non-ASCII ids runs through a chain of
+commands under an ASCII locale and must give the default locale's bytes.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import functools
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import types
 import warnings
 from pathlib import Path
@@ -278,3 +292,145 @@ def test_cli_config_values_exit_2_without_writing(command, inputs, tmp_path, mon
             assert list(out.iterdir()) == [], (setting.key, placed)
             checked += 1
     assert checked > 0
+
+
+def _flags(settings: dict) -> list[str]:
+    """settings as command-line flags (a list value gives one argument per item)."""
+    argv = []
+    for key, value in settings.items():
+        argv += [f"--{key.replace('_', '-')}", *map(str, value if type(value) is list else [value])]
+    return argv
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_cli_sizes_beyond_np_intp_exit_2_before_the_data_is_read(inputs, tmp_path, monkeypatch):
+    def load(path):
+        raise AssertionError("the data was read before --sweep-points was checked")
+
+    monkeypatch.setattr(cli, "load_dataset_csv", load)
+    config, out = tmp_path / "cfg.json", tmp_path / "out"
+    out.mkdir()
+    valid = {**_valid_settings("evaluate", inputs, out), "sweep": str(out / "s.csv")}
+    for points in [mosuq.errors.MAX_SIZE + 1, 2**64, 10**30]:
+        config.write_text(json.dumps({**valid, "sweep_points": points}))
+        for argv in (["--config", str(config)], [*_flags(valid), "--sweep-points", str(points)]):
+            code, err = _run(["evaluate", *argv])
+            assert code == 2 and "sweep_points must be an integer in" in err, (argv, err)
+            assert list(out.iterdir()) == [], argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_paths_with_a_nul_byte_exit_2_without_writing(command, inputs, tmp_path):
+    config, out = tmp_path / "cfg.json", tmp_path / "out"
+    out.mkdir()
+    valid = _valid_settings(command, inputs, out)
+    paths = [s.key for s in COMMANDS[command].settings if s.kind.parse is PATH.parse]
+    for key in paths:
+        config.write_text(json.dumps({**valid, key: str(out / "a\0b.csv")}))
+        code, err = _run([command, "--config", str(config)])
+        assert code == 2 and f"{key} must be a path" in err, (key, err)
+        assert list(out.iterdir()) == [], key
+    assert paths
+
+
+# The file section: malformed files where a JSON file is read. None is a directory.
+MALFORMED_FILES = {
+    "non-utf8": b'{"seed": "caf\xe9"}',
+    "long-integer": b'{"seed": ' + b"7" * 5000 + b"}",
+    "deep-array": b"[" * 100_000 + b"]" * 100_000,
+    "non-object": b"[1, 2, 3]\n",
+    "truncated": b'{"format_version": 1, "arch": {',
+    "empty": b"",
+    "directory": None,
+}
+
+
+@pytest.fixture(params=MALFORMED_FILES)
+def malformed_file(request, tmp_path) -> Path:
+    path = tmp_path / f"{request.param}.json"
+    content = MALFORMED_FILES[request.param]
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    return path
+
+
+def test_every_malformed_file_is_a_checkpoint_error(malformed_file):
+    with pytest.raises(mosuq.errors.CheckpointError, match=re.escape(str(malformed_file))):
+        mosuq.load_checkpoint(malformed_file)
+
+
+def test_every_malformed_file_exits_2_naming_it(malformed_file, inputs, tmp_path, monkeypatch):
+    """Given as --config to every command, and as --checkpoint to every command
+    that reads one: one error line naming the file, no traceback, no output."""
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))  # for speed
+    out = tmp_path / "out"
+    out.mkdir()
+    runs = []
+    for command in COMMANDS:
+        valid = _valid_settings(command, inputs, out)
+        runs.append([command, *_flags(valid), "--config", str(malformed_file)])
+        if "checkpoint" in valid:
+            runs.append([command, *_flags({**valid, "checkpoint": str(malformed_file)})])
+    for argv in runs:
+        code, err = _run(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(malformed_file) in err and "Traceback" not in err, err
+        assert list(out.iterdir()) == [], argv
+    assert len(runs) == 8
+
+
+# The text of a hand-written dataset: quoted ids, CRLF line ends, a non-ASCII id.
+HAND_CSV = "\r\n".join([
+    "id,system_id,domain_tag,y,true_noise_var,f0,f1",
+    '"a,1",sys000,in_domain,3.1,0.04,0.5,-0.2',
+    '"b ""2""",sys000,ood,2.7,,1.5,0.3',
+    '"c\r\nd",sys001,in_domain,3.9,0.09,-0.4,0.1',
+    "café,sys001,ood,2.2,,2.5,1.25",
+    "é2,sys002,in_domain,3.3,0.01,0.1,0.7",
+    "f,sys002,ood,2.9,,-1.0,0.2",
+    "",
+])
+ASCII_LOCALE = {"LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _chain(root: Path, env: dict) -> dict[str, bytes]:
+    """The files written by train, calibrate, evaluate and ood-detect over
+    hand.csv, run as separate processes in root."""
+    root.mkdir()
+    (root / "hand.csv").write_bytes(HAND_CSV.encode())
+    for argv in (
+        ["train", "--data", "hand.csv", "--out", "ck.json", "--epochs", "2", "--batch-size", "2"],
+        ["calibrate", "--checkpoint", "ck.json", "--data", "hand.csv", "--out", "cal.json"],
+        ["evaluate", "--checkpoint", "cal.json", "--data", "hand.csv", "--report", "r.json",
+         "--mc", "2", "0.5", "0", "--mc-out", "mc.csv"],
+        ["ood-detect", "--checkpoint", "cal.json", "--in-data", "hand.csv", "--ood-data",
+         "hand.csv", "--report", "ood.json", "--mc", "2", "0.5", "0", "--scores", "s.csv"],
+    ):
+        proc = subprocess.run([sys.executable, "-m", "mosuq", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def test_a_non_ascii_chain_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
+    src = str(Path(mosuq.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    ascii_env = {**env, **ASCII_LOCALE}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=ascii_env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert codecs.lookup(probe.stdout.strip()).name != "utf-8"  # the locale really is not UTF-8
+    default = _chain(tmp_path / "default", env)
+    assert "café".encode() in default["mc.csv"] and "café".encode() in default["s.csv"]
+    assert _chain(tmp_path / "ascii", ascii_env) == default

@@ -7,6 +7,7 @@ import errno
 import io
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosuq.datagen import Dataset, save_dataset_csv
-from mosuq.ioutils import _CSV_CHUNK_ROWS, atomic_write_text, write_csv
+from mosuq.errors import CheckpointError, ConfigError
+from mosuq.ioutils import _CSV_CHUNK_ROWS, atomic_write_text, read_json_object, write_csv
 
 
 @pytest.fixture
@@ -39,6 +41,11 @@ def io_events(monkeypatch):
 
 
 class TestAtomicWriteText:
+    def test_text_is_utf8_and_line_ends_are_not_translated(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "café\nb\r\nc\r")
+        assert path.read_bytes() == b"caf\xc3\xa9\nb\r\nc\r"
+
     def test_writes_the_text(self, tmp_path):
         path = tmp_path / "out.txt"
         atomic_write_text(path, "one\ntwo\n")
@@ -151,7 +158,35 @@ def tables(draw):
     return header, columns
 
 
+class TestReadJsonObject:
+    def test_reads_the_object(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes('{"id": "café",\r\n "n": [1, 2.5, NaN]}'.encode())
+        doc = read_json_object(path, ConfigError)
+        assert doc["id"] == "café" and doc["n"][:2] == [1, 2.5] and math.isnan(doc["n"][2])
+
+    @pytest.mark.parametrize("error", [ConfigError, CheckpointError])
+    def test_a_missing_file_is_the_given_error_naming_it(self, tmp_path, error):
+        path = tmp_path / "missing.json"
+        with pytest.raises(error, match=re.escape(f"{path}: unreadable as JSON")) as info:
+            read_json_object(path, error)
+        assert type(info.value) is error
+
+    def test_invalid_json_names_the_line_and_column(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{\n  "a": 1,\n  "b"\n}')
+        with pytest.raises(ConfigError, match="line 4 column 1"):
+            read_json_object(path, ConfigError)
+
+
 class TestWriteCsv:
+    def test_int_uint_and_bool_arrays_write_str_of_each_value(self, tmp_path):
+        path = tmp_path / "t.csv"
+        columns = [np.array([-3, 0, 2**40]), np.array([0, 7, 255], np.uint8),
+                   np.array([True, False, True])]
+        write_csv(path, ["i", "u", "b"], columns)
+        assert path.read_bytes() == b"i,u,b\n-3,0,True\n0,7,False\n1099511627776,255,True\n"
+
     def test_floats_use_repr_and_none_is_empty(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b", "c"], [[1, "x"], [0.1, 1e-05], [None, 2.5e16]])

@@ -60,12 +60,8 @@ def main(argv=None) -> None:
 
         def split_write():
             names = [Path(tmp) / f"split.{name}.csv" for name in ("train", "val", "test")]
-            if hasattr(datagen, "split_rows"):
-                for rows, out in zip(datagen.split_rows(dataset, (0.7, 0.15, 0.15), 1), names):
-                    datagen.save_dataset_csv(dataset, out, rows)
-            else:  # a checkout from before split_rows: the CLI wrote split_dataset's parts
-                for part, out in zip(datagen.split_dataset(dataset, (0.7, 0.15, 0.15), 1), names):
-                    datagen.save_dataset_csv(part, out)
+            for rows, out in zip(datagen.split_rows(dataset, (0.7, 0.15, 0.15), 1), names):
+                datagen.save_dataset_csv(dataset, out, rows)
 
         steps = {
             "gen_synthetic": lambda: datagen.gen_synthetic(cfg),

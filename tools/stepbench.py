@@ -10,10 +10,8 @@ of forward_batch, the NLL loss, backward_batch and the Adam step on a batch of
 called as trainer.train calls it, and of one train() epoch (613 steps) on the
 4,900-row training split of train-paper at seed 301. It sets one BLAS thread
 and pins itself to the highest-numbered core it may use, as perfbench/run.py
-does. A checkout without net.Workspace is timed through its own call forms
-(a fresh forward cache, upstream derivatives divided by the batch size
-beforehand), so two checkouts can be compared on one machine. Run the two
-alternately, a few times each: the host's speed drifts between runs.
+does. To compare two checkouts on one machine, run them alternately, a few
+times each: the host's speed drifts between runs.
 """
 
 from __future__ import annotations
@@ -58,25 +56,15 @@ def main(argv=None) -> None:
     mask = net.dropout_mask(rng, 0.5, (2, 8, 16))
     grads = net.ModelParams(arch, np.empty_like(params.flat), 0)
     adam = trainer._Adam(params.flat.copy(), 3e-4)  # a copy, so params stay as they are
-    if hasattr(net, "Workspace"):
-        work = net.Workspace(params, 8).for_training()
-        y_hat, s, _ = net.forward_batch(params, x, mask, work)
-        _, d_y_hat, d_s = nll_loss_batch(y_hat, s, y, work.loss_out)
-        steps = {
-            "forward_batch": lambda: net.forward_batch(params, x, mask, work),
-            "nll_loss_batch": lambda: nll_loss_batch(y_hat, s, y, work.loss_out),
-            "backward_batch": lambda: net.backward_batch(work, params, d_y_hat, d_s, out=grads),
-        }
-    else:
-        y_hat, s, cache = net.forward_batch(params, x, mask)
-        _, d_y_hat, d_s = nll_loss_batch(y_hat, s, y)
-        d_y_hat, d_s = d_y_hat / 8, d_s / 8
-        steps = {
-            "forward_batch": lambda: net.forward_batch(params, x, mask),
-            "nll_loss_batch": lambda: nll_loss_batch(y_hat, s, y),
-            "backward_batch": lambda: net.backward_batch(cache, params, d_y_hat, d_s, out=grads),
-        }
-    steps["adam_step"] = lambda: adam.step(grads.flat)
+    work = net.Workspace(params, 8).for_training()
+    y_hat, s, _ = net.forward_batch(params, x, mask, work)
+    _, d_y_hat, d_s = nll_loss_batch(y_hat, s, y, work.loss_out)
+    steps = {
+        "forward_batch": lambda: net.forward_batch(params, x, mask, work),
+        "nll_loss_batch": lambda: nll_loss_batch(y_hat, s, y, work.loss_out),
+        "backward_batch": lambda: net.backward_batch(work, params, d_y_hat, d_s, out=grads),
+        "adam_step": lambda: adam.step(grads.flat),
+    }
 
     us = {}
     for name, fn in steps.items():
