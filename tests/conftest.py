@@ -132,3 +132,12 @@ def build_seed_run(seed: int) -> SeedRun:
 @pytest.fixture(scope="session")
 def hetero_runs() -> tuple[SeedRun, ...]:
     return tuple(build_seed_run(seed) for seed in FIXTURE_SEEDS)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Say how the golden values were compared (see test_golden.py)."""
+    for outcome in ("passed", "failed"):
+        for report in terminalreporter.stats.get(outcome, []):
+            for name, value in getattr(report, "user_properties", ()):
+                if name == "golden_comparison":
+                    terminalreporter.write_line(f"golden values compared {value}: {outcome}")
