@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -105,9 +106,11 @@ def _bool(value) -> bool:
 
 
 def _path(value) -> Path:
+    """A flag's or a JSON string's path, named by its UTF-8 bytes in any locale
+    (the inverse of _record_config's text)."""
     if not isinstance(value, str) or value == "" or "\0" in value:
         raise ValueError(value)
-    return Path(value)
+    return Path(os.fsdecode(value.encode("utf-8", "surrogateescape")))
 
 
 def _items(value) -> list:
@@ -148,7 +151,7 @@ INT = Kind("an integer", _int)
 FLOAT = Kind("a finite number", _float)
 NON_NEGATIVE = Kind("a finite number >= 0", lambda value: _float(value, 0.0))
 BOOL = Kind("true or false", _bool, {"action": argparse.BooleanOptionalAction})
-PATH = Kind("a path without NUL bytes", _path)
+PATH = Kind("a path without NUL bytes or lone surrogates", _path)
 SIZE = Kind(f"an integer in [1, {MAX_SIZE}]", lambda value: _int(value, 1, MAX_SIZE))
 INT_LIST = Kind(
     "a comma list of integers", lambda v: tuple(_int(x) for x in _items(v)),
@@ -304,9 +307,12 @@ def _settings(command: Command, args: argparse.Namespace) -> SimpleNamespace:
 
 
 def _record_config(command: str, primary_output: Path, cfg: SimpleNamespace) -> None:
+    """Write <command>-config.json. A path is recorded as its file-system bytes
+    read as UTF-8 (surrogate escapes for others), the same text in any locale."""
     doc = {"command": command}
     for key, value in vars(cfg).items():
-        doc[key] = str(value) if isinstance(value, Path) else value
+        is_path = isinstance(value, Path)
+        doc[key] = os.fsencode(value).decode("utf-8", "surrogateescape") if is_path else value
     atomic_write_text(primary_output.parent / f"{command}-config.json", canonical_json(doc))
 
 

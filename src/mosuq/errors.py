@@ -71,21 +71,21 @@ def check_bool(name: str, value, error: type = ConfigError) -> bool:
 
 def check_float(name: str, value, low: float, high: float, low_open: bool = False,
                 error: type = ConfigError) -> float:
-    """float(value), or error unless value is a real number in [low, high), or
-    in (low, high) when low_open is set. A bool is not a number here, nan lies
-    in no interval, and an integer beyond the float range is rejected; numpy
-    floats and integers are numbers. An exact float skips the slower ABC check."""
+    """float(value), or error unless value is a real number whose float lies in
+    [low, high), or in (low, high) when low_open is set. A bool is not a number
+    here, nan lies in no interval, and an integer beyond the float range is
+    rejected; numpy floats and integers are numbers. An exact float skips the
+    slower ABC check."""
     try:
-        if (
-            (type(value) is float or (type(value) is not bool and isinstance(value, numbers.Real)))
-            and (low < value if low_open else low <= value)
-            and value < high
-        ):
-            return float(value)
+        if type(value) is float or (type(value) is not bool and isinstance(value, numbers.Real)):
+            number = float(value)
+            if (low < number if low_open else low <= number) and number < high:
+                return number
+        got = repr(value)
     except OverflowError:
-        pass
+        got = "an integer too large for a float"
     interval = f"{'(' if low_open else '['}{low:g}, {high:g})"
-    raise error(f"{name} must be a number in {interval}, got {value!r}")
+    raise error(f"{name} must be a number in {interval}, got {got}")
 
 
 def check_choice(name: str, value, options: tuple[str, ...]) -> str:

@@ -46,12 +46,13 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibrate import CalibrationScale
-from .errors import MAX_SIZE, InputError, check_array, check_float, check_int
+from .errors import MAX_SIZE, ConfigError, InputError, check_array, check_float, check_int
 from .net import S_CLAMP, ModelParams, _activate, _check_width
 
 __all__ = ["MCConfig", "MCSamples", "variance_of", "mc_forward",
@@ -200,6 +201,15 @@ def _mask_workspace(rows: int, passes: int, width: int) -> tuple:
     return hashed[0], hashed[1], np.empty(hashed.shape[1:], dtype=bool)
 
 
+@functools.cache
+def _memory_bytes() -> int:
+    """The machine's physical memory, or numpy's size limit where it cannot be read."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return MAX_SIZE
+
+
 def _key(seed: int) -> int:
     """A non-negative seed of any size, folded to 64 bits."""
     return int(seed) & _MASK64
@@ -225,6 +235,12 @@ def _mc_rows(
     _check_width(params.arch, x)
     arch, passes, p = params.arch, cfg.num_passes, cfg.dropout_p
     kind, width, hidden_dim = arch.activation, arch.trunk_output_dim, arch.head_hidden_dim
+    # The most bytes the call holds: the (2, rows, passes) samples, and per pass
+    # a one-row block's hash buffers, keep bits and counter term (50 B per unit
+    # of width), hidden layers (16 B per unit) and stack (24 B). More than the
+    # machine has is refused before any array is made.
+    if passes * (16 * len(x) + 50 * width + 16 * hidden_dim + 24) > _memory_bytes():
+        raise ConfigError(f"num_passes {passes} needs more memory than this machine has")
     block, run, step, threshold, keep_scale = _plan(passes, p, width, hidden_dim, _BLOCK_UNITS)
     n = min(block, len(x))
     # The workspace. The hash's shift buffer is dead once a mask is made, so

@@ -10,21 +10,26 @@ All learnable arrays live in one contiguous float64 vector,
 ``ModelParams.flat``. One layout table, ``param_layout(arch)``, gives each
 array's group, shape and span in that vector, and ``trunk_w``, ``trunk_b``,
 ``head_w`` and ``head_b`` are views into it; the head views hold each head
-layer of both heads as one ``(2, ...)`` stack, score head first, so each
-head layer is one ``np.matmul``. Gradients share the layout, so an
-optimizer updates every parameter with a few whole-vector operations.
+layer of both heads as one ``(2, ...)`` stack, score head first.
+``ModelParams.layers`` gives every layer one form, a (stack, fan_out,
+fan_in) weight and a (stack, 1, fan_out) bias, first to last, as views of
+the same slots: a trunk layer is a stack of one, a head layer the stack of
+both heads. Gradients share the layout, so an optimizer updates every
+parameter with a few whole-vector operations.
 
 There is one code path per operation, over a batch of rows (a single row is
-a batch of one): ``forward_batch`` and ``backward_batch``. Both write every
-intermediate into a ``Workspace``, which is also the forward cache that the
-backward pass replays; training makes one per batch length and reuses it,
-with the weight views it binds once, so a step's passes make no new
-arrays, and any other call gets a fresh one. The network draws no random
-numbers: dropout runs only when the caller passes a mask, the ``(2, B, H)``
-inverted-dropout multipliers of both heads, score head first, which
-``dropout_mask`` makes from a generator's uniforms. Caller arrays enter
-through ``errors.check_array``; a workspace-bound pass, the training step's,
-takes the trainer's own float64 arrays, which it checked once per dataset.
+a batch of one): ``forward_batch``, one loop over the layers, and
+``backward_batch``, one loop back, whose one special step is the dropout
+boundary between the trunk and the heads. Both write every intermediate
+into a ``Workspace``, which is also the forward cache that the backward
+pass replays; training makes one per batch length and reuses it, with the
+views it binds once, so a step's passes make no new arrays, and any other
+call gets a fresh one. The network draws no random numbers: dropout runs
+only when the caller passes a mask, the ``(2, B, H)`` inverted-dropout
+multipliers of both heads, score head first, which ``dropout_mask`` makes
+from a generator's uniforms. Caller arrays enter through
+``errors.check_array``; a workspace-bound pass, the training step's, takes
+the trainer's own float64 arrays, which it checked once per dataset.
 """
 
 from __future__ import annotations
@@ -140,8 +145,10 @@ class ModelParams:
     maps the head hidden layer to the scalar output. head_w[l] and head_b[l]
     view layer l of both heads at once, score head first: weights as
     (2, fan_out, fan_in), biases as (2, 1, fan_out), so head_w[l][1] is the
-    log-variance head's weight. Gradients from backward_batch use the same
-    class and layout.
+    log-variance head's weight. layers holds every layer as (W, b), first to
+    last, with a trunk layer as a stack of one: (1, fan_out, fan_in) and
+    (1, 1, fan_out). Gradients from backward_batch use the same class and
+    layout.
     """
 
     arch: ArchConfig
@@ -151,6 +158,7 @@ class ModelParams:
     trunk_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
     head_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
     head_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layout = param_layout(self.arch)
@@ -162,6 +170,8 @@ class ModelParams:
             object.__setattr__(self, group, [])
         for slot in layout:
             getattr(self, slot.group).append(flat[slot.start : slot.stop].reshape(slot.shape))
+        trunk = [(w[None], b[None, None]) for w, b in zip(self.trunk_w, self.trunk_b)]
+        object.__setattr__(self, "layers", trunk + list(zip(self.head_w, self.head_b)))
 
     def __deepcopy__(self, memo) -> ModelParams:
         return ModelParams(self.arch, self.flat.copy(), self.rng_seed_used)
@@ -181,14 +191,6 @@ def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nda
     if kind == "tanh":
         return np.tanh(z, out=out)
     return np.maximum(z, 0.0, out=out)
-
-
-def _activate_grad(post: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
-    # tanh' from the cached output avoids recomputing tanh; relu' is 0 at 0,
-    # and relu's output is positive exactly where its input is.
-    if kind == "tanh":
-        return np.subtract(1.0, np.multiply(post, post, out=out), out=out)
-    return np.greater(post, 0.0, out=out)
 
 
 def init_params(arch: ArchConfig, seed: int) -> ModelParams:
@@ -227,12 +229,14 @@ def dropout_mask(rng: np.random.Generator, p: float, shape, out=None) -> np.ndar
 
 
 class Workspace:
-    """The buffers of a batch pass over a fixed number of rows, with the
-    transposed weight views of params bound once (an optimizer updates
-    params.flat in place, so they stay valid). for_training() adds those of
-    a masked pass, the loss and backward_batch, which binds the gradient
-    views of its output. loss_out is a loss's (values, d_y_hat, d_s) output;
-    the last two view d_out, the (2, rows, 1) upstream stack, score first."""
+    """The buffers of a batch pass over a fixed number of rows. layers holds,
+    per layer of params.layers, W transposed, b and the layer's (stack, rows,
+    fan_out) output, bound once (an optimizer updates params.flat in place,
+    so they stay valid). for_training() adds those of a masked pass, the loss
+    and backward_batch. loss_out is a loss's (values, d_y_hat, d_s) output;
+    the last two view d_out, the (2, rows, 1) upstream stack, score first.
+    hidden is the heads' hidden layer; a pass sets x, mask and h_in, the
+    heads' (2, rows, width) input."""
 
     def __init__(self, params: ModelParams, rows: int):
         arch = params.arch
@@ -240,16 +244,13 @@ class Workspace:
         # doubles a row, hidden and its twins 2 * head_hidden_dim, a trunk layer its width.
         widest = max(4 * arch.trunk_output_dim, 2 * arch.head_hidden_dim, *arch.trunk_dims)
         rows = check_int("rows", rows, 0, MAX_SIZE // (8 * widest))
-        self.params, self.kind = params, arch.activation
-        self.grads = self.h_buf = None  # bound by backward_batch; made by for_training
+        self.params, self.kind, self.h_buf = params, arch.activation, None  # h_buf: for_training
         self.x_shape, self.h_shape = (rows, arch.input_dim), (2, rows, arch.trunk_output_dim)
-        self.trunk = [  # per trunk layer: W.T, b, the layer's output
-            (w.T, b, np.empty((rows, n)))
-            for w, b, n in zip(params.trunk_w, params.trunk_b, arch.trunk_dims)
+        self.layers = [
+            (w.transpose(0, 2, 1), b, np.empty((len(w), rows, w.shape[1])))
+            for w, b in params.layers
         ]
-        (self.w0, self.w1), (self.b0, self.b1) = params.head_w, params.head_b
-        self.w0_t, self.w1_t = self.w0.transpose(0, 2, 1), self.w1.transpose(0, 2, 1)
-        self.hidden, self.out = np.empty((2, rows, arch.head_hidden_dim)), np.empty((2, rows, 1))
+        self.hidden, self.out = self.layers[-2][2], self.layers[-1][2]
         (self.y_hat, self.s_raw), self.s = self.out[:, :, 0], np.empty(rows)
 
     def for_training(self) -> Workspace:
@@ -258,20 +259,21 @@ class Workspace:
             rows = self.x_shape[0]
             grad_dtype = float if self.kind == "tanh" else bool  # 1 - post^2, or post > 0
             self.h_buf, self.d_h = np.empty((2, *self.h_shape))  # masked head input, its derivative
-            self.d_hidden = np.empty(self.hidden.shape)
-            self.act_grad = np.empty(self.hidden.shape, grad_dtype)
             self.d_out = np.empty(self.out.shape)
             self.d_y_hat, self.d_s = self.d_out[:, :, 0]
             self.loss_out = (np.empty(rows), self.d_y_hat, self.d_s)
             self.abs_s_raw, self.unclamped = np.empty(rows), np.empty(rows, bool)
-            self.d_out_t = self.d_out.transpose(0, 2, 1)
-            self.d_hidden_t = self.d_hidden.transpose(0, 2, 1)
-            # Per trunk layer: W, its output, and that output's derivative
-            # and activation derivative.
-            self.trunk_back = [
-                (w, post, np.empty(post.shape), np.empty(post.shape, grad_dtype))
-                for w, (_, _, post) in zip(self.params.trunk_w, self.trunk)
-            ]
+            # backward_batch's record per layer, last to first: d (the output's
+            # derivative) and d transposed, the activation derivative (None on
+            # the output layer), the output, W, the input's derivative (None on
+            # the first layer) and the input, None where a pass sets it (x, h_in).
+            posts = [post for _, _, post in self.layers]
+            d = [np.empty(post.shape) for post in posts[:-1]] + [self.d_out]
+            act = [np.empty(post.shape, grad_dtype) for post in posts[:-1]] + [None]
+            inputs = [None, *posts[:-1]]
+            inputs[-2] = None
+            self.back = list(zip(d, [v.transpose(0, 2, 1) for v in d], act, posts,
+                                 [w for w, _ in self.params.layers], [None, *d[:-1]], inputs))[::-1]
         return self
 
 
@@ -299,32 +301,22 @@ def forward_batch(
     if mask is not None and mask.shape != work.h_shape:
         raise ShapeError(f"expected a dropout mask of shape {work.h_shape}, got {mask.shape}")
 
-    kind, hidden, out, a = work.kind, work.hidden, work.out, x
-    for w_t, b, post in work.trunk:
+    tanh, hidden, out, a = work.kind == "tanh", work.hidden, work.out, x
+    work.x, work.mask = x, mask
+    for w_t, b, post in work.layers:
+        if post is hidden:  # the dropout boundary: the trunk output goes to both heads, or masked
+            a = work.h_in = (np.broadcast_to(a, work.h_shape) if mask is None
+                             else np.multiply(a, mask, out=work.for_training().h_buf))
         np.matmul(a, w_t, out=post)
         post += b
-        a = _activate(post, kind, out=post)
-    # Both heads at once, as (2, B, .) stacks. Without a mask the heads
-    # share the trunk output without a copy.
-    work.x, work.mask = x, mask
-    if mask is None:
-        work.h_in = np.broadcast_to(a, work.h_shape)
-    else:
-        work.h_in = np.multiply(a, mask, out=work.for_training().h_buf)
-    np.matmul(work.h_in, work.w0_t, out=hidden)
-    hidden += work.b0
-    _activate(hidden, kind, out=hidden)
-    np.matmul(hidden, work.w1_t, out=out)
-    out += work.b1
+        if post is not out:
+            a = np.tanh(post, out=post) if tanh else np.maximum(post, 0.0, out=post)
     np.minimum(np.maximum(work.s_raw, -S_CLAMP, out=work.s), S_CLAMP, out=work.s)
     return work.y_hat, work.s, work
 
 
 def backward_batch(
-    work: Workspace,
-    params: ModelParams,
-    d_y_hat: np.ndarray,
-    d_s: np.ndarray,
+    work: Workspace, params: ModelParams, d_y_hat: np.ndarray, d_s: np.ndarray,
     out: ModelParams | None = None,
 ) -> ModelParams:
     """Parameter gradients for the forward pass cached in work, its Workspace.
@@ -332,11 +324,11 @@ def backward_batch(
     d_y_hat and d_s are (batch,) upstream derivatives of a scalar loss with
     respect to the two outputs, read in place when they are work.d_y_hat
     and work.d_s (as a loss given out=work.loss_out returns them), and
-    otherwise finite real arrays (errors.check_array). Where
-    the log-variance clamp was active d_s is zeroed, matching the
-    piecewise-constant clamp. The gradients are written into out, which
-    every call overwrites entirely, or into a new ModelParams; either is
-    returned.
+    otherwise finite real arrays (errors.check_array). Where the
+    log-variance clamp was active d_s is zeroed, matching the
+    piecewise-constant clamp. The gradients are written into out.layers,
+    which every call overwrites entirely, or into a new ModelParams; either
+    is returned.
     """
     if work.params is not params:
         raise ShapeError("forward cache does not match the supplied parameters")
@@ -350,27 +342,23 @@ def backward_batch(
         out = ModelParams(params.arch, np.empty_like(params.flat), params.rng_seed_used)
     elif out.arch is not params.arch and out.arch != params.arch:
         raise ShapeError("gradient buffer does not match the supplied parameters")
-    if out is not work.grads:
-        work.grads, (work.g_w0, work.g_w1), (work.g_b0, work.g_b1) = out, out.head_w, out.head_b
 
-    kind, hidden, d_hidden, trunk = work.kind, work.hidden, work.d_hidden, work.trunk
+    tanh, hidden, d_h, mask = work.kind == "tanh", work.hidden, work.d_h, work.mask
     work.d_s *= np.less(np.abs(work.s_raw, out=work.abs_s_raw), S_CLAMP, out=work.unclamped)
-    np.matmul(work.d_out_t, hidden, out=work.g_w1)
-    np.add.reduce(work.d_out, axis=1, keepdims=True, out=work.g_b1)
-    np.matmul(work.d_out, work.w1, out=d_hidden)
-    d_hidden *= _activate_grad(hidden, kind, work.act_grad)
-    np.matmul(work.d_hidden_t, work.h_in, out=work.g_w0)
-    np.add.reduce(d_hidden, axis=1, keepdims=True, out=work.g_b0)
-    if trunk:
-        d_h = np.matmul(d_hidden, work.w0, out=work.d_h)
-        if work.mask is not None:
-            d_h *= work.mask
-        np.add(d_h[0], d_h[1], out=work.trunk_back[-1][2])
-    for l in range(len(trunk) - 1, -1, -1):
-        w, post, d_z, act_grad = work.trunk_back[l]
-        np.multiply(d_z, _activate_grad(post, kind, act_grad), out=d_z)
-        np.matmul(d_z.T, work.trunk_back[l - 1][1] if l > 0 else work.x, out=out.trunk_w[l])
-        np.add.reduce(d_z, axis=0, out=out.trunk_b[l])
-        if l > 0:
-            np.matmul(d_z, w, out=work.trunk_back[l - 1][2])
+    for (d, d_t, act, post, w, d_in, a), (g_w, g_b) in zip(work.back, reversed(out.layers)):
+        # tanh' = 1 - post^2 from the cached output; relu' = post > 0, where its input is.
+        if act is not None:
+            d *= (np.subtract(1.0, np.multiply(post, post, out=act), out=act) if tanh
+                  else np.greater(post, 0.0, out=act))
+        if a is None:
+            a = work.h_in if post is hidden else work.x
+        np.matmul(d_t, a, out=g_w)
+        np.add.reduce(d, axis=1, keepdims=True, out=g_b)
+        if d_in is None:
+            break
+        np.matmul(d, w, out=d_h if post is hidden else d_in)
+        if post is hidden:  # the dropout boundary: the heads' input derivative, masked, summed
+            if mask is not None:
+                d_h *= mask
+            np.add(d_h[0], d_h[1], out=d_in[0])
     return out

@@ -289,37 +289,24 @@ def save_checkpoint(
 def _section_arrays(doc: dict, section: str, key: str) -> list[np.ndarray]:
     """The arrays of doc[section][key], as float arrays.
 
-    Every element must be a JSON number: a bool or a numeric string, which
-    np.array(..., dtype=float) would convert, raises ValueError naming the
-    section, as does a ragged or non-numeric array.
+    Every element must be a finite number (errors.check_float): a bool or a
+    numeric string, which np.array(..., dtype=float) would convert, raises
+    ValueError naming the section, as does a ragged or non-numeric array.
     """
     arrays = []
     try:
         for node in doc[section][key]:
             cells = np.array(node, dtype=object)
-            arrays.append(np.array([_number(v) for v in cells.flat]).reshape(cells.shape))
+            values = [check_float("parameter", v, -math.inf, math.inf, True) for v in cells.flat]
+            arrays.append(np.array(values).reshape(cells.shape))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{section}.{key}: {exc}") from None
     return arrays
 
 
-def _number(value, integral: bool = False) -> float | int:
-    """A JSON number as a float, or as an int when integral is set.
-
-    Raises ValueError for anything else, bools included, for an integer
-    beyond the float range, and for a number with a fractional part where an
-    integer is asked for.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    if not integral:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValueError("integer too large for a float") from None
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _integer(value):
+    """A JSON integer: an integral float such as 3.0 reads as the int it holds."""
+    return int(value) if type(value) is float and value.is_integer() else value
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
@@ -339,18 +326,18 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
         if key not in doc:
             raise CheckpointError(f"{path}: missing field {key!r}")
 
+    # Numbers enter through errors.check_int and check_float, ArchConfig's
+    # included: a ConfigError is a ValueError, re-raised as CheckpointError.
     try:
+        spec = doc["arch"]
         arch = ArchConfig(
-            input_dim=_number(doc["arch"]["input_dim"], integral=True),
-            trunk_dims=tuple(_number(w, integral=True) for w in doc["arch"]["trunk_dims"]),
-            head_hidden_dim=_number(doc["arch"]["head_hidden_dim"], integral=True),
-            dropout_p=_number(doc["arch"]["dropout_p"]),
-            activation=str(doc["arch"]["activation"]),
+            _integer(spec["input_dim"]), tuple(map(_integer, spec["trunk_dims"])),
+            _integer(spec["head_hidden_dim"]), spec["dropout_p"], spec["activation"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid arch section: {exc}") from None
     try:
-        rng_seed_used = _number(doc["rng_seed_used"], integral=True)
+        rng_seed_used = check_int("rng_seed_used", _integer(doc["rng_seed_used"]), 0)
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid rng_seed_used: {exc}") from None
 
@@ -370,13 +357,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, float | None]:
     for where, section in views.items():
         for view, a in zip(section, arrays[where]):
             view[...] = a
-    if not np.all(np.isfinite(params.flat)):
-        raise CheckpointError(f"{path}: checkpoint contains non-finite values")
 
     calibration_r = doc.get("calibration_r")
     if calibration_r is not None:
         try:
-            calibration_r = check_float("value", _number(calibration_r), 0.0, math.inf, True)
+            calibration_r = check_float("calibration_r", calibration_r, 0.0, math.inf, True)
         except ValueError as exc:
             raise CheckpointError(f"{path}: invalid calibration_r: {exc}") from None
     return params, calibration_r

@@ -48,7 +48,7 @@ def _blas_core() -> str | None:
         for symbol in _CORENAME_SYMBOLS:
             if hasattr(handle, symbol):
                 getter = getattr(handle, symbol)
-                getter.restype = ctypes.c_char_p
+                getter.argtypes, getter.restype = [], ctypes.c_char_p
                 return getter().decode()
     return None
 

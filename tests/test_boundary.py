@@ -421,7 +421,9 @@ def _chain(root: Path, env: dict) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
-def test_a_non_ascii_chain_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
+def _locale_envs() -> tuple[dict, dict]:
+    """The environment of a subprocess that imports this mosuq, under the
+    default locale and under an ASCII one."""
     src = str(Path(mosuq.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -431,6 +433,33 @@ def test_a_non_ascii_chain_writes_the_same_bytes_under_an_ascii_locale(tmp_path)
         env=ascii_env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert codecs.lookup(probe.stdout.strip()).name != "utf-8"  # the locale really is not UTF-8
+    return env, ascii_env
+
+
+def test_a_non_ascii_chain_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
+    env, ascii_env = _locale_envs()
     default = _chain(tmp_path / "default", env)
     assert "café".encode() in default["mc.csv"] and "café".encode() in default["s.csv"]
     assert _chain(tmp_path / "ascii", ascii_env) == default
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_a_non_ascii_path_is_recorded_as_the_same_text_in_any_locale(tmp_path, given):
+    """<command>-config.json records a path's file-system bytes read as UTF-8,
+    not the locale's surrogate escapes of them, and a config file's path
+    names the file by its UTF-8 bytes under either locale."""
+    records = []
+    for name, env in zip(("default", "ascii"), _locale_envs()):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "hand.csv").write_bytes(HAND_CSV.encode())
+        (root / "cfg.json").write_text('{"out": "ck-\\u00e9.json"}', encoding="ascii")
+        out = ["--out", "ck-é.json"] if given == "flag" else ["--config", "cfg.json"]
+        argv = ["train", "--data", "hand.csv", *out, "--epochs", "1", "--batch-size", "2"]
+        proc = subprocess.run([sys.executable, "-m", "mosuq", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (root / "ck-é.json").is_file()
+        records.append((root / "train-config.json").read_bytes())
+    assert records[0] == records[1]
+    assert json.loads(records[0])["out"] == "ck-é.json"

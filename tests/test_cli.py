@@ -629,6 +629,32 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not report.exists()
 
+    def test_an_impossible_mc_pass_count_exits_2_naming_it(self, workspace, tmp_path):
+        """--mc 100000000000 needs terabytes. The command runs under a 2 GiB
+        address-space limit, so any attempt to allocate that would fail with
+        numpy's MemoryError (exit 1, checked first); the setting is refused before."""
+        resource = pytest.importorskip("resource")
+        limit = 2 * 1024**3
+
+        def capped(*argv):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                p for p in (str(Path(mosuq.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+                if p))
+            return subprocess.run(
+                [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            )
+
+        probe = capped("-c", "import numpy; numpy.empty(2**31)")
+        assert probe.returncode == 1 and "MemoryError" in probe.stderr, probe.stderr
+        report = tmp_path / "report.json"
+        proc = capped("-m", "mosuq", "evaluate", "--checkpoint", str(workspace / "cal.json"),
+                      "--data", str(workspace / "base.test.csv"), "--report", str(report),
+                      "--mc", "100000000000", "0.5", "0")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: num_passes 100000000000 needs more memory")
+        assert not report.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_metric_exits_1_naming_it(self, workspace, tmp_path, capsys):
         """A score-head bias of 1e200 makes the mse overflow to inf, which has
