@@ -256,13 +256,12 @@ class Workspace:
     def for_training(self) -> Workspace:
         """Make the buffers of a masked pass, the loss and backward_batch, once."""
         if self.h_buf is None:
-            rows = self.x_shape[0]
             grad_dtype = float if self.kind == "tanh" else bool  # 1 - post^2, or post > 0
             self.h_buf, self.d_h = np.empty((2, *self.h_shape))  # masked head input, its derivative
             self.d_out = np.empty(self.out.shape)
             self.d_y_hat, self.d_s = self.d_out[:, :, 0]
-            self.loss_out = (np.empty(rows), self.d_y_hat, self.d_s)
-            self.abs_s_raw, self.unclamped = np.empty(rows), np.empty(rows, bool)
+            self.loss_out = (np.empty_like(self.s), self.d_y_hat, self.d_s)
+            self.abs_s_raw, self.unclamped = np.empty_like(self.s), np.empty_like(self.s, bool)
             # backward_batch's record per layer, last to first: d (the output's
             # derivative) and d transposed, the activation derivative (None on
             # the output layer), the output, W, the input's derivative (None on
@@ -316,7 +315,10 @@ def forward_batch(
 
 
 def backward_batch(
-    work: Workspace, params: ModelParams, d_y_hat: np.ndarray, d_s: np.ndarray,
+    work: Workspace,
+    params: ModelParams,
+    d_y_hat: np.ndarray,
+    d_s: np.ndarray,
     out: ModelParams | None = None,
 ) -> ModelParams:
     """Parameter gradients for the forward pass cached in work, its Workspace.
