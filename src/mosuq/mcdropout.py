@@ -22,8 +22,8 @@ after, and independent of which other rows are sampled in the same call.
 At p = 0 no bits are drawn. One kernel serves both entry points: it runs
 the deterministic trunk once per row and only the two dropout heads per
 pass, over blocks of rows. The heads run as one unit-major
-(2, units, rows, passes) stack, score head first, read from the stacked
-views head_w and head_b; mask scaling, the contractions, bias adds, the
+(2, units, rows, passes) stack, score head first, read from the last two
+layers of ModelParams.layers, the stacks of both heads; mask scaling, the contractions, bias adds, the
 activation, the log-variance clamp and the summaries each run once on the
 stack. Each head layer is one einsum without optimize over the stack, whose
 per-element bits equal those of one head at a time and do not depend on how
@@ -252,7 +252,8 @@ def _mc_rows(
     # log-variance samples.
     h, stack = np.empty((2, hidden_dim, n, run)), np.empty((3, n, max(passes, run)))
     out, stack = stack[:2, :, :run], stack[:, :, :passes]
-    (hidden_w, out_w), (hidden_b, out_b) = params.head_w, params.head_b
+    trunk = [(w[0], b[0, 0]) for w, b in params.layers[:-2]]
+    (hidden_w, hidden_b), (out_w, out_b) = params.layers[-2:]
     hidden_b, out_w = hidden_b[:, 0, :, None, None], out_w[:, 0]
     # The result, in MCSamples field order: y and s samples; the means of the
     # three sample rows (aleatoric before scaling); the y and s variances.
@@ -260,8 +261,8 @@ def _mc_rows(
     for start in range(0, len(x), block):
         rows = slice(start, start + block)
         a = x[rows]
-        for trunk_w, trunk_b in zip(params.trunk_w, params.trunk_b):
-            a = _activate(np.einsum("rk,jk->rj", a, trunk_w) + trunk_b, kind)
+        for w, b in trunk:
+            a = _activate(np.einsum("rk,jk->rj", a, w) + b, kind)
         if len(a) < n:  # a short last block
             n = len(a)
             h, out, stack = h[:, :, :n], out[:, :n], stack[:, :n]

@@ -7,15 +7,12 @@ layers with one activation in between, so test-time MC sampling only ever
 perturbs the heads.
 
 All learnable arrays live in one contiguous float64 vector,
-``ModelParams.flat``. One layout table, ``param_layout(arch)``, gives each
-array's group, shape and span in that vector, and ``trunk_w``, ``trunk_b``,
-``head_w`` and ``head_b`` are views into it; the head views hold each head
-layer of both heads as one ``(2, ...)`` stack, score head first.
-``ModelParams.layers`` gives every layer one form, a (stack, fan_out,
-fan_in) weight and a (stack, 1, fan_out) bias, first to last, as views of
-the same slots: a trunk layer is a stack of one, a head layer the stack of
-both heads. Gradients share the layout, so an optimizer updates every
-parameter with a few whole-vector operations.
+``ModelParams.flat``, in layer order. One layout table, ``param_layout(arch)``,
+gives each layer, first to last, a (stack, fan_out, fan_in) weight and then a
+(stack, 1, fan_out) bias, and ``ModelParams.layers`` holds them as (W, b)
+views into the vector: a trunk layer is a stack of one, a head layer the
+stack of both heads, score head first. Gradients share the layout, so an
+optimizer updates every parameter with a few whole-vector operations.
 
 There is one code path per operation, over a batch of rows (a single row is
 a batch of one): ``forward_batch``, one loop over the layers, and
@@ -66,10 +63,6 @@ ACTIVATIONS = ("tanh", "relu")
 # or an out-of-distribution input pushes the raw head output.
 S_CLAMP = 10.0
 
-# Parameter groups; within a group, layers in order.
-GROUPS = ("trunk_w", "trunk_b", "head_w", "head_b")
-
-
 @dataclass(frozen=True)
 class ArchConfig:
     """Network shape and regularisation settings.
@@ -108,7 +101,6 @@ class ArchConfig:
 class Slot(NamedTuple):
     """One learnable array: flat[start:stop] viewed with this shape."""
 
-    group: str
     shape: tuple[int, ...]
     start: int
     stop: int
@@ -116,22 +108,18 @@ class Slot(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def param_layout(arch: ArchConfig) -> tuple[Slot, ...]:
-    """Every learnable array of the architecture, in flat-vector order.
-
-    Weight matrices are (fan_out, fan_in). The order is trunk weights, then
-    trunk biases, layers in order; then, for each head layer in turn, both
-    heads' weights as one (2, fan_out, fan_in) stack and both heads' biases
-    as one (2, 1, fan_out) stack, score head first.
+    """Every learnable array of the architecture, in flat-vector order: for
+    each layer, first to last, its weights as a (stack, fan_out, fan_in)
+    stack and then its biases as a (stack, 1, fan_out) stack. A trunk layer
+    is a stack of one; a head layer stacks both heads, score head first.
     """
-    widths = (arch.input_dim, *arch.trunk_dims)
-    entries = [("trunk_w", shape) for shape in zip(widths[1:], widths[:-1])]
-    entries += [("trunk_b", (w,)) for w in arch.trunk_dims]
-    for w in ((arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)):
-        entries += [("head_w", (2, *w)), ("head_b", (2, 1, w[0]))]
+    widths = (arch.input_dim, *arch.trunk_dims, arch.head_hidden_dim, 1)
     slots, start = [], 0
-    for group, shape in entries:
-        slots.append(Slot(group, shape, start, start + math.prod(shape)))
-        start = slots[-1].stop
+    for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        stack = 1 if layer < len(arch.trunk_dims) else 2
+        for shape in ((stack, fan_out, fan_in), (stack, 1, fan_out)):
+            slots.append(Slot(shape, start, start + math.prod(shape)))
+            start = slots[-1].stop
     return tuple(slots)
 
 
@@ -140,24 +128,19 @@ class ModelParams:
     """All learnable arrays, as views into one flat float64 vector.
 
     Treat instances as immutable once published. Layer l computes
-    a_out = act(W @ a_in + b). Each head holds exactly two layers: index 0
-    maps the (dropped-out) trunk output to the head hidden layer, index 1
-    maps the head hidden layer to the scalar output. head_w[l] and head_b[l]
-    view layer l of both heads at once, score head first: weights as
-    (2, fan_out, fan_in), biases as (2, 1, fan_out), so head_w[l][1] is the
-    log-variance head's weight. layers holds every layer as (W, b), first to
-    last, with a trunk layer as a stack of one: (1, fan_out, fan_in) and
-    (1, 1, fan_out). Gradients from backward_batch use the same class and
-    layout.
+    a_out = act(W @ a_in + b). layers holds every layer as (W, b), first to
+    last, in param_layout's order: weights as (stack, fan_out, fan_in),
+    biases as (stack, 1, fan_out). A trunk layer is a stack of one. The last
+    two layers are the heads', each the stack of both heads, score head
+    first: layers[-2] maps the (dropped-out) trunk output to the head hidden
+    layer, layers[-1] maps that to the scalar output, and layers[-1][0][1]
+    is the log-variance head's output weight. Gradients from backward_batch
+    use the same class and layout.
     """
 
     arch: ArchConfig
     flat: np.ndarray
     rng_seed_used: int
-    trunk_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    trunk_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    head_w: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    head_b: list[np.ndarray] = field(init=False, repr=False, compare=False)
     layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -166,12 +149,8 @@ class ModelParams:
         if len(flat) != size or not flat.flags.c_contiguous:
             raise ShapeError(f"expected a contiguous vector of {size} parameters, got {flat.shape}")
         object.__setattr__(self, "flat", flat)
-        for group in GROUPS:
-            object.__setattr__(self, group, [])
-        for slot in layout:
-            getattr(self, slot.group).append(flat[slot.start : slot.stop].reshape(slot.shape))
-        trunk = [(w[None], b[None, None]) for w, b in zip(self.trunk_w, self.trunk_b)]
-        object.__setattr__(self, "layers", trunk + list(zip(self.head_w, self.head_b)))
+        views = [flat[slot.start : slot.stop].reshape(slot.shape) for slot in layout]
+        object.__setattr__(self, "layers", list(zip(views[::2], views[1::2])))
 
     def __deepcopy__(self, memo) -> ModelParams:
         return ModelParams(self.arch, self.flat.copy(), self.rng_seed_used)
@@ -203,7 +182,8 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
     seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     params = ModelParams(arch, np.zeros(param_layout(arch)[-1].stop), seed)
-    for w in params.trunk_w + [layer[h] for h in (0, 1) for layer in params.head_w]:
+    trunk, heads = params.layers[:-2], params.layers[-2:]
+    for w in [w[0] for w, _ in trunk] + [w[h] for h in (0, 1) for w, _ in heads]:
         bound = 1.0 / math.sqrt(w.shape[1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
     return params
@@ -236,7 +216,8 @@ class Workspace:
     and backward_batch. loss_out is a loss's (values, d_y_hat, d_s) output;
     the last two view d_out, the (2, rows, 1) upstream stack, score first.
     hidden is the heads' hidden layer; a pass sets x, mask and h_in, the
-    heads' (2, rows, width) input."""
+    heads' input: the masked (2, rows, width) stack, or without a mask the
+    trunk output (x when the trunk is empty), which matmul broadcasts."""
 
     def __init__(self, params: ModelParams, rows: int):
         arch = params.arch
@@ -303,9 +284,10 @@ def forward_batch(
     tanh, hidden, out, a = work.kind == "tanh", work.hidden, work.out, x
     work.x, work.mask = x, mask
     for w_t, b, post in work.layers:
-        if post is hidden:  # the dropout boundary: the trunk output goes to both heads, or masked
-            a = work.h_in = (np.broadcast_to(a, work.h_shape) if mask is None
-                             else np.multiply(a, mask, out=work.for_training().h_buf))
+        if post is hidden:  # the dropout boundary: matmul broadcasts the trunk output to both heads
+            if mask is not None:
+                a = np.multiply(a, mask, out=work.for_training().h_buf)
+            work.h_in = a
         np.matmul(a, w_t, out=post)
         post += b
         if post is not out:

@@ -257,15 +257,11 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray
 
 def _checkpoint_views(params: ModelParams) -> dict[tuple[str, str], list[np.ndarray]]:
     """Each (section, key) of a checkpoint document and its views into params."""
-    w, b = params.head_w, params.head_b
-    return {
-        ("weights", "trunk"): params.trunk_w,
-        ("biases", "trunk"): params.trunk_b,
-        ("weights", "score_head"): [layer[0] for layer in w],
-        ("biases", "score_head"): [layer[0, 0] for layer in b],
-        ("weights", "logvar_head"): [layer[1] for layer in w],
-        ("biases", "logvar_head"): [layer[1, 0] for layer in b],
-    }
+    views, trunk, heads = {}, params.layers[:-2], params.layers[-2:]
+    for key, layers, k in ("trunk", trunk, 0), ("score_head", heads, 0), ("logvar_head", heads, 1):
+        views["weights", key] = [w[k] for w, _ in layers]
+        views["biases", key] = [b[k, 0] for _, b in layers]
+    return views
 
 
 def save_checkpoint(

@@ -469,11 +469,11 @@ class TestKernelInvariants:
         keep = keep / (1.0 - cfg.dropout_p)
         act = np.tanh if activation == "tanh" else (lambda z: np.maximum(z, 0.0))
         a = features
-        for w, b in zip(params.trunk_w, params.trunk_b):
-            a = act(a @ w.T + b)
+        for w, b in params.layers[:-2]:
+            a = act(a @ w[0].T + b[0, 0])
 
         def head(mask, k):
-            (w0, w1), (b0, b1) = (w[k] for w in params.head_w), (b[k] for b in params.head_b)
+            (w0, b0), (w1, b1) = ((w[k], b[k]) for w, b in params.layers[-2:])
             return (act((a[:, None, :] * mask) @ w0.T + b0) @ w1.T + b1)[..., 0]
 
         y = head(keep[:, :, 0], 0)
@@ -728,13 +728,13 @@ def per_head_reference(params, x, cfg, multiplier=1.0):
 
     def head(h_in, k):
         """One head over a unit-major (width, rows, passes) input."""
-        (w0, w1), (b0, b1) = (w[k] for w in params.head_w), (b[k, 0] for b in params.head_b)
+        (w0, b0), (w1, b1) = ((w[k], b[k, 0]) for w, b in params.layers[-2:])
         hidden = act(np.einsum("krt,jk->jrt", h_in, w0) + b0[:, None, None])
         return np.einsum("jrt,j->rt", hidden, w1[0]) + b1[0]
 
     a = x
-    for w, b in zip(params.trunk_w, params.trunk_b):
-        a = act(np.einsum("rk,jk->rj", a, w) + b)
+    for w, b in params.layers[:-2]:
+        a = act(np.einsum("rk,jk->rj", a, w[0]) + b[0, 0])
     h = a.T[:, :, None]
     if p == 0.0:
         y = np.repeat(head(h, 0), passes, axis=1)
@@ -794,7 +794,7 @@ class TestStackedKernel:
         data = np.random.default_rng(passes + len(trunk_dims))
         # Non-zero biases, and some log-variances beyond the clamp.
         params.flat[...] += data.normal(scale=0.5, size=params.flat.size)
-        params.head_b[1][1] = 9.0
+        params.layers[-1][1][1] = 9.0
         features = data.normal(scale=2.0, size=(131, 3))
         # Inputs near the float limit, where the order of the mask product
         # decides between a signed zero and NaN for a dropped unit.

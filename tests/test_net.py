@@ -16,7 +16,6 @@ from mosuq.errors import ConfigError, InputError, ShapeError
 from mosuq.loss import nll_loss_batch
 from mosuq.net import (
     S_CLAMP,
-    GROUPS,
     ArchConfig,
     HeteroPrediction,
     ModelParams,
@@ -119,12 +118,12 @@ class TestInitParams:
 
     def test_biases_start_at_zero(self):
         params = init_params(small_arch(), seed=3)
-        for bias in params.trunk_b + params.head_b:
+        for _, bias in params.layers:
             np.testing.assert_array_equal(bias, np.zeros_like(bias))
 
     def test_weights_bounded_by_fan_in(self):
         params = init_params(small_arch(trunk_dims=(6, 4)), seed=11)
-        for w in params.trunk_w + params.head_w:
+        for w, _ in params.layers:
             bound = 1.0 / math.sqrt(w.shape[-1])
             assert np.all(np.abs(w) <= bound)
 
@@ -144,11 +143,12 @@ class TestInitParams:
     def test_shapes(self):
         arch = small_arch(trunk_dims=(5,), head_hidden_dim=2)
         params = init_params(arch, seed=0)
-        assert params.trunk_w[0].shape == (5, 3)
-        assert params.head_w[0][0].shape == (2, 5)
-        assert params.head_w[1][0].shape == (1, 2)
-        assert params.head_w[0][1].shape == (2, 5)
-        assert params.head_w[1][1].shape == (1, 2)
+        (trunk_w, _), (hidden_w, _), (out_w, _) = params.layers
+        assert trunk_w[0].shape == (5, 3)
+        assert hidden_w[0].shape == (2, 5)
+        assert out_w[0].shape == (1, 2)
+        assert hidden_w[1].shape == (2, 5)
+        assert out_w[1].shape == (1, 2)
 
 
 def address(a: np.ndarray) -> int:
@@ -161,20 +161,24 @@ class TestFlatLayout:
         small_arch(trunk_dims=(5,), head_hidden_dim=2),
         small_arch(trunk_dims=(6, 4)),
     ]
+    # Per arch, each layer's (stack, fan_out, fan_in) weights, then its
+    # (stack, 1, fan_out) biases, first layer to last.
+    DOCUMENTED = [
+        [(2, 4, 3), (2, 1, 4), (2, 1, 4), (2, 1, 1)],
+        [(1, 5, 3), (1, 1, 5), (2, 2, 5), (2, 1, 2), (2, 1, 2), (2, 1, 1)],
+        [(1, 6, 3), (1, 1, 6), (1, 4, 6), (1, 1, 4), (2, 4, 4), (2, 1, 4), (2, 1, 4), (2, 1, 1)],
+    ]
 
-    @pytest.mark.parametrize("arch", ARCHS)
-    def test_param_arrays_are_consecutive_views_of_one_buffer_in_documented_order(self, arch):
+    @pytest.mark.parametrize("arch, documented", zip(ARCHS, DOCUMENTED))
+    def test_param_arrays_are_consecutive_views_of_one_buffer_in_documented_order(
+        self, arch, documented
+    ):
         params = init_params(arch, seed=0)
         flat = params.flat
         assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
-        widths = (arch.input_dim, *arch.trunk_dims)
-        documented = [("trunk_w", (w, f)) for w, f in zip(widths[1:], widths[:-1])]
-        documented += [("trunk_b", (w,)) for w in arch.trunk_dims]
-        for w in [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]:
-            documented += [("head_w", (2, *w)), ("head_b", (2, 1, w[0]))]
-        assert [(s.group, s.shape) for s in param_layout(arch)] == documented
+        assert [s.shape for s in param_layout(arch)] == documented
         arrays = param_arrays(params)
-        assert [a.shape for a in arrays] == [shape for _, shape in documented]
+        assert [a.shape for a in arrays] == documented
         offset = 0
         for a in arrays:
             assert a.base is flat
@@ -184,32 +188,29 @@ class TestFlatLayout:
         assert offset == flat.size
 
     @pytest.mark.parametrize("arch", ARCHS)
-    def test_named_groups_are_the_same_views(self, arch):
+    def test_layers_are_the_layout_views_in_order(self, arch):
         params = init_params(arch, seed=0)
         layout = param_layout(arch)
-        for group in GROUPS:
-            assert [address(a) for a in getattr(params, group)] == [
-                address(params.flat) + 8 * s.start for s in layout if s.group == group
-            ]
-        assert sorted(address(a) for group in GROUPS for a in getattr(params, group)) == [
-            address(a) for a in param_arrays(params)
+        assert len(params.layers) == len(arch.trunk_dims) + 2
+        views = [a for layer in params.layers for a in layer]
+        assert all(a.base is params.flat for a in views)
+        assert [(address(a), a.shape) for a in views] == [
+            (address(params.flat) + 8 * s.start, s.shape) for s in layout
         ]
+        assert [address(a) for a in views] == [address(a) for a in param_arrays(params)]
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_stacked_head_views_cover_both_heads_score_first(self, arch):
-        """Each head layer's slots start where the score head's arrays start
-        and end where the log-variance head's end, in the layout that stored
-        the two heads as interleaved (fan_out, fan_in) and (fan_out,) arrays:
-        per head layer, score weight, log-variance weight, score bias,
-        log-variance bias."""
+        """The last two layers are the heads'. Each head layer's slots follow
+        the trunk's, score head first in each stack: per head layer, score
+        weight, log-variance weight, score bias, log-variance bias."""
         params = init_params(arch, seed=0)
-        assert len(params.head_w) == len(params.head_b) == 2
-        offset = sum(math.prod(s.shape) for s in param_layout(arch) if s.group.startswith("trunk"))
-        head_slots = [s for s in param_layout(arch) if s.group.startswith("head")]
+        offset = sum(math.prod(s.shape) for s in param_layout(arch)[:-4])
+        head_slots = param_layout(arch)[-4:]
         for l, (fan_out, fan_in) in enumerate(
             [(arch.head_hidden_dim, arch.trunk_output_dim), (1, arch.head_hidden_dim)]
         ):
-            w, b = params.head_w[l], params.head_b[l]
+            w, b = params.layers[len(arch.trunk_dims) + l]
             assert w.base is params.flat and b.base is params.flat
             assert w.shape == (2, fan_out, fan_in)
             assert b.shape == (2, 1, fan_out)
@@ -219,15 +220,15 @@ class TestFlatLayout:
             assert address(w[1]) == address(params.flat) + 8 * logvar_w
             assert address(b) == address(b[0]) == address(params.flat) + 8 * score_b
             assert address(b[1]) == address(params.flat) + 8 * logvar_b
-            assert head_slots[2 * l][2:] == (score_w, score_b)
-            assert head_slots[2 * l + 1][2:] == (score_b, logvar_b + fan_out)
+            assert head_slots[2 * l][1:] == (score_w, score_b)
+            assert head_slots[2 * l + 1][1:] == (score_b, logvar_b + fan_out)
             offset = logvar_b + fan_out
         assert offset == params.flat.size
 
     def test_writes_through_a_view_reach_the_flat_vector(self):
         params = init_params(small_arch(), seed=0)
-        params.head_b[1][0, 0, 0] = 123.0
-        slot = [s for s in param_layout(params.arch) if s.group == "head_b"][1]
+        params.layers[-1][1][0, 0, 0] = 123.0
+        slot = param_layout(params.arch)[-1]
         assert params.flat[slot.start] == 123.0
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -243,7 +244,8 @@ class TestFlatLayout:
             for w, f in list(zip(widths[1:], widths[:-1])) + head + head
         ]
         params = init_params(arch, seed=3)
-        got = params.trunk_w + [w[0] for w in params.head_w] + [w[1] for w in params.head_w]
+        trunk, heads = params.layers[:-2], params.layers[-2:]
+        got = [w[0] for w, _ in trunk] + [w[0] for w, _ in heads] + [w[1] for w, _ in heads]
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
 
@@ -255,7 +257,7 @@ class TestFlatLayout:
     def test_deepcopy_owns_a_new_buffer_and_keeps_its_views(self):
         params = init_params(small_arch(), seed=0)
         clone = copy.deepcopy(params)
-        clone.trunk_w[0][0, 0] = 99.0
+        clone.layers[0][0][0, 0, 0] = 99.0
         assert clone.flat[0] == 99.0
         assert params.flat[0] != 99.0
 
@@ -337,9 +339,10 @@ class TestForward:
         params = init_params(small_arch(), seed=1)
         xs = np.random.default_rng(0).normal(size=(4, 3))
         y_hat, s, work = forward_batch(params, xs)
-        trunk_out = np.tanh(xs @ params.trunk_w[0].T + params.trunk_b[0])
+        (w, b), = params.layers[:-2]
+        trunk_out = np.tanh(xs @ w[0].T + b[0, 0])
         assert work.mask is None
-        assert np.array_equal(work.h_in, np.stack([trunk_out] * 2))
+        assert np.array_equal(np.broadcast_to(work.h_in, (2, 4, 4)), np.stack([trunk_out] * 2))
         again_y, again_s, _ = forward_batch(params, xs)
         assert same_bits(y_hat, again_y) and same_bits(s, again_s)
 
@@ -364,10 +367,11 @@ class TestForward:
         ref_rng = np.random.default_rng(8)
         score_mask = (ref_rng.random((5, 6)) >= 0.4) / (1.0 - 0.4)
         logvar_mask = (ref_rng.random((5, 6)) >= 0.4) / (1.0 - 0.4)
-        h = np.tanh(xs @ params.trunk_w[0].T + params.trunk_b[0])
+        (w, b), = params.layers[:-2]
+        h = np.tanh(xs @ w[0].T + b[0, 0])
 
         def head(mask, k):
-            (w0, w1), (b0, b1) = (w[k] for w in params.head_w), (b[k] for b in params.head_b)
+            (w0, b0), (w1, b1) = ((w[k], b[k]) for w, b in params.layers[-2:])
             hidden = np.tanh((h * mask) @ w0.T + b0)
             return (hidden @ w1.T + b1)[:, 0]
 
@@ -377,7 +381,7 @@ class TestForward:
 
     def test_log_variance_clamped(self):
         params = init_params(small_arch(), seed=3)
-        for arr in params.head_w + params.head_b:
+        for arr in (a for layer in params.layers[-2:] for a in layer):
             arr[1] = 50.0
         pred, _ = one_row(params, np.ones(3) * 100.0)
         assert abs(pred.s) == S_CLAMP
@@ -422,9 +426,12 @@ class TestDropoutMask:
         rng_b = np.random.default_rng(7)
         x = np.ones((1, 3))
         _, _, work = forward_batch(params, x, drawn_mask(params, rng_a, 1))
-        trunk_out = np.tanh(x @ params.trunk_w[0].T + params.trunk_b[0])
+        (w, b), = params.layers[:-2]
+        trunk_out = np.tanh(x @ w[0].T + b[0, 0])
         assert work.mask is None
-        np.testing.assert_array_equal(work.h_in, np.stack([trunk_out] * 2))
+        np.testing.assert_array_equal(
+            np.broadcast_to(work.h_in, (2, 1, 16)), np.stack([trunk_out] * 2)
+        )
         assert rng_a.random() == rng_b.random()
 
 
@@ -557,11 +564,11 @@ class TestBackward:
 
     def test_clamped_log_variance_blocks_its_gradient(self):
         params = init_params(small_arch(), seed=3)
-        for arr in params.head_w + params.head_b:
+        for arr in (a for layer in params.layers[-2:] for a in layer):
             arr[1] = 50.0
         _, _, cache = forward_batch(params, np.ones((1, 3)) * 100.0)
         grads = backward_batch(cache, params, np.zeros(1), np.ones(1))
-        for g in grads.head_w + grads.head_b:
+        for g in (a for layer in grads.layers[-2:] for a in layer):
             np.testing.assert_array_equal(g[1], np.zeros_like(g[1]))
 
 
@@ -575,14 +582,15 @@ def per_head_reference(params, x, rng, d_y_hat, d_s):
     else:
         act, act_grad = (lambda z: np.maximum(z, 0.0)), (lambda post: post > 0.0)
     a, trunk_post = x, []
-    for w, b in zip(params.trunk_w, params.trunk_b):
+    trunk = [(w[0], b[0, 0]) for w, b in params.layers[:-2]]
+    for w, b in trunk:
         a = act(a @ w.T + b)
         trunk_post.append(a)
     p = arch.dropout_p
     masks = (rng.random((2, *a.shape)) >= p) / (1.0 - p) if rng is not None else (None, None)
     heads = []
     for k, mask in enumerate(masks):
-        w, b = [layer[k] for layer in params.head_w], [layer[k, 0] for layer in params.head_b]
+        w, b = [w[k] for w, _ in params.layers[-2:]], [b[k, 0] for _, b in params.layers[-2:]]
         h_in = a if mask is None else a * mask
         hidden = act(h_in @ w[0].T + b[0])
         heads.append(((hidden @ w[1].T + b[1])[:, 0], mask, h_in, hidden, w))
@@ -605,7 +613,7 @@ def per_head_reference(params, x, rng, d_y_hat, d_s):
         trunk_w.insert(0, d_z.T @ (trunk_post[l - 1] if l > 0 else x))
         trunk_b.insert(0, d_z.sum(axis=0))
         if l > 0:
-            d_a = d_z @ params.trunk_w[l]
+            d_a = d_z @ trunk[l][0]
     grads["trunk_w"], grads["trunk_b"] = trunk_w, trunk_b
     return y_hat, np.clip(s_raw, -S_CLAMP, S_CLAMP), grads
 
@@ -628,7 +636,7 @@ class TestStackedHeads:
         data = np.random.default_rng(batch)
         # Non-zero biases, and some outputs beyond the clamp.
         params.flat[...] += data.normal(scale=0.5, size=params.flat.size)
-        params.head_b[1][1] = 9.0
+        params.layers[-1][1][1] = 9.0
         x = data.normal(scale=2.0, size=(batch, 3))
         d_y_hat, d_s = data.normal(size=batch), data.normal(size=batch)
 
@@ -638,18 +646,15 @@ class TestStackedHeads:
         want_y, want_s, want = per_head_reference(params, x, rng(), d_y_hat, d_s)
         assert same_bits(y_hat, want_y)
         assert same_bits(s, want_s)
-        for group in ("trunk_w", "trunk_b"):
-            got = getattr(grads, group)
-            assert len(got) == len(want[group])
-            for g, w in zip(got, want[group]):
-                assert same_bits(g, w), group
-        for group in ("head_w", "head_b"):
-            got = getattr(grads, group)
-            assert len(got) == 2
-            for k in range(2):
-                for l in range(2):
-                    g = got[l][k] if group == "head_w" else got[l][k, 0]
-                    assert same_bits(g, want[group][k][l]), (group, k, l)
+        trunk, heads = grads.layers[:-2], grads.layers[-2:]
+        assert len(trunk) == len(want["trunk_w"]) == len(want["trunk_b"])
+        for (g_w, g_b), w, b in zip(trunk, want["trunk_w"], want["trunk_b"]):
+            assert same_bits(g_w[0], w), "trunk_w"
+            assert same_bits(g_b[0, 0], b), "trunk_b"
+        for k in range(2):
+            for l, (g_w, g_b) in enumerate(heads):
+                assert same_bits(g_w[k], want["head_w"][k][l]), ("head_w", k, l)
+                assert same_bits(g_b[k, 0], want["head_b"][k][l]), ("head_b", k, l)
 
     @pytest.mark.parametrize("trunk_dims", [(), (6, 4)])
     @pytest.mark.parametrize("mode", ["deterministic", "dropout"])
@@ -683,7 +688,7 @@ class TestWorkspace:
     def test_reused_workspace_equals_fresh_passes_bit_for_bit(self, mode, activation, trunk_dims):
         params = init_params(small_arch(trunk_dims=trunk_dims, activation=activation), seed=4)
         params.flat[...] += np.random.default_rng(0).normal(scale=0.5, size=params.flat.size)
-        params.head_b[1][1] = 9.0  # some log-variances beyond the clamp
+        params.layers[-1][1][1] = 9.0  # some log-variances beyond the clamp
         data = np.random.default_rng(1)
         rng = np.random.default_rng(2) if mode == "dropout" else None
         work = Workspace(params, 6).for_training()

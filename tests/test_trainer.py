@@ -258,14 +258,12 @@ class TestMseLossLeavesVarianceHeadAlone:
         cfg = quick_cfg(loss="mse", epochs=2, seed=3)
         params, _ = train(dataset, arch, cfg)
         init = init_params(arch, cfg.seed)
-        for trained, fresh in zip(params.head_w + params.head_b,
-                                  init.head_w + init.head_b):
-            assert np.array_equal(trained[1], fresh[1])
+        for trained, fresh in zip(params.layers[-2:], init.layers[-2:]):
+            for t, f in zip(trained, fresh):
+                assert np.array_equal(t[1], f[1])
         # The score path must still have moved.
         assert any(
-            not np.array_equal(t, f)
-            for t, f in zip([w[0] for w in params.head_w] + params.trunk_w,
-                            [w[0] for w in init.head_w] + init.trunk_w)
+            not np.array_equal(t[0], f[0]) for (t, _), (f, _) in zip(params.layers, init.layers)
         )
 
 
@@ -488,12 +486,21 @@ class TestGoldenCheckpoint:
     """A checkpoint saved by an earlier layout of the parameter vector: trunk
     (5, 4) on 3 inputs, head width 2, flat = arange, r = 1.25. A save and a
     load that both swapped the two heads would still round-trip; this file
-    pins where every parameter lands."""
+    pins where every parameter lands: the file's cells count up through the
+    trunk weights, the trunk biases, then each head layer's weights and
+    biases, both heads stacked, score head first."""
 
     def test_loads_to_arange_and_its_calibration(self):
         params, r = load_checkpoint(GOLDEN_CHECKPOINT)
         assert params.arch == ArchConfig(input_dim=3, trunk_dims=(5, 4), head_hidden_dim=2)
-        assert np.array_equal(params.flat, np.arange(params.flat.size, dtype=float))
+        cells = np.arange(70, dtype=float)
+        # Each layer's (W, b) and the slices of arange(70) that the file puts there.
+        landing = [((0, 15), (35, 40)), ((15, 35), (40, 44)), ((44, 60), (60, 64)),
+                   ((64, 68), (68, 70))]
+        assert params.flat.size == 70 and len(params.layers) == len(landing)
+        for (w, b), (w_cells, b_cells) in zip(params.layers, landing):
+            assert np.array_equal(w.ravel(), cells[slice(*w_cells)])
+            assert np.array_equal(b.ravel(), cells[slice(*b_cells)])
         assert params.rng_seed_used == 7
         assert r == 1.25
 
@@ -578,9 +585,11 @@ class TestFlatOptimizers:
 def _plain_step(arrays, arch, xb, yb, mask, loss):
     """One training step as it ran before steps shared a workspace, in plain
     numpy expressions: (per-sample losses, gradients in flat-vector order)
-    for arrays = [trunk weights..., trunk biases..., W0, b0, W1, b1]."""
+    for arrays = [W, b of each trunk layer..., W0, b0, W1, b1], shaped as in
+    param_layout: a trunk layer as a stack of one."""
     depth = len(arch.trunk_dims)
-    trunk_w, trunk_b = arrays[:depth], arrays[depth : 2 * depth]
+    trunk_w = [w[0] for w in arrays[: 2 * depth : 2]]
+    trunk_b = [b[0, 0] for b in arrays[1 : 2 * depth : 2]]
     w0, b0, w1, b1 = arrays[2 * depth :]
     if arch.activation == "tanh":
         act, act_grad = np.tanh, lambda post: 1.0 - post * post
@@ -620,7 +629,8 @@ def _plain_step(arrays, arch, xb, yb, mask, loss):
         g_trunk_b[l] = d_z.sum(axis=0)
         if l > 0:
             d_a = d_z @ trunk_w[l]
-    return values, g_trunk_w + g_trunk_b + [g_w0, g_b0, g_w1, g_b1]
+    g_trunk = [g for w, b in zip(g_trunk_w, g_trunk_b) for g in (w[None], b[None, None])]
+    return values, g_trunk + [g_w0, g_b0, g_w1, g_b1]
 
 
 def _per_batch_mask_train(dataset, arch, cfg, val_dataset=None):
