@@ -21,18 +21,20 @@ reproducible pass by pass, invariant to how many passes run before or
 after, and independent of which other rows are sampled in the same call.
 At p = 0 no bits are drawn. One kernel serves both entry points: it runs
 the deterministic trunk once per row and only the two dropout heads per
-pass, over blocks of rows. The heads run as one unit-major
-(2, units, rows, passes) stack, score head first, read from the last two
-layers of ModelParams.layers, the stacks of both heads; mask scaling, the contractions, bias adds, the
-activation, the log-variance clamp and the summaries each run once on the
-stack. Each head layer is one einsum without optimize over the stack, whose
-per-element bits equal those of one head at a time and do not depend on how
-many rows or passes share a call, except at 1 row x 1 pass, where einsum
-sums in another order; the kernel never forms that shape. A config's
-constants are cached, the workspace is made and bound once per call, and
-one helper hashes each block's masks. Row keys come from the same
-SplitMix64: row i of a dataset is keyed by its output i + 1 for the state
-seed mod 2^64 (row_seed), computed for all rows at once.
+pass, over blocks of rows. It reads the layers of ModelParams.layers as
+they are stored: the trunk runs as a stack of one, and the heads as one
+unit-major (2, units, rows, passes) stack, score head first, from the last
+two layers, the stacks of both heads. Mask scaling, the contractions, bias
+adds, the activation, the log-variance clamp and the summaries each run
+once on the stack. Each layer is one einsum without optimize over its
+stack, whose per-element bits equal those of one 2-d contraction a head at
+a time and do not depend on how many rows or passes share a call, except
+at 1 row x 1 pass, where einsum sums a head layer in another order; the
+kernel never forms that shape. A config's constants are cached, the
+workspace is made and bound once per call, and one helper hashes each
+block's masks. Row keys come from the same SplitMix64: row i of a dataset
+is keyed by its output i + 1 for the state seed mod 2^64 (row_seed),
+computed for all rows at once.
 
 Results are columns, made once per call, and each block writes its samples
 and summaries into slices of them. mc_forward_dataset returns one
@@ -252,23 +254,22 @@ def _mc_rows(
     # log-variance samples.
     h, stack = np.empty((2, hidden_dim, n, run)), np.empty((3, n, max(passes, run)))
     out, stack = stack[:2, :, :run], stack[:, :, :passes]
-    trunk = [(w[0], b[0, 0]) for w, b in params.layers[:-2]]
-    (hidden_w, hidden_b), (out_w, out_b) = params.layers[-2:]
+    *trunk, (hidden_w, hidden_b), (out_w, out_b) = params.layers
     hidden_b, out_w = hidden_b[:, 0, :, None, None], out_w[:, 0]
     # The result, in MCSamples field order: y and s samples; the means of the
     # three sample rows (aleatoric before scaling); the y and s variances.
     sampled, summary = np.empty((2, len(x), passes)), np.empty((5, len(x)))
     for start in range(0, len(x), block):
         rows = slice(start, start + block)
-        a = x[rows]
+        a = x[None, rows]  # a stack of one, as the trunk layers are stored
         for w, b in trunk:
-            a = _activate(np.einsum("rk,jk->rj", a, w) + b, kind)
-        if len(a) < n:  # a short last block
-            n = len(a)
+            a = _activate(np.einsum("srk,sjk->srj", a, w) + b, kind)
+        if a.shape[1] < n:  # a short last block
+            n = a.shape[1]
             h, out, stack = h[:, :, :n], out[:, :n], stack[:, :n]
             if p:
                 z, shifted, keep, h_in = (v[:, :, :n] for v in (z, shifted, keep, h_in))
-        a = a.T[:, :, None]
+        a = a.T  # unit-major: (width, rows, 1)
         if p:
             _splitmix_keep(keys[rows], step, threshold, z, shifted, keep)
             # a * (keep * scale), in this order: a dropped unit of a huge

@@ -430,7 +430,7 @@ class TestKernelInvariants:
         monkeypatch.setattr(np, "einsum", counting_einsum)
         params = paper_shape_params()
         features = np.random.default_rng(5).normal(size=(131, 2))
-        block = ["rk,jk->rj", "hkrt,hjk->hjrt", "hjrt,hj->hrt"]
+        block = ["srk,sjk->srj", "hkrt,hjk->hjrt", "hjrt,hj->hrt"]
         mc_forward(params, features[0], MCConfig(num_passes=25))
         assert subscripts == block
         subscripts.clear()
