@@ -7,12 +7,13 @@ layers with one activation in between, so test-time MC sampling only ever
 perturbs the heads.
 
 All learnable arrays live in one contiguous float64 vector,
-``ModelParams.flat``, in layer order. One layout table, ``param_layout(arch)``,
-gives each layer, first to last, a (stack, fan_out, fan_in) weight and then a
-(stack, 1, fan_out) bias, and ``ModelParams.layers`` holds them as (W, b)
-views into the vector: a trunk layer is a stack of one, a head layer the
-stack of both heads, score head first. Gradients share the layout, so an
-optimizer updates every parameter with a few whole-vector operations.
+``ModelParams.flat``, in layer order. One layout table,
+``param_layout(arch)``, gives each layer, first to last, a (stack, fan_out,
+fan_in) weight and then a (stack, 1, fan_out) bias, and
+``ModelParams.layers`` holds them as (W, b) views into the vector, its only
+views: a trunk layer is a stack of one, a head layer the stack of both
+heads, score head first. Gradients share the layout, so an optimizer
+updates every parameter with a few whole-vector operations.
 
 There is one code path per operation, over a batch of rows (a single row is
 a batch of one): ``forward_batch``, one loop over the layers, and

@@ -26,8 +26,9 @@ Checkpoints are canonical JSON: keys sorted, two-space indent, trailing
 newline, floats via repr. Saving a loaded checkpoint therefore reproduces
 the original file byte for byte. A checkpoint keeps one section per head
 (``weights.score_head``, ``biases.logvar_head`` ...), and one table,
-``_checkpoint_views``, maps each section to its views into the stacked
-head arrays, for saving and loading alike.
+``_checkpoint_views``, maps each section to its views into the layer
+stacks of ``ModelParams.layers``, for saving and loading alike, so the
+bytes do not depend on the order of the flat vector.
 """
 
 from __future__ import annotations

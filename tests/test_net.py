@@ -169,7 +169,9 @@ class TestFlatLayout:
         [(1, 6, 3), (1, 1, 6), (1, 4, 6), (1, 1, 4), (2, 4, 4), (2, 1, 4), (2, 1, 4), (2, 1, 1)],
     ]
 
-    @pytest.mark.parametrize("arch, documented", zip(ARCHS, DOCUMENTED))
+    @pytest.mark.parametrize(
+        "arch, documented", zip(ARCHS, DOCUMENTED), ids=["arch0", "arch1", "arch2"]
+    )
     def test_param_arrays_are_consecutive_views_of_one_buffer_in_documented_order(
         self, arch, documented
     ):
