@@ -181,7 +181,7 @@ def against(args) -> dict:
             "--child-first", ("src", "against")[k % 2], "--rounds", str(args.rounds),
             "--repeat", str(args.repeat), "--number", str(args.number),
         ]
-        done = subprocess.run(command, capture_output=True, text=True, check=True)
+        done = subprocess.run(command, stdout=subprocess.PIPE, text=True, check=True)
         children.append(json.loads(done.stdout.strip().splitlines()[-1]))
 
     def summary(values):
