@@ -35,12 +35,12 @@ def test_stepbench_prints_one_strict_json_line_with_every_timing():
 
 
 def test_stepbench_against_a_tree_pools_pair_ratios_and_finds_its_outputs_bit_equal():
-    """The working tree against itself, loaded twice: one tiny round in each
-    of two processes, one per load order."""
+    """The working tree against itself, loaded twice: twelve tiny rounds in
+    each of two processes, one per load order."""
     src = str(ROOT / "src")
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "stepbench.py"), "--against", src,
-         "--processes", "2", "--rounds", "1", "--repeat", "1", "--number", "1"],
+         "--processes", "2", "--repeat", "1", "--number", "1"],
         capture_output=True, text=True, check=True, timeout=120,
     )
     report = strict_json(done.stdout.strip().splitlines()[-1])
@@ -50,7 +50,7 @@ def test_stepbench_against_a_tree_pools_pair_ratios_and_finds_its_outputs_bit_eq
     assert report["bit_equal"] == dict.fromkeys(figures, True)
     assert set(report["ratio_src_over_against"]) == figures
     for pooled in report["ratio_src_over_against"].values():
-        assert pooled["rounds"] == 2 and 0 <= pooled["src_faster_rounds"] <= 2
+        assert pooled["rounds"] == 24 and 0 <= pooled["src_faster_rounds"] <= 24
         q1, q3 = pooled["quartiles"]
         assert 0 < q1 <= pooled["median"] <= q3
     assert [p["first"] for p in report["per_process_medians"]] == ["src", "against"]

@@ -16,18 +16,21 @@ Alone, it prints the best of --repeat timings of each figure, in microseconds,
 and of one train() epoch (613 steps) on the 4,900-row training split of
 train-paper at seed 301.
 
-With --against, it runs --processes child processes one after another. Each
-loads both trees as separate packages, --src first in every other process, so
-that a load-order bias cancels. A child runs --rounds rounds; a round times
-each figure --repeat times per tree, alternating the trees (the first tree
-alternating by round), --number calls each, and records the pair ratio of the
-two trees' best timings, --src over --against (below 1: --src is faster). The
-report pools every round's ratio per figure: the median, the quartiles and the
-rounds --src won. Each child also runs every figure once on fresh inputs in
-both trees and compares the outputs bit for bit; bit_equal says whether they
-matched in every child, and the exit status is 1 where one did not. A single
-run of one tree is not enough to tell a 1% change: the host's speed drifts
-between processes, and the layout of one process alone can read 1% apart.
+With --against, it runs --processes child processes (default 10) one after
+another. Each loads both trees as separate packages, named by load order
+(mosuq_0, then mosuq_1), --src first in every other process, so that a bias of
+the load order or of the package name cancels: loaded as mosuq_src against
+mosuq_against, one tree read about 0.5% slower against itself in every process.
+A child runs 12 rounds; a round times each figure --repeat times per tree,
+alternating the trees (the first tree alternating by round), --number calls
+each, and records the pair ratio of the two trees' best timings, --src over
+--against (below 1: --src is faster). The report pools every round's ratio per
+figure: the median, the quartiles and the rounds --src won. Each child also
+runs every figure once on fresh inputs in both trees and compares the outputs
+bit for bit; bit_equal says whether they matched in every child, and the exit
+status is 1 where one did not. A single run of one tree is not enough to tell a
+1% change: the host's speed drifts between processes, and the layout of one
+process alone can read 1% apart.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ THREAD_VARS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THR
 os.environ.update(THREAD_VARS)
 
 FIGURES = ("forward_batch", "nll_loss_batch", "backward_batch", "adam_step", "step", "mc_forward")
+ROUNDS = 12  # per child process of --against
 
 
 def load_tree(src: str, name: str):
@@ -147,7 +151,7 @@ def child(args) -> dict:
     import numpy as np
 
     order = ("src", "against") if args.child_first == "src" else ("against", "src")
-    trees = {side: load_tree(getattr(args, side), f"mosuq_{side}") for side in order}
+    trees = {side: load_tree(getattr(args, side), f"mosuq_{k}") for k, side in enumerate(order)}
     calls = {side: figures(trees[side]) for side in order}
     bit_equal = {}
     for name in FIGURES:
@@ -160,7 +164,7 @@ def child(args) -> dict:
             for a, b in zip(got["src"], got["against"])
         )
     ratios = {name: [] for name in FIGURES}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         sides = order if r % 2 == 0 else order[::-1]
         for name in FIGURES:
             best = {side: np.inf for side in sides}
@@ -178,7 +182,7 @@ def against(args) -> dict:
     for k in range(args.processes):
         command = [
             sys.executable, __file__, "--src", args.src, "--against", args.against,
-            "--child-first", ("src", "against")[k % 2], "--rounds", str(args.rounds),
+            "--child-first", ("src", "against")[k % 2],
             "--repeat", str(args.repeat), "--number", str(args.number),
         ]
         done = subprocess.run(command, stdout=subprocess.PIPE, text=True, check=True)
@@ -192,7 +196,8 @@ def against(args) -> dict:
     pooled = {name: [v for c in children for v in c["ratios"][name]] for name in FIGURES}
     return {
         "against": args.against,
-        "method": {k: getattr(args, k) for k in ("processes", "rounds", "repeat", "number")},
+        "method": {"processes": args.processes, "rounds": ROUNDS,
+                   "repeat": args.repeat, "number": args.number},
         "bit_equal": {name: all(c["bit_equal"][name] for c in children) for name in FIGURES},
         "ratio_src_over_against": {name: summary(pooled[name]) for name in FIGURES},
         "per_process_medians": [
@@ -212,8 +217,7 @@ def main(argv=None) -> int:
                              "per tree per round)")
     parser.add_argument("--number", type=int, default=None,
                         help="calls per timing (alone: 2000; in pairs: 300)")
-    parser.add_argument("--processes", type=int, default=4, help="child processes in pairs")
-    parser.add_argument("--rounds", type=int, default=12, help="rounds per child process")
+    parser.add_argument("--processes", type=int, default=10, help="child processes in pairs")
     parser.add_argument("--child-first", choices=("src", "against"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     paired = args.against is not None
