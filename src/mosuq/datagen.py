@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (
     MAX_SIZE, ConfigError, InputError, check_array, check_bool, check_float, check_int,
 )
-from .ioutils import open_text, write_csv
+from .ioutils import count_lines, open_text, write_csv
 
 __all__ = [
     "DOMAIN_IN",
@@ -94,6 +94,9 @@ NOISE_ANALOGUE_SCALE = 100.0
 # Substream index used only for the OOD shift direction, so drawing it
 # never perturbs the model/center/feature/noise streams.
 _SHIFT_DIRECTION_STREAM = 4
+
+# CSV records per np.loadtxt call of load_dataset_csv, which holds one chunk's cells at a time.
+_LOAD_CHUNK_ROWS = 256
 
 
 # Kept for perfbench/workloads.py (train-paper), which iterates a split's rows.
@@ -274,7 +277,10 @@ def _generate(cfg: GenConfig, center_offset: np.ndarray | None, tag: str) -> Dat
         centers = centers + center_offset
 
     k, n_k = cfg.num_systems, cfg.samples_per_system
-    x = np.repeat(centers, n_k, axis=0) + rng_features.standard_normal((k * n_k, d))
+    # Centers added to their systems' draws in place: np.repeat(centers) + draws, bit for bit.
+    x = rng_features.standard_normal((k, n_k, d))
+    x += centers[:, None]
+    x = x.reshape(k * n_k, d)
 
     def project(direction, offset):
         # One system's rows at a time: the bits of a matrix-vector product
@@ -300,11 +306,9 @@ def _generate(cfg: GenConfig, center_offset: np.ndarray | None, tag: str) -> Dat
     if cfg.clip_labels:
         y = np.clip(y, SCORE_MID - SCORE_SPAN, SCORE_MID + SCORE_SPAN)
 
-    system_ids = np.repeat(np.char.mod("sys%03d", np.arange(k)), n_k)
-    row_numbers = np.tile(np.char.mod("-%05d", np.arange(n_k)), k)
-    return Dataset(
-        np.char.add(system_ids, row_numbers), system_ids, np.full(k * n_k, tag), y, true_var, x
-    )
+    systems = np.char.mod("sys%03d", np.arange(k))
+    ids = np.char.add(systems[:, None], np.char.mod("-%05d", np.arange(n_k))).ravel()
+    return Dataset(ids, np.repeat(systems, n_k), np.full(k * n_k, tag), y, true_var, x)
 
 
 def gen_synthetic(cfg: GenConfig) -> Dataset:
@@ -418,15 +422,17 @@ def save_dataset_csv(dataset: Dataset, path: str | Path, rows=None) -> None:
 def load_dataset_csv(path: str | Path) -> Dataset:
     """Read a dataset written by save_dataset_csv, or any file with its header.
 
-    csv.reader reads the header; one np.loadtxt pass splits the rows as csv does
-    and parses every number once, by numpy's rule ("1_0" is refused). An empty
-    true_noise_var is missing, a literal nan there is refused (nan marks missing)
-    and blank lines are skipped. A malformed file, text that is not UTF-8 or
-    a field beyond csv.field_size_limit() raises InputError naming the path and
-    the first faulty row, if any, counted in CSV records. Each text or variance
-    column's cell strings are freed as soon as it is converted.
+    csv.reader reads the header; np.loadtxt, _LOAD_CHUNK_ROWS records a call, splits
+    the rows as csv does and parses every number once, by numpy's rule ("1_0" is
+    refused), into float columns sized by count_lines; the chunks' text cells are
+    joined one column at a time at the end. An empty true_noise_var is missing,
+    a literal nan there is refused (nan marks missing) and blank lines are
+    skipped. A malformed file, text that is not UTF-8 or a field beyond
+    csv.field_size_limit() raises InputError naming the path and the first
+    faulty row, if any, counted in CSV records, by a rescan from the top.
     """
     try:
+        capacity = count_lines(path)
         with open_text(path) as fh:
             header = next(csv.reader(fh), None)
             if header is None:
@@ -436,32 +442,36 @@ def load_dataset_csv(path: str | Path) -> Dataset:
                 want = f"want {_FIXED_HEADER} + f0..."
                 raise InputError(f"{path}: unexpected header {header!r}, {want}")
             fields = [("text", object, (3,)), ("y", float), ("var", object), ("x", float, (d,))]
+            y, var, x = np.empty(capacity), np.empty(capacity), np.empty((capacity, d))
+            texts, n, full = [[], [], []], 0, True
             try:
-                rows = _quiet_loadtxt(fh, fields, quotechar='"')
+                while full:  # a short chunk is the last
+                    rows = _quiet_loadtxt(fh, fields, quotechar='"', max_rows=_LOAD_CHUNK_ROWS)
+                    full, missing = len(rows) == _LOAD_CHUNK_ROWS, rows["var"] == ""
+                    values = _floats(np.where(missing, "nan", rows["var"]).tolist())
+                    for column, cells in zip(texts, rows["text"].T):
+                        column.append(cells.astype(str))
+                    if values is None or (np.isnan(values) & ~missing).any() \
+                            or _unknown_tag(texts[2][-1]) is not None:
+                        raise ValueError("bad true_noise_var or domain_tag")
+                    at = slice(n, n + len(rows))
+                    y[at], var[at], x[at], n = rows["y"], values, rows["x"], at.stop
             except ValueError as exc:
                 raise InputError(_fault(path, header, str(exc))) from None
-        if not len(rows):
+        if not n:
             raise InputError(f"{path}: dataset file has a header but no rows")
-        missing = rows["var"] == ""
-        var = _floats(np.where(missing, "nan", rows["var"]).tolist())
-        rows["var"] = None
-        columns = []
-        for cells in rows["text"].T:  # each column's strings die once it is converted
-            columns.append(cells.astype(str))
-            cells[...] = None
-        ids, system_ids, tags = columns
-        if var is None or (np.isnan(var) & ~missing).any() or _unknown_tag(tags) is not None:
-            raise InputError(_fault(path, header, "bad true_noise_var or domain_tag"))
+        columns = [np.concatenate(texts.pop(0)) for _ in range(3)]  # pieces die once joined
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: unreadable as CSV text: {exc}") from None
-    return Dataset(ids, system_ids, tags, rows["y"], var, rows["x"])
+    return Dataset(*columns, y[:n], var[:n], x[:n])
 
 
-def _quiet_loadtxt(source, dtype=float, quotechar=None) -> np.ndarray:
+def _quiet_loadtxt(source, dtype=float, quotechar=None, max_rows=None) -> np.ndarray:
     """np.loadtxt of comma-separated lines, without its warning for no data."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(source, dtype, delimiter=",", quotechar=quotechar, comments=None, ndmin=1)
+        return np.loadtxt(source, dtype, delimiter=",", quotechar=quotechar, comments=None,
+                          ndmin=1, max_rows=max_rows)
 
 
 def _floats(cells: list[str]) -> np.ndarray | None:

@@ -19,13 +19,26 @@ from typing import TextIO
 
 import numpy as np
 
-__all__ = ["atomic_write_text", "canonical_json", "open_text", "read_json_object", "write_csv"]
+__all__ = ["atomic_write_text", "canonical_json", "count_lines", "open_text", "read_json_object",
+           "write_csv"]
 
 
 def open_text(file: str | Path | int, mode: str = "r") -> TextIO:
     """file (a path or a descriptor) opened in the one text mode: UTF-8 whatever
     the locale, and no newline translation, so lines end as they were written."""
     return open(file, mode, encoding="utf-8", newline="")
+
+
+def count_lines(path: str | Path) -> int:
+    """An upper bound on the lines open_text splits the file into (at LF, CR or CRLF),
+    read 16 KiB at a time: one over, and one more per CRLF that a block end splits."""
+    count = 1
+    with open(path, "rb", buffering=0) as fh:
+        for block in iter(lambda: fh.read(2**14), b""):
+            count += block.count(b"\n")
+            if b"\r" in block:
+                count += block.count(b"\r") - block.count(b"\r\n")
+    return count
 
 
 def read_json_object(path: str | Path, error: type) -> dict:

@@ -19,8 +19,9 @@ chunk's shuffled rows are gathered into one chunk-sized buffer too, so the
 mask and shuffle memory is one chunk, whatever the row count.
 
 Features and labels are checked once per split, before the first step; a
-step's workspace-bound pass checks only their shape, while predict_batch and
-the validation pass go through forward_batch's checks.
+step's workspace-bound pass checks only their shape. predict_batch, and so the
+per-epoch validation loss, checks its features once and runs them in blocks of
+``PREDICT_BLOCK_ROWS`` rows, so its memory does not grow with the row count.
 
 Checkpoints are canonical JSON: keys sorted, two-space indent, trailing
 newline, floats via repr. Saving a loaded checkpoint therefore reproduces
@@ -50,6 +51,7 @@ from .net import (
     ArchConfig,
     ModelParams,
     Workspace,
+    _check_width,
     backward_batch,
     dropout_mask,
     forward_batch,
@@ -81,6 +83,11 @@ ADAM_EPS = 1e-8
 # one). 2**16 doubles are 512 KiB, twice over with the uniforms; a
 # whole-epoch draw would grow with the row count.
 MASK_CHUNK_UNITS = 2**16
+
+# Rows per predict_batch pass, the last one taking the remainder too: BLAS sums over a
+# few rows can round otherwise than over many (64-row passes did at trunk (32,) on
+# SkylakeX), while 1,024-row blocks gave a whole-batch pass's bits on every kernel tried.
+PREDICT_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -218,8 +225,7 @@ def train(
         train_curve.append(epoch_loss_sum / n)
 
         if val_dataset is not None:
-            y_hat, s, _ = forward_batch(params, x_val)
-            val_values, _, _ = loss_batch(y_hat, s, y_val)
+            val_values, _, _ = loss_batch(*predict_batch(params, x_val), y_val)
             val_loss = float(val_values.mean())
             if not math.isfinite(val_loss):
                 raise TrainingDivergedError(epoch)
@@ -248,11 +254,21 @@ def _checked_split(
 
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (y_hat, s) arrays for a feature matrix, which
-    forward_batch checks: InputError unless it is a 2-d array of finite
-    real numbers.
+    """Deterministic (y_hat, s) arrays for a feature matrix (InputError unless a
+    2-d array of finite real numbers, ShapeError unless input_dim wide), with the
+    bits of one whole-batch pass. Blocks of PREDICT_BLOCK_ROWS rows share one
+    workspace, and the last pass, with the remainder too, gets its own.
     """
-    y_hat, s, _ = forward_batch(params, features)
+    x = check_array("features", features, 2, finite=True)
+    _check_width(params.arch, x)
+    n, block, work = len(x), PREDICT_BLOCK_ROWS, None
+    last = max(n // block - 1, 0) * block  # the last pass's first row
+    bounds, y_hat, s = [*range(0, last, block), last, n], np.empty(n), np.empty(n)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if work is None or work.x_shape[0] != stop - start:
+            work = None  # freed before the last pass's is made
+            work = Workspace(params, stop - start)
+        y_hat[start:stop], s[start:stop], _ = forward_batch(params, x[start:stop], None, work)
     return y_hat, s
 
 

@@ -29,6 +29,7 @@ from mosuq.datagen import (
     split_dataset,
     split_rows,
 )
+from mosuq import datagen as datagen_module
 from mosuq.errors import ConfigError, InputError
 from mosuq.ioutils import _CSV_CHUNK_ROWS
 from mosuq.metrics import nll_metric
@@ -710,6 +711,109 @@ class TestUnreadableFiles:
         path.write_text(f"{long},{','.join(FIXED_HEADER)},f0\n")  # in the header
         with pytest.raises(InputError, match=re.escape(f"{path}: unreadable as CSV text")):
             load_dataset_csv(path)
+
+
+class TestChunkedLoader:
+    """load_dataset_csv parses _LOAD_CHUNK_ROWS records per np.loadtxt call;
+    at 3 records a chunk, every quoted cell below meets a chunk boundary."""
+
+    @pytest.fixture(autouse=True)
+    def three_record_chunks(self, monkeypatch):
+        monkeypatch.setattr(datagen_module, "_LOAD_CHUNK_ROWS", 3)
+
+    @pytest.mark.parametrize("lead", [0, 1, 2])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("final_newline", [True, False], ids=["final", "no-final"])
+    def test_quoted_cells_across_chunk_boundaries_load_as_the_oracle_loads_them(
+            self, tmp_path, lead, newline, final_newline):
+        names = [f"plain{i}" for i in range(lead)] + QUOTED_IDS + ["last"]
+        rows = [[name, f"s,{k % 2}", DOMAIN_OOD if k % 2 else DOMAIN_IN, f"{k}.5",
+                 "" if k % 3 == 0 else f"0.{k + 1}", f"{-k}.25", f"{k}e-3"]
+                for k, name in enumerate(names)]
+        path = write_table(tmp_path / "chunks.csv", rows, 2, newline, final_newline)
+        got = load_dataset_csv(path)
+        assert_same_columns(got, oracle_load(path))
+        assert got.ids.tolist() == names
+
+    def test_blank_lines_are_skipped_wherever_chunks_end(self, tmp_path):
+        rows = [[f"r{i}", *TestOnePassLoader.ROW[1:]] for i in range(7)]
+        path = write_table(tmp_path / "plain.csv", rows)
+        lines = path.read_text().split("\n")
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join([*lines[:2], "", *lines[2:4], "", "", *lines[4:]]) + "\n")
+        assert_same_columns(load_dataset_csv(blank), oracle_load(path))
+
+    rows = TestUnreadableFiles.rows
+
+    def test_a_bad_record_in_chunk_one_is_named_before_undecodable_bytes_in_a_later_one(
+            self, tmp_path):
+        """The bytes lie beyond the text reader's first 8 KiB decode, so the
+        first chunk is parsed before they are read."""
+        rows = self.rows(1000)
+        rows[1][2] = "x"
+        path = write_table(tmp_path / "tag.csv", rows)
+        path.write_bytes(path.read_bytes().replace(b"r999,", b"r\xe9,"))
+        with pytest.raises(InputError, match=re.escape(f"{path}:3: unknown domain_tag 'x'")):
+            load_dataset_csv(path)
+
+    def test_a_bad_record_in_chunk_one_is_named_before_an_over_long_field_in_chunk_two(
+            self, tmp_path):
+        rows = self.rows(9)
+        rows[1][3] = "oops"
+        rows[4][0] = "i" * (csv.field_size_limit() + 1)
+        path = write_table(tmp_path / "long.csv", rows)
+        with pytest.raises(InputError, match=re.escape(f"{path}:3: y is not a number: 'oops'")):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("column, value, reason", [
+        (3, "oops", "y is not a number: 'oops'"),
+        (4, "nan", "true_noise_var is nan; leave it empty"),
+        (2, "zzz", "unknown domain_tag 'zzz'"),
+    ])
+    def test_a_fault_in_a_later_chunk_is_named_by_its_record(self, tmp_path, column, value,
+                                                            reason):
+        rows = self.rows(9)
+        rows[0][0] = "two\nlines"  # records, not lines, number the rows
+        rows[7][column] = value
+        path = write_table(tmp_path / "late.csv", rows)
+        with pytest.raises(InputError, match=re.escape(f"{path}:9: {reason}")):
+            load_dataset_csv(path)
+
+
+class TestGenerationOracle:
+    """_generate adds each system's center to its rows' draws in place and
+    forms ids by broadcasting; the columns must be those of the construction
+    it replaced, np.repeat(centers) + draws and tiled row suffixes."""
+
+    @staticmethod
+    def oracle(cfg, offset, tag):
+        k, n_k, d, sigma = cfg.num_systems, cfg.samples_per_system, cfg.feature_dim, 0.3
+        rng_model, rng_centers, rng_features, rng_noise = map(
+            np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(4))
+        w = rng_model.normal(size=d) / math.sqrt(2.0 * d)
+        b = rng_model.normal() * 0.5
+        centers = rng_centers.normal(size=(k, d)) * 0.5
+        if offset is not None:
+            centers = centers + offset
+        x = np.repeat(centers, n_k, axis=0) + rng_features.standard_normal((k * n_k, d))
+        z = np.concatenate([rows @ w for rows in np.split(x, k)]) + b
+        y = 3.0 + 2.0 * np.tanh(z) + rng_noise.normal(size=k * n_k) * sigma
+        system_ids = np.repeat(np.char.mod("sys%03d", np.arange(k)), n_k)
+        ids = np.char.add(system_ids, np.tile(np.char.mod("-%05d", np.arange(n_k)), k))
+        return Dataset(ids, system_ids, np.full(k * n_k, tag), y, np.full(k * n_k, sigma**2), x)
+
+    @pytest.mark.parametrize("k, n_k, d", [(1, 1, 1), (3, 1, 2), (1, 7, 3), (4, 25, 16),
+                                           (12, 150, 5)])
+    @pytest.mark.parametrize("shift", [0.0, 2.5])
+    def test_columns_are_the_bits_of_the_repeat_and_tile_construction(self, k, n_k, d, shift):
+        cfg = GenConfig(num_systems=k, samples_per_system=n_k, feature_dim=d,
+                        noise_model=Homoscedastic(0.3), seed=k * n_k + d)
+        got = gen_ood_shift(cfg, shift)
+        offset = None
+        if shift:
+            direction = np.random.default_rng(np.random.SeedSequence([cfg.seed, 4])).normal(size=d)
+            offset = shift * (direction / np.linalg.norm(direction))
+        assert_same_columns(got, self.oracle(cfg, offset, DOMAIN_OOD if shift else DOMAIN_IN))
 
 
 class TestDatasetContainer:

@@ -9,13 +9,26 @@ summary prints it. tests/make_golden.py regenerates the file.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from make_golden import GOLDEN, environment, golden_values
 
 RELATIVE_BOUND = 1e-9
+
+ROOT = Path(__file__).resolve().parent.parent
+SIMD_SETTINGS = ROOT / "tools" / "simd_settings.py"
+
+
+@pytest.fixture(scope="module")
+def default_run() -> dict:
+    return golden_values()
 
 
 def differences(got, want, exact: bool, path: str = "") -> list[str]:
@@ -35,7 +48,7 @@ def differences(got, want, exact: bool, path: str = "") -> list[str]:
     return [] if same else [f"{path or 'value'}: got {got!r}, pinned {want!r}"]
 
 
-def test_a_small_run_reproduces_the_golden_values(record_property):
+def test_a_small_run_reproduces_the_golden_values(record_property, default_run):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     here = environment()
     changed = {k: (v, golden["environment"].get(k)) for k, v in here.items()
@@ -44,8 +57,51 @@ def test_a_small_run_reproduces_the_golden_values(record_property):
     mode = ("bit for bit (environment matches)" if exact else
             f"to a relative {RELATIVE_BOUND:g} (environment differs, here vs pinned: {changed})")
     record_property("golden_comparison", mode)
-    found = differences(golden_values(), golden["values"], exact)
+    found = differences(default_run, golden["values"], exact)
     assert not found, f"compared {mode}; {len(found)} values differ, first: {found[:5]}"
+
+
+def _run(args: list[str], setting: dict) -> subprocess.CompletedProcess:
+    """python with args, under setting, with this checkout's src/ and tests/ importable."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
+                            os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, **setting, "PYTHONPATH": path})
+
+
+@functools.lru_cache(maxsize=1)
+def _simd_sets() -> tuple[str, ...]:
+    """The NPY_DISABLE_CPU_FEATURES values that CI's SIMD-reduced step builds here."""
+    return tuple(_run([str(SIMD_SETTINGS)], {}).stdout.splitlines())
+
+
+def _drift_setting(simd_set: int | None) -> dict:
+    """The environment of one drift run: the simd_set-th line of
+    tools/simd_settings.py, checked as CI checks it, or with None
+    OPENBLAS_CORETYPE=Haswell; or a skip that says why it cannot apply here."""
+    if simd_set is None:
+        cpuinfo = Path("/proc/cpuinfo")
+        if not cpuinfo.exists() or " avx2" not in cpuinfo.read_text():
+            pytest.skip("OPENBLAS_CORETYPE=Haswell needs AVX2, which this CPU lacks or hides")
+        return {"OPENBLAS_CORETYPE": "Haswell"}
+    setting = {"NPY_DISABLE_CPU_FEATURES": _simd_sets()[simd_set]}
+    if not setting["NPY_DISABLE_CPU_FEATURES"] or \
+            _run(["-W", "error", str(SIMD_SETTINGS)], setting).returncode:
+        pytest.skip(f"{setting}: empty or rejected by numpy here")
+    return setting
+
+
+@pytest.mark.parametrize("simd_set", [0, 1, None], ids=["no-avx512", "no-avx2", "blas-haswell"])
+def test_the_small_run_drifts_within_the_bound_under_other_kernels(simd_set, default_run):
+    """The golden run in a subprocess with fewer numpy SIMD kernels (the AVX-512
+    ones, then the AVX2 ones too), or OpenBLAS's Haswell kernels, gives every
+    value of the default run within RELATIVE_BOUND."""
+    setting = _drift_setting(simd_set)
+    done = _run(["-c", "import json, make_golden; print(json.dumps(make_golden.golden_values()))"],
+                setting)
+    assert done.returncode == 0, done.stderr
+    found = differences(json.loads(done.stdout), default_run, exact=False)
+    assert not found, f"under {setting}, {len(found)} values drift, first: {found[:5]}"
 
 
 class TestComparison:

@@ -72,3 +72,20 @@ def test_iobench_prints_one_strict_json_line_with_every_timing():
     assert all(isinstance(v, float) and v > 0 for v in report["peak_mib"].values())
     assert report["rows"] == {"generated": 200, "csv": 140}
     assert report["src"] == str(ROOT / "src")
+
+
+def test_iobench_commands_prints_each_cli_pipeline_commands_peak_memory():
+    """The five cli-pipeline commands of one tree, once, at 10 rows a system."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "iobench.py"), "--commands",
+         "--rows-per-system", "10"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    report = strict_json(done.stdout.strip().splitlines()[-1])
+    commands = {"gen_data", "train", "calibrate", "evaluate", "ood_detect"}
+    assert report["src"] == str(ROOT / "src") and report["against"] is None
+    assert set(report["vmhwm_mb"]) == {"src"} and set(report["vmhwm_mb"]["src"]) == commands
+    peaks = report["vmhwm_mb"]["src"].values()
+    assert all(len(p) == 1 and isinstance(p[0], float) and p[0] > 0 for p in peaks)
+    assert report["pipeline_peak_mb"] == {"src": [max(p[0] for p in peaks)]}
+    assert report["outputs_identical"] is None

@@ -525,6 +525,72 @@ class TestPredictBatch:
             predict_batch(params, x)
 
 
+class TestBlockedPrediction:
+    """predict_batch runs PREDICT_BLOCK_ROWS rows at a time through one reused
+    workspace, the last pass taking the remainder too, and must give the bits
+    of one whole-batch forward_batch pass (CI reruns this class under fewer
+    numpy SIMD kernels and under OpenBLAS's Haswell kernels)."""
+
+    BLOCK = trainer_module.PREDICT_BLOCK_ROWS
+
+    @staticmethod
+    def params(trunk_dims, activation, input_dim=5):
+        arch = ArchConfig(input_dim=input_dim, trunk_dims=trunk_dims, head_hidden_dim=6,
+                          activation=activation)
+        params = init_params(arch, seed=1)
+        params.flat[:] = np.random.default_rng(2).normal(0.0, 0.7, params.flat.shape)
+        return params
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("trunk_dims", [(), (16,), (9, 5)], ids=["no-trunk", "16", "9-5"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_blocks_give_the_bits_of_one_whole_batch_pass(self, rows, trunk_dims, activation):
+        params = self.params(trunk_dims, activation)
+        x = np.random.default_rng(rows).normal(0.0, 2.0, (rows, 5))
+        y_whole, s_whole, _ = net_module.forward_batch(params, x)
+        y_hat, s = predict_batch(params, x)
+        assert y_hat.tobytes() == y_whole.tobytes() and s.tobytes() == s_whole.tobytes()
+
+    def test_a_too_wide_matrix_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="width 5"):
+            predict_batch(self.params((4,), "tanh"), np.zeros((3, 6)))
+
+    @staticmethod
+    def traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_traced_peak_beyond_the_outputs_does_not_grow_with_the_rows(self):
+        """At N and 10 N rows (N = 3 blocks + 5, paper widths) the peak less
+        the two output vectors differs by less than one block's workspace; a
+        whole-batch pass would add 9 N rows of workspace (about 15 MiB)."""
+        params = self.params((32,), "tanh", input_dim=16)
+        block_bytes = self.traced_peak(Workspace, params, self.BLOCK)
+        beyond = {}
+        for rows in (3 * self.BLOCK + 5, 10 * (3 * self.BLOCK + 5)):
+            x = np.random.default_rng(0).normal(size=(rows, 16))
+            beyond[rows] = self.traced_peak(predict_batch, params, x) - 2 * rows * 8
+        small, large = beyond.values()
+        assert abs(large - small) < block_bytes, (beyond, block_bytes)
+
+    def test_the_validation_loss_holds_no_full_length_workspace(self):
+        """train()'s validation loss is the loss of predict_batch's outputs: a
+        validation split 10x longer adds its outputs and loss vectors (well
+        under 120 B a row), not a full-length workspace (about 540 B a row)."""
+        data = gen_synthetic(GenConfig(num_systems=4, samples_per_system=50, feature_dim=16))
+        arch = ArchConfig(input_dim=16, trunk_dims=(32,), head_hidden_dim=16, dropout_p=0.0)
+        peaks = {}
+        for per in (400, 4000):
+            val = gen_synthetic(GenConfig(num_systems=4, samples_per_system=per, feature_dim=16,
+                                          seed=1))
+            peaks[len(val)] = self.traced_peak(train, data, arch, quick_cfg(epochs=1), val)
+        assert peaks[16000] - peaks[1600] < 120 * 14400, peaks
+
+
 class _PerArrayAdam:
     """Adam as it ran before the flat parameter vector: one update per array."""
 

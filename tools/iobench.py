@@ -16,35 +16,112 @@ and the train split exist before any call and are not counted. It sets one
 BLAS thread and pins itself to the highest-numbered core it may use, as
 perfbench/run.py does; files go to a temporary directory. Run two checkouts
 alternately, a few times each: the host's speed drifts between runs.
+
+    python3 tools/iobench.py --commands                        # one round, this tree
+    python3 tools/iobench.py --commands --against OTHER/src    # 4 rounds, both trees
+
+--commands instead prints each cli-pipeline command's peak resident memory
+(VmHWM, in MB) as perfbench measures it: perfbench/workloads.py's CliPipeline
+makes the input files (workload seed 411) and spawns each of its commands
+through the workload's own child script, with perfbench's speed gauge sampling
+in the child, as in a timed pass. --rows-per-system then sets gen-data's
+--samples-per-system (the workload's own 2,500 by default). With --against,
+each of COMMAND_ROUNDS rounds runs the five commands in both trees, the first
+tree alternating by round, in the same output directory; "outputs_identical"
+says whether the two trees wrote the same bytes in every round (the exit
+status is 1 if not). "pipeline_peak_mb" is each round's largest VmHWM, the
+workload's peak_rss_mb.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import shutil
 import statistics
 import sys
 import tempfile
+import time
 import timeit
 import tracemalloc
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+
 THREAD_VARS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 os.environ.update(THREAD_VARS)
+COMMAND_SEED, COMMAND_ROUNDS = 411, 4  # --commands: the workload seed; rounds with --against
 
 
-def main(argv=None) -> None:
+def commands(args) -> dict:
+    """The --commands report: per tree and command, its VmHWM in each round."""
+    sys.path[:0] = [str(ROOT / "perfbench")]
+    import workloads
+    from gauge import SAMPLER
+
+    trees = {"src": args.src, **({"against": args.against} if args.against else {})}
+    vmhwm, identical = {side: {} for side in trees}, []
+    with tempfile.TemporaryDirectory() as tmp:
+        work, out = Path(tmp), Path(tmp) / "pass"
+        workloads.CliPipeline({}, 0.0).setup(COMMAND_SEED, work)
+        SAMPLER.start()  # so that each child samples, as in a timed pass
+        try:
+            for r in range(COMMAND_ROUNDS if args.against else 1):
+                written = set()
+                for side in list(trees)[:: 1 if r % 2 == 0 else -1]:
+                    env = {**os.environ, "PYTHONPATH": trees[side]}
+                    pipeline = workloads.CliPipeline(env, time.perf_counter() + 600.0)
+                    out.mkdir()
+                    for label, argv in pipeline.commands(COMMAND_SEED, work, out):
+                        if label == "gen_data":
+                            argv[argv.index("--samples-per-system") + 1] = str(args.rows_per_system)
+                        child = out / f"{label}.child.json"
+                        code, err = pipeline._spawn(argv, child)
+                        if code:
+                            raise SystemExit(f"{trees[side]}: {label} exited {code}: {err}")
+                        peak = json.loads(child.read_text())["rss_kb"] / 1024.0
+                        vmhwm[side].setdefault(label, []).append(round(peak, 2))
+                        child.unlink()
+                    written.add(hashlib.sha256(b"".join(
+                        path.name.encode() + path.read_bytes() for path in sorted(out.iterdir())
+                    )).hexdigest())
+                    shutil.rmtree(out)
+                identical.append(len(written) == 1)
+        finally:
+            SAMPLER.stop()
+    return {
+        "against": args.against,
+        "seed": COMMAND_SEED,
+        "rows_per_system": args.rows_per_system,
+        "vmhwm_mb": vmhwm,
+        "pipeline_peak_mb": {
+            side: [max(peaks) for peaks in zip(*labels.values())] for side, labels in vmhwm.items()
+        },
+        "outputs_identical": all(identical) if args.against else None,
+    }
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--repeat", type=int, default=7, help="timings per figure")
     parser.add_argument("--rows-per-system", type=int, default=2500, help="of 20 systems")
+    parser.add_argument("--commands", action="store_true",
+                        help="each cli-pipeline command's VmHWM instead of in-process timings")
+    parser.add_argument("--against", help="with --commands: another tree's src/, run in turn")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {max(cpus)})
 
     import numpy as np
+
+    if args.commands:
+        report = commands(args)
+        print(json.dumps({"src": args.src, **machine(cpus, np), **report}))
+        return 0 if report["outputs_identical"] is not False else 1
 
     from mosuq import datagen
 
@@ -84,17 +161,20 @@ def main(argv=None) -> None:
 
     print(json.dumps({
         "src": args.src,
-        "nproc": len(cpus),
-        "pinned_cpu": max(cpus),
-        "numpy": np.__version__,
-        "threads": THREAD_VARS,
+        **machine(cpus, np),
         "rows": {"generated": len(dataset), "csv": len(train_split)},
         "features": cfg.feature_dim,
         "csv_bytes": csv_bytes,
         "ms": ms,
         "peak_mib": peak_mib,
     }))
+    return 0
+
+
+def machine(cpus, np) -> dict:
+    return {"nproc": len(cpus), "pinned_cpu": max(cpus), "numpy": np.__version__,
+            "threads": THREAD_VARS}
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
