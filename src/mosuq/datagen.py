@@ -451,8 +451,8 @@ def load_dataset_csv(path: str | Path) -> Dataset:
                     values = _floats(np.where(missing, "nan", rows["var"]).tolist())
                     for column, cells in zip(texts, rows["text"].T):
                         column.append(cells.astype(str))
-                    if values is None or (np.isnan(values) & ~missing).any() \
-                            or _unknown_tag(texts[2][-1]) is not None:
+                    bad_var = values is None or (np.isnan(values) & ~missing).any()
+                    if bad_var or _unknown_tag(texts[2][-1]) is not None:
                         raise ValueError("bad true_noise_var or domain_tag")
                     at = slice(n, n + len(rows))
                     y[at], var[at], x[at], n = rows["y"], values, rows["x"], at.stop
