@@ -434,13 +434,11 @@ def load_dataset_csv(path: str | Path) -> Dataset:
     try:
         capacity = count_lines(path)
         with open_text(path) as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise InputError(f"{path}: empty dataset file")
-            d = len(header) - len(_FIXED_HEADER)
-            if d < 1 or header != [*_FIXED_HEADER, *(f"f{j}" for j in range(d))]:
-                want = f"want {_FIXED_HEADER} + f0..."
-                raise InputError(f"{path}: unexpected header {header!r}, {want}")
+            try:
+                header = next(csv.reader(fh), None)
+            except UnicodeDecodeError as exc:  # anywhere in the header read's first block
+                raise InputError(_fault(path, str(exc))) from None
+            d = _feature_dim(path, header)
             fields = [("text", object, (3,)), ("y", float), ("var", object), ("x", float, (d,))]
             y, var, x = np.empty(capacity), np.empty(capacity), np.empty((capacity, d))
             texts, n, full = [[], [], []], 0, True
@@ -457,7 +455,7 @@ def load_dataset_csv(path: str | Path) -> Dataset:
                     at = slice(n, n + len(rows))
                     y[at], var[at], x[at], n = rows["y"], values, rows["x"], at.stop
             except ValueError as exc:
-                raise InputError(_fault(path, header, str(exc))) from None
+                raise InputError(_fault(path, str(exc))) from None
         if not n:
             raise InputError(f"{path}: dataset file has a header but no rows")
         columns = [np.concatenate(texts.pop(0)) for _ in range(3)]  # pieces die once joined
@@ -483,12 +481,37 @@ def _floats(cells: list[str]) -> np.ndarray | None:
     return values if values.shape == (len(cells),) else None
 
 
-def _fault(path: str | Path, header: list[str], reason: str) -> str:
-    """The error for the first CSV record that breaks a loader rule, by a csv.reader rescan."""
+def _feature_dim(path: str | Path, header: list[str] | None) -> int:
+    """The feature count that a dataset file's header row names, else InputError."""
+    if header is None:
+        raise InputError(f"{path}: empty dataset file")
+    d = len(header) - len(_FIXED_HEADER)
+    if d < 1 or header != [*_FIXED_HEADER, *(f"f{j}" for j in range(d))]:
+        want = f"want {_FIXED_HEADER} + f0..."
+        raise InputError(f"{path}: unexpected header {header!r}, {want}")
+    return d
+
+
+def _fault(path: str | Path, reason: str) -> str:
+    """The error for the first CSV record that breaks a loader rule, by a csv.reader rescan.
+
+    The rescan reads bytes that are not UTF-8 as surrogates, so the records before
+    them are checked even where a strict read fails on the whole block that holds
+    them; the first record that holds such bytes is itself the fault.
+    """
     with open_text(path) as fh:
+        fh.reconfigure(errors="surrogateescape")
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno == 1 or not row:
-                continue  # the header, or a blank line, which np.loadtxt skips too
+            try:
+                "".join(row).encode("utf-8")
+            except UnicodeEncodeError:
+                return f"{path}: unreadable as CSV text: record {lineno} is not UTF-8"
+            if lineno == 1:
+                header = row
+                _feature_dim(path, header)
+                continue
+            if not row:
+                continue  # a blank line, which np.loadtxt skips too
             if len(row) != len(header):
                 return f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
             cells = [row[3], row[4] or "nan", *row[len(_FIXED_HEADER):]]

@@ -698,6 +698,20 @@ class TestUnreadableFiles:
         with pytest.raises(InputError, match=re.escape(f"{path}:4: unknown domain_tag 'x'")):
             load_dataset_csv(path)
 
+    def test_a_bad_row_in_the_read_block_of_undecodable_bytes_is_named(self, tmp_path):
+        """Bytes in the header read's first block fail that read: the rescan still
+        names an earlier bad record, and else the record that holds the bytes."""
+        rows = self.rows(9)
+        rows[2][2] = "bogus"
+        path = write_table(tmp_path / "tag.csv", rows)
+        path.write_bytes(path.read_bytes().replace(b"r5,", b"r\xe9,"))
+        with pytest.raises(InputError, match=re.escape(f"{path}:4: unknown domain_tag 'bogus'")):
+            load_dataset_csv(path)
+        path.write_bytes(path.read_bytes().replace(b"bogus", b"in_domain"))
+        want = f"{path}: unreadable as CSV text: record 7 is not UTF-8"
+        with pytest.raises(InputError, match=re.escape(want)):
+            load_dataset_csv(path)
+
     def test_a_field_beyond_the_csv_limit_is_an_input_error(self, tmp_path):
         long = "i" * (csv.field_size_limit() + 1)
         rows = self.rows(3)

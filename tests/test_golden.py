@@ -20,6 +20,8 @@ from pathlib import Path
 import pytest
 from make_golden import GOLDEN, environment, golden_values
 
+pytestmark = pytest.mark.bitwise  # CI reruns it under reduced SIMD and BLAS kernels
+
 RELATIVE_BOUND = 1e-9
 
 ROOT = Path(__file__).resolve().parent.parent

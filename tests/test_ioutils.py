@@ -12,12 +12,13 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mosuq.datagen import Dataset, save_dataset_csv
 from mosuq.errors import CheckpointError, ConfigError
-from mosuq.ioutils import _CSV_CHUNK_ROWS, atomic_write_text, read_json_object, write_csv
+from mosuq.ioutils import (_CSV_CHUNK_ROWS, atomic_write_text, count_lines, open_text,
+                           read_json_object, write_csv)
 
 
 @pytest.fixture
@@ -156,6 +157,23 @@ def tables(draw):
         dtype = {"float64": np.float64, "str": str, "int": np.int64, "bool": bool}.get(kind)
         columns.append(values if dtype is None else np.array(values, dtype=dtype))
     return header, columns
+
+
+class TestCountLines:
+    """count_lines sizes the loader's float columns, so it must never be below the
+    lines open_text yields: LF, CR and CRLF ends, quoted line breaks (lines, not
+    records), multi-byte text, and a CRLF that a 16 KiB block end splits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet='a,"\u00e9\n\r', max_size=40),
+           st.sampled_from([0, 1, 2**14 - 2, 2**14 - 1, 2**15 - 1]))
+    @example('\r\n"q\r\nx"\r', 2**14 - 1)  # the CRLF straddles the first block end
+    @example('\u00e9\r\n', 2**14 - 3)  # so does this one, after a two-byte character
+    def test_never_below_the_lines_open_text_yields(self, tmp_path_factory, text, pad):
+        path = tmp_path_factory.mktemp("lines") / "t.csv"
+        path.write_bytes(("a" * pad + text).encode("utf-8"))
+        with open_text(path) as fh:
+            assert count_lines(path) >= sum(1 for _ in fh)
 
 
 class TestReadJsonObject:

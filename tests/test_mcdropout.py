@@ -234,6 +234,7 @@ def one_row(params, features, cfg, i):
     return mc_forward(params, features[i], replace(cfg, seed=row_seed(cfg.seed, i)))
 
 
+@pytest.mark.bitwise
 class TestKernelInvariants:
     """Properties of the one kernel behind mc_forward and mc_forward_dataset."""
 
@@ -565,6 +566,7 @@ class TestRowKeys:
         assert list(full) == [one_row(params, features, cfg, i) for i in range(3)]
 
 
+@pytest.mark.bitwise
 class TestBufferReuse:
     """Mask buffers are made once per call and reused by its blocks."""
 
@@ -685,6 +687,7 @@ class TestBufferReuse:
             assert keep.ravel().tolist() == want
 
 
+@pytest.mark.bitwise
 class TestShapeInvariance:
     """A row's samples do not depend on how many rows or passes share a
     call, down to the 1-row x 1-pass shape, where einsum would sum in
@@ -763,6 +766,7 @@ def result_bits(result):
     return [np.asarray(getattr(result, f.name), dtype=float).tobytes() for f in fields(result)]
 
 
+@pytest.mark.bitwise
 class TestStackedKernel:
     """The kernel runs both heads as one unit-major (2, ., rows, passes)
     stack in a per-call workspace. On the running numpy that must give the

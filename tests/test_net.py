@@ -478,6 +478,7 @@ def analytic_grads(params, x, y):
     return one_row_grads(cache, params, d_y_hat, d_s)
 
 
+@pytest.mark.bitwise
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         params = init_params(small_arch(), seed=4)
@@ -624,6 +625,7 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.bitwise
 class TestStackedHeads:
     """forward_batch and backward_batch run both heads as one (2, B, .) stack.
     On the running BLAS that must give the per-head results bit for bit."""
@@ -680,6 +682,7 @@ class TestStackedHeads:
             backward_batch(cache, params, np.ones(2), np.ones(2), out=other)
 
 
+@pytest.mark.bitwise
 class TestWorkspace:
     """forward_batch and backward_batch write into a Workspace when given
     one; without one they make a fresh one, so their outputs are new arrays."""

@@ -525,6 +525,7 @@ class TestPredictBatch:
             predict_batch(params, x)
 
 
+@pytest.mark.bitwise
 class TestBlockedPrediction:
     """predict_batch runs PREDICT_BLOCK_ROWS rows at a time through one reused
     workspace, the last pass taking the remainder too, and must give the bits
@@ -621,6 +622,7 @@ class _PerArraySGD:
             a -= self.lr * g
 
 
+@pytest.mark.bitwise
 class TestFlatOptimizers:
     @pytest.mark.parametrize("flat_cls, reference_cls", [
         (trainer_module._Adam, _PerArrayAdam),
@@ -739,6 +741,7 @@ def _per_batch_mask_train(dataset, arch, cfg, val_dataset=None):
     return ModelParams(arch, flat, cfg.seed), TrainHistory(tuple(train_curve), val_loss)
 
 
+@pytest.mark.bitwise
 class TestChunkedMasks:
     """train() draws the dropout masks of many batches at once. Those are the
     same uniforms, in the same order, as one draw per batch, so training
