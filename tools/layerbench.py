@@ -141,6 +141,8 @@ def io_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
 
 # Per in-process group: its figures, and the default (--repeat, --number) alone and in pairs.
 GROUPS = {"step": (step_figures, (25, 2000), (10, 300)), "io": (io_figures, (7, 1), (1, 1))}
+# Per group, the flags that it does not read, which it refuses; alone, no group reads --processes.
+UNREAD = {"step": ("rows_per_system",), "io": (), "commands": ("repeat", "number", "processes")}
 
 
 def machine(cpus) -> dict:
@@ -318,15 +320,22 @@ def main(argv=None) -> int:
     parser.add_argument("--against", help="another tree's src/, run in pairs against --src")
     parser.add_argument("--repeat", type=int, help="timings per figure (default: GROUPS)")
     parser.add_argument("--number", type=int, help="calls per timing (default: GROUPS)")
-    parser.add_argument("--processes", type=int, default=10, help="child processes in pairs")
-    parser.add_argument("--rows-per-system", type=int, default=2500,
-                        help="io and commands: rows of each of the 20 systems")
+    parser.add_argument("--processes", type=int, help="child processes in pairs (default: 10)")
+    parser.add_argument("--rows-per-system", type=int,
+                        help="io and commands: rows of each of the 20 systems (default: 2,500)")
     parser.add_argument("--child-first", choices=("src", "against"), help=argparse.SUPPRESS)
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
-    if args.group in GROUPS:
-        repeat, number = GROUPS[args.group][1 if args.against is None else 2]
-        args.repeat, args.number = args.repeat or repeat, args.number or number
+    pairs = args.against is not None
+    unread = UNREAD[args.group] + (() if pairs or args.group == "commands" else ("processes",))
+    given = ["--" + name.replace("_", "-") for name in unread if getattr(args, name) is not None]
+    if given:
+        parser.error(f"{args.group}{'' if pairs else ' alone'} does not read {', '.join(given)}")
+    repeat, number = GROUPS[args.group][1 + pairs] if args.group in GROUPS else (None, None)
+    defaults = {"repeat": repeat, "number": number, "processes": 10, "rows_per_system": 2500}
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {max(cpus)})
 
