@@ -16,25 +16,19 @@ quantities.
 
 Masks come from a counter-based hash (SplitMix64, in the style of Salmon
 et al. 2011): the keep bit of each unit is a pure function of (row key,
-pass, head, unit), tested on the integer hash. Results are therefore
-reproducible pass by pass, invariant to how many passes run before or
-after, and independent of which other rows are sampled in the same call.
-At p = 0 no bits are drawn. One kernel serves both entry points: it runs
-the deterministic trunk once per row and only the two dropout heads per
-pass, over blocks of rows. It reads the layers of ModelParams.layers as
-they are stored: the trunk runs as a stack of one, and the heads as one
-unit-major (2, units, rows, passes) stack, score head first, from the last
-two layers, the stacks of both heads. Mask scaling, the contractions, bias
-adds, the activation, the log-variance clamp and the summaries each run
-once on the stack. Each layer is one einsum without optimize over its
-stack, whose per-element bits equal those of one 2-d contraction a head at
-a time and do not depend on how many rows or passes share a call, except
-at 1 row x 1 pass, where einsum sums a head layer in another order; the
-kernel never forms that shape. A config's constants are cached, the
-workspace is made and bound once per call, and one helper hashes each
-block's masks. Row keys come from the same SplitMix64: row i of a dataset
-is keyed by its output i + 1 for the state seed mod 2^64 (row_seed),
-computed for all rows at once.
+pass, head, unit), tested on the integer hash; at p = 0 no bits are drawn.
+One kernel serves both entry points: it runs the deterministic trunk once
+per row and the two dropout heads per pass, over blocks of rows. Each layer
+is one np.matmul of its stored weights over a stack: one column per row in
+the trunk, and in the heads one (units, _CHUNK) chunk of pass columns per
+head and row, the passes padded to whole chunks. So every BLAS call has one
+core shape per config: a row's samples do not depend on which rows share
+the call or where the row sits, and pass t (chunk t // _CHUNK, column
+t % _CHUNK) not on the pass count. Mask scaling, bias adds, the activation,
+the log-variance clamp and the summaries run once per block on the
+row-major (2, rows, chunks, units, _CHUNK) stack. Row keys come from the
+same SplitMix64: row i of a dataset is keyed by its output i + 1 for the
+state seed mod 2^64 (row_seed), computed for all rows at once.
 
 Results are columns, made once per call, and each block writes its samples
 and summaries into slices of them. mc_forward_dataset returns one
@@ -67,14 +61,16 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _FINALISER = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)), (31, None))
 
-# Rows per block x passes x the wider of the trunk output and the head
-# hidden layer: 64 rows at 25 passes and width 16. The per-call workspace is
-# then about 1.3 MB: two unit-major (2, width, rows, passes) uint64 hash
+# Rows per block x padded pass columns x the wider of the trunk output and
+# the head hidden layer: 64 rows at 25 passes and width 16, in a per-call
+# workspace of about 1.3 MB: two (2, rows, chunks, width, _CHUNK) uint64 hash
 # buffers (the second reused for the masked head inputs), the bool mask, the
-# two heads' hidden layers and the samples. At one pass the heads compute
-# two pass columns, which doubles it. Blocks of 32 to 128 rows run equally
-# fast; larger ones raise peak memory and run slower.
+# heads' hidden layers and the samples. 32 to 128 rows run equally fast.
 _BLOCK_UNITS = 64 * 25 * 16
+# Pass columns of one head matmul, weights @ (width, _CHUNK). The paper's 25
+# pads nothing at its pass count, and a 2,100-row, 25-pass call ran fastest
+# at 25 of 5, 8, 13, 16, 25, 32 and 50 columns (20.6 ms against 22.5-37.9).
+_CHUNK = 25
 
 
 @dataclass(frozen=True)
@@ -159,19 +155,20 @@ def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float) -> np.ndarra
     key k is kept when the SplitMix64 hash of k + c * 0x9E3779B97F4A7C15,
     with counter c = (2t + h) * width + u + 1, gives a uniform
     (hash >> 11) * 2^-53 >= p, tested exactly as hash >= ceil(p * 2^53) << 11
-    (the threshold is below 2^53). The mask is a transposed view of the
-    unit-major buffer that _splitmix_keep writes, in a fresh workspace.
+    (the threshold is below 2^53). The mask is a copy of the row-major
+    buffer that _splitmix_keep writes, in a fresh workspace.
     """
-    step, threshold = _plan(passes, p, width, width, _BLOCK_UNITS)[2:4]
-    work = _mask_workspace(len(keys), passes, width)
-    return _splitmix_keep(keys[:, None], step[..., :passes], threshold, *work).transpose(2, 3, 0, 1)
+    _, chunks, step, threshold, _ = _plan(passes, p, width, width, _BLOCK_UNITS)
+    keep = _splitmix_keep(keys[:, None, None, None], step, threshold,
+                          *_mask_workspace(len(keys), chunks, width))
+    return keep.transpose(1, 2, 4, 0, 3).reshape(len(keys), -1, 2, width)[:, :passes]
 
 
 def _splitmix_keep(keys, step, threshold, z, shifted, keep) -> np.ndarray:
-    """The bits of _keep_mask, written into keep and returned unit-major as
-    (2, width, rows, passes), for a (rows, 1) column of keys and the counter
-    term and threshold of _plan; z and shifted are uint64 buffers of the
-    same shape, from _mask_workspace or leading slices of its buffers."""
+    """The bits of _keep_mask, written into keep and returned row-major as
+    (2, rows, chunks, width, _CHUNK), for a (rows, 1, 1, 1) column of keys and
+    the counter term and threshold of _plan; z and shifted are uint64 buffers
+    of the same shape, from _mask_workspace or leading slices of its buffers."""
     np.add(keys, step, out=z)
     for shift, multiplier in _FINALISER:
         np.right_shift(z, shift, out=shifted)
@@ -184,22 +181,22 @@ def _splitmix_keep(keys, step, threshold, z, shifted, keep) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _plan(passes: int, p: float, width: int, hidden: int, block_units: int) -> tuple:
     """An MC config's constants, worked out once: rows per block (block_units
-    over passes x the wider layer); run, the pass columns the heads compute
-    (every pass, or one at p = 0, but at least two, because einsum sums a
-    1-row x 1-pass operand in another order; extra columns are dropped);
-    the read-only counter term c * 0x9E3779B97F4A7C15 (mod 2^64) of
-    _keep_mask as (2, width, 1, max(passes, 2)); the keep threshold; and
-    1 / (1 - p). p is a Python float, as MCConfig stores it."""
-    counter = np.arange(1, max(passes, 2) * 2 * width + 1, dtype=np.uint64).reshape(-1, 2, width)
-    step = np.ascontiguousarray(counter.transpose(1, 2, 0)[:, :, None]) * _GOLDEN
+    over the padded pass columns x the wider layer); chunks, the passes in
+    whole chunks of _CHUNK, the last one padded; the read-only counter term
+    c * 0x9E3779B97F4A7C15 (mod 2^64) of _keep_mask as (2, 1, chunks, width,
+    _CHUNK), pass t at chunk t // _CHUNK, column t % _CHUNK; the keep
+    threshold; and 1 / (1 - p). p is a Python float, as MCConfig stores it."""
+    chunks = -(-passes // _CHUNK)
+    counter = np.arange(1, chunks * _CHUNK * 2 * width + 1, dtype=np.uint64) * _GOLDEN
+    step = counter.reshape(chunks, _CHUNK, 2, width).transpose(2, 0, 3, 1)[:, None].copy()
     step.flags.writeable = False
-    block, threshold = max(1, block_units // (passes * max(width, hidden))), math.ceil(p * 2.0**53)
-    return block, max(passes if p else 1, 2), step, np.uint64(threshold << 11), 1.0 / (1.0 - p)
+    block = max(1, block_units // (chunks * _CHUNK * max(width, hidden)))
+    return block, chunks, step, np.uint64(math.ceil(p * 2.0**53) << 11), 1.0 / (1.0 - p)
 
 
-def _mask_workspace(rows: int, passes: int, width: int) -> tuple:
+def _mask_workspace(rows: int, chunks: int, width: int) -> tuple:
     """_splitmix_keep's z and shifted (one uint64 array) and keep, for up to rows rows."""
-    hashed = np.empty((2, 2, width, rows, passes), dtype=np.uint64)
+    hashed = np.empty((2, 2, rows, chunks, width, _CHUNK), dtype=np.uint64)
     return hashed[0], hashed[1], np.empty(hashed.shape[1:], dtype=bool)
 
 
@@ -231,45 +228,48 @@ def _mc_rows(
     _BLOCK_UNITS, whatever the row count. The workspace is made once per call
     and its views bound before the loop; only a short last block slices them.
     Each block writes into slices of the result columns. At p = 0 the heads
-    run one deterministic pass, which every pass repeats.
+    run one chunk of copies, whose first column every pass repeats.
     """
     x = np.ascontiguousarray(x)
     _check_width(params.arch, x)
     arch, passes, p = params.arch, cfg.num_passes, cfg.dropout_p
     kind, width, hidden_dim = arch.activation, arch.trunk_output_dim, arch.head_hidden_dim
-    # The most bytes the call holds: the (2, rows, passes) samples, and per pass
-    # a one-row block's hash buffers, keep bits and counter term (50 B per unit
-    # of width), hidden layers (16 B per unit) and stack (24 B). More than the
-    # machine has is refused before any array is made.
-    if passes * (16 * len(x) + 50 * width + 16 * hidden_dim + 24) > _memory_bytes():
+    # The most bytes the call holds: the (2, rows, passes) samples, and per
+    # padded pass column a one-row block's hash buffers, keep bits and counter
+    # term (50 B per unit of width), hidden layers (16 B per unit) and stack
+    # (24 B). More than the machine has is refused before any array is made.
+    one_row = -(-passes // _CHUNK) * _CHUNK * (50 * width + 16 * hidden_dim + 24)
+    if 16 * passes * len(x) + one_row > _memory_bytes():
         raise ConfigError(f"num_passes {passes} needs more memory than this machine has")
-    block, run, step, threshold, keep_scale = _plan(passes, p, width, hidden_dim, _BLOCK_UNITS)
-    n = min(block, len(x))
+    block, chunks, step, threshold, keep_scale = _plan(passes, p, width, hidden_dim, _BLOCK_UNITS)
+    chunks, n, keys = chunks if p else 1, min(block, len(x)), keys[:, None, None, None]
     # The workspace. The hash's shift buffer is dead once a mask is made, so
-    # it then holds the masked head inputs.
-    if p:
-        z, shifted, keep = _mask_workspace(n, run, width)
-        h_in, keys = shifted.view(np.float64), keys[:, None]
+    # it then holds the masked head inputs: at p = 0, one chunk of copies of
+    # the trunk output.
+    z, shifted, keep = _mask_workspace(n, chunks, width)
     # The heads' hidden layers; the two heads' samples, then exp of the
-    # log-variance samples.
-    h, stack = np.empty((2, hidden_dim, n, run)), np.empty((3, n, max(passes, run)))
-    out, stack = stack[:2, :, :run], stack[:, :, :passes]
+    # log-variance samples, whose leading columns the output layer writes.
+    h = np.empty((2, n, chunks, hidden_dim, _CHUNK))
+    stack = np.empty((3, n, max(passes, chunks * _CHUNK)))
+    out = stack[:2, :, : chunks * _CHUNK].reshape(2, n, chunks, 1, _CHUNK)
+    h_in, stack = shifted.view(np.float64), stack[:, :, :passes]
     *trunk, (hidden_w, hidden_b), (out_w, out_b) = params.layers
-    hidden_b, out_w = hidden_b[:, 0, :, None, None], out_w[:, 0]
+    trunk = [(w[0], b[0].T) for w, b in trunk]
+    hidden_w, hidden_b = hidden_w[:, None, None], hidden_b[:, None, None, 0, :, None]
+    out_w, out_b = out_w[:, None, None], out_b[:, None, None]
     # The result, in MCSamples field order: y and s samples; the means of the
     # three sample rows (aleatoric before scaling); the y and s variances.
     sampled, summary = np.empty((2, len(x), passes)), np.empty((5, len(x)))
     for start in range(0, len(x), block):
         rows = slice(start, start + block)
-        a = x[None, rows]  # a stack of one, as the trunk layers are stored
+        a = x[rows, :, None]  # a column per row
         for w, b in trunk:
-            a = _activate(np.einsum("srk,sjk->srj", a, w) + b, kind)
-        if a.shape[1] < n:  # a short last block
-            n = a.shape[1]
-            h, out, stack = h[:, :, :n], out[:, :n], stack[:, :n]
-            if p:
-                z, shifted, keep, h_in = (v[:, :, :n] for v in (z, shifted, keep, h_in))
-        a = a.T  # unit-major: (width, rows, 1)
+            a = _activate(np.matmul(w, a) + b, kind)
+        if len(a) < n:  # a short last block
+            n = len(a)
+            z, shifted, keep, h_in, h, out, stack = (
+                v[:, :n] for v in (z, shifted, keep, h_in, h, out, stack))
+        a = a[None, :, None]  # (1, rows, 1, width, 1)
         if p:
             _splitmix_keep(keys[rows], step, threshold, z, shifted, keep)
             # a * (keep * scale), in this order: a dropped unit of a huge
@@ -277,14 +277,14 @@ def _mc_rows(
             np.multiply(keep, keep_scale, out=h_in)
             np.multiply(a, h_in, out=h_in)
         else:
-            h_in = np.broadcast_to(a, (2, width, n, run))
-        np.einsum("hkrt,hjk->hjrt", h_in, hidden_w, out=h)
+            np.copyto(h_in, a)
+        np.matmul(hidden_w, h_in, out=h)
         h += hidden_b
         _activate(h, kind, out=h)
-        np.einsum("hjrt,hj->hrt", h, out_w, out=out)
+        np.matmul(out_w, h, out=out)
         out += out_b
         if not p:
-            stack[:2, :, 1:] = out[:, :, :1]
+            stack[:2, :, 1:] = stack[:2, :, :1]
         np.maximum(stack[1], -S_CLAMP, out=stack[1])
         np.minimum(stack[1], S_CLAMP, out=stack[1])
         np.exp(stack[1], out=stack[2])

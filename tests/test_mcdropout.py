@@ -19,6 +19,7 @@ from mosuq.datagen import gen_ood_shift, split_dataset
 from mosuq.errors import ConfigError, InputError, ShapeError
 from mosuq.mcdropout import (
     _BLOCK_UNITS,
+    _CHUNK,
     MCConfig,
     MCSamples,
     _keep_mask,
@@ -33,6 +34,12 @@ from mosuq.net import S_CLAMP, ArchConfig, forward_batch, init_params
 from mosuq.trainer import predict_batch
 
 from conftest import FIXTURE_MC, fixture_gen_config
+
+
+def block_units(rows, passes, widest):
+    """A _BLOCK_UNITS that gives blocks of rows rows at this pass count and
+    widest layer: the kernel counts passes as whole chunks of _CHUNK."""
+    return rows * -(-passes // _CHUNK) * _CHUNK * widest
 
 
 def tiny_params(seed=0, dropout_p=0.5):
@@ -419,24 +426,30 @@ class TestKernelInvariants:
         keep = _keep_mask(np.arange(5, dtype=np.uint64), 25, 16, 0.5)
         assert hashed == [5] and keep.shape == (5, 25, 2, 16)
 
-    def test_one_contraction_per_layer_and_block(self, monkeypatch):
-        """Each block makes one einsum per trunk layer and one per head
-        layer, both heads in the same call."""
-        subscripts, real = [], np.einsum
+    @pytest.mark.parametrize("passes", [25, 3, 30])
+    def test_one_matmul_per_layer_and_block_at_one_core_shape(self, monkeypatch, passes):
+        """Each block makes one np.matmul per trunk layer and one per head
+        layer, both heads in the same call, and no einsum. Every call's core
+        (per-row) shape is fixed: weights @ one row's column in the trunk, and
+        weights @ one (width, _CHUNK) chunk of one row in the heads, whatever
+        the row and pass counts."""
+        cores, real = [], np.matmul
 
-        def counting_einsum(*args, **kwargs):
-            subscripts.append(args[0])
-            return real(*args, **kwargs)
+        def counting_matmul(a, b, **kwargs):
+            cores.append((a.shape[-2:], b.shape[-2:]))
+            return real(a, b, **kwargs)
 
-        monkeypatch.setattr(np, "einsum", counting_einsum)
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        monkeypatch.setattr(np, "einsum", None)
         params = paper_shape_params()
         features = np.random.default_rng(5).normal(size=(131, 2))
-        block = ["srk,sjk->srj", "hkrt,hjk->hjrt", "hjrt,hj->hrt"]
-        mc_forward(params, features[0], MCConfig(num_passes=25))
-        assert subscripts == block
-        subscripts.clear()
-        mc_forward_dataset(params, features, MCConfig(num_passes=25))
-        assert subscripts == block * 3
+        block = [((16, 2), (2, 1)), ((16, 16), (16, _CHUNK)), ((1, 16), (16, _CHUNK))]
+        mc_forward(params, features[0], MCConfig(num_passes=passes))
+        assert cores == block
+        cores.clear()
+        mc_forward_dataset(params, features, MCConfig(num_passes=passes))
+        rows = _BLOCK_UNITS // (-(-passes // _CHUNK) * _CHUNK * 16)
+        assert cores == block * -(-len(features) // rows)
 
     def test_seeds_beyond_64_bits_fold_the_same_way_on_both_paths(self):
         params = tiny_params(seed=3)
@@ -621,7 +634,7 @@ class TestBufferReuse:
             arch = archs[k]
             # Blocks of 64 rows, so that the row counts fill blocks every way.
             widest = max(arch.trunk_output_dim, arch.head_hidden_dim)
-            monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * widest)
+            monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", block_units(64, passes, widest))
             cfg = MCConfig(num_passes=passes, dropout_p=p, seed=rows + 100 * k)
             return (
                 mc_forward_dataset(models[k], features[:rows], cfg),
@@ -670,14 +683,15 @@ class TestBufferReuse:
     def test_hash_in_a_reused_workspace_equals_fresh_buffers_and_the_hash(self, p):
         """The kernel hashes every block into leading slices of one workspace."""
         passes, width = 3, 4
-        work = _mask_workspace(10, passes, width)
-        step, threshold = mcdropout._plan(passes, p, width, width, _BLOCK_UNITS)[2:4]
+        _, chunks, step, threshold, _ = mcdropout._plan(passes, p, width, width, _BLOCK_UNITS)
+        work = _mask_workspace(10, chunks, width)
         for rows in (10, 3, 1, 10):
             keys = np.array([(977 * r + rows) * 0x9E3779B97F4A7C15 % 2**64 for r in range(rows)],
                             dtype=np.uint64)
-            views = (v[:, :, :rows] for v in work)
-            keep = mcdropout._splitmix_keep(keys[:, None], step, threshold, *views)
-            keep = keep.transpose(2, 3, 0, 1)
+            views = (v[:, :rows] for v in work)
+            keep = mcdropout._splitmix_keep(keys[:, None, None, None], step, threshold, *views)
+            # (2, rows, chunks, width, _CHUNK) to (rows, passes, 2, width)
+            keep = keep.transpose(1, 2, 4, 0, 3).reshape(rows, -1, 2, width)[:, :passes]
             assert np.array_equal(keep, _keep_mask(keys, passes, width, p))
             want = [
                 splitmix_uniform(int(key), c + 1) >= p
@@ -690,10 +704,10 @@ class TestBufferReuse:
 @pytest.mark.bitwise
 class TestShapeInvariance:
     """A row's samples do not depend on how many rows or passes share a
-    call, down to the 1-row x 1-pass shape, where einsum would sum in
-    another order if the kernel ran its contractions on it."""
+    call, nor on where in the call the row sits: every BLAS call has one
+    per-row core shape, with passes padded to whole chunks of _CHUNK."""
 
-    @pytest.mark.parametrize("passes", [1, 2, 25])
+    @pytest.mark.parametrize("passes", [1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
     @pytest.mark.parametrize("p", [0.0, 0.37])
     @pytest.mark.parametrize("trunk_dims", [(), (16,), (6, 4)])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -704,17 +718,22 @@ class TestShapeInvariance:
             input_dim=3, trunk_dims=trunk_dims, head_hidden_dim=5, activation=activation
         )
         widest = max(arch.trunk_output_dim, arch.head_hidden_dim)
-        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * widest)
+        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", block_units(64, passes, widest))
         params = init_params(arch, seed=7)
         data = np.random.default_rng(passes + 10 * len(trunk_dims))
         params.flat[...] += data.normal(scale=0.5, size=params.flat.size)
         features = data.normal(scale=2.0, size=(65, 3))
         cfg = MCConfig(num_passes=passes, dropout_p=p, seed=int(data.integers(2**63)))
         alone = [one_row(params, features, cfg, i) for i in range(len(features))]
-        longer = mc_forward_dataset(params, features, replace(cfg, num_passes=30))
+        # More chunks than any pass count above.
+        longer = mc_forward_dataset(params, features, replace(cfg, num_passes=2 * _CHUNK + 5))
         for rows in (1, 2, 63, 64, 65):
             got = mc_forward_dataset(params, features[:rows], cfg)
             assert list(got) == alone[:rows]
+        # Rows at other places in their blocks: the call starts at row 3.
+        offset = features[3:]
+        got = mc_forward_dataset(params, offset, cfg)
+        assert list(got) == [one_row(params, offset, cfg, j) for j in range(len(offset))]
         for short, long in zip(alone, longer):
             assert np.array_equal(long.y_samples[:passes], short.y_samples)
             assert np.array_equal(long.s_samples[:passes], short.s_samples)
@@ -722,33 +741,33 @@ class TestShapeInvariance:
                 assert short.epi_pred_var == 0.0 and short.epi_dist_var == 0.0
 
 
-def per_head_reference(params, x, cfg, multiplier=1.0):
-    """MC results for every row of x, as one MCSamples, with the two heads
-    run one at a time: a plain oracle for the stacked kernel, with all rows
-    in one block, a fresh mask, and summaries in numpy's own words."""
+def per_row_reference(params, x, cfg, multiplier=1.0):
+    """MC results for every row of x, as one MCSamples, from plain 2-d
+    np.matmul calls one row, one head and one chunk at a time: an oracle for
+    the stacked kernel at its fixed core shapes (weights @ a row's column in
+    the trunk; weights @ a C-contiguous (width, _CHUNK) chunk in the heads,
+    whose first column every pass repeats at p = 0), with a fresh mask and
+    summaries in numpy's own words."""
     act = np.tanh if params.arch.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
     passes, p = cfg.num_passes, cfg.dropout_p
-
-    def head(h_in, k):
-        """One head over a unit-major (width, rows, passes) input."""
-        (w0, b0), (w1, b1) = ((w[k], b[k, 0]) for w, b in params.layers[-2:])
-        hidden = act(np.einsum("krt,jk->jrt", h_in, w0) + b0[:, None, None])
-        return np.einsum("jrt,j->rt", hidden, w1[0]) + b1[0]
-
-    a = x
-    for w, b in params.layers[:-2]:
-        a = act(np.einsum("rk,jk->rj", a, w[0]) + b[0, 0])
-    h = a.T[:, :, None]
-    if p == 0.0:
-        y = np.repeat(head(h, 0), passes, axis=1)
-        s = np.repeat(head(h, 1), passes, axis=1)
-    else:
-        keys = np.array([row_seed(cfg.seed, i) for i in range(len(x))], dtype=np.uint64)
-        keep = _keep_mask(keys, passes, a.shape[1], p).transpose(2, 3, 0, 1)
-        scale = 1.0 / (1.0 - p)
-        y = head(h * (keep[0] * scale), 0)
-        s = head(h * (keep[1] * scale), 1)
-    s = np.clip(s, -S_CLAMP, S_CLAMP)
+    chunks = -(-passes // _CHUNK)
+    keys = np.array([row_seed(cfg.seed, i) for i in range(len(x))], dtype=np.uint64)
+    if p:
+        keep = _keep_mask(keys, chunks * _CHUNK, params.arch.trunk_output_dim, p)
+    samples = np.empty((2, len(x), passes))
+    for i in range(len(x)):
+        a = x[i, :, None]
+        for w, b in params.layers[:-2]:
+            a = act(np.matmul(w[0], a) + b[0].T)
+        for k in (0, 1):
+            (w0, b0), (w1, b1) = ((w[k], b[k].T) for w, b in params.layers[-2:])
+            # (width, padded passes), or one chunk of copies of a at p = 0
+            scaled = keep[i, :, k].T * (1.0 / (1.0 - p)) if p else np.ones((len(a), _CHUNK))
+            h_in = [np.ascontiguousarray(a * scaled[:, c : c + _CHUNK])
+                    for c in range(0, scaled.shape[1], _CHUNK)]
+            out = np.concatenate([np.matmul(w1, act(np.matmul(w0, h) + b0)) + b1 for h in h_in], 1)
+            samples[k, i] = out[0, :passes] if p else out[0, 0]
+    y, s = samples[0], np.clip(samples[1], -S_CLAMP, S_CLAMP)
 
     def variance(v):
         var = np.mean((v - v.mean(axis=1, keepdims=True)) ** 2, axis=1)
@@ -768,15 +787,16 @@ def result_bits(result):
 
 @pytest.mark.bitwise
 class TestStackedKernel:
-    """The kernel runs both heads as one unit-major (2, ., rows, passes)
-    stack in a per-call workspace. On the running numpy that must give the
-    per-head results bit for bit, on both entry points."""
+    """The kernel runs both heads as one row-major (2, rows, chunks, ., _CHUNK)
+    stack in a per-call workspace. On the running numpy and BLAS that must
+    give the results of one 2-d matmul per row, head and chunk bit for bit,
+    on both entry points."""
 
-    @pytest.mark.parametrize("passes", [1, 7, 25])
+    @pytest.mark.parametrize("passes", [1, 7, _CHUNK, _CHUNK + 1])
     @pytest.mark.parametrize("p", [0.0, 0.37, 0.5])
     @pytest.mark.parametrize("trunk_dims", [(), (5,), (6, 4)])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_stacked_equals_per_head_bit_for_bit(
+    def test_stacked_equals_per_row_matmuls_bit_for_bit(
         self, monkeypatch, activation, trunk_dims, p, passes
     ):
         arch = ArchConfig(
@@ -785,12 +805,12 @@ class TestStackedKernel:
         # Blocks of 64 rows at every width and pass count, so that the row
         # counts below fall on both sides of a block boundary.
         widest = max(arch.trunk_output_dim, arch.head_hidden_dim)
-        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * widest)
+        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", block_units(64, passes, widest))
         blocks, activate = [], mcdropout._activate
 
         def recording_activate(z, kind, out=None):
-            if z.ndim == 4:  # the heads' hidden layer, (2, width, rows, passes)
-                blocks.append(z.shape[2])
+            if z.ndim == 5:  # the heads' hidden layer, (2, rows, chunks, width, _CHUNK)
+                blocks.append(z.shape[1])
             return activate(z, kind, out=out)
 
         monkeypatch.setattr(mcdropout, "_activate", recording_activate)
@@ -806,7 +826,7 @@ class TestStackedKernel:
         cfg = MCConfig(num_passes=passes, dropout_p=p, seed=int(data.integers(2**63)))
         scale = CalibrationScale.from_r(1.7)
         with np.errstate(all="ignore"):
-            reference = per_head_reference(params, features, cfg, scale.variance_multiplier)
+            reference = per_row_reference(params, features, cfg, scale.variance_multiplier)
             want = [result_bits(r) for r in reference]
             for rows in (1, 63, 64, 65, 131):
                 blocks.clear()
@@ -830,7 +850,7 @@ class TestMCSamples:
     def test_reads_as_the_rows_of_one_row_calls(self, monkeypatch, passes, p, r):
         params = paper_shape_params(seed=3)
         # More rows than one 64-row kernel block.
-        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", 64 * passes * 16)
+        monkeypatch.setattr(mcdropout, "_BLOCK_UNITS", block_units(64, passes, 16))
         features = np.random.default_rng(passes).normal(size=(300, 2))
         n, seed = len(features), 12
         scale = None if r is None else CalibrationScale.from_r(r)

@@ -64,15 +64,17 @@ def arrays(*objects) -> list:
 def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
     """The training step's figures, each called as the library calls it at the paper
     preset on fixed inputs: forward_batch, the NLL loss, backward_batch and the Adam
-    step on 8 rows, as train() calls them; "step", those four in a row; and one-row
-    mc_forward at 25 passes (seed 7), as mc-ood calls it. The readers give parameters
-    in layer order, so that trees that lay out flat otherwise still compare."""
+    step on 8 rows, as train() calls them; "step", those four in a row; one-row
+    mc_forward at 25 passes (seed 7), as mc-ood calls it; and mc_forward_dataset at
+    mc-ood's shape, 2,100 rows at 25 passes and p 0.5 (seed 7). The readers give
+    parameters in layer order, so that trees that lay out flat otherwise still compare."""
     net, trainer, mcdropout, loss = mosuq.net, mosuq.trainer, mosuq.mcdropout, mosuq.loss
     arch = net.ArchConfig(**PAPER_ARCH)
     rng = np.random.default_rng(0)
     params = net.init_params(arch, seed=0)
     x, y = rng.normal(size=(8, 2)), rng.normal(size=8)
     mask = net.dropout_mask(rng, 0.5, (2, 8, 16))
+    features = rng.normal(size=(2100, 2))
     grads = net.ModelParams(arch, np.empty_like(params.flat), 0)
     adam = trainer._Adam(params.flat.copy(), 3e-4)  # a copy, so params stay as they are
     work = net.Workspace(params, 8).for_training()
@@ -99,6 +101,8 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
                       lambda result: layered(net.ModelParams(arch, adam.flat, 0))),
         "step": (step, lambda result: layered(grads, net.ModelParams(arch, adam.flat, 0))),
         "mc_forward": (lambda: mcdropout.mc_forward(params, x[0], mc_cfg), arrays),
+        "mc_forward_dataset": (lambda: mcdropout.mc_forward_dataset(params, features, mc_cfg),
+                               arrays),
     }, {}
 
 
@@ -141,6 +145,8 @@ def io_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
 
 # Per in-process group: its figures, and the default (--repeat, --number) alone and in pairs.
 GROUPS = {"step": (step_figures, (25, 2000), (10, 300)), "io": (io_figures, (7, 1), (1, 1))}
+# Figures that take milliseconds a call: their timings make --number over this many calls.
+CALL_DIVISOR = {"mc_forward_dataset": 100}
 # Per group, the flags that it does not read, which it refuses; alone, no group reads --processes.
 UNREAD = {"step": ("rows_per_system",), "io": (), "commands": ("repeat", "number", "processes")}
 
@@ -155,6 +161,11 @@ def machine(cpus) -> dict:
         "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         "threads": THREAD_VARS,
     }
+
+
+def per_timing(number: int, name: str) -> int:
+    """The calls per timing of a figure: number, over its CALL_DIVISOR, at least one."""
+    return max(1, number // CALL_DIVISOR.get(name, 1))
 
 
 def timings(fn, repeat: int, number: int) -> tuple[dict, float]:
@@ -179,7 +190,7 @@ def alone(args) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         figures, shape = GROUPS[args.group][0](mosuq, Path(tmp), args.rows_per_system)
         for name, (fn, _) in figures.items():
-            us[name], peak_mib[name] = timings(fn, args.repeat, args.number)
+            us[name], peak_mib[name] = timings(fn, args.repeat, per_timing(args.number, name))
     if args.group == "step":
         datagen, trainer = mosuq.datagen, mosuq.trainer
         gen = datagen.GenConfig(num_systems=20, samples_per_system=350, feature_dim=2,
@@ -198,8 +209,8 @@ def child(args) -> dict:
     process so that a bias of the load order cancels, each writing into a directory
     of its own, and compares every figure's outputs bit for bit. Each of ROUNDS
     rounds then times each figure --repeat times per tree, alternating the trees
-    (and the first tree by round), --number calls each, and records the ratio of the
-    trees' best timings, --src over --against (below 1: --src is faster)."""
+    (and the first tree by round), per_timing(--number) calls each, and records the
+    ratio of the trees' best timings, --src over --against (below 1: --src is faster)."""
     order = ("src", "against") if args.child_first == "src" else ("against", "src")
     calls = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -220,7 +231,8 @@ def child(args) -> dict:
                 times = {side: [] for side in sides}
                 for _ in range(args.repeat):
                     for side in sides:
-                        times[side].append(timeit.timeit(calls[side][name][0], number=args.number))
+                        number = per_timing(args.number, name)
+                        times[side].append(timeit.timeit(calls[side][name][0], number=number))
                 ratios[name].append(min(times["src"]) / min(times["against"]))
     return {"first": args.child_first, "shape": shape, "bit_equal": bit_equal, "ratios": ratios}
 
