@@ -20,8 +20,8 @@ mask and shuffle memory is one chunk, whatever the row count.
 
 Features and labels are checked once per split, before the first step; a
 step's workspace-bound pass checks only their shape. predict_batch, and so the
-per-epoch validation loss, checks its features once and runs them in blocks of
-``PREDICT_BLOCK_ROWS`` rows, so its memory does not grow with the row count.
+per-epoch validation loss, checks its features once and runs every pass over
+``PREDICT_BLOCK_ROWS`` rows through one workspace, the last block zero-padded.
 
 Checkpoints are canonical JSON: keys sorted, two-space indent, trailing
 newline, floats via repr. Saving a loaded checkpoint therefore reproduces
@@ -84,10 +84,10 @@ ADAM_EPS = 1e-8
 # whole-epoch draw would grow with the row count.
 MASK_CHUNK_UNITS = 2**16
 
-# Rows per predict_batch pass, the last one taking the remainder too: BLAS sums over a
-# few rows can round otherwise than over many (64-row passes did at trunk (32,) on
-# SkylakeX), while 1,024-row blocks gave a whole-batch pass's bits on every kernel tried.
-PREDICT_BLOCK_ROWS = 1024
+# Rows of every predict_batch pass, the last block zero-padded. BLAS sums round by the
+# call's shape, so one shape gives a row the same bits alone as in any longer call; 256
+# held on every OpenBLAS kernel tried (64 did not) and costs a one-row call the least.
+PREDICT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -255,20 +255,19 @@ def _checked_split(
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (y_hat, s) arrays for a feature matrix (InputError unless a
-    2-d array of finite real numbers, ShapeError unless input_dim wide), with the
-    bits of one whole-batch pass. Blocks of PREDICT_BLOCK_ROWS rows share one
-    workspace, and the last pass, with the remainder too, gets its own.
-    """
+    2-d array of finite real numbers, ShapeError unless input_dim wide), in
+    PREDICT_BLOCK_ROWS-row passes: a row gets the same bits alone as in any call."""
     x = check_array("features", features, 2, finite=True)
     _check_width(params.arch, x)
-    n, block, work = len(x), PREDICT_BLOCK_ROWS, None
-    last = max(n // block - 1, 0) * block  # the last pass's first row
-    bounds, y_hat, s = [*range(0, last, block), last, n], np.empty(n), np.empty(n)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if work is None or work.x_shape[0] != stop - start:
-            work = None  # freed before the last pass's is made
-            work = Workspace(params, stop - start)
-        y_hat[start:stop], s[start:stop], _ = forward_batch(params, x[start:stop], None, work)
+    n, block, y_hat, s = len(x), PREDICT_BLOCK_ROWS, np.empty(len(x)), np.empty(len(x))
+    work, padded = Workspace(params, block), np.zeros((block, x.shape[1]))
+    for start in range(0, n, block):
+        rows, kept = x[start : start + block], min(block, n - start)
+        if kept < block:  # the last block, zero-padded
+            padded[:kept] = rows
+            rows = padded
+        y_block, s_block, _ = forward_batch(params, rows, None, work)
+        y_hat[start : start + kept], s[start : start + kept] = y_block[:kept], s_block[:kept]
     return y_hat, s
 
 

@@ -447,6 +447,33 @@ class TestEvaluate:
             assert report.read_text() == compute_report(records).to_json()
             assert (json.loads(report.read_text())["auc"] is None) == (data != pool)
 
+    def test_mc_out_rows_of_a_short_file_are_those_of_a_long_one(self, tmp_path):
+        """A row's --mc-out line, y_det included, does not depend on how many rows
+        its file holds: the first 7 rows of a 1,050-row file (three systems of 3
+        rows each, so the short file has a system correlation), evaluated alone,
+        give the same bytes as inside the whole file (over four predict_batch
+        blocks), at the paper widths."""
+        ck, long_csv, short_csv = (tmp_path / name for name in ("ck.json", "long.csv", "short.csv"))
+        save_checkpoint(init_params(ArchConfig(input_dim=2, trunk_dims=(16,)), seed=0), ck)
+        assert main([
+            "gen-data", "--num-systems", "350", "--samples-per-system", "3",
+            "--feature-dim", "2", "--seed", "11", "--out", str(long_csv),
+        ]) == 0
+        lines = long_csv.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 1 + 1050
+        short_csv.write_bytes(b"".join(lines[:8]))
+        out = {}
+        for data in (long_csv, short_csv):
+            out[data] = tmp_path / f"{data.stem}.mc.csv"
+            assert main([
+                "evaluate", "--checkpoint", str(ck), "--data", str(data),
+                "--report", str(tmp_path / f"{data.stem}.json"), "--mc", "5", "0.5", "0",
+                "--mc-out", str(out[data]),
+            ]) == 0
+        long_rows, short_rows = (out[data].read_bytes().splitlines() for data in out)
+        assert len(short_rows) == 1 + 7
+        assert short_rows == long_rows[:8]
+
     def test_epistemic_uncertainty_requires_mc(self, workspace, tmp_path, capsys):
         code = self.run_eval(
             workspace, tmp_path / "r.json", extra=("--uncertainty", "epi-dist")

@@ -527,12 +527,13 @@ class TestPredictBatch:
 
 @pytest.mark.bitwise
 class TestBlockedPrediction:
-    """predict_batch runs PREDICT_BLOCK_ROWS rows at a time through one reused
-    workspace, the last pass taking the remainder too, and must give the bits
-    of one whole-batch forward_batch pass (CI reruns this class under fewer
-    numpy SIMD kernels and under OpenBLAS's Haswell kernels)."""
+    """predict_batch runs every pass over PREDICT_BLOCK_ROWS rows through one
+    workspace, the last block zero-padded, so a row called alone must get the
+    bits it gets inside any longer call (CI reruns this class under fewer numpy
+    SIMD kernels and under OpenBLAS's Haswell and Prescott settings)."""
 
     BLOCK = trainer_module.PREDICT_BLOCK_ROWS
+    LONG, FAR = 3000, 2077  # the long call's rows; a far offset inside it, mid-block
 
     @staticmethod
     def params(trunk_dims, activation, input_dim=5):
@@ -542,15 +543,21 @@ class TestBlockedPrediction:
         params.flat[:] = np.random.default_rng(2).normal(0.0, 0.7, params.flat.shape)
         return params
 
-    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("offset", [0, FAR], ids=["offset-0", "far"])
+    @pytest.mark.parametrize(
+        "rows", [1, 2, 3, 7, 31, 100, 200, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3]
+    )
     @pytest.mark.parametrize("trunk_dims", [(), (16,), (9, 5)], ids=["no-trunk", "16", "9-5"])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_blocks_give_the_bits_of_one_whole_batch_pass(self, rows, trunk_dims, activation):
+    def test_rows_alone_get_their_bits_inside_one_long_call(
+        self, rows, offset, trunk_dims, activation
+    ):
         params = self.params(trunk_dims, activation)
-        x = np.random.default_rng(rows).normal(0.0, 2.0, (rows, 5))
-        y_whole, s_whole, _ = net_module.forward_batch(params, x)
-        y_hat, s = predict_batch(params, x)
-        assert y_hat.tobytes() == y_whole.tobytes() and s.tobytes() == s_whole.tobytes()
+        x = np.random.default_rng(3).normal(0.0, 2.0, (self.LONG, 5))
+        y_long, s_long = predict_batch(params, x)
+        y_hat, s = predict_batch(params, x[offset : offset + rows])
+        assert y_hat.tobytes() == y_long[offset : offset + rows].tobytes()
+        assert s.tobytes() == s_long[offset : offset + rows].tobytes()
 
     def test_a_too_wide_matrix_is_a_shape_error(self):
         with pytest.raises(ShapeError, match="width 5"):
@@ -568,7 +575,7 @@ class TestBlockedPrediction:
     def test_traced_peak_beyond_the_outputs_does_not_grow_with_the_rows(self):
         """At N and 10 N rows (N = 3 blocks + 5, paper widths) the peak less
         the two output vectors differs by less than one block's workspace; a
-        whole-batch pass would add 9 N rows of workspace (about 15 MiB)."""
+        whole-batch pass would add 9 N rows of workspace (about 3.6 MiB)."""
         params = self.params((32,), "tanh", input_dim=16)
         block_bytes = self.traced_peak(Workspace, params, self.BLOCK)
         beyond = {}
@@ -842,8 +849,8 @@ class TestChunkedMasks:
 
 
 class TestStepWorkspaces:
-    """Training steps share one Workspace per batch length; predict_batch
-    and the validation pass make a fresh one per call."""
+    """Training steps share one Workspace per batch length; predict_batch,
+    and so each validation pass, makes one PREDICT_BLOCK_ROWS workspace a call."""
 
     @staticmethod
     def count_workspaces(monkeypatch):
@@ -866,11 +873,11 @@ class TestStepWorkspaces:
         short = len(dataset) % batch
         assert made == ([batch, short] if short else [batch])
 
-    def test_each_validation_pass_gets_a_fresh_workspace(self, monkeypatch):
+    def test_each_validation_pass_makes_one_block_workspace(self, monkeypatch):
         made = self.count_workspaces(monkeypatch)
         dataset, val = small_dataset(), small_dataset(seed=9)
         train(dataset, small_arch(dropout_p=0.5), quick_cfg(epochs=3, batch_size=7), val)
-        assert made == [7, len(dataset) % 7] + [len(val)] * 3
+        assert made == [7, len(dataset) % 7] + [trainer_module.PREDICT_BLOCK_ROWS] * 3
 
     def test_predictions_are_not_overwritten_by_later_calls(self):
         params = init_params(small_arch(), seed=0)

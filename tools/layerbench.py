@@ -65,9 +65,13 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
     """The training step's figures, each called as the library calls it at the paper
     preset on fixed inputs: forward_batch, the NLL loss, backward_batch and the Adam
     step on 8 rows, as train() calls them; "step", those four in a row; one-row
-    mc_forward at 25 passes (seed 7), as mc-ood calls it; and mc_forward_dataset at
-    mc-ood's shape, 2,100 rows at 25 passes and p 0.5 (seed 7). The readers give
-    parameters in layer order, so that trees that lay out flat otherwise still compare."""
+    mc_forward at 25 passes (seed 7), as mc-ood calls it; mc_forward_dataset at
+    mc-ood's shape, 2,100 rows at 25 passes and p 0.5 (seed 7); and predict_batch on
+    one row and on 1,050 rows (train-paper's validation split) at the paper arch, and
+    on 7,500 x 16 at trunk (32,) and head 16 (cli-pipeline's calibrate and evaluate).
+    The readers give parameters in layer order, so that trees that lay out flat
+    otherwise still compare. Inputs are drawn in the order the figures were added, so
+    a new figure's draws move no older figure's inputs."""
     net, trainer, mcdropout, loss = mosuq.net, mosuq.trainer, mosuq.mcdropout, mosuq.loss
     arch = net.ArchConfig(**PAPER_ARCH)
     rng = np.random.default_rng(0)
@@ -79,6 +83,8 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
     adam = trainer._Adam(params.flat.copy(), 3e-4)  # a copy, so params stay as they are
     work = net.Workspace(params, 8).for_training()
     mc_cfg = mcdropout.MCConfig(num_passes=25, dropout_p=0.5, seed=7)
+    val_rows, cli_rows = rng.normal(size=(1050, 2)), rng.normal(size=(7500, 16))
+    cli_params = net.init_params(net.ArchConfig(16, (32,), 16, 0.5), seed=0)
 
     def layered(*each):
         return [a.copy() for p in each for layer in p.layers for a in layer]
@@ -103,6 +109,9 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
         "mc_forward": (lambda: mcdropout.mc_forward(params, x[0], mc_cfg), arrays),
         "mc_forward_dataset": (lambda: mcdropout.mc_forward_dataset(params, features, mc_cfg),
                                arrays),
+        "predict_batch_1": (lambda: trainer.predict_batch(params, val_rows[:1]), list),
+        "predict_batch_1050": (lambda: trainer.predict_batch(params, val_rows), list),
+        "predict_batch_7500": (lambda: trainer.predict_batch(cli_params, cli_rows), list),
     }, {}
 
 
@@ -145,8 +154,8 @@ def io_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
 
 # Per in-process group: its figures, and the default (--repeat, --number) alone and in pairs.
 GROUPS = {"step": (step_figures, (25, 2000), (10, 300)), "io": (io_figures, (7, 1), (1, 1))}
-# Figures that take milliseconds a call: their timings make --number over this many calls.
-CALL_DIVISOR = {"mc_forward_dataset": 100}
+# Figures of 0.2 ms a call or more: their timings make --number over this many calls.
+CALL_DIVISOR = {"mc_forward_dataset": 100, "predict_batch_1050": 10, "predict_batch_7500": 100}
 # Per group, the flags that it does not read, which it refuses; alone, no group reads --processes.
 UNREAD = {"step": ("rows_per_system",), "io": (), "commands": ("repeat", "number", "processes")}
 
