@@ -117,6 +117,6 @@ def check_array(name: str, value, ndim: int | None = None, finite=False, text=Fa
         value = value if text else value.astype(np.float64, copy=False)
     if ndim is not None and value.ndim != ndim:
         raise InputError(f"{name} must be a {ndim}-d array, got shape {value.shape}")
-    if finite and not np.isfinite(value).all():
+    if finite and np.count_nonzero(np.isfinite(value)) != value.size:
         raise InputError(f"{name} must be finite, got nan or inf")
     return value

@@ -17,6 +17,7 @@ quantities.
 Masks come from a counter-based hash (SplitMix64, in the style of Salmon
 et al. 2011): the keep bit of each unit is a pure function of (row key,
 pass, head, unit), tested on the integer hash; at p = 0 no bits are drawn.
+The hash skips SplitMix64's last step where it cannot move a keep bit (_plan).
 One kernel serves both entry points: it runs the deterministic trunk once
 per row and the two dropout heads per pass, over blocks of rows. Each layer
 is one np.matmul of its stored weights over a stack: one column per row in
@@ -73,19 +74,20 @@ _BLOCK_UNITS = 64 * 25 * 16
 _CHUNK = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MCConfig:
-    num_passes: int = 25
-    dropout_p: float = 0.5
-    seed: int = 0
+    num_passes: int
+    dropout_p: float
+    seed: int
 
-    def __post_init__(self):
-        self.__dict__["num_passes"] = check_int("num_passes", self.num_passes, 1, MAX_SIZE)
-        self.__dict__["dropout_p"] = check_float("dropout_p", self.dropout_p, 0.0, 1.0)
-        self.__dict__["seed"] = check_int("seed", self.seed, 0)
+    # One __dict__ update of the checked values: rows scored one at a time make a config each.
+    def __init__(self, num_passes: int = 25, dropout_p: float = 0.5, seed: int = 0):
+        self.__dict__.update(num_passes=check_int("num_passes", num_passes, 1, MAX_SIZE),
+                             dropout_p=check_float("dropout_p", dropout_p, 0.0, 1.0),
+                             seed=check_int("seed", seed, 0))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MCSamples:
     """MC results of many rows as columns: (rows, passes) samples and
     (rows,) summaries. Indexing reads every column with the same index, so
@@ -101,6 +103,13 @@ class MCSamples:
     aleatoric_var: np.ndarray
     epi_pred_var: np.ndarray
     epi_dist_var: np.ndarray
+
+    # One __dict__ update, not seven object.__setattr__ calls: a row is made per one-row call.
+    def __init__(self, y_samples, s_samples, y_mean, s_mean, aleatoric_var, epi_pred_var,
+                 epi_dist_var):
+        self.__dict__.update(y_samples=y_samples, s_samples=s_samples, y_mean=y_mean, s_mean=s_mean,
+                             aleatoric_var=aleatoric_var, epi_pred_var=epi_pred_var,
+                             epi_dist_var=epi_dist_var)
 
     # len (1 for a row) and iteration are kept for perfbench/workloads.py (mc-ood): it reads rows.
     def __len__(self) -> int:
@@ -158,19 +167,19 @@ def _keep_mask(keys: np.ndarray, passes: int, width: int, p: float) -> np.ndarra
     (the threshold is below 2^53). The mask is a copy of the row-major
     buffer that _splitmix_keep writes, in a fresh workspace.
     """
-    _, chunks, step, threshold, _ = _plan(passes, p, width, width, _BLOCK_UNITS)
-    keep = _splitmix_keep(keys[:, None, None, None], step, threshold,
+    _, chunks, _, hashing = _plan(passes, p, width, width, _BLOCK_UNITS)
+    keep = _splitmix_keep(keys[:, None, None, None], *hashing,
                           *_mask_workspace(len(keys), chunks, width))
     return keep.transpose(1, 2, 4, 0, 3).reshape(len(keys), -1, 2, width)[:, :passes]
 
 
-def _splitmix_keep(keys, step, threshold, z, shifted, keep) -> np.ndarray:
+def _splitmix_keep(keys, step, threshold, finaliser, z, shifted, keep) -> np.ndarray:
     """The bits of _keep_mask, written into keep and returned row-major as
     (2, rows, chunks, width, _CHUNK), for a (rows, 1, 1, 1) column of keys and
-    the counter term and threshold of _plan; z and shifted are uint64 buffers
-    of the same shape, from _mask_workspace or leading slices of its buffers."""
+    the hashing of _plan; z and shifted are uint64 buffers of the same shape,
+    from _mask_workspace or leading slices of its buffers."""
     np.add(keys, step, out=z)
-    for shift, multiplier in _FINALISER:
+    for shift, multiplier in finaliser:
         np.right_shift(z, shift, out=shifted)
         z ^= shifted
         if multiplier is not None:
@@ -182,22 +191,24 @@ def _splitmix_keep(keys, step, threshold, z, shifted, keep) -> np.ndarray:
 def _plan(passes: int, p: float, width: int, hidden: int, block_units: int) -> tuple:
     """An MC config's constants, worked out once: rows per block (block_units
     over the padded pass columns x the wider layer); chunks, the passes in
-    whole chunks of _CHUNK, the last one padded; the read-only counter term
-    c * 0x9E3779B97F4A7C15 (mod 2^64) of _keep_mask as (2, 1, chunks, width,
-    _CHUNK), pass t at chunk t // _CHUNK, column t % _CHUNK; the keep
-    threshold; and 1 / (1 - p). p is a Python float, as MCConfig stores it."""
+    whole chunks of _CHUNK, the last one padded; 1 / (1 - p); and the hashing:
+    the read-only counter term c * 0x9E3779B97F4A7C15 (mod 2^64) of _keep_mask as
+    (2, 1, chunks, width, _CHUNK), pass t at chunk t // _CHUNK, column t % _CHUNK, the
+    threshold T and the finaliser, less its last step, which changes only bits 0-32, where
+    T % 2^33 == 0 (p a multiple of 2^-31, as 0.5). p is a float, as MCConfig stores it."""
     chunks = -(-passes // _CHUNK)
     counter = np.arange(1, chunks * _CHUNK * 2 * width + 1, dtype=np.uint64) * _GOLDEN
     step = counter.reshape(chunks, _CHUNK, 2, width).transpose(2, 0, 3, 1)[:, None].copy()
     step.flags.writeable = False
     block = max(1, block_units // (chunks * _CHUNK * max(width, hidden)))
-    return block, chunks, step, np.uint64(math.ceil(p * 2.0**53) << 11), 1.0 / (1.0 - p)
+    t = math.ceil(p * 2.0**53) << 11
+    return block, chunks, 1.0 / (1.0 - p), (step, np.uint64(t), _FINALISER[: 3 if t % 2**33 else 2])
 
 
 def _mask_workspace(rows: int, chunks: int, width: int) -> tuple:
     """_splitmix_keep's z and shifted (one uint64 array) and keep, for up to rows rows."""
-    hashed = np.empty((2, 2, rows, chunks, width, _CHUNK), dtype=np.uint64)
-    return hashed[0], hashed[1], np.empty(hashed.shape[1:], dtype=bool)
+    z, shifted = np.empty((2, 2, rows, chunks, width, _CHUNK), dtype=np.uint64)
+    return z, shifted, np.empty(z.shape, dtype=bool)
 
 
 @functools.cache
@@ -234,6 +245,13 @@ def _mc_rows(
     _check_width(params.arch, x)
     arch, passes, p = params.arch, cfg.num_passes, cfg.dropout_p
     kind, width, hidden_dim = arch.activation, arch.trunk_output_dim, arch.head_hidden_dim
+    # The layers as read here, bound once per params: views of flat, which training updates.
+    if (bound := params.__dict__.get("_kernel_layers")) is None:
+        *trunk, (hidden_w, hidden_b), (out_w, out_b) = params.layers
+        bound = params.__dict__["_kernel_layers"] = (
+            [(w[0], b[0].T) for w, b in trunk], hidden_w[:, None, None],
+            hidden_b[:, None, None, 0, :, None], out_w[:, None, None], out_b[:, None, None])
+    trunk, hidden_w, hidden_b, out_w, out_b = bound
     # The most bytes the call holds: the (2, rows, passes) samples, and per
     # padded pass column a one-row block's hash buffers, keep bits and counter
     # term (50 B per unit of width), hidden layers (16 B per unit) and stack
@@ -241,7 +259,7 @@ def _mc_rows(
     one_row = -(-passes // _CHUNK) * _CHUNK * (50 * width + 16 * hidden_dim + 24)
     if 16 * passes * len(x) + one_row > _memory_bytes():
         raise ConfigError(f"num_passes {passes} needs more memory than this machine has")
-    block, chunks, step, threshold, keep_scale = _plan(passes, p, width, hidden_dim, _BLOCK_UNITS)
+    block, chunks, keep_scale, hashing = _plan(passes, p, width, hidden_dim, _BLOCK_UNITS)
     chunks, n, keys = chunks if p else 1, min(block, len(x)), keys[:, None, None, None]
     # The workspace. The hash's shift buffer is dead once a mask is made, so
     # it then holds the masked head inputs: at p = 0, one chunk of copies of
@@ -252,11 +270,8 @@ def _mc_rows(
     h = np.empty((2, n, chunks, hidden_dim, _CHUNK))
     stack = np.empty((3, n, max(passes, chunks * _CHUNK)))
     out = stack[:2, :, : chunks * _CHUNK].reshape(2, n, chunks, 1, _CHUNK)
-    h_in, stack = shifted.view(np.float64), stack[:, :, :passes]
-    *trunk, (hidden_w, hidden_b), (out_w, out_b) = params.layers
-    trunk = [(w[0], b[0].T) for w, b in trunk]
-    hidden_w, hidden_b = hidden_w[:, None, None], hidden_b[:, None, None, 0, :, None]
-    out_w, out_b = out_w[:, None, None], out_b[:, None, None]
+    h_in, stack = shifted.view(float), stack[:, :, :passes]
+    samples, s, exp_s = stack[:2], stack[1:2], stack[2:]
     # The result, in MCSamples field order: y and s samples; the means of the
     # three sample rows (aleatoric before scaling); the y and s variances.
     sampled, summary = np.empty((2, len(x), passes)), np.empty((5, len(x)))
@@ -267,11 +282,11 @@ def _mc_rows(
             a = _activate(np.matmul(w, a) + b, kind)
         if len(a) < n:  # a short last block
             n = len(a)
-            z, shifted, keep, h_in, h, out, stack = (
-                v[:, :n] for v in (z, shifted, keep, h_in, h, out, stack))
+            z, shifted, keep, h_in, h, out, stack, samples, s, exp_s = (
+                v[:, :n] for v in (z, shifted, keep, h_in, h, out, stack, samples, s, exp_s))
         a = a[None, :, None]  # (1, rows, 1, width, 1)
         if p:
-            _splitmix_keep(keys[rows], step, threshold, z, shifted, keep)
+            _splitmix_keep(keys[rows], *hashing, z, shifted, keep)
             # a * (keep * scale), in this order: a dropped unit of a huge
             # input then gives a signed zero, where (a * scale) * 0 gives NaN.
             np.multiply(keep, keep_scale, out=h_in)
@@ -284,13 +299,13 @@ def _mc_rows(
         np.matmul(out_w, h, out=out)
         out += out_b
         if not p:
-            stack[:2, :, 1:] = stack[:2, :, :1]
-        np.maximum(stack[1], -S_CLAMP, out=stack[1])
-        np.minimum(stack[1], S_CLAMP, out=stack[1])
-        np.exp(stack[1], out=stack[2])
-        sampled[:, rows] = stack[:2]
+            samples[:, :, 1:] = samples[:, :, :1]
+        np.maximum(s, -S_CLAMP, out=s)
+        np.minimum(s, S_CLAMP, out=s)
+        np.exp(s, out=exp_s)
+        sampled[:, rows] = samples
         means = _mean(stack, out=summary[:3, rows])
-        _variance(stack[:2], means[:2], summary[3:, rows])
+        _variance(samples, means[:2], summary[3:, rows])
         if scale is not None:
             means[2] *= scale.variance_multiplier
     return sampled, summary

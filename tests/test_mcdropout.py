@@ -30,8 +30,8 @@ from mosuq.mcdropout import (
     row_seed,
     variance_of,
 )
-from mosuq.net import S_CLAMP, ArchConfig, forward_batch, init_params
-from mosuq.trainer import predict_batch
+from mosuq.net import S_CLAMP, ArchConfig, ModelParams, forward_batch, init_params
+from mosuq.trainer import _Adam, predict_batch
 
 from conftest import FIXTURE_MC, fixture_gen_config
 
@@ -237,6 +237,29 @@ def splitmix_uniform(key, counter):
     return (z >> 11) * 2.0**-53
 
 
+def splitmix_input_before_last_shift(z):
+    """The input key + counter * golden gamma for which the scalar SplitMix64
+    has z just before its last step, z ^= z >> 31: the two multiplies and
+    xor-shifts before it, run backwards."""
+    mask = 2**64 - 1
+
+    def unshift(y, k):  # the x with x ^ (x >> k) == y
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) & mask, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask, 30)
+
+
+# Dropout rates for the mask hash against its Python-int reference. The hash
+# leaves out SplitMix64's last xor-shift where the threshold's low 33 bits are
+# zero: at 0.5, 0.25 and 0.75, and at 0.5 - 2^-54, which rounds to 0.5's
+# threshold. 0.37, 0.5 + 2^-52 and the extremes run the full finaliser.
+HASH_PS = [2.0**-53, 0.25, 0.37, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-52, 0.75, 1.0 - 2.0**-53]
+
+
 def one_row(params, features, cfg, i):
     return mc_forward(params, features[i], replace(cfg, seed=row_seed(cfg.seed, i)))
 
@@ -291,16 +314,33 @@ class TestKernelInvariants:
         sigma = math.sqrt(p * (1.0 - p) / keep.size)
         assert abs(float(keep.mean()) - (1.0 - p)) < 4.0 * sigma
 
-    def test_keep_bits_follow_the_documented_hash(self):
+    @pytest.mark.parametrize("p", HASH_PS)
+    def test_keep_bits_follow_the_documented_hash(self, p):
         # First output of the reference SplitMix64 generator seeded with 0.
         assert splitmix_uniform(0, 1) == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
-        key, passes, width, p = 2**64 - 3, 3, 5, 0.37
+        key, passes, width = 2**64 - 3, 3, 5
         keep = _keep_mask(np.array([key], dtype=np.uint64), passes, width, p)
         for t in range(passes):
             for head in (0, 1):
                 for unit in range(width):
                     counter = (t * 2 + head) * width + unit + 1
                     assert keep[0, t, head, unit] == (splitmix_uniform(key, counter) >= p)
+
+    @pytest.mark.parametrize("p", HASH_PS)
+    def test_keep_bits_near_the_threshold_follow_the_full_hash(self, p):
+        """The last step, z ^= z >> 31, changes only bits 0-32, so it can
+        move a keep bit only where z lies within 2^33 of the threshold. Keys
+        whose first unit has its z there get the reference's bits at every
+        rate; at 0.37, 0.5 + 2^-52 and 1 - 2^-53 that step moves some of
+        them, so a hash that left it out at those rates would fail here."""
+        threshold = math.ceil(p * 2.0**53) << 11
+        band = sorted({min(max(threshold + d, 0), 2**64 - 1)
+                       for d in [*range(-2**33, 2**33, 2**27 + 1), *range(-5000, 5000, 101)]})
+        keys = [(splitmix_input_before_last_shift(z) - 0x9E3779B97F4A7C15) % 2**64 for z in band]
+        keep = _keep_mask(np.array(keys, dtype=np.uint64), 1, 1, p)[:, 0, 0, 0]
+        assert keep.tolist() == [splitmix_uniform(key, 1) >= p for key in keys]
+        moved = [(z >= threshold) != ((z ^ (z >> 31)) >= threshold) for z in band]
+        assert any(moved) == (p in (0.37, 0.5 + 2.0**-52, 1.0 - 2.0**-53))
 
     def test_score_and_log_variance_heads_draw_different_masks(self):
         keep = _keep_mask(np.array([7, 2**64 - 1], dtype=np.uint64), 25, 16, 0.5)
@@ -610,9 +650,11 @@ class TestBufferReuse:
             assert results[n - 1] == one_row(params, features, cfg, n - 1)
 
     def test_interleaved_calls_equal_calls_after_clearing_the_plan_cache(self, monkeypatch):
-        """The kernel keeps no state across calls but its cached constants:
-        each call of a shuffled run over archs, pass counts, dropout rates and
-        block fills equals the same call made with the plan cache cleared."""
+        """The kernel keeps no state across calls but its cached constants,
+        the plan of each config and the views of each ModelParams's layers
+        that it binds on first use: each call of a shuffled run over archs,
+        pass counts, dropout rates and block fills equals the same call made
+        with the plan cache cleared."""
         archs = [
             ArchConfig(input_dim=2, trunk_dims=(16,), head_hidden_dim=16),
             ArchConfig(input_dim=2, trunk_dims=(5,), head_hidden_dim=7, activation="relu"),
@@ -647,6 +689,27 @@ class TestBufferReuse:
             fresh_columns, fresh_row = call(*c)
             assert columns == fresh_columns and row == fresh_row
 
+    def test_outputs_follow_in_place_updates_of_the_flat_vector(self):
+        """The kernel's views of a ModelParams are bound once and view its
+        flat vector, so after an optimizer step updates flat in place, as
+        training does, a row and a block score as with a fresh ModelParams
+        of the new values."""
+        params = paper_shape_params(seed=4)
+        features = np.random.default_rng(15).normal(size=(70, 2))
+        cfg = MCConfig(num_passes=25, dropout_p=0.5, seed=6)
+
+        def scores(model):
+            return mc_forward(model, features[3], cfg), mc_forward_dataset(model, features, cfg)
+
+        before = scores(params)
+        adam = _Adam(params.flat, 0.05)
+        for _ in range(3):
+            adam.step(np.random.default_rng(adam.t).normal(size=params.flat.shape))
+        after = scores(params)
+        fresh = scores(ModelParams(params.arch, params.flat.copy(), params.rng_seed_used))
+        assert after[0] == fresh[0] and after[1] == fresh[1]
+        assert after[0] != before[0] and after[1] != before[1]
+
     def test_equal_dropout_rates_of_other_types_give_equal_results(self):
         """MCConfig stores dropout_p as a Python float, so a float32 0.25 and
         a float 0.25 are one config and scale the masks alike, in either
@@ -679,17 +742,19 @@ class TestBufferReuse:
             tracemalloc.stop()
         assert peak < 8e6
 
-    @pytest.mark.parametrize("p", [2.0**-53, 0.37, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("p", HASH_PS)
     def test_hash_in_a_reused_workspace_equals_fresh_buffers_and_the_hash(self, p):
         """The kernel hashes every block into leading slices of one workspace."""
         passes, width = 3, 4
-        _, chunks, step, threshold, _ = mcdropout._plan(passes, p, width, width, _BLOCK_UNITS)
+        _, chunks, _, hashing = mcdropout._plan(passes, p, width, width, _BLOCK_UNITS)
+        # The last xor-shift is left out exactly where the threshold's low 33 bits are zero.
+        assert len(hashing[2]) == (2 if p in (0.25, 0.5 - 2.0**-54, 0.5, 0.75) else 3)
         work = _mask_workspace(10, chunks, width)
         for rows in (10, 3, 1, 10):
             keys = np.array([(977 * r + rows) * 0x9E3779B97F4A7C15 % 2**64 for r in range(rows)],
                             dtype=np.uint64)
             views = (v[:, :rows] for v in work)
-            keep = mcdropout._splitmix_keep(keys[:, None, None, None], step, threshold, *views)
+            keep = mcdropout._splitmix_keep(keys[:, None, None, None], *hashing, *views)
             # (2, rows, chunks, width, _CHUNK) to (rows, passes, 2, width)
             keep = keep.transpose(1, 2, 4, 0, 3).reshape(rows, -1, 2, width)[:, :passes]
             assert np.array_equal(keep, _keep_mask(keys, passes, width, p))

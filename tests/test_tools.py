@@ -18,7 +18,7 @@ TINY = {"step": TIMED, "io": TIMED + ROWS, "commands": ROWS}
 FIGURES = {
     "step": {"forward_batch", "nll_loss_batch", "backward_batch", "adam_step", "step",
              "mc_forward", "mc_forward_dataset", "predict_batch_1", "predict_batch_1050",
-             "predict_batch_7500"},
+             "predict_batch_7500", "mc_ood_rows"},
     "io": {"gen_synthetic", "split_dataset", "save_dataset_csv", "load_dataset_csv",
            "split_write"},
 }

@@ -14,6 +14,13 @@ and imports each tree's mosuq from its src/ as a package named by load order
 in pairs, in every process. Alone, step and io print timings (see timings); with
 --against, they time two trees in pairs (see child and against), and the exit
 status is 1 where a figure's outputs differ between the trees.
+
+Every figure of step and io is run and timed in a forked child of the process
+that made the inputs (see forked), so each starts from the same allocator
+state, that of a process that has made the inputs and run no figure, whatever
+figures the tool ran before it. Timed one after another in one process, a
+figure that allocates more than glibc's 128 KiB mmap threshold read with or
+without page faults depending on which figures had run first.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import sys
 import tempfile
 import time
 import timeit
+import traceback
 import tracemalloc
 from pathlib import Path
 
@@ -66,9 +74,11 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
     preset on fixed inputs: forward_batch, the NLL loss, backward_batch and the Adam
     step on 8 rows, as train() calls them; "step", those four in a row; one-row
     mc_forward at 25 passes (seed 7), as mc-ood calls it; mc_forward_dataset at
-    mc-ood's shape, 2,100 rows at 25 passes and p 0.5 (seed 7); and predict_batch on
+    mc-ood's shape, 2,100 rows at 25 passes and p 0.5 (seed 7); predict_batch on
     one row and on 1,050 rows (train-paper's validation split) at the paper arch, and
-    on 7,500 x 16 at trunk (32,) and head 16 (cli-pipeline's calibrate and evaluate).
+    on 7,500 x 16 at trunk (32,) and head 16 (cli-pipeline's calibrate and evaluate);
+    and mc_ood_rows, mc-ood's loop of one-row calls: mc_forward on every other row of
+    the 2,100, 1,050 calls, each with its own MCConfig of row_seed(7, row).
     The readers give parameters in layer order, so that trees that lay out flat
     otherwise still compare. Inputs are drawn in the order the figures were added, so
     a new figure's draws move no older figure's inputs."""
@@ -95,7 +105,11 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
         net.backward_batch(work, params, d_y_hat, d_s, out=grads)
         adam.step(grads.flat)
 
+    # Every figure's inputs, made before any figure runs: each runs in a child forked
+    # from here, so backward_batch reads this loss's output and adam_step these gradients.
     net.forward_batch(params, x, mask, work)
+    loss.nll_loss_batch(work.y_hat, work.s, y, work.loss_out)
+    net.backward_batch(work, params, work.d_y_hat, work.d_s, grads)
     return {
         "forward_batch": (lambda: net.forward_batch(params, x, mask, work),
                           lambda result: [a.copy() for a in result[:2]]),
@@ -112,6 +126,10 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
         "predict_batch_1": (lambda: trainer.predict_batch(params, val_rows[:1]), list),
         "predict_batch_1050": (lambda: trainer.predict_batch(params, val_rows), list),
         "predict_batch_7500": (lambda: trainer.predict_batch(cli_params, cli_rows), list),
+        "mc_ood_rows": (lambda: [
+            mcdropout.mc_forward(params, features[i], mcdropout.MCConfig(
+                25, 0.5, mcdropout.row_seed(7, i))) for i in range(0, len(features), 2)
+        ], lambda result: arrays(*result)),
     }, {}
 
 
@@ -155,7 +173,8 @@ def io_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
 # Per in-process group: its figures, and the default (--repeat, --number) alone and in pairs.
 GROUPS = {"step": (step_figures, (25, 2000), (10, 300)), "io": (io_figures, (7, 1), (1, 1))}
 # Figures of 0.2 ms a call or more: their timings make --number over this many calls.
-CALL_DIVISOR = {"mc_forward_dataset": 100, "predict_batch_1050": 10, "predict_batch_7500": 100}
+CALL_DIVISOR = {"mc_forward_dataset": 100, "predict_batch_1050": 10, "predict_batch_7500": 100,
+                "mc_ood_rows": 1000}
 # Per group, the flags that it does not read, which it refuses; alone, no group reads --processes.
 UNREAD = {"step": ("rows_per_system",), "io": (), "commands": ("repeat", "number", "processes")}
 
@@ -190,60 +209,93 @@ def timings(fn, repeat: int, number: int) -> tuple[dict, float]:
     return {"best": round(min(us), 3), "median": round(statistics.median(us), 3)}, round(peak, 3)
 
 
+def forked(fn):
+    """fn(), run in a forked child of this process, whose result (JSON values) it
+    returns: the child starts from this process's allocator state, and nothing that
+    it allocates or frees reaches the next child. The process runs one thread (one
+    BLAS thread, set before numpy is imported), so it may fork."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "w") as out:
+                json.dump(fn(), out)
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read) as got:
+        text = got.read()
+    if os.waitpid(pid, 0)[1] != 0:
+        raise SystemExit("a forked figure failed; its traceback is above")
+    return json.loads(text)
+
+
 def alone(args) -> dict:
-    """The timings and traced peaks of the group's figures for --src. With step, one
-    train() epoch (613 steps) on the 4,900-row training split of train-paper at seed
-    301 too, one call a timing, and that per step."""
+    """The timings and traced peaks of the group's figures for --src, each in a
+    forked child. With step, one train() epoch (613 steps) on the 4,900-row training
+    split of train-paper at seed 301 too, one call a timing, and that per step."""
     mosuq = load_tree(args.src, "mosuq_0")
-    us, peak_mib = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         figures, shape = GROUPS[args.group][0](mosuq, Path(tmp), args.rows_per_system)
-        for name, (fn, _) in figures.items():
-            us[name], peak_mib[name] = timings(fn, args.repeat, per_timing(args.number, name))
+        calls = {name: (fn, per_timing(args.number, name)) for name, (fn, _) in figures.items()}
+        if args.group == "step":
+            datagen, trainer = mosuq.datagen, mosuq.trainer
+            gen = datagen.GenConfig(num_systems=20, samples_per_system=350, feature_dim=2,
+                                    noise_model=datagen.Heteroscedastic(), seed=301)
+            train_split = datagen.split_dataset(datagen.gen_synthetic(gen), (0.7, 0.15, 0.15),
+                                                301)[0]
+            arch = mosuq.net.ArchConfig(**PAPER_ARCH)
+            cfg = trainer.TrainConfig(epochs=1, batch_size=8, learning_rate=3e-4, seed=301)
+            calls["train_epoch"] = (lambda: trainer.train(train_split, arch, cfg), 1)
+        timed = {name: forked(lambda: timings(fn, args.repeat, number))
+                 for name, (fn, number) in calls.items()}
+    us = {name: t for name, (t, _) in timed.items()}
     if args.group == "step":
-        datagen, trainer = mosuq.datagen, mosuq.trainer
-        gen = datagen.GenConfig(num_systems=20, samples_per_system=350, feature_dim=2,
-                                noise_model=datagen.Heteroscedastic(), seed=301)
-        train_split = datagen.split_dataset(datagen.gen_synthetic(gen), (0.7, 0.15, 0.15), 301)[0]
-        arch = mosuq.net.ArchConfig(**PAPER_ARCH)
-        cfg = trainer.TrainConfig(epochs=1, batch_size=8, learning_rate=3e-4, seed=301)
-        epoch, steps = lambda: trainer.train(train_split, arch, cfg), -(-len(train_split) // 8)
-        us["train_epoch"], peak_mib["train_epoch"] = timings(epoch, args.repeat, 1)
+        steps = -(-len(train_split) // 8)
         us["train_epoch_per_step"] = {k: round(v / steps, 3) for k, v in us["train_epoch"].items()}
-    return {**shape, "us": us, "peak_mib": peak_mib}
+    return {**shape, "us": us, "peak_mib": {name: peak for name, (_, peak) in timed.items()}}
 
 
 def child(args) -> dict:
     """One process of --against. It loads both trees, --src first in every other
     process so that a bias of the load order cancels, each writing into a directory
-    of its own, and compares every figure's outputs bit for bit. Each of ROUNDS
-    rounds then times each figure --repeat times per tree, alternating the trees
-    (and the first tree by round), per_timing(--number) calls each, and records the
-    ratio of the trees' best timings, --src over --against (below 1: --src is faster)."""
+    of its own. Then, per figure in a forked child, it compares the figure's outputs
+    bit for bit, and in each of ROUNDS rounds times the figure --repeat times per
+    tree, alternating the trees (and the first tree by round), per_timing(--number)
+    calls each, and records the ratio of the trees' best timings, --src over
+    --against (below 1: --src is faster)."""
     order = ("src", "against") if args.child_first == "src" else ("against", "src")
     calls = {}
+
+    def compare_and_time(name):
+        got = [read(fn()) for fn, read in (calls[side][name] for side in order)]
+        bit_equal = len(got[0]) == len(got[1]) and all(
+            a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(*got)
+        )
+        ratios, number = [], per_timing(args.number, name)
+        for r in range(ROUNDS):
+            sides = order if r % 2 == 0 else order[::-1]
+            times = {side: [] for side in sides}
+            for _ in range(args.repeat):
+                for side in sides:
+                    times[side].append(timeit.timeit(calls[side][name][0], number=number))
+            ratios.append(min(times["src"]) / min(times["against"]))
+        return bit_equal, ratios
+
     with tempfile.TemporaryDirectory() as tmp:
         for k, side in enumerate(order):
             mosuq, own = load_tree(getattr(args, side), f"mosuq_{k}"), Path(tmp, side)
             own.mkdir()
             calls[side], shape = GROUPS[args.group][0](mosuq, own, args.rows_per_system)
-        bit_equal = {}
-        for name in calls["src"]:
-            got = [read(fn()) for fn, read in (calls[side][name] for side in order)]
-            bit_equal[name] = len(got[0]) == len(got[1]) and all(
-                a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(*got)
-            )
-        ratios = {name: [] for name in calls["src"]}
-        for r in range(ROUNDS):
-            sides = order if r % 2 == 0 else order[::-1]
-            for name in ratios:
-                times = {side: [] for side in sides}
-                for _ in range(args.repeat):
-                    for side in sides:
-                        number = per_timing(args.number, name)
-                        times[side].append(timeit.timeit(calls[side][name][0], number=number))
-                ratios[name].append(min(times["src"]) / min(times["against"]))
-    return {"first": args.child_first, "shape": shape, "bit_equal": bit_equal, "ratios": ratios}
+        pairs = {name: forked(lambda: compare_and_time(name)) for name in calls["src"]}
+    return {"first": args.child_first, "shape": shape,
+            "bit_equal": {name: equal for name, (equal, _) in pairs.items()},
+            "ratios": {name: ratios for name, (_, ratios) in pairs.items()}}
 
 
 def against(args, argv: list[str]) -> dict:
