@@ -406,6 +406,8 @@ def _cmd_evaluate(cfg: SimpleNamespace) -> int:
 
     params, scale = _load_model(cfg.checkpoint)
     dataset = load_dataset_csv(cfg.data)
+    if cfg.sweep is not None and cfg.sweep_points > len(dataset):  # adds no kept set
+        raise ConfigError(f"sweep_points {cfg.sweep_points} exceeds the {len(dataset)} rows")
     y_det, s_det = predict_batch(params, dataset.features())
     if scale is not None:
         s_det = scale.shift_log_variance(s_det)

@@ -259,7 +259,9 @@ def _mc_rows(
     one_row = -(-passes // _CHUNK) * _CHUNK * (50 * width + 16 * hidden_dim + 24)
     if 16 * passes * len(x) + one_row > _memory_bytes():
         raise ConfigError(f"num_passes {passes} needs more memory than this machine has")
-    block, chunks, keep_scale, hashing = _plan(passes, p, width, hidden_dim, _BLOCK_UNITS)
+    # Only one-chunk plans are cached: a plan's counter term grows with the passes.
+    plan = _plan if passes <= _CHUNK else _plan.__wrapped__
+    block, chunks, keep_scale, hashing = plan(passes, p, width, hidden_dim, _BLOCK_UNITS)
     chunks, n, keys = chunks if p else 1, min(block, len(x)), keys[:, None, None, None]
     # The workspace. The hash's shift buffer is dead once a mask is made, so
     # it then holds the masked head inputs: at p = 0, one chunk of copies of

@@ -15,6 +15,10 @@ that gives 1-based average ranks: a tie group takes the mean of the ranks
 it spans. These are half-integers, exact in float64, and equal to
 scipy.stats.rankdata(method="average") bit for bit; the package needs only
 numpy at run time.
+
+uce, error_uncertainty_curve and selective_sweep loop over no bin or threshold
+(uce is one bincount; the curve's bins and the sweep's kept sets are slices of one
+stable sort by var_pred), so their sums may differ from per-bin means in the last bits.
 """
 
 from __future__ import annotations
@@ -146,6 +150,13 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
 
 
+def _by_variance(y_true, y_pred, var_pred) -> tuple[np.ndarray, np.ndarray]:
+    """The checked var_pred and the squared errors, both stably sorted by var_pred."""
+    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
+    order = np.argsort(var, kind="stable")
+    return var[order], ((y_true - y_pred) ** 2)[order]
+
+
 def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Mean squared error of the point predictions."""
     y_true, y_pred = _columns(y_true=y_true, y_pred=y_pred)
@@ -204,19 +215,12 @@ def uce(
     """
     y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
     num_bins = check_int("num_bins", num_bins, 1, MAX_SIZE, error=InputError)
-    sq_err = (y_true - y_pred) ** 2
     edges = np.linspace(var.min(), var.max(), num_bins + 1)
-    # Right-closed bins; the first bin also includes its left edge.
-    idx = np.digitize(var, edges[1:-1], right=True)
-    total = 0.0
-    for m in range(num_bins):
-        sel = idx == m
-        count = int(sel.sum())
-        if count == 0:
-            continue
-        gap = abs(float(sq_err[sel].mean()) - float(var[sel].mean()))
-        total += (count / var.size) * gap
-    return total
+    # Right-closed bins; the first bin also includes its left edge. A bin's term, count / n *
+    # |mean gap|, is |its gap sum| / n, divided first so the total overflows only if a term does.
+    bins = np.digitize(var, edges[1:-1], right=True)
+    sums = np.bincount(bins, weights=(y_true - y_pred) ** 2 - var)
+    return float(np.sum(np.abs(sums) / var.size))
 
 
 def sharpness(var_pred: np.ndarray) -> float:
@@ -249,20 +253,14 @@ def error_uncertainty_curve(
     floor(n/num_bins) rows each; the last bin absorbs the remainder.
     Returns (mean variance, mean squared error) per bin, in bin order.
     """
-    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
+    var, sq_err = _by_variance(y_true, y_pred, var_pred)
     n = var.size
     if check_int("num_bins", num_bins, 1, MAX_SIZE, error=InputError) > n:
         raise InputError(f"num_bins must lie in [1, {n}], got {num_bins}")
-    sq_err = (y_true - y_pred) ** 2
-    order = np.argsort(var, kind="stable")
-    base = n // num_bins
-    points = []
-    for m in range(num_bins):
-        start = m * base
-        stop = start + base if m < num_bins - 1 else n
-        sel = order[start:stop]
-        points.append((float(var[sel].mean()), float(sq_err[sel].mean())))
-    return points
+    starts = np.arange(num_bins) * (n // num_bins)
+    counts = np.diff(starts, append=n)
+    mean_var, mean_err = (np.add.reduceat(column, starts) / counts for column in (var, sq_err))
+    return list(zip(mean_var.tolist(), mean_err.tolist()))
 
 
 def selective_sweep(
@@ -274,18 +272,15 @@ def selective_sweep(
     the result rows are (t, retained fraction, subset mse), with None in
     place of the mse when nothing is retained.
     """
-    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
-    thresholds = check_array("thresholds", thresholds, 1).tolist()
-    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+    var, sq_err = _by_variance(y_true, y_pred, var_pred)
+    thresholds = check_array("thresholds", thresholds, 1)
+    if (thresholds[1:] < thresholds[:-1]).any():
         raise InputError("thresholds must be sorted ascending")
-    sq_err = (y_true - y_pred) ** 2
-    rows: list[tuple[float, float, float | None]] = []
-    for t in thresholds:
-        sel = var <= t
-        kept = int(sel.sum())
-        subset_mse = float(sq_err[sel].mean()) if kept else None
-        rows.append((t, kept / var.size, subset_mse))
-    return rows
+    # The rows kept at t are a prefix of the sorted rows; none at a nan t, placed last here.
+    kept = np.where(np.isnan(thresholds), 0, np.searchsorted(var, thresholds, side="right"))
+    sums = np.r_[0.0, np.cumsum(sq_err)][kept]
+    subset_mse = np.where(kept > 0, sums / np.maximum(kept, 1), None)
+    return list(zip(thresholds.tolist(), (kept / var.size).tolist(), subset_mse.tolist()))
 
 
 # Kept for perfbench/workloads.py (train-paper), which scores EvalRecord rows.

@@ -1019,6 +1019,37 @@ class TestFailBeforeWork:
         ]
         self.assert_usage_error(argv, tmp_path, capsys)
 
+    def test_more_sweep_points_than_rows_exits_2_before_any_prediction(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """More points than rows add no kept set: a ConfigError naming both
+        numbers, raised once the CSV is read and before any prediction, MC
+        pass or output file. As many points as rows are accepted."""
+        data = workspace / "base.test.csv"
+        rows = len(load_dataset_csv(data))
+
+        def evaluate(points, out):
+            return main([
+                "evaluate", "--checkpoint", str(workspace / "cal.json"), "--data", str(data),
+                "--report", str(out / "r.json"), "--sweep", str(out / "sweep.csv"),
+                "--sweep-points", str(points), "--mc", "3", "0.5", "0",
+            ])
+
+        assert evaluate(rows, tmp_path) == 0
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == rows + 1
+
+        def predict(*args):
+            raise AssertionError("a prediction ran before --sweep-points was checked")
+
+        monkeypatch.setattr(mosuq.cli, "predict_batch", predict)
+        monkeypatch.setattr(mosuq.cli, "mc_forward_dataset", predict)
+        refused = tmp_path / "refused"
+        refused.mkdir()
+        assert evaluate(rows + 1, refused) == 2
+        err = capsys.readouterr().err
+        assert f"sweep_points {rows + 1} exceeds the {rows} rows" in err and "Traceback" not in err
+        assert list(refused.iterdir()) == []
+
     def test_mc_out_without_mc(self, workspace, tmp_path, capsys):
         argv = [
             "evaluate", "--checkpoint", str(workspace / "cal.json"),

@@ -742,6 +742,22 @@ class TestBufferReuse:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_calls_of_many_passes_hold_no_memory_after_they_return(self):
+        """Only one-chunk plans are cached: a plan's counter term holds
+        2 x width uint64 values per pass, 12.8 MB at 50,000 passes here, so a
+        longer plan is built per call and freed with it."""
+        params, x = paper_shape_params(seed=1), np.array([0.3, -0.2])
+        mc_forward(params, x, MCConfig(num_passes=2, dropout_p=0.5, seed=0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for passes in (50_000, 50_001, 50_002):
+                mc_forward(params, x, MCConfig(num_passes=passes, dropout_p=0.5, seed=0))
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 2**20
+
     @pytest.mark.parametrize("p", HASH_PS)
     def test_hash_in_a_reused_workspace_equals_fresh_buffers_and_the_hash(self, p):
         """The kernel hashes every block into leading slices of one workspace."""

@@ -18,6 +18,7 @@ from mosuq.metrics import (
     EvalRecord,
     MetricsReport,
     _average_ranks,
+    _columns,
     compute_report,
     error_uncertainty_curve,
     mse,
@@ -397,6 +398,147 @@ class TestSelectiveSweep:
         rows = selective_sweep(*columns, sorted(columns[2]))
         mses = [row[2] for row in rows]
         assert all(a <= b + 1e-12 for a, b in zip(mses, mses[1:]))
+
+
+# The loop forms of uce, error_uncertainty_curve and selective_sweep: a mask
+# over every row per bin or per threshold, each subset's mean its own sum.
+def uce_loop(y_true, y_pred, var_pred, num_bins=10):
+    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
+    sq_err = (y_true - y_pred) ** 2
+    edges = np.linspace(var.min(), var.max(), num_bins + 1)
+    idx = np.digitize(var, edges[1:-1], right=True)
+    total = 0.0
+    for m in range(num_bins):
+        sel = idx == m
+        count = int(sel.sum())
+        if count == 0:
+            continue
+        gap = abs(float(sq_err[sel].mean()) - float(var[sel].mean()))
+        total += (count / var.size) * gap
+    return total
+
+
+def curve_loop(y_true, y_pred, var_pred, num_bins=10):
+    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
+    n = var.size
+    sq_err = (y_true - y_pred) ** 2
+    order = np.argsort(var, kind="stable")
+    base = n // num_bins
+    points = []
+    for m in range(num_bins):
+        start = m * base
+        stop = start + base if m < num_bins - 1 else n
+        sel = order[start:stop]
+        points.append((float(var[sel].mean()), float(sq_err[sel].mean())))
+    return points
+
+
+def sweep_loop(y_true, y_pred, var_pred, thresholds):
+    y_true, y_pred, var = _columns(y_true=y_true, y_pred=y_pred, var_pred=var_pred)
+    sq_err = (y_true - y_pred) ** 2
+    rows = []
+    for t in thresholds:
+        sel = var <= t
+        kept = int(sel.sum())
+        subset_mse = float(sq_err[sel].mean()) if kept else None
+        rows.append((t, kept / var.size, subset_mse))
+    return rows
+
+
+@st.composite
+def scored_columns(draw):
+    """(y_true, y_pred, var_pred) of 1 to 40 rows whose variances come from a
+    pool of 1 to 40 values, so that ties and a constant var_pred are common."""
+    pool = draw(st.lists(st.floats(0.0, 1e3, allow_subnormal=False), min_size=1, max_size=40))
+    n = draw(st.integers(1, 40))
+    scores = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    var = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(draw(scores)), np.array(draw(scores)), np.array(var)
+
+
+def assert_close(got, want):
+    """Equal within 1e-12 relative, or both None."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# Columns with ties, a constant var_pred and variances that leave bins empty.
+EDGE_COLUMNS = {
+    "ties": ([0.0, 1.0, 2.0, 3.0, 4.0], [0.5] * 5, [0.2, 0.1, 0.2, 0.1, 0.3]),
+    "constant": ([1.0, -2.0, 0.5], [0.0] * 3, [0.7] * 3),
+    "empty_bins": ([1.0, 2.0, 3.0, 0.0], [0.0] * 4, [0.0, 0.0, 10.0, 9.5]),
+    "one_row": ([2.0], [1.5], [0.0]),
+}
+
+
+class TestLoopOracles:
+    """The array passes give the loop forms' results, within 1e-12 relative:
+    their sums run in another order, so the last bits may differ."""
+
+    @staticmethod
+    def check_uce(columns, num_bins):
+        # uce takes differences of the bins' means, which may cancel; so the bound
+        # scales with what each bin adds up, (its sq_err sum + its var sum) / n.
+        y_true, y_pred, var = (np.asarray(c, dtype=float) for c in columns)
+        scale = np.mean((y_true - y_pred) ** 2) + np.mean(var)
+        got, want = uce(*columns, num_bins=num_bins), uce_loop(*columns, num_bins=num_bins)
+        assert abs(got - want) <= 1e-12 * scale
+
+    @staticmethod
+    def check_curve(columns, num_bins):
+        got = error_uncertainty_curve(*columns, num_bins=num_bins)
+        want = curve_loop(*columns, num_bins=num_bins)
+        assert len(got) == len(want) == num_bins
+        for point, point_want in zip(got, want):
+            for value, value_want in zip(point, point_want):
+                assert_close(value, value_want)
+
+    @staticmethod
+    def check_sweep(columns, thresholds):
+        got, want = selective_sweep(*columns, thresholds), sweep_loop(*columns, thresholds)
+        assert len(got) == len(want)
+        for (t, fraction, subset_mse), (t_want, fraction_want, mse_want) in zip(got, want):
+            assert np.float64(t).tobytes() == np.float64(t_want).tobytes()
+            assert fraction == fraction_want
+            assert_close(subset_mse, mse_want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_columns(), st.data())
+    def test_uce_matches_the_loop(self, columns, data):
+        n = len(columns[2])
+        self.check_uce(columns, data.draw(st.one_of(st.just(n), st.integers(1, 60))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_columns(), st.data())
+    def test_curve_matches_the_loop(self, columns, data):
+        self.check_curve(columns, data.draw(st.integers(1, len(columns[2]))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_columns(), st.data())
+    def test_sweep_matches_the_loop(self, columns, data):
+        """Thresholds drawn from the row values and between them, with -inf,
+        inf and nan among them; a nan threshold keeps no row."""
+        values = st.one_of(st.sampled_from(columns[2].tolist()), st.floats(-1.0, 1e3))
+        thresholds = sorted(data.draw(st.lists(values, max_size=30)))
+        if data.draw(st.booleans()):
+            thresholds = [-math.inf, *thresholds, math.inf]
+        for _ in range(data.draw(st.integers(0, 2))):
+            thresholds.insert(data.draw(st.integers(0, len(thresholds))), math.nan)
+        self.check_sweep(columns, thresholds)
+
+    @pytest.mark.parametrize("columns", EDGE_COLUMNS.values(), ids=EDGE_COLUMNS.keys())
+    def test_edge_columns_match_the_loops(self, columns):
+        n = len(columns[2])
+        for num_bins in {1, 2, 3, n, 7}:
+            self.check_uce(columns, num_bins)
+        for num_bins in range(1, n + 1):
+            self.check_curve(columns, num_bins)
+        self.check_sweep(columns, [math.nan, -math.inf, *sorted({*columns[2], 0.25}),
+                                   math.inf, math.nan])
+
+    def test_a_nan_threshold_keeps_no_row(self):
+        assert selective_sweep([1.0, 2.0], [0.0, 0.0], [0.5, 1.0], [math.nan])[0][1:] == (0.0, None)
 
 
 def report_columns(with_domains):

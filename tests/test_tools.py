@@ -18,7 +18,8 @@ TINY = {"step": TIMED, "io": TIMED + ROWS, "commands": ROWS}
 FIGURES = {
     "step": {"forward_batch", "nll_loss_batch", "backward_batch", "adam_step", "step",
              "mc_forward", "mc_forward_dataset", "predict_batch_1", "predict_batch_1050",
-             "predict_batch_7500", "mc_ood_rows"},
+             "predict_batch_7500", "mc_ood_rows", "evaluate_metrics_7500",
+             "selective_sweep_2000"},
     "io": {"gen_synthetic", "split_dataset", "save_dataset_csv", "load_dataset_csv",
            "split_write"},
 }

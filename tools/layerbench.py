@@ -77,12 +77,17 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
     mc-ood's shape, 2,100 rows at 25 passes and p 0.5 (seed 7); predict_batch on
     one row and on 1,050 rows (train-paper's validation split) at the paper arch, and
     on 7,500 x 16 at trunk (32,) and head 16 (cli-pipeline's calibrate and evaluate);
-    and mc_ood_rows, mc-ood's loop of one-row calls: mc_forward on every other row of
-    the 2,100, 1,050 calls, each with its own MCConfig of row_seed(7, row).
+    mc_ood_rows, mc-ood's loop of one-row calls: mc_forward on every other row of
+    the 2,100, 1,050 calls, each with its own MCConfig of row_seed(7, row);
+    evaluate_metrics_7500, what evaluate runs after predicting at cli-pipeline's
+    shape: MetricsReport.of over 7,500 rows of 20 systems (in-domain labels, 10
+    bins), the 10-bin error_uncertainty_curve and the 20-point quantile
+    selective_sweep; and selective_sweep_2000, the same rows at 2,000 thresholds.
     The readers give parameters in layer order, so that trees that lay out flat
     otherwise still compare. Inputs are drawn in the order the figures were added, so
     a new figure's draws move no older figure's inputs."""
     net, trainer, mcdropout, loss = mosuq.net, mosuq.trainer, mosuq.mcdropout, mosuq.loss
+    metrics = mosuq.metrics
     arch = net.ArchConfig(**PAPER_ARCH)
     rng = np.random.default_rng(0)
     params = net.init_params(arch, seed=0)
@@ -95,9 +100,20 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
     mc_cfg = mcdropout.MCConfig(num_passes=25, dropout_p=0.5, seed=7)
     val_rows, cli_rows = rng.normal(size=(1050, 2)), rng.normal(size=(7500, 16))
     cli_params = net.init_params(net.ArchConfig(16, (32,), 16, 0.5), seed=0)
+    # evaluate's metric columns at cli-pipeline's 7,500-row test split of 20 systems,
+    # all in domain as there, and the thresholds of its 20-point sweep and of 2,000.
+    sys_ids = np.array([f"sys{k:03d}" for k in rng.integers(20, size=7500)], dtype=object)
+    scored = (*rng.normal(3.0, 1.0, size=(2, 7500)), np.exp(rng.normal(-1.0, 0.5, size=7500)))
+    ood_labels = np.zeros(7500, dtype=bool)
+    sweeps = {k: np.quantile(scored[2], np.linspace(1.0 / k, 1.0, k)) for k in (20, 2000)}
 
     def layered(*each):
         return [a.copy() for p in each for layer in p.layers for a in layer]
+
+    def evaluate_metrics():
+        return (metrics.MetricsReport.of(sys_ids, *scored, domain_labels=ood_labels, num_bins=10),
+                metrics.error_uncertainty_curve(*scored, num_bins=10),
+                metrics.selective_sweep(*scored, sweeps[20]))
 
     def step():
         y_hat, s, _ = net.forward_batch(params, x, mask, work)
@@ -130,6 +146,12 @@ def step_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
             mcdropout.mc_forward(params, features[i], mcdropout.MCConfig(
                 25, 0.5, mcdropout.row_seed(7, i))) for i in range(0, len(features), 2)
         ], lambda result: arrays(*result)),
+        # The report's fields and the metric tables as float arrays, None as nan.
+        "evaluate_metrics_7500": (evaluate_metrics, lambda result: [
+            np.array(table, dtype=float) for table in (list(vars(result[0]).values()), *result[1:])
+        ]),
+        "selective_sweep_2000": (lambda: metrics.selective_sweep(*scored, sweeps[2000]),
+                                 lambda result: [np.array(result, dtype=float)]),
     }, {}
 
 
@@ -174,7 +196,7 @@ def io_figures(mosuq, tmp: Path, rows_per_system: int) -> tuple[dict, dict]:
 GROUPS = {"step": (step_figures, (25, 2000), (10, 300)), "io": (io_figures, (7, 1), (1, 1))}
 # Figures of 0.2 ms a call or more: their timings make --number over this many calls.
 CALL_DIVISOR = {"mc_forward_dataset": 100, "predict_batch_1050": 10, "predict_batch_7500": 100,
-                "mc_ood_rows": 1000}
+                "mc_ood_rows": 1000, "evaluate_metrics_7500": 100, "selective_sweep_2000": 1000}
 # Per group, the flags that it does not read, which it refuses; alone, no group reads --processes.
 UNREAD = {"step": ("rows_per_system",), "io": (), "commands": ("repeat", "number", "processes")}
 
